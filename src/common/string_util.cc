@@ -72,16 +72,26 @@ std::string_view Trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
+std::string ErrorExcerpt(std::string_view s) {
+  std::string out = "\"";
+  out.append(s.substr(0, kErrorExcerptBytes));
+  if (s.size() > kErrorExcerptBytes) out += "...";
+  out += "\" (";
+  out += std::to_string(s.size());
+  out += " bytes)";
+  return out;
+}
+
 Result<uint64_t> ParseUint64(std::string_view s) {
   if (s.empty()) return Status::InvalidArgument("empty integer");
   uint64_t value = 0;
   for (char c : s) {
     if (c < '0' || c > '9') {
-      return Status::InvalidArgument("not a digit in: " + std::string(s));
+      return Status::InvalidArgument("not a digit in: " + ErrorExcerpt(s));
     }
     uint64_t digit = static_cast<uint64_t>(c - '0');
     if (value > (UINT64_MAX - digit) / 10) {
-      return Status::OutOfRange("uint64 overflow: " + std::string(s));
+      return Status::OutOfRange("uint64 overflow: " + ErrorExcerpt(s));
     }
     value = value * 10 + digit;
   }
@@ -98,12 +108,12 @@ Result<int64_t> ParseInt64(std::string_view s) {
   FJ_ASSIGN_OR_RETURN(uint64_t magnitude, ParseUint64(body));
   if (negative) {
     if (magnitude > static_cast<uint64_t>(INT64_MAX) + 1) {
-      return Status::OutOfRange("int64 underflow: " + std::string(s));
+      return Status::OutOfRange("int64 underflow: " + ErrorExcerpt(s));
     }
     return static_cast<int64_t>(~magnitude + 1);
   }
   if (magnitude > static_cast<uint64_t>(INT64_MAX)) {
-    return Status::OutOfRange("int64 overflow: " + std::string(s));
+    return Status::OutOfRange("int64 overflow: " + ErrorExcerpt(s));
   }
   return static_cast<int64_t>(magnitude);
 }
@@ -115,10 +125,10 @@ Result<double> ParseDouble(std::string_view s) {
   char* end = nullptr;
   double value = std::strtod(buf.c_str(), &end);
   if (errno == ERANGE) {
-    return Status::OutOfRange("double out of range: " + buf);
+    return Status::OutOfRange("double out of range: " + ErrorExcerpt(buf));
   }
   if (end != buf.c_str() + buf.size()) {
-    return Status::InvalidArgument("not a double: " + buf);
+    return Status::InvalidArgument("not a double: " + ErrorExcerpt(buf));
   }
   return value;
 }

@@ -36,6 +36,15 @@ Result<uint64_t> ParseUint64(std::string_view s);
 Result<int64_t> ParseInt64(std::string_view s);
 Result<double> ParseDouble(std::string_view s);
 
+/// Bytes of the offending text an ErrorExcerpt echoes.
+inline constexpr size_t kErrorExcerptBytes = 64;
+
+/// Names offending input in an error message at a fixed cost: the first
+/// kErrorExcerptBytes bytes, quoted ("..." marks a cut), then the full
+/// length — `"abc" (3 bytes)`. Parsers of untrusted lines use it so a
+/// hostile multi-megabyte line is not copied again into every Status.
+std::string ErrorExcerpt(std::string_view s);
+
 /// True if `s` starts with / ends with the given prefix/suffix.
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);

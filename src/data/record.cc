@@ -20,7 +20,8 @@ std::string Record::ToLine() const {
 Result<Record> Record::FromLine(const std::string& line) {
   std::vector<std::string> fields = fj::SplitN(line, '\t', 4);
   if (fields.size() != 4) {
-    return Status::InvalidArgument("bad record line (want 4 fields): " + line);
+    return Status::InvalidArgument("bad record line (want 4 fields): " +
+                                   fj::ErrorExcerpt(line));
   }
   FJ_ASSIGN_OR_RETURN(uint64_t rid, fj::ParseUint64(fields[0]));
   Record record;

@@ -89,7 +89,8 @@ class FullRecordMapper : public mr::Mapper<Stage2Key, std::string> {
 
 /// Re-parses and re-tokenizes every record in the group (full records
 /// arrive, not projections), runs the PPJoin+ kernel, and emits complete
-/// joined pairs directly.
+/// joined pairs directly. One kernel stream serves every group of the
+/// reduce task, reset between groups.
 class FullRecordReducer : public mr::Reducer<Stage2Key, std::string> {
  public:
   FullRecordReducer(std::shared_ptr<const text::Tokenizer> tokenizer,
@@ -97,7 +98,7 @@ class FullRecordReducer : public mr::Reducer<Stage2Key, std::string> {
                     sim::SimilaritySpec spec)
       : tokenizer_(std::move(tokenizer)),
         ordering_lines_(ordering_lines),
-        spec_(spec) {}
+        stream_(spec) {}
 
   void Setup(TaskContext* ctx) override {
     auto parsed = text::TokenOrdering::FromLines(*ordering_lines_);
@@ -130,9 +131,9 @@ class FullRecordReducer : public mr::Reducer<Stage2Key, std::string> {
       records.push_back(std::move(parsed).value());
     }
     // Group arrives length-sorted via the composite key.
-    ppjoin::PPJoinStream stream(spec_);
+    stream_.Reset();
     std::vector<ppjoin::SimilarPair> pairs;
-    for (const auto& set : sets) stream.ProbeAndInsert(set, &pairs);
+    for (const auto& set : sets) stream_.ProbeAndInsert(set, &pairs);
     for (const auto& pair : pairs) {
       JoinedPair joined;
       joined.similarity = pair.similarity;
@@ -141,17 +142,17 @@ class FullRecordReducer : public mr::Reducer<Stage2Key, std::string> {
       out->Emit(joined.ToLine());
       ctx->counters().Add("onestage.pairs_emitted", 1);
     }
-    internal::MergePPJoinStats(stream.stats(), ctx);
+    internal::MergePPJoinStats(stream_.stats(), ctx);
     ctx->counters().Max(
         "stage2.pk.peak_resident_tokens",
-        static_cast<int64_t>(stream.stats().peak_resident_tokens));
+        static_cast<int64_t>(stream_.stats().peak_resident_tokens));
   }
 
  private:
   std::shared_ptr<const text::Tokenizer> tokenizer_;
   const std::vector<std::string>* ordering_lines_;
   std::optional<text::TokenOrdering> ordering_;
-  sim::SimilaritySpec spec_;
+  ppjoin::PPJoinStream stream_;
 };
 
 /// Deduplicates joined-pair lines (the same pair may be produced by every

@@ -46,7 +46,8 @@ Result<std::tuple<uint64_t, uint64_t, double>> ParseRidPairLine(
   }
   std::vector<std::string> fields = fj::Split(line, '\t');
   if (fields.size() != 3) {
-    return Status::InvalidArgument("bad rid-pair line: " + line);
+    return Status::InvalidArgument("bad rid-pair line: " +
+                                   fj::ErrorExcerpt(line));
   }
   FJ_ASSIGN_OR_RETURN(uint64_t rid1, fj::ParseUint64(fields[0]));
   FJ_ASSIGN_OR_RETURN(uint64_t rid2, fj::ParseUint64(fields[1]));

@@ -131,21 +131,22 @@ class BkRSReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 
 /// PK: index R projections, probe with S projections, in length-class
 /// order so the index can evict R records that are too short for every
-/// remaining probe.
+/// remaining probe. One stream serves every group of the reduce task,
+/// reset between groups.
 class PkRSReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
  public:
   PkRSReducer(sim::SimilaritySpec spec, mr::RecordFormat format)
-      : spec_(spec), format_(format) {}
+      : format_(format), stream_(spec) {}
 
   void Reduce(const Stage2Key&, PairSpan group, OutputEmitter* out,
               TaskContext* ctx) override {
-    ppjoin::PPJoinStream stream(spec_);
+    stream_.Reset();
     std::vector<ppjoin::SimilarPair> pairs;
     for (const auto& [key, projection] : group) {
       if (key.s2 == kRelationR) {
-        stream.InsertRS(projection);
+        stream_.InsertRS(projection);
       } else {
-        stream.Probe(projection, &pairs);
+        stream_.Probe(projection, &pairs);
       }
     }
     std::string line_buf;  // reused across emitted pairs
@@ -153,15 +154,15 @@ class PkRSReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
       FormatRidPairOut(format_, p.rid1, p.rid2, p.similarity, &line_buf);
       out->Emit(line_buf);
     }
-    internal::MergePPJoinStats(stream.stats(), ctx);
+    internal::MergePPJoinStats(stream_.stats(), ctx);
     ctx->counters().Max(
         "stage2.pk.peak_resident_tokens",
-        static_cast<int64_t>(stream.stats().peak_resident_tokens));
+        static_cast<int64_t>(stream_.stats().peak_resident_tokens));
   }
 
  private:
-  sim::SimilaritySpec spec_;
   mr::RecordFormat format_;
+  ppjoin::PPJoinStream stream_;
 };
 
 /// BK + map-based blocks: round r holds R block r followed by the full S

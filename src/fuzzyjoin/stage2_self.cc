@@ -147,33 +147,34 @@ class BkSelfReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 
 /// PK: the PPJoin+ streaming kernel; the group arrives length-sorted via
 /// the composite key, so the index can evict short records as it goes
-/// (Section 3.2.2).
+/// (Section 3.2.2). One stream serves every group of the reduce task,
+/// reset between groups.
 class PkSelfReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
  public:
   PkSelfReducer(sim::SimilaritySpec spec, mr::RecordFormat format)
-      : spec_(spec), format_(format) {}
+      : format_(format), stream_(spec) {}
 
   void Reduce(const Stage2Key&, PairSpan group, OutputEmitter* out,
               TaskContext* ctx) override {
-    ppjoin::PPJoinStream stream(spec_);
+    stream_.Reset();
     std::vector<ppjoin::SimilarPair> pairs;
     for (const auto& [key, projection] : group) {
-      stream.ProbeAndInsert(projection, &pairs);
+      stream_.ProbeAndInsert(projection, &pairs);
     }
     std::string line_buf;  // reused across emitted pairs
     for (const auto& p : pairs) {
       FormatRidPairOut(format_, p.rid1, p.rid2, p.similarity, &line_buf);
       out->Emit(line_buf);
     }
-    internal::MergePPJoinStats(stream.stats(), ctx);
+    internal::MergePPJoinStats(stream_.stats(), ctx);
     ctx->counters().Max(
         "stage2.pk.peak_resident_tokens",
-        static_cast<int64_t>(stream.stats().peak_resident_tokens));
+        static_cast<int64_t>(stream_.stats().peak_resident_tokens));
   }
 
  private:
-  sim::SimilaritySpec spec_;
   mr::RecordFormat format_;
+  ppjoin::PPJoinStream stream_;
 };
 
 /// Reducer for length-routed BK groups: a group holds the class's native

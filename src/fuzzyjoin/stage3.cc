@@ -132,14 +132,17 @@ struct ParsedHalfLine {
 Result<ParsedHalfLine> ParseHalfLine(const std::string& line) {
   std::vector<std::string> fields = fj::SplitN(line, '\t', 5);
   if (fields.size() != 5) {
-    return Status::InvalidArgument("bad half-pair line: " + line);
+    return Status::InvalidArgument("bad half-pair line: " +
+                                   fj::ErrorExcerpt(line));
   }
   ParsedHalfLine out;
   FJ_ASSIGN_OR_RETURN(out.rid1, fj::ParseUint64(fields[0]));
   FJ_ASSIGN_OR_RETURN(out.rid2, fj::ParseUint64(fields[1]));
   FJ_ASSIGN_OR_RETURN(out.similarity, fj::ParseDouble(fields[2]));
   FJ_ASSIGN_OR_RETURN(uint64_t side, fj::ParseUint64(fields[3]));
-  if (side > 1) return Status::InvalidArgument("bad side: " + line);
+  if (side > 1) {
+    return Status::InvalidArgument("bad side: " + fj::ErrorExcerpt(line));
+  }
   out.side = static_cast<uint8_t>(side);
   out.record_line = std::move(fields[4]);
   return out;
@@ -496,7 +499,8 @@ std::string JoinedPair::ToLine() const {
 Result<JoinedPair> JoinedPair::FromLine(const std::string& line) {
   std::vector<std::string> fields = fj::Split(line, '\t');
   if (fields.size() != 9) {
-    return Status::InvalidArgument("bad joined-pair line: " + line);
+    return Status::InvalidArgument("bad joined-pair line: " +
+                                   fj::ErrorExcerpt(line));
   }
   JoinedPair out;
   FJ_ASSIGN_OR_RETURN(out.first.rid, fj::ParseUint64(fields[0]));

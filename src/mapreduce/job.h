@@ -18,7 +18,8 @@
 // Execution is layered like Hadoop's shuffle (see DESIGN.md):
 //
 //   map task   -> SortBuffer (job_spec.h + sort_buffer.h): pairs buffer
-//                 against JobSpec::sort_buffer_bytes, are stable-sorted by
+//                 against JobSpec::sort_buffer_bytes (grouped by key as
+//                 they arrive when the job has a combiner), are sorted by
 //                 (partition, key), combined per spill, and written out as
 //                 sorted runs — spill I/O charged to the task's scratch;
 //   reduce task-> RunMerger (run_merger.h): a streaming k-way merge over
@@ -560,6 +561,13 @@ Result<JobMetrics> Job<K, V>::Run() {
   }
   if (spec_.input_files.empty()) {
     return Status::InvalidArgument("job '" + spec_.name + "': no input files");
+  }
+  if (spec_.combiner && (spec_.sort_less || spec_.group_equal)) {
+    // The sort buffer groups combiner input by key in a hash table, which
+    // cannot form a group of two different keys.
+    return Status::InvalidArgument(
+        "job '" + spec_.name +
+        "': a combiner needs the default sort_less and group_equal");
   }
 
   WallTimer job_timer;

@@ -143,10 +143,13 @@ struct JobSpec {
   std::function<std::unique_ptr<Reducer<K, V>>()> reducer_factory;
 
   /// Optional local aggregation of map output before the shuffle. Receives
-  /// one key group at a time (grouped with the job's comparators) and emits
-  /// replacement pairs. With spilling enabled the combiner runs once per
-  /// spill (exactly Hadoop's behaviour), so it must be algebraic: feeding
-  /// its own output back through it must not change the reduce result.
+  /// one key's values at a time, in emit order, and emits replacement
+  /// pairs. With spilling enabled the combiner runs once per spill
+  /// (exactly Hadoop's behaviour), so it must be algebraic: feeding its
+  /// own output back through it must not change the reduce result. The
+  /// sort buffer groups its input by key in a hash table, so a job with a
+  /// combiner must leave sort_less and group_equal unset (Job::Run
+  /// rejects it otherwise).
   std::function<void(const K&, std::vector<V>&&, Emitter<K, V>*)> combiner;
 
   /// Partition function; nullptr = hash(key) % num_reduce_tasks.

@@ -38,9 +38,12 @@ struct TaskMetrics {
   /// time (it is re-read once per consuming merge pass).
   uint64_t spill_count = 0;
   uint64_t spilled_bytes = 0;
-  /// Map tasks only: high-water mark of bytes resident in the sort buffer.
-  /// Bounded by JobSpec::sort_buffer_bytes (when > 0) unless a single
-  /// pair exceeds the whole budget.
+  /// Map tasks only: high-water mark of the sort buffer's charged bytes —
+  /// the ByteSizeOf sum of every pair emitted since the last spill. A
+  /// combining job charges each emitted pair too, although the buffer
+  /// keeps a repeated key only once, so the figure does not depend on the
+  /// combiner. Bounded by JobSpec::sort_buffer_bytes (when > 0) unless a
+  /// single pair exceeds the whole budget.
   uint64_t peak_buffer_bytes = 0;
   /// Reduce tasks only: merge passes over this partition's runs (the
   /// final streaming merge plus any intermediate collapses; 0 when the

@@ -3,23 +3,35 @@
 //
 // Every map task owns one SortBuffer. Emitted pairs accumulate against the
 // job's byte budget (JobSpec::sort_buffer_bytes); when the next pair would
-// overflow it, the buffer is stable-sorted by (partition, sort comparator),
-// the combiner (if any) runs once per key group, and the result is written
-// out as one sorted run per reduce partition — a "spill". Spill bytes are
-// charged through the task's LocalScratch so the cost model sees the I/O.
-// With a zero budget the whole map output becomes a single in-memory run
-// at Flush() and nothing is charged — the legacy unbounded behaviour.
+// overflow it, the buffer is written out as one sorted run per reduce
+// partition — a "spill". Spill bytes are charged through the task's
+// LocalScratch so the cost model sees the I/O. With a zero budget the
+// whole map output becomes a single in-memory run at Flush() and nothing
+// is charged — the legacy unbounded behaviour.
 //
-// Determinism: the sort is stable, so pairs with equal keys stay in emit
-// order within a run, and spills are numbered in temporal order. The
-// reduce-side RunMerger breaks ties toward earlier (map task, spill) runs,
-// which reproduces the legacy concatenate-then-stable-sort order exactly;
-// job output is byte-identical with spilling on or off.
+// Without a combiner, pairs are buffered as emitted and each spill
+// stable-sorts them by (partition, sort comparator). With a combiner they
+// are combined on insert: each emitted value joins its key's group in a
+// hash table (values in emit order), and a spill sorts only the distinct
+// keys by (partition, sort comparator) and calls the combiner once per
+// group — the same call sequence, with the same values in the same order,
+// as sorting every pair and grouping adjacent keys. Hash grouping needs
+// the default comparators (Job::Run rejects a combiner together with a
+// custom sort_less or group_equal), under which group-equal keys are
+// equal keys. Either way the byte budget charges every emitted pair, so
+// spill points and peak_buffer_bytes do not depend on the combiner.
+//
+// Determinism: pairs with equal keys stay in emit order within a run, and
+// spills are numbered in temporal order. The reduce-side RunMerger breaks
+// ties toward earlier (map task, spill) runs, which reproduces the legacy
+// concatenate-then-stable-sort order exactly; job output is byte-identical
+// with spilling on or off.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -98,7 +110,7 @@ class SortBuffer : public Emitter<K, V> {
     // (a single pair larger than the whole budget still gets buffered —
     // it has to live somewhere before it can be spilled).
     const uint64_t budget = spec_->sort_buffer_bytes;
-    if (budget > 0 && !entries_.empty() &&
+    if (budget > 0 && buffered_pairs_ > 0 &&
         buffered_bytes_ + pair_bytes > budget) {
       Spill(/*to_disk=*/true);
     }
@@ -112,8 +124,15 @@ class SortBuffer : public Emitter<K, V> {
       if (!checker_->ok()) return;
     }
     assert(partition < spec_->num_reduce_tasks);
-    entries_.push_back(
-        Entry{partition, pair_bytes, Pair(std::move(key), std::move(value))});
+    if (spec_->combiner) {
+      auto [it, inserted] = groups_.try_emplace(std::move(key));
+      if (inserted) it->second.partition = partition;
+      it->second.values.push_back(std::move(value));
+    } else {
+      entries_.push_back(
+          Entry{partition, pair_bytes, Pair(std::move(key), std::move(value))});
+    }
+    ++buffered_pairs_;
     buffered_bytes_ += pair_bytes;
     metrics_->peak_buffer_bytes =
         std::max(metrics_->peak_buffer_bytes, buffered_bytes_);
@@ -123,7 +142,7 @@ class SortBuffer : public Emitter<K, V> {
   /// spill (Hadoop always writes map output to local disk); without one
   /// the single final run stays an uncharged in-memory run.
   void Flush() {
-    if (!entries_.empty()) Spill(/*to_disk=*/spec_->sort_buffer_bytes > 0);
+    if (buffered_pairs_ > 0) Spill(/*to_disk=*/spec_->sort_buffer_bytes > 0);
   }
 
  private:
@@ -132,6 +151,23 @@ class SortBuffer : public Emitter<K, V> {
     uint64_t bytes;
     Pair pair;
   };
+
+  /// One key's buffered values, in emit order (combining jobs only).
+  struct Group {
+    size_t partition = 0;
+    std::vector<V> values;
+  };
+
+  struct KeyHasher {
+    size_t operator()(const K& key) const { return KeyHashOf(key); }
+  };
+  struct KeyEqual {
+    const SpecOrdering<K, V>* ordering;
+    bool operator()(const K& a, const K& b) const {
+      return ordering->GroupEqual(a, b);
+    }
+  };
+  using GroupMap = std::unordered_map<K, Group, KeyHasher, KeyEqual>;
 
   // Routes combiner output into per-partition accumulators. The combiner
   // may emit any key, so the partition is recomputed per emitted pair, and
@@ -159,24 +195,25 @@ class SortBuffer : public Emitter<K, V> {
   };
 
   void Spill(bool to_disk) {
-    // Stable sort by (partition, key): equal keys keep emit order, which
-    // the merge layer relies on for deterministic output.
-    std::stable_sort(entries_.begin(), entries_.end(),
-                     [this](const Entry& a, const Entry& b) {
-                       if (a.partition != b.partition) {
-                         return a.partition < b.partition;
-                       }
-                       return ordering_->SortLess(a.pair.first, b.pair.first);
-                     });
-
     std::vector<SortedRun<K, V>> runs(spec_->num_reduce_tasks);
     if (spec_->combiner) {
-      CombineRuns(&runs);
+      CombineGroups(&runs);
     } else {
+      // Stable sort by (partition, key): equal keys keep emit order, which
+      // the merge layer relies on for deterministic output.
+      std::stable_sort(entries_.begin(), entries_.end(),
+                       [this](const Entry& a, const Entry& b) {
+                         if (a.partition != b.partition) {
+                           return a.partition < b.partition;
+                         }
+                         return ordering_->SortLess(a.pair.first,
+                                                    b.pair.first);
+                       });
       for (Entry& e : entries_) {
         runs[e.partition].pairs.push_back(std::move(e.pair));
         runs[e.partition].bytes += e.bytes;
       }
+      entries_.clear();
     }
 
     uint64_t run_bytes = 0;
@@ -214,32 +251,34 @@ class SortBuffer : public Emitter<K, V> {
     }
 
     out_->spills.push_back(std::move(runs));
-    entries_.clear();
+    buffered_pairs_ = 0;
     buffered_bytes_ = 0;
   }
 
-  // Runs the combiner over each key group of the sorted buffer (partition
-  // by partition, groups in sort order — the same call sequence the legacy
-  // per-bucket combine pass produced), then rebuilds sorted runs from its
-  // output.
-  void CombineRuns(std::vector<SortedRun<K, V>>* runs) {
+  // Runs the combiner once per buffered key group, partition by partition
+  // and in sort order within a partition (the order a sort of every pair
+  // would have grouped them in), then rebuilds sorted runs from its
+  // output. Empties the group table.
+  void CombineGroups(std::vector<SortedRun<K, V>>* runs) {
+    std::vector<typename GroupMap::value_type*> order;
+    order.reserve(groups_.size());
+    for (auto& entry : groups_) order.push_back(&entry);
+    // Keys are distinct under the sort order (equal keys share a group),
+    // so this order is total and does not depend on the map's.
+    std::sort(order.begin(), order.end(),
+              [this](const auto* a, const auto* b) {
+                if (a->second.partition != b->second.partition) {
+                  return a->second.partition < b->second.partition;
+                }
+                return ordering_->SortLess(a->first, b->first);
+              });
+
     CombineCollector collector(ordering_, spec_->num_reduce_tasks);
-    size_t begin = 0;
     size_t groups_checked = 0;
     size_t groups_seen = 0;
-    while (begin < entries_.size()) {
-      size_t end = begin + 1;
-      while (end < entries_.size() &&
-             entries_[end].partition == entries_[begin].partition &&
-             ordering_->GroupEqual(entries_[begin].pair.first,
-                                   entries_[end].pair.first)) {
-        ++end;
-      }
-      std::vector<V> values;
-      values.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        values.push_back(std::move(entries_[i].pair.second));
-      }
+    for (auto* entry : order) {
+      const K& key = entry->first;
+      Group& group = entry->second;
       // Property-test the combiner on a few sampled groups per spill,
       // BEFORE the real run consumes the values (the test only copies).
       if (checker_ != nullptr && checker_->ok() &&
@@ -247,12 +286,10 @@ class SortBuffer : public Emitter<K, V> {
           groups_seen++ % checker_->sample_every() == 0) {
         ++groups_checked;
         checker_->Latch(CheckCombinerContract(
-            spec_->combiner, *ordering_, entries_[begin].pair.first, values,
+            spec_->combiner, *ordering_, key, group.values,
             checker_->job_name(), &checker_->stats()));
       }
-      spec_->combiner(entries_[begin].pair.first, std::move(values),
-                      &collector);
-      begin = end;
+      spec_->combiner(key, std::move(group.values), &collector);
     }
     for (size_t p = 0; p < runs->size(); ++p) {
       SortedRun<K, V>& run = (*runs)[p];
@@ -265,6 +302,7 @@ class SortBuffer : public Emitter<K, V> {
                          return ordering_->SortLess(a.first, b.first);
                        });
     }
+    groups_.clear();
   }
 
   const JobSpec<K, V>* spec_;
@@ -276,7 +314,9 @@ class SortBuffer : public Emitter<K, V> {
   /// JobSpec::check_contracts is off.
   KeyContractChecker<K, SpecOrdering<K, V>>* checker_;
 
-  std::vector<Entry> entries_;
+  std::vector<Entry> entries_;    ///< jobs without a combiner
+  GroupMap groups_{0, KeyHasher{}, KeyEqual{ordering_}};  ///< combining jobs
+  size_t buffered_pairs_ = 0;
   uint64_t buffered_bytes_ = 0;
 };
 

@@ -24,6 +24,26 @@ PPJoinStream::PPJoinStream(sim::SimilaritySpec spec, PPJoinOptions options)
       options_(options),
       suffix_filter_(options.suffix_filter_depth) {}
 
+void PPJoinStream::Reset() {
+  for (TokenId id : touched_lists_) {
+    PostingList& list = dense_index_[id];
+    list.entries.clear();
+    list.head = 0;
+  }
+  touched_lists_.clear();
+  unknown_index_.clear();
+  store_.clear();
+  std::vector<TokenId>().swap(arena_);
+  arena_live_begin_ = 0;
+  live_from_ = 0;
+  resident_tokens_ = 0;
+  candidate_slots_.clear();
+  // The next probe advances alpha_epoch_, which stales every memo entry;
+  // probe_epoch_ keeps counting up, so new slots (epoch 0) start stale.
+  alpha_probe_len_ = SIZE_MAX;
+  stats_ = PPJoinStats{};
+}
+
 void PPJoinStream::ProbeAndInsert(const TokenSetRecord& record,
                                   std::vector<SimilarPair>* out) {
   // One signature build serves both the probe and the insert below.
@@ -79,7 +99,9 @@ PPJoinStream::PostingList& PPJoinStream::PostingListFor(TokenId id) {
       // new id would be quadratic on adversarial orders.
       dense_index_.resize(std::max<size_t>(id + 1, dense_index_.size() * 2));
     }
-    return dense_index_[id];
+    PostingList& list = dense_index_[id];
+    if (list.entries.empty()) touched_lists_.push_back(id);
+    return list;
   }
   return unknown_index_[id];
 }

@@ -30,7 +30,11 @@
 //   * indexed token arrays live in one contiguous arena; verification
 //     merges walk sequential memory, and eviction releases arena ranges
 //     (compacted amortised-O(1)) while the resident_tokens /
-//     peak_resident_tokens accounting stays exact.
+//     peak_resident_tokens accounting stays exact;
+//   * one stream serves many independent joins: Reset() clears only the
+//     posting lists the last join touched and keeps every buffer's
+//     capacity except the arena's, so a PK reduce task pays for the dense
+//     index once, not once per prefix-token group.
 //
 // The class is deliberately *streaming* (probe/insert split) so the
 // MapReduce PK reducer can drive it with records arriving in the composite
@@ -111,6 +115,15 @@ class PPJoinStream {
   /// been inserted already (the length-class key order of Section 4
   /// guarantees this). Results append as (R rid, S rid) pairs.
   void Probe(const TokenSetRecord& record, std::vector<SimilarPair>* out);
+
+  /// Starts a new, independent join with the same spec and options: drops
+  /// every indexed record and zeroes stats(), so the stream behaves
+  /// exactly like a freshly constructed one. Costs O(posting lists the
+  /// last join touched), not O(largest token rank). Posting-list, record
+  /// and candidate-slot capacity is kept for the next join; the token
+  /// arena is released, so stats().arena_bytes reports the same peak a
+  /// fresh stream would.
+  void Reset();
 
   const PPJoinStats& stats() const { return stats_; }
 
@@ -210,6 +223,7 @@ class PPJoinStream {
   uint64_t resident_tokens_ = 0;
 
   std::vector<PostingList> dense_index_;  ///< slot = stage-1 token rank
+  std::vector<TokenId> touched_lists_;    ///< non-empty dense_index_ slots
   // lint: allow-unordered (cold path: only tokens with no stage-1 rank)
   std::unordered_map<TokenId, PostingList> unknown_index_;
 

@@ -33,13 +33,14 @@ Result<TokenOrdering> TokenOrdering::FromLines(
   for (const std::string& line : lines) {
     std::vector<std::string> fields = fj::Split(line, '\t');
     if (fields.size() != 2) {
-      return Status::InvalidArgument("bad token-ordering line: " + line);
+      return Status::InvalidArgument("bad token-ordering line: " +
+                                     fj::ErrorExcerpt(line));
     }
     FJ_ASSIGN_OR_RETURN(uint64_t count, fj::ParseUint64(fields[1]));
     TokenId rank = ordering.by_rank_.size();
     if (!ordering.InsertRank(fields[0], rank)) {
       return Status::InvalidArgument("duplicate token in ordering: " +
-                                     fields[0]);
+                                     fj::ErrorExcerpt(fields[0]));
     }
     ordering.by_rank_.emplace_back(std::move(fields[0]), count);
   }

@@ -31,7 +31,8 @@ class Tokenizer {
   virtual std::string Name() const = 0;
 };
 
-/// Word tokenizer: lower-cases, then splits on any non-alphanumeric byte.
+/// Word tokenizer: lower-cases, then splits on any non-alphanumeric byte
+/// (alphanumeric as in the C locale: [0-9A-Za-z]; bytes >= 0x80 split).
 /// "I will call back" -> [i, will, call, back].
 class WordTokenizer : public Tokenizer {
  public:
@@ -65,7 +66,9 @@ class QGramTokenizer : public Tokenizer {
   DuplicatePolicy policy_;
 };
 
-/// Applies the duplicate policy to an ordered token list in place.
+/// Applies the duplicate policy to an ordered token list in place. The
+/// first occurrence of a token keeps its place and spelling; later
+/// occurrences are dropped (kRemove) or become "token#k" (kNumber).
 void ApplyDuplicatePolicy(DuplicatePolicy policy,
                           std::vector<std::string>* tokens);
 

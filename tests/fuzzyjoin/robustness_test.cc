@@ -2,8 +2,12 @@
 // lines are counted and skipped, and the rest of the data still joins.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/string_util.h"
 #include "data/generator.h"
 #include "fuzzyjoin/fuzzyjoin.h"
+#include "text/token_ordering.h"
 
 namespace fj::join {
 namespace {
@@ -33,6 +37,38 @@ TEST(RobustnessTest, CorruptLinesAreSkippedEverywhere) {
   auto joined = ReadJoinedPairs(dfs, result->output_file);
   ASSERT_TRUE(joined.ok());
   EXPECT_FALSE(joined->empty());
+}
+
+TEST(RobustnessTest, ParseErrorsEchoABoundedExcerptOfAHugeLine) {
+  // A 1 MB malformed record. Each parser's Status names a fixed-size
+  // prefix and the length, instead of carrying one more full copy of the
+  // line per failure (mappers that only count failures pay for it too).
+  const std::string huge(1 << 20, 'x');
+  auto expect_bounded = [](const Status& status, const char* parser) {
+    EXPECT_FALSE(status.ok()) << parser;
+    EXPECT_LT(status.message().size(), 2 * kErrorExcerptBytes + 64)
+        << parser;
+    EXPECT_NE(status.message().find("(1048576 bytes)"), std::string::npos)
+        << parser << ": " << status.message().substr(0, 200);
+  };
+  expect_bounded(data::Record::FromLine(huge).status(), "record fields");
+  expect_bounded(data::Record::FromLine(huge + "\tt\ta\tp").status(),
+                 "record rid");
+  expect_bounded(ParseRidPairLine(huge).status(), "rid-pair fields");
+  expect_bounded(ParseRidPairLine(huge + "\t1\t0.5").status(), "rid-pair rid");
+  expect_bounded(ParseRidPairLine("1\t2\t" + huge).status(),
+                 "rid-pair similarity");
+  expect_bounded(text::TokenOrdering::FromLines({huge}).status(),
+                 "ordering fields");
+  expect_bounded(
+      text::TokenOrdering::FromLines({huge + "\t1", huge + "\t2"}).status(),
+      "ordering duplicate");
+  expect_bounded(JoinedPair::FromLine(huge).status(), "joined-pair fields");
+
+  // Short offending text is echoed whole.
+  EXPECT_EQ(ErrorExcerpt("a\tb"), "\"a\tb\" (3 bytes)");
+  EXPECT_EQ(ErrorExcerpt(huge), "\"" + huge.substr(0, kErrorExcerptBytes) +
+                                    "...\" (1048576 bytes)");
 }
 
 TEST(RobustnessTest, RecordsWithEmptyJoinAttribute) {

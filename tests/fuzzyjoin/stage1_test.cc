@@ -7,6 +7,7 @@
 
 #include <map>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "data/generator.h"
 #include "data/record.h"
@@ -107,6 +108,50 @@ TEST(Stage1Test, CombinerShrinksCountJobShuffle) {
   ASSERT_TRUE(result.ok());
   const auto& count_job = result->jobs[0];
   EXPECT_LT(count_job.shuffle_records, count_job.map_output_records / 2);
+}
+
+TEST(Stage1Test, BtoCountJobGoldenCountersUnderSmallSortBuffer) {
+  // The BTO count job is the pipeline's combining job. With a 2 KiB sort
+  // buffer every map task spills many times and every reducer merges in
+  // several passes. These goldens were captured from the sort buffer that
+  // stable-sorted every emitted pair before combining; grouping on insert
+  // must not move one spill point, meter, or output line.
+  auto records = data::GenerateRecords(data::DblpLikeConfig(300, 17));
+  mr::Dfs dfs;
+  ASSERT_TRUE(dfs.WriteFile("in", data::RecordsToLines(records)).ok());
+  JoinConfig config;
+  config.stage1 = Stage1Algorithm::kBTO;
+  config.num_map_tasks = 4;
+  config.num_reduce_tasks = 3;
+  config.sort_buffer_bytes = 2048;
+  config.merge_factor = 4;
+  auto result = RunStage1(&dfs, "in", "ordering", config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const mr::JobMetrics& count = result->jobs[0];
+
+  const std::vector<std::string>& lines =
+      *dfs.ReadFile("ordering.counts").value();
+  uint64_t digest = kFnvOffsetBasis;
+  for (const std::string& line : lines) {
+    digest = HashCombine(digest, HashString(line));
+  }
+  EXPECT_EQ(lines.size(), 999u);
+  EXPECT_EQ(digest, 1797663522957480284ULL);
+  ASSERT_GE(lines.size(), 2u);
+  EXPECT_EQ(lines.front(), "bababa\t143");
+  EXPECT_EQ(lines.back(), "zayuba\t2");
+
+  EXPECT_EQ(count.map_output_records, 3071u);
+  EXPECT_EQ(count.shuffle_records, 2447u);
+  EXPECT_EQ(count.shuffle_bytes, 44046u);
+  EXPECT_EQ(count.spill_count, 56u);
+  EXPECT_EQ(count.merge_passes, 30u);
+  std::vector<uint64_t> peak_buffer_bytes;
+  for (const mr::TaskMetrics& task : count.map_tasks) {
+    peak_buffer_bytes.push_back(task.peak_buffer_bytes);
+  }
+  EXPECT_EQ(peak_buffer_bytes,
+            (std::vector<uint64_t>{2034, 2034, 2034, 2034}));
 }
 
 TEST(Stage1Test, CombinerIsPurelyAnOptimization) {

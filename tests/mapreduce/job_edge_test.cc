@@ -134,6 +134,45 @@ TEST(JobEdgeTest, CombinerRespectsCustomPartitioner) {
   EXPECT_LE(metrics->shuffle_records, 4u * 3u);
 }
 
+TEST(JobEdgeTest, CombinerWithCustomComparatorsIsRejected) {
+  // The sort buffer groups combiner input by key in a hash table; a custom
+  // grouping could join two different keys into one group, so the job
+  // must refuse it up front instead of combining different groups.
+  Dfs dfs;
+  ASSERT_TRUE(dfs.WriteFile("in", {"b a", "a c"}).ok());
+  auto combine = [](const K& key, std::vector<V>&& values,
+                    Emitter<K, V>* out) {
+    uint64_t total = 0;
+    for (V v : values) total += v;
+    out->Emit(key, total);
+  };
+
+  auto with_sort = CountSpec("in", "out_sort");
+  with_sort.combiner = combine;
+  with_sort.sort_less = [](const K& a, const K& b) { return a > b; };
+  auto sorted = Job<K, V>(&dfs, std::move(with_sort)).Run();
+  ASSERT_FALSE(sorted.ok());
+  EXPECT_EQ(sorted.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sorted.status().message().find("combiner"), std::string::npos);
+
+  auto with_group = CountSpec("in", "out_group");
+  with_group.combiner = combine;
+  with_group.group_equal = [](const K& a, const K& b) { return a[0] == b[0]; };
+  auto grouped = Job<K, V>(&dfs, std::move(with_group)).Run();
+  ASSERT_FALSE(grouped.ok());
+  EXPECT_EQ(grouped.status().code(), StatusCode::kInvalidArgument);
+
+  // Nothing ran, so neither output exists.
+  EXPECT_FALSE(dfs.Exists("out_sort"));
+  EXPECT_FALSE(dfs.Exists("out_group"));
+
+  // The same comparators without a combiner are fine.
+  auto plain = CountSpec("in", "out_plain");
+  plain.sort_less = [](const K& a, const K& b) { return a > b; };
+  Job<K, V> plain_job(&dfs, std::move(plain));
+  EXPECT_TRUE(plain_job.Run().ok());
+}
+
 TEST(JobEdgeTest, MultiThreadedExecutionMatchesSingleThreaded) {
   Dfs dfs;
   std::vector<std::string> lines;

@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "ppjoin/allpairs.h"
 #include "ppjoin/naive.h"
+#include "text/token_ordering.h"
 
 namespace fj::ppjoin {
 namespace {
@@ -213,6 +214,120 @@ TEST(PPJoinStreamTest, ArenaCompactionUnderHeavyEviction) {
   EXPECT_GT(expected_evicted, 180u);  // the bulk of the index died
   EXPECT_LE(stream.stats().peak_resident_tokens,
             stream.stats().arena_bytes / sizeof(text::TokenId));
+}
+
+/// Every PPJoinStats field, for exact comparison.
+std::vector<uint64_t> StatsFields(const PPJoinStats& s) {
+  return {s.probes,          s.candidates,        s.positional_pruned,
+          s.suffix_pruned,   s.bitmap_pruned,     s.verified,
+          s.results,         s.evicted_records,   s.hash_lookups_avoided,
+          s.arena_bytes,     s.peak_resident_tokens};
+}
+
+/// One randomized prefix-token group, length-sorted. Universes and lengths
+/// vary per group, so the dense posting index grows and later groups touch
+/// only some of its lists; with `unknown`, about a third of the records
+/// also carry out-of-dictionary ids (>= text::kUnknownTokenBase).
+std::vector<TokenSetRecord> RandomGroup(uint64_t seed, bool unknown) {
+  fj::Rng rng(seed);
+  const size_t universe = 20 + rng.NextBelow(2000);
+  const size_t n = 1 + rng.NextBelow(60);
+  auto records = RandomRecords(n, seed, universe, 2 + rng.NextBelow(30));
+  if (unknown) {
+    for (auto& record : records) {
+      if (!rng.NextBool(0.3)) continue;
+      record.tokens.push_back(text::kUnknownTokenBase + rng.NextBelow(40));
+      std::sort(record.tokens.begin(), record.tokens.end());
+      record.tokens.erase(
+          std::unique(record.tokens.begin(), record.tokens.end()),
+          record.tokens.end());
+    }
+  }
+  SortByLength(&records);
+  return records;
+}
+
+/// The Section 4 R-S schedule on one stream: before probing an S record
+/// of length l, insert every R record of length <= LengthUpperBound(l).
+void RunRSGroup(const std::vector<TokenSetRecord>& r,
+                const std::vector<TokenSetRecord>& s,
+                const SimilaritySpec& spec, PPJoinStream* stream,
+                std::vector<SimilarPair>* out) {
+  size_t r_pos = 0;
+  for (const auto& probe : s) {
+    const size_t upper = spec.LengthUpperBound(probe.tokens.size());
+    while (r_pos < r.size() && r[r_pos].tokens.size() <= upper) {
+      stream->InsertRS(r[r_pos++]);
+    }
+    stream->Probe(probe, out);
+  }
+}
+
+// A PK reduce task owns one stream and calls Reset() before each group.
+// The reused stream must answer every group exactly as a fresh stream
+// does: same pairs in the same order, same stats. Reset() keeps the
+// capacity of the posting lists, the record store and the candidate
+// slots, but releases the token arena, so arena_bytes (the arena's peak
+// capacity) still reports the group's own peak — the value a fresh
+// stream reports — and never a previous group's larger arena.
+TEST(PPJoinStreamTest, ResetMatchesFreshStreamOnSelfJoinGroups) {
+  SimilaritySpec spec(SimilarityFunction::kJaccard, 0.7);
+  PPJoinStream reused(spec);
+  uint64_t evicted = 0;
+  for (uint64_t g = 0; g < 60; ++g) {
+    const auto records = RandomGroup(100 + g, /*unknown=*/g % 3 == 0);
+    reused.Reset();
+    PPJoinStream fresh(spec);
+    std::vector<SimilarPair> got;
+    std::vector<SimilarPair> want;
+    for (const auto& record : records) {
+      reused.ProbeAndInsert(record, &got);
+      fresh.ProbeAndInsert(record, &want);
+    }
+    EXPECT_EQ(got, want) << "group " << g;
+    EXPECT_EQ(StatsFields(reused.stats()), StatsFields(fresh.stats()))
+        << "group " << g;
+    EXPECT_EQ(reused.stats().arena_bytes, fresh.stats().arena_bytes);
+    EXPECT_EQ(reused.resident_tokens(), fresh.resident_tokens());
+    EXPECT_EQ(reused.indexed_records(), fresh.indexed_records());
+    SortAndDedupePairs(&got);
+    EXPECT_EQ(got, NaiveSelfJoin(records, spec)) << "group " << g;
+    evicted += reused.stats().evicted_records;
+  }
+  EXPECT_GT(evicted, 0u);
+}
+
+TEST(PPJoinStreamTest, ResetMatchesFreshStreamOnRSGroupsWithUnknownTokens) {
+  SimilaritySpec spec(SimilarityFunction::kJaccard, 0.6);
+  PPJoinStream reused(spec);
+  fj::Rng rng(31);
+  uint64_t evicted = 0;
+  uint64_t results = 0;
+  for (uint64_t g = 0; g < 60; ++g) {
+    const auto r = RandomGroup(500 + g, /*unknown=*/true);
+    auto s = RandomGroup(900 + g, /*unknown=*/true);
+    // Near-copies of R records (unknown ids included) give the groups
+    // results.
+    for (size_t i = 0; i < s.size(); i += 3) {
+      s[i].tokens = r[rng.NextBelow(r.size())].tokens;
+    }
+    SortByLength(&s);
+    reused.Reset();
+    PPJoinStream fresh(spec);
+    std::vector<SimilarPair> got;
+    std::vector<SimilarPair> want;
+    RunRSGroup(r, s, spec, &reused, &got);
+    RunRSGroup(r, s, spec, &fresh, &want);
+    EXPECT_EQ(got, want) << "group " << g;
+    EXPECT_EQ(StatsFields(reused.stats()), StatsFields(fresh.stats()))
+        << "group " << g;
+    SortAndDedupePairs(&got);
+    EXPECT_EQ(got, NaiveRSJoin(r, s, spec)) << "group " << g;
+    evicted += reused.stats().evicted_records;
+    results += reused.stats().results;
+  }
+  EXPECT_GT(evicted, 0u);
+  EXPECT_GT(results, 0u);
 }
 
 TEST(PPJoinStreamTest, StatsCountFilterActivity) {

@@ -1,11 +1,165 @@
 // Tokenizers and the global token ordering.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
+#include "common/random.h"
 #include "text/token_ordering.h"
 #include "text/tokenizer.h"
 
 namespace fj::text {
 namespace {
+
+// ---- Oracle: the straightforward tokenizers, a per-byte <cctype> loop
+// and a hash-set / hash-map duplicate pass. The library's table-driven
+// tokenizers must agree with them on every input.
+
+void ReferenceDuplicatePolicy(DuplicatePolicy policy,
+                              std::vector<std::string>* tokens) {
+  if (policy == DuplicatePolicy::kRemove) {
+    std::unordered_set<std::string> seen;
+    std::vector<std::string> out;
+    for (auto& t : *tokens) {
+      if (seen.insert(t).second) out.push_back(std::move(t));
+    }
+    *tokens = std::move(out);
+  } else {
+    std::unordered_map<std::string, size_t> occurrences;
+    for (auto& t : *tokens) {
+      size_t n = occurrences[t]++;
+      if (n > 0) t += "#" + std::to_string(n);
+    }
+  }
+}
+
+std::vector<std::string> ReferenceWordTokens(const std::string& text,
+                                             DuplicatePolicy policy) {
+  std::vector<std::string> tokens;
+  std::string current;
+  for (char raw : text) {
+    unsigned char c = static_cast<unsigned char>(raw);
+    if (std::isalnum(c)) {
+      current += static_cast<char>(std::tolower(c));
+    } else if (!current.empty()) {
+      tokens.push_back(current);
+      current.clear();
+    }
+  }
+  if (!current.empty()) tokens.push_back(current);
+  ReferenceDuplicatePolicy(policy, &tokens);
+  return tokens;
+}
+
+std::vector<std::string> ReferenceQGramTokens(const std::string& text,
+                                              size_t q,
+                                              DuplicatePolicy policy) {
+  std::string norm(q - 1, '$');
+  bool pending_space = false;
+  for (char raw : text) {
+    unsigned char c = static_cast<unsigned char>(raw);
+    if (std::isalnum(c)) {
+      if (pending_space && !norm.empty() && norm.back() != '$') norm += ' ';
+      pending_space = false;
+      norm += static_cast<char>(std::tolower(c));
+    } else {
+      pending_space = true;
+    }
+  }
+  norm.append(q - 1, '#');
+  std::vector<std::string> tokens;
+  for (size_t i = 0; i + q <= norm.size(); ++i) {
+    tokens.push_back(norm.substr(i, q));
+  }
+  ReferenceDuplicatePolicy(policy, &tokens);
+  return tokens;
+}
+
+/// Every tokenizer configuration against its oracle on one input.
+void ExpectMatchesOracle(const std::string& text) {
+  for (DuplicatePolicy policy :
+       {DuplicatePolicy::kRemove, DuplicatePolicy::kNumber}) {
+    const bool remove = policy == DuplicatePolicy::kRemove;
+    EXPECT_EQ(WordTokenizer(policy).Tokenize(text),
+              ReferenceWordTokens(text, policy))
+        << "word, remove=" << remove << ", input bytes=" << text.size();
+    for (size_t q : {1, 2, 3}) {
+      EXPECT_EQ(QGramTokenizer(q, policy).Tokenize(text),
+                ReferenceQGramTokens(text, q, policy))
+          << "qgram" << q << ", remove=" << remove
+          << ", input bytes=" << text.size();
+    }
+  }
+}
+
+TEST(TokenizerOracleTest, EverySingleByte) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    SCOPED_TRACE(b);
+    ExpectMatchesOracle(std::string(1, c));
+    // The byte inside, between and around tokens, repeated.
+    ExpectMatchesOracle(std::string("ab") + c + "AB" + c + "ab" + c + c);
+  }
+}
+
+TEST(TokenizerOracleTest, RandomStringsWithRepeatsAndHighBytes) {
+  // Few distinct fragments, so tokens repeat within a string (in mixed
+  // case too), and separators that are punctuation or bytes >= 0x80.
+  const std::vector<std::string> fragments = {
+      "a", "ab", "AB", "Ab", "x1", "the", "THE", "b2b", "zz", "Caf\xc3\xa9",
+      "a#1", "#", "$", "0", "9Z", "long_token_past_sso",
+      "LONG_token_PAST_sso"};
+  const std::vector<char> separators = {' ', '\t', ',', '-', '.', '\0',
+                                        '\x80', '\xa0', '\xc3', '\xff'};
+  fj::Rng rng(20240917);
+  for (int round = 0; round < 3000; ++round) {
+    std::string text;
+    const size_t pieces = rng.NextBelow(24);
+    for (size_t i = 0; i < pieces; ++i) {
+      switch (rng.NextBelow(4)) {
+        case 0:
+          text.push_back(static_cast<char>(rng.NextBelow(256)));
+          break;
+        case 1:
+          text.push_back(separators[rng.NextBelow(separators.size())]);
+          break;
+        default:
+          text += fragments[rng.NextBelow(fragments.size())];
+          if (rng.NextBool(0.7)) {
+            text.push_back(separators[rng.NextBelow(separators.size())]);
+          }
+          break;
+      }
+    }
+    SCOPED_TRACE(round);
+    ExpectMatchesOracle(text);
+  }
+}
+
+TEST(TokenizerOracleTest, DuplicatePolicyKeepsFirstOccurrences) {
+  // Many copies of few tokens: every kept token must keep its spelling
+  // (a compaction that moved a string onto itself would empty it).
+  std::vector<std::string> tokens;
+  for (int i = 0; i < 50; ++i) {
+    tokens.push_back("t" + std::to_string(i % 7));
+    tokens.push_back("u");
+  }
+  for (DuplicatePolicy policy :
+       {DuplicatePolicy::kRemove, DuplicatePolicy::kNumber}) {
+    std::vector<std::string> got = tokens;
+    std::vector<std::string> want = tokens;
+    ApplyDuplicatePolicy(policy, &got);
+    ReferenceDuplicatePolicy(policy, &want);
+    EXPECT_EQ(got, want);
+  }
+  std::vector<std::string> removed = tokens;
+  ApplyDuplicatePolicy(DuplicatePolicy::kRemove, &removed);
+  EXPECT_EQ(removed, (std::vector<std::string>{"t0", "u", "t1", "t2", "t3",
+                                               "t4", "t5", "t6"}));
+}
 
 TEST(WordTokenizerTest, PaperExample) {
   WordTokenizer tokenizer;
