@@ -38,14 +38,17 @@ inline void AppendVarint(std::string* out, uint64_t v) {
 }
 
 /// Decodes one varint starting at `*pos`. On success advances `*pos` past
-/// the encoding, stores the value, and returns true. On truncation or an
-/// encoding longer than kMaxVarintBytes, returns false and leaves `*pos`
-/// and `*value` untouched.
+/// the encoding, stores the value, and returns true. On truncation, an
+/// encoding longer than kMaxVarintBytes, or a value of 2^64 or more,
+/// returns false and leaves `*pos` and `*value` untouched.
 inline bool DecodeVarint(std::string_view buf, size_t* pos, uint64_t* value) {
   uint64_t result = 0;
   size_t p = *pos;
   for (unsigned shift = 0; shift < 64 && p < buf.size(); shift += 7) {
     auto byte = static_cast<uint8_t>(buf[p++]);
+    // The 10th byte holds bit 63 only: anything above 0x01 would be worth
+    // 2^64 or more (or continue past the longest encoding).
+    if (shift == 63 && byte > 0x01) return false;
     result |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
       *pos = p;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/hash.h"
 #include "common/varint.h"
@@ -25,16 +26,34 @@ Result<const Dfs::FileEntry*> Dfs::FindLocked(const std::string& name) const {
 }
 
 Status Dfs::WriteInternal(const std::string& name,
-                          std::vector<std::string> lines, bool binary) {
+                          std::vector<std::string> lines,
+                          std::vector<uint64_t> line_checksums, bool binary) {
+  if (line_checksums.empty()) {
+    line_checksums.reserve(lines.size());
+    for (const auto& line : lines) line_checksums.push_back(LineChecksum(line));
+  } else if (line_checksums.size() != lines.size()) {
+    return Status::InvalidArgument(
+        "dfs file " + name + ": " + std::to_string(line_checksums.size()) +
+        " line checksums for " + std::to_string(lines.size()) + " lines");
+  } else {
+#ifndef NDEBUG
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (LineChecksum(lines[i]) != line_checksums[i]) {
+        return Status::Internal("dfs file " + name +
+                                ": the writer's checksum of line " +
+                                std::to_string(i) +
+                                " does not match its bytes");
+      }
+    }
+#endif
+  }
   auto entry = std::make_unique<FileEntry>();
-  entry->lines = std::move(lines);
-  entry->binary = binary;
-  entry->line_hashes.reserve(entry->lines.size());
-  for (const auto& line : entry->lines) {
-    const uint64_t h = LineChecksum(line);
-    entry->line_hashes.push_back(h);
+  for (const uint64_t h : line_checksums) {
     entry->file_hash = HashCombine(entry->file_hash, h);
   }
+  entry->lines = std::move(lines);
+  entry->line_hashes = std::move(line_checksums);
+  entry->binary = binary;
   WriterMutexLock lock(&mu_);
   auto [it, inserted] = files_.try_emplace(name, std::move(entry));
   (void)it;
@@ -42,14 +61,17 @@ Status Dfs::WriteInternal(const std::string& name,
   return Status::OK();
 }
 
-Status Dfs::WriteFile(const std::string& name,
-                      std::vector<std::string> lines) {
-  return WriteInternal(name, std::move(lines), /*binary=*/false);
+Status Dfs::WriteFile(const std::string& name, std::vector<std::string> lines,
+                      std::vector<uint64_t> line_checksums) {
+  return WriteInternal(name, std::move(lines), std::move(line_checksums),
+                       /*binary=*/false);
 }
 
 Status Dfs::WriteFileBlocks(const std::string& name,
-                            std::vector<std::string> blocks) {
-  return WriteInternal(name, std::move(blocks), /*binary=*/true);
+                            std::vector<std::string> blocks,
+                            std::vector<uint64_t> block_checksums) {
+  return WriteInternal(name, std::move(blocks), std::move(block_checksums),
+                       /*binary=*/true);
 }
 
 bool Dfs::IsBinary(const std::string& name) const {

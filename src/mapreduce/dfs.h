@@ -5,13 +5,16 @@
 // computes input splits (block boundaries) for the map phase.
 //
 // Like HDFS, every file carries integrity metadata: a per-line FNV-1a hash
-// and a whole-file hash (the ordered fold of the line hashes), maintained on
-// WriteFile/AppendToFile. VerifyFile recomputes both against the stored
-// bytes and reports DataLoss on any mismatch; jobs run it over their inputs
-// when JobSpec::verify_integrity is on. RenameFile lets producers commit
-// output atomically (write under a temp name, rename into place), so a
-// crashed or killed attempt can never leave a readable partial file under
-// the final name.
+// (integrity.h LineChecksum) and a whole-file hash (the ordered fold of the
+// line hashes), maintained on WriteFile/AppendToFile. A writer may hand in
+// the line hashes it already computed, as HDFS clients checksum on write:
+// a job's reduce tasks hash their own output lines on their workers, and
+// the commit only folds the file hash. VerifyFile recomputes both against
+// the stored bytes and reports DataLoss on any mismatch; jobs run it over
+// their inputs when JobSpec::verify_integrity is on. RenameFile lets
+// producers commit output atomically (write under a temp name, rename
+// into place), so a crashed or killed attempt can never leave a readable
+// partial file under the final name.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +40,13 @@ class Dfs {
   Dfs& operator=(const Dfs&) = delete;
 
   /// Creates `name` with the given lines. Fails if the file exists.
-  Status WriteFile(const std::string& name, std::vector<std::string> lines);
+  /// `line_checksums`, when not empty, holds LineChecksum(lines[i]) for
+  /// every line, computed by the writer; the Dfs then folds the file hash
+  /// from them instead of hashing every line itself. A count that differs
+  /// from the line count is InvalidArgument; debug builds re-hash every
+  /// line and return Internal on a mismatch.
+  Status WriteFile(const std::string& name, std::vector<std::string> lines,
+                   std::vector<uint64_t> line_checksums = {});
 
   /// Creates `name` as a BINARY file holding length-prefixed blocks (each
   /// element one binary record/block, arbitrary bytes — record_format.h).
@@ -46,8 +55,10 @@ class Dfs {
   /// VerifyFile charge varint length prefixes instead of newline
   /// terminators, and IsBinary() reports true so readers and the CLI's
   /// --dfs_dir import/export pick the right representation.
+  /// `block_checksums` as WriteFile's `line_checksums`.
   Status WriteFileBlocks(const std::string& name,
-                         std::vector<std::string> blocks);
+                         std::vector<std::string> blocks,
+                         std::vector<uint64_t> block_checksums = {});
 
   /// True when `name` exists and was written through WriteFileBlocks.
   bool IsBinary(const std::string& name) const;
@@ -119,7 +130,7 @@ class Dfs {
   };
 
   Status WriteInternal(const std::string& name, std::vector<std::string> lines,
-                       bool binary);
+                       std::vector<uint64_t> line_checksums, bool binary);
 
   Result<const FileEntry*> FindLocked(const std::string& name) const
       FJ_REQUIRES_SHARED(mu_);

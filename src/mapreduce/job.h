@@ -62,6 +62,10 @@
 //     are re-verified at map-attempt commit and at the reduce side's
 //     run-merge read; reduce output lines are hashed at emit and
 //     re-verified at the attempt's commit;
+//   - independent of verify_integrity, each reduce task computes the Dfs
+//     LineChecksum of every line it commits, on its own worker, and the
+//     output commit hands those hashes to the Dfs write (dfs.h) instead
+//     of the Dfs re-hashing every line on the committing thread;
 //   - a mismatch — e.g. an injected CorruptRecord fault, which really
 //     mutates a record — crashes the DETECTING attempt, so the ordinary
 //     retry loop re-runs the producing attempt under max_task_attempts
@@ -198,6 +202,8 @@ class Job {
     TaskMetrics metrics;
     CounterSet counters;
     std::vector<std::string> output;
+    /// LineChecksum of each output line, as committed (set unless crashed).
+    std::vector<uint64_t> line_checksums;
     /// See MapAttemptResult::contract.
     Status contract;
   };
@@ -395,12 +401,13 @@ typename Job<K, V>::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
   // once (faults or speculation active) each attempt merges an
   // attempt-scoped copy and the shuffle data stays pristine for the next
   // attempt. The copies land in the worker's reusable scratch (every
-  // element copy-assigned from the pristine run, so nothing of a previous
+  // field overwritten from the pristine run, so nothing of a previous
   // attempt survives, but pair-vector capacity is recycled). Fault-free
   // text jobs keep the zero-copy path; encoded runs (binary format, or
   // anything fetched through a shuffle transport) always copy, because
-  // decoding the encoded block IS the attempt-isolation copy — the
-  // pristine published block is never touched.
+  // decoding the encoded block IS the attempt-isolation copy: the copy
+  // takes the run's metadata, and its pairs are decoded below straight
+  // from the published block, which is only ever read.
   const bool binary = spec_.record_format == RecordFormat::kBinary;
   std::vector<SortedRun<K, V>>& copies = *copy_scratch;
   std::vector<SortedRun<K, V>*> runs;
@@ -408,8 +415,20 @@ typename Job<K, V>::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
     copies.resize(partition_runs.size());
     runs.reserve(partition_runs.size());
     for (size_t i = 0; i < partition_runs.size(); ++i) {
-      copies[i] = *partition_runs[i];
-      runs.push_back(&copies[i]);
+      const SortedRun<K, V>& published = *partition_runs[i];
+      SortedRun<K, V>& copy = copies[i];
+      if (published.encoded.empty()) {
+        copy = published;
+      } else {
+        copy.pairs.clear();
+        copy.encoded.clear();
+        copy.bytes = published.bytes;
+        copy.on_disk = published.on_disk;
+        copy.checksum = published.checksum;
+        copy.record_count = published.record_count;
+        copy.logical_bytes = published.logical_bytes;
+      }
+      runs.push_back(&copy);
     }
   } else {
     runs = partition_runs;
@@ -421,8 +440,10 @@ typename Job<K, V>::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
   // is what the cost model prices — HDFS clients verify every block read.
   // Binary runs verify the encoded block bytes BEFORE any decode touches
   // them, like an HDFS client checksumming a compressed block on read.
+  // Every check reads the published run: a copy holds the same pairs, and
+  // an encoded run's block is never copied.
   if (spec_.verify_integrity) {
-    for (const SortedRun<K, V>* run : runs) {
+    for (const SortedRun<K, V>* run : partition_runs) {
       if (!run->HasRecords()) continue;
       res.metrics.integrity_bytes_verified += run->bytes;
       const uint64_t actual = run->encoded.empty() ? RunChecksum(run->pairs)
@@ -438,16 +459,20 @@ typename Job<K, V>::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
     }
   }
 
-  // Decode encoded runs into the attempt's private copies. A block that
-  // fails to decode (truncated varint, bad codec frame) crashes the
-  // attempt with a counted detection — a transient failure under the
-  // retry budget, never UB and never silently-wrong pairs. Codec CPU is
-  // only metered in binary format: transport-encoded text runs keep the
-  // text job's committed counters identical to the in-process run.
+  // Decode encoded runs from their published blocks into the attempt's
+  // private copies. A block that fails to decode (truncated varint, bad
+  // codec frame) crashes the attempt with a counted detection — a
+  // transient failure under the retry budget, never UB and never
+  // silently-wrong pairs. Codec CPU is only metered in binary format:
+  // transport-encoded text runs keep the text job's committed counters
+  // identical to the in-process run.
   if (runs_encoded) {
-    for (SortedRun<K, V>* run : runs) {
-      if (run->encoded.empty()) continue;
-      Status decoded = DecodeRunBlock(run->encoded, &run->pairs);
+    CodecScratch codec_scratch;
+    for (size_t i = 0; i < partition_runs.size(); ++i) {
+      const SortedRun<K, V>& published = *partition_runs[i];
+      if (published.encoded.empty()) continue;
+      Status decoded = DecodeRunBlock(published.encoded, &codec_scratch,
+                                      &runs[i]->pairs);
       if (!decoded.ok()) {
         res.metrics.corruption_detected++;
         res.crashed = true;
@@ -455,11 +480,9 @@ typename Job<K, V>::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
         return res;
       }
       if (binary) {
-        res.metrics.codec_encoded_bytes += run->encoded.size();
-        res.metrics.codec_logical_bytes += run->logical_bytes;
+        res.metrics.codec_encoded_bytes += published.encoded.size();
+        res.metrics.codec_logical_bytes += published.logical_bytes;
       }
-      run->encoded.clear();
-      run->encoded.shrink_to_fit();
     }
   }
   for (const SortedRun<K, V>* run : runs) {
@@ -514,13 +537,22 @@ typename Job<K, V>::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
     CorruptInPlace(res.output[fault.corrupt_salt % res.output.size()],
                    HashInt64(fault.corrupt_salt ^ 0x07));
   }
-  // Commit-time verification of the attempt's output lines against the
-  // emitter's write-side stream hash.
+  // The Dfs checksum of every line this attempt would commit, hashed here
+  // on the task's worker — after the fault injection above, so exactly the
+  // bytes that get committed — and handed to the output write, which then
+  // only folds them (dfs.h). Commit-time verification of the output lines
+  // against the emitter's write-side stream hash folds the same hashes.
+  if (!res.crashed) {
+    res.line_checksums.reserve(res.output.size());
+    for (const std::string& line : res.output) {
+      res.line_checksums.push_back(LineChecksum(line));
+    }
+  }
   if (!res.crashed && spec_.verify_integrity) {
     uint64_t fold = kFnvOffsetBasis;
-    for (const std::string& line : res.output) {
-      fold = HashCombine(fold, LineChecksum(line));
-      res.metrics.integrity_bytes_verified += line.size() + 1;
+    for (size_t i = 0; i < res.output.size(); ++i) {
+      fold = HashCombine(fold, res.line_checksums[i]);
+      res.metrics.integrity_bytes_verified += res.output[i].size() + 1;
     }
     if (fold != out.checksum()) {
       res.metrics.corruption_detected++;
@@ -657,6 +689,7 @@ Result<JobMetrics> Job<K, V>::Run() {
   std::vector<MapTaskOutput<K, V>> map_outputs(num_map_tasks);
   std::vector<std::vector<std::string>> quarantined(num_map_tasks);
   std::vector<std::vector<std::string>> reduce_outputs(num_reduce_tasks);
+  std::vector<std::vector<uint64_t>> reduce_checksums(num_reduce_tasks);
 
   // Unbounded runs are plain in-memory vectors; a single merge pass over
   // any number of them is free, so the multi-pass collapse (and its disk
@@ -859,7 +892,8 @@ Result<JobMetrics> Job<K, V>::Run() {
   // partition's committed runs.
   auto run_reduce_chain = [this, preserve_runs, runs_encoded, transport,
                            &metrics, &map_outputs, &fetched_slots,
-                           &partition_runs, &reduce_outputs, &ordering,
+                           &partition_runs, &reduce_outputs,
+                           &reduce_checksums, &ordering,
                            merge_factor, &injector, &record_failure,
                            &latch_status, &job_failed, &worker_scratch,
                            num_map_tasks](size_t r) {
@@ -914,6 +948,7 @@ Result<JobMetrics> Job<K, V>::Run() {
         metrics.reduce_tasks[r] = std::move(committed);
         metrics.counters.MergeFrom(res.counters);
         reduce_outputs[r] = std::move(res.output);
+        reduce_checksums[r] = std::move(res.line_checksums);
         return;
       }
       metrics.reduce_tasks[r].attempts = failed;
@@ -1227,20 +1262,29 @@ Result<JobMetrics> Job<K, V>::Run() {
   // ever read a partial file under the final name ----
   if (!spec_.output_file.empty()) {
     std::vector<std::string> all_lines;
+    std::vector<uint64_t> all_checksums;
     size_t total = 0;
     for (const auto& part : reduce_outputs) total += part.size();
     all_lines.reserve(total);
-    for (auto& part : reduce_outputs) {
-      std::move(part.begin(), part.end(), std::back_inserter(all_lines));
+    all_checksums.reserve(total);
+    for (size_t r = 0; r < num_reduce_tasks; ++r) {
+      std::move(reduce_outputs[r].begin(), reduce_outputs[r].end(),
+                std::back_inserter(all_lines));
+      all_checksums.insert(all_checksums.end(), reduce_checksums[r].begin(),
+                           reduce_checksums[r].end());
     }
     const std::string tmp = spec_.output_file + ".__commit";
     if (dfs_->Exists(tmp)) FJ_RETURN_IF_ERROR(dfs_->DeleteFile(tmp));
     // Binary-record outputs commit through the Dfs block API so the file's
     // checksums and byte counts are defined over the varint-framed
     // encoding; the quarantine file below always holds text input lines.
-    FJ_RETURN_IF_ERROR(spec_.binary_output
-                           ? dfs_->WriteFileBlocks(tmp, std::move(all_lines))
-                           : dfs_->WriteFile(tmp, std::move(all_lines)));
+    // The line checksums were computed by the reduce tasks.
+    FJ_RETURN_IF_ERROR(
+        spec_.binary_output
+            ? dfs_->WriteFileBlocks(tmp, std::move(all_lines),
+                                    std::move(all_checksums))
+            : dfs_->WriteFile(tmp, std::move(all_lines),
+                              std::move(all_checksums)));
     Status renamed = dfs_->RenameFile(tmp, spec_.output_file);
     if (!renamed.ok()) {
       (void)dfs_->DeleteFile(tmp);  // best effort; the rename error wins

@@ -191,7 +191,9 @@ struct JobMetrics {
   double map_phase_wall_seconds = 0;
   /// Measured wall time from the last map commit to the last primary
   /// reduce commit (clamped at 0 if a reduce finished inside the map
-  /// phase's backup window).
+  /// phase's backup window). It includes each reduce task hashing its
+  /// committed output lines for the Dfs, work the output commit used to
+  /// do serially after the last reduce.
   double reduce_phase_wall_seconds = 0;
   /// Executor activity attributable to this job (stats delta across
   /// Run()): tasks executed/stolen, busy seconds, queue delay. Measured

@@ -1,7 +1,9 @@
 #include "mapreduce/record_format.h"
 
+#include <array>
+#include <bit>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 namespace fj::mr {
 
@@ -17,7 +19,12 @@ namespace {
 constexpr size_t kFjlzMinMatch = 4;
 constexpr size_t kFjlzMaxOffset = 65535;
 constexpr unsigned kFjlzHashBits = 13;
-constexpr uint32_t kFjlzNoPos = 0xffffffffu;
+// The decompressor copies a literal run or match no longer than this as
+// one fixed-size block when both buffers have room: the bytes copied past
+// the sequence's end are rewritten by the sequences after it (or cut off
+// when decoding fails), and a match copied this way lies at least this
+// far back, so it never reads a byte it writes.
+constexpr size_t kFjlzShortCopy = 16;
 
 uint32_t FjlzHash4(const char* p) {
   uint32_t v = 0;
@@ -25,32 +32,64 @@ uint32_t FjlzHash4(const char* p) {
   return (v * 2654435761u) >> (32 - kFjlzHashBits);
 }
 
-void FjlzAppendLength(std::string* out, size_t len) {
+// Bytes from `cur` on (up to `end`) that equal those from the earlier
+// `ref` on; eight at a time where the host is little-endian.
+size_t FjlzMatchLength(const char* cur, const char* ref, const char* end) {
+  const char* const start = cur;
+  if constexpr (std::endian::native == std::endian::little) {
+    while (end - cur >= 8) {
+      uint64_t a = 0;
+      uint64_t b = 0;
+      std::memcpy(&a, cur, sizeof(a));
+      std::memcpy(&b, ref, sizeof(b));
+      if (a != b) {
+        return static_cast<size_t>(cur - start) +
+               static_cast<size_t>(std::countr_zero(a ^ b)) / 8;
+      }
+      cur += 8;
+      ref += 8;
+    }
+  }
+  while (cur < end && *cur == *ref) {
+    ++cur;
+    ++ref;
+  }
+  return static_cast<size_t>(cur - start);
+}
+
+// Largest stream FjlzCompress can produce from `n` bytes: each sequence
+// with a match costs at most its input plus one byte per 255 literals,
+// and the final literals-only sequence at most two bytes more.
+size_t FjlzBound(size_t n) { return n + n / 255 + 16; }
+
+char* FjlzWriteLength(char* op, size_t len) {
   // Extension bytes for a nibble that saturated at 15.
   len -= 15;
   while (len >= 255) {
-    out->push_back(static_cast<char>(0xff));
+    *op++ = static_cast<char>(0xff);
     len -= 255;
   }
-  out->push_back(static_cast<char>(len));
+  *op++ = static_cast<char>(len);
+  return op;
 }
 
-// Emits one sequence: `lit_len` literals starting at `lit`, then (when
-// `match_len` > 0) a back-reference of `match_len >= kFjlzMinMatch` bytes
-// at distance `offset`.
-void FjlzEmit(std::string* out, const char* lit, size_t lit_len,
-              size_t match_len, size_t offset) {
+// Writes one sequence at `op` and returns the end of what it wrote:
+// `lit_len` literals starting at `lit`, then (when `match_len` > 0) a
+// back-reference of `match_len >= kFjlzMinMatch` bytes at distance
+// `offset`.
+char* FjlzEmit(char* op, const char* lit, size_t lit_len, size_t match_len,
+               size_t offset) {
   size_t match_code = match_len == 0 ? 0 : match_len - kFjlzMinMatch;
-  uint8_t token =
-      static_cast<uint8_t>((lit_len < 15 ? lit_len : 15) << 4 |
-                           (match_code < 15 ? match_code : 15));
-  out->push_back(static_cast<char>(token));
-  if (lit_len >= 15) FjlzAppendLength(out, lit_len);
-  out->append(lit, lit_len);
-  if (match_len == 0) return;
-  out->push_back(static_cast<char>(offset & 0xff));
-  out->push_back(static_cast<char>((offset >> 8) & 0xff));
-  if (match_code >= 15) FjlzAppendLength(out, match_code);
+  *op++ = static_cast<char>((lit_len < 15 ? lit_len : 15) << 4 |
+                            (match_code < 15 ? match_code : 15));
+  if (lit_len >= 15) op = FjlzWriteLength(op, lit_len);
+  std::memcpy(op, lit, lit_len);
+  op += lit_len;
+  if (match_len == 0) return op;
+  *op++ = static_cast<char>(offset & 0xff);
+  *op++ = static_cast<char>((offset >> 8) & 0xff);
+  if (match_code >= 15) op = FjlzWriteLength(op, match_code);
+  return op;
 }
 
 // Reads the 255-continuation extension of a saturated nibble.
@@ -65,76 +104,149 @@ bool FjlzReadLength(std::string_view src, size_t* pos, size_t* len) {
 
 }  // namespace
 
-void FjlzCompress(std::string_view src, std::string* out) {
-  out->clear();
+// The compressor's hash table of recent positions, reused by every
+// compression of one CodecScratch. Each call stamps the slots it writes
+// with its generation, so a slot left by an earlier call reads as empty —
+// the same as the freshly filled table of a one-table-per-call
+// compressor, without filling 8,192 slots per block. The 8-bit generation
+// wraps every 255 calls; the table is cleared then, which costs nothing
+// amortized.
+class FjlzMatchTable {
+ public:
+  struct Slot {
+    uint32_t pos = 0;
+    uint8_t generation = 0;  // 0: never written
+  };
+
+  /// Starts a call and returns the generation it stamps; every slot an
+  /// earlier call wrote now reads as empty.
+  uint8_t NextGeneration() {
+    if (++generation_ == 0) {
+      slots_.fill(Slot{});
+      generation_ = 1;
+    }
+    return generation_;
+  }
+
+  Slot& operator[](uint32_t hash) { return slots_[hash]; }
+
+ private:
+  std::array<Slot, size_t{1} << kFjlzHashBits> slots_{};
+  uint8_t generation_ = 0;
+};
+
+CodecScratch::CodecScratch() = default;
+CodecScratch::~CodecScratch() = default;
+
+void FjlzCompress(std::string_view src, CodecScratch* scratch,
+                  std::string* out) {
   const size_t n = src.size();
-  if (n == 0) return;
-  out->reserve(n / 2 + 16);
-  std::vector<uint32_t> table(size_t{1} << kFjlzHashBits, kFjlzNoPos);
+  if (n == 0) {
+    out->clear();
+    return;
+  }
+  // The greedy parse: probe every literal position, skip the positions
+  // inside a match. The stream is written through `op` into a buffer
+  // sized for the worst case, then trimmed.
+  out->resize(FjlzBound(n));
+  char* const begin = out->data();
+  char* op = begin;
+  const char* const base = src.data();
+  if (!scratch->match_table) {
+    scratch->match_table = std::make_unique<FjlzMatchTable>();
+  }
+  FjlzMatchTable& table = *scratch->match_table;
+  const uint8_t generation = table.NextGeneration();
   size_t anchor = 0;
   size_t i = 0;
   while (i + kFjlzMinMatch <= n) {
-    uint32_t h = FjlzHash4(src.data() + i);
-    uint32_t cand = table[h];
-    table[h] = static_cast<uint32_t>(i);
-    if (cand != kFjlzNoPos && i - cand <= kFjlzMaxOffset &&
-        std::memcmp(src.data() + cand, src.data() + i, kFjlzMinMatch) == 0) {
-      size_t match = kFjlzMinMatch;
-      while (i + match < n && src[cand + match] == src[i + match]) ++match;
-      FjlzEmit(out, src.data() + anchor, i - anchor, match, i - cand);
+    FjlzMatchTable::Slot& slot = table[FjlzHash4(base + i)];
+    const bool live = slot.generation == generation;
+    const size_t cand = slot.pos;
+    slot = {static_cast<uint32_t>(i), generation};
+    if (live && i - cand <= kFjlzMaxOffset &&
+        std::memcmp(base + cand, base + i, kFjlzMinMatch) == 0) {
+      const size_t match =
+          kFjlzMinMatch + FjlzMatchLength(base + i + kFjlzMinMatch,
+                                          base + cand + kFjlzMinMatch,
+                                          base + n);
+      op = FjlzEmit(op, base + anchor, i - anchor, match, i - cand);
       i += match;
       anchor = i;
     } else {
       ++i;
     }
   }
-  if (anchor < n) FjlzEmit(out, src.data() + anchor, n - anchor, 0, 0);
+  if (anchor < n) op = FjlzEmit(op, base + anchor, n - anchor, 0, 0);
+  out->resize(static_cast<size_t>(op - begin));
 }
 
 Status FjlzDecompress(std::string_view src, size_t raw_size,
                       std::string* out) {
-  out->clear();
-  out->reserve(raw_size);
+  out->resize(raw_size);
+  char* const dst = out->data();
+  size_t produced = 0;
+  // Every exit leaves `out` holding exactly the bytes produced so far.
+  auto fail = [out, &produced](const char* message) {
+    out->resize(produced);
+    return Status::DataLoss(message);
+  };
   size_t pos = 0;
-  while (out->size() < raw_size) {
+  while (produced < raw_size) {
     if (pos >= src.size()) {
-      return Status::DataLoss("fjlz stream truncated before token");
+      return fail("fjlz stream truncated before token");
     }
     auto token = static_cast<uint8_t>(src[pos++]);
     size_t lit_len = token >> 4;
     if (lit_len == 15 && !FjlzReadLength(src, &pos, &lit_len)) {
-      return Status::DataLoss("fjlz stream truncated in literal length");
+      return fail("fjlz stream truncated in literal length");
     }
     if (lit_len > src.size() - pos) {
-      return Status::DataLoss("fjlz literal run exceeds stream");
+      return fail("fjlz literal run exceeds stream");
     }
-    if (lit_len > raw_size - out->size()) {
-      return Status::DataLoss("fjlz literal run exceeds declared raw size");
+    if (lit_len > raw_size - produced) {
+      return fail("fjlz literal run exceeds declared raw size");
     }
-    out->append(src.data() + pos, lit_len);
+    if (lit_len <= kFjlzShortCopy && src.size() - pos >= kFjlzShortCopy &&
+        raw_size - produced >= kFjlzShortCopy) {
+      std::memcpy(dst + produced, src.data() + pos, kFjlzShortCopy);
+    } else {
+      std::memcpy(dst + produced, src.data() + pos, lit_len);
+    }
+    produced += lit_len;
     pos += lit_len;
-    if (out->size() == raw_size) break;  // final literals-only sequence
+    if (produced == raw_size) break;  // final literals-only sequence
     if (src.size() - pos < 2) {
-      return Status::DataLoss("fjlz stream truncated before match offset");
+      return fail("fjlz stream truncated before match offset");
     }
     size_t offset = static_cast<uint8_t>(src[pos]) |
                     static_cast<size_t>(static_cast<uint8_t>(src[pos + 1]))
                         << 8;
     pos += 2;
-    if (offset == 0 || offset > out->size()) {
-      return Status::DataLoss("fjlz match offset outside produced output");
+    if (offset == 0 || offset > produced) {
+      return fail("fjlz match offset outside produced output");
     }
     size_t match_code = token & 0x0f;
     if (match_code == 15 && !FjlzReadLength(src, &pos, &match_code)) {
-      return Status::DataLoss("fjlz stream truncated in match length");
+      return fail("fjlz stream truncated in match length");
     }
     size_t match_len = match_code + kFjlzMinMatch;
-    if (match_len > raw_size - out->size()) {
-      return Status::DataLoss("fjlz match exceeds declared raw size");
+    if (match_len > raw_size - produced) {
+      return fail("fjlz match exceeds declared raw size");
     }
-    size_t from = out->size() - offset;
-    // Byte-by-byte: matches may overlap their own output (RLE-style).
-    for (size_t k = 0; k < match_len; ++k) out->push_back((*out)[from + k]);
+    char* const to = dst + produced;
+    const char* const from = to - offset;
+    if (match_len <= kFjlzShortCopy && offset >= kFjlzShortCopy &&
+        raw_size - produced >= kFjlzShortCopy) {
+      std::memcpy(to, from, kFjlzShortCopy);
+    } else if (offset >= match_len) {
+      std::memcpy(to, from, match_len);
+    } else {
+      // The match overlaps its own output (RLE-style): byte by byte, so
+      // each byte copied is available as a source further on.
+      for (size_t k = 0; k < match_len; ++k) to[k] = from[k];
+    }
+    produced += match_len;
   }
   if (pos != src.size()) {
     return Status::DataLoss("trailing bytes after fjlz stream");
@@ -143,14 +255,14 @@ Status FjlzDecompress(std::string_view src, size_t raw_size,
 }
 
 void EncodeBlock(BlockCodec codec, uint64_t record_count,
-                 std::string_view raw_payload, std::string* out) {
+                 std::string_view raw_payload, CodecScratch* scratch,
+                 std::string* out) {
   out->clear();
-  std::string compressed;
   std::string_view payload = raw_payload;
   if (codec == BlockCodec::kFjlz) {
-    FjlzCompress(raw_payload, &compressed);
-    if (compressed.size() < raw_payload.size()) {
-      payload = compressed;
+    FjlzCompress(raw_payload, scratch, &scratch->compressed);
+    if (scratch->compressed.size() < raw_payload.size()) {
+      payload = scratch->compressed;
     } else {
       codec = BlockCodec::kNone;  // incompressible: store raw
     }
@@ -162,8 +274,8 @@ void EncodeBlock(BlockCodec codec, uint64_t record_count,
   out->append(payload);
 }
 
-Status DecodeBlock(std::string_view block, uint64_t* record_count,
-                   std::string* raw_payload) {
+Status DecodeBlock(std::string_view block, CodecScratch* scratch,
+                   uint64_t* record_count, std::string_view* raw_payload) {
   if (block.empty()) return Status::DataLoss("empty run block");
   auto codec_byte = static_cast<uint8_t>(block[0]);
   if (codec_byte > static_cast<uint8_t>(BlockCodec::kFjlz)) {
@@ -181,15 +293,16 @@ Status DecodeBlock(std::string_view block, uint64_t* record_count,
     if (raw_size != payload.size()) {
       return Status::DataLoss("run block payload size mismatch");
     }
-    raw_payload->assign(payload.data(), payload.size());
+    *raw_payload = payload;
   } else {
     // fjlz expands at most ~255x per stream byte; a declared raw size
     // beyond that is a corrupt header — reject before reserving.
     if (raw_size > 16 + payload.size() * 256) {
       return Status::DataLoss("run block declares implausible raw size");
     }
-    FJ_RETURN_IF_ERROR(
-        FjlzDecompress(payload, static_cast<size_t>(raw_size), raw_payload));
+    FJ_RETURN_IF_ERROR(FjlzDecompress(payload, static_cast<size_t>(raw_size),
+                                      &scratch->decoded));
+    *raw_payload = scratch->decoded;
   }
   *record_count = count;
   return Status::OK();

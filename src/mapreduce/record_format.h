@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -300,13 +301,42 @@ bool DecodeContent(std::string_view buf, size_t* pos, T* value) {
 // ---------------------------------------------------------------------------
 // Layer 2: run blocks.
 
+class FjlzMatchTable;  // record_format.cc
+
+/// Working memory of the block codec, reused from block to block: the
+/// fjlz compressor's match table and the buffers a run block's payload
+/// passes through. A task owns one for every block it encodes or decodes,
+/// so a block allocates nothing once the buffers have grown, and the
+/// memory is freed when the task ends.
+struct CodecScratch {
+  CodecScratch();
+  ~CodecScratch();
+  CodecScratch(const CodecScratch&) = delete;
+  CodecScratch& operator=(const CodecScratch&) = delete;
+
+  std::string payload;     ///< a run's encoded pairs (EncodeRunBlock)
+  std::string compressed;  ///< fjlz output before framing (EncodeBlock)
+  std::string decoded;     ///< a decompressed payload (DecodeBlock)
+  /// Made by the first compression.
+  std::unique_ptr<FjlzMatchTable> match_table;
+};
+
 /// Self-contained LZ77 compressor (LZ4-block-style token stream: 4-bit
 /// literal/match length nibbles with 255-continuation extensions, 2-byte
-/// little-endian match offsets, minimum match 4).
-void FjlzCompress(std::string_view src, std::string* out);
+/// little-endian match offsets, minimum match 4). The stream is a pure
+/// function of `src`: a greedy parse over an 8,192-slot hash table of
+/// 4-byte prefixes that probes every literal position and skips the
+/// positions inside a match. Byte counters, checksums over encoded blocks
+/// and the shuffle's bytes all depend on these exact bytes, so a faster
+/// compressor must emit the same stream (record_format_test.cc keeps the
+/// original byte-at-a-time codec as its oracle). Uses only
+/// `scratch->match_table`.
+void FjlzCompress(std::string_view src, CodecScratch* scratch,
+                  std::string* out);
 
 /// Decompresses exactly `raw_size` bytes. Every read and copy is
-/// bounds-checked; malformed input yields DataLoss, never UB.
+/// bounds-checked; malformed input yields DataLoss, never UB, and leaves
+/// `*out` holding the bytes produced before the fault.
 Status FjlzDecompress(std::string_view src, size_t raw_size, std::string* out);
 
 /// Frames an already-encoded payload of `record_count` records as a run
@@ -314,11 +344,15 @@ Status FjlzDecompress(std::string_view src, size_t raw_size, std::string* out);
 /// With kFjlz the payload is compressed; if compression does not shrink
 /// it the block silently stores kNone (the codec byte is authoritative).
 void EncodeBlock(BlockCodec codec, uint64_t record_count,
-                 std::string_view raw_payload, std::string* out);
+                 std::string_view raw_payload, CodecScratch* scratch,
+                 std::string* out);
 
-/// Inverse of EncodeBlock: recovers the raw payload and record count.
-Status DecodeBlock(std::string_view block, uint64_t* record_count,
-                   std::string* raw_payload);
+/// Inverse of EncodeBlock: recovers the record count and the raw payload.
+/// A stored (kNone) payload is viewed in place inside `block`; a
+/// compressed one is decompressed into `scratch->decoded` and viewed
+/// there.
+Status DecodeBlock(std::string_view block, CodecScratch* scratch,
+                   uint64_t* record_count, std::string_view* raw_payload);
 
 /// Encodes one sorted run's pairs into a framed (possibly compressed)
 /// block. `*logical_bytes` reports the pre-codec payload size so callers
@@ -326,27 +360,29 @@ Status DecodeBlock(std::string_view block, uint64_t* record_count,
 template <typename K, typename V>
 void EncodeRunBlock(BlockCodec codec,
                     const std::vector<std::pair<K, V>>& pairs,
-                    std::string* encoded, uint64_t* logical_bytes) {
-  std::string payload;
+                    CodecScratch* scratch, std::string* encoded,
+                    uint64_t* logical_bytes) {
+  std::string& payload = scratch->payload;
+  payload.clear();
   for (const auto& pair : pairs) {
     EncodeContent(pair.first, &payload);
     EncodeContent(pair.second, &payload);
   }
   *logical_bytes = payload.size();
-  EncodeBlock(codec, pairs.size(), payload, encoded);
+  EncodeBlock(codec, pairs.size(), payload, scratch, encoded);
 }
 
 /// Decodes a framed run block back into pairs. Truncated or trailing
 /// bytes in the payload are DataLoss.
 template <typename K, typename V>
-Status DecodeRunBlock(std::string_view encoded,
+Status DecodeRunBlock(std::string_view encoded, CodecScratch* scratch,
                       std::vector<std::pair<K, V>>* pairs) {
   uint64_t record_count = 0;
-  std::string payload;
-  FJ_RETURN_IF_ERROR(DecodeBlock(encoded, &record_count, &payload));
+  std::string_view payload;
+  FJ_RETURN_IF_ERROR(DecodeBlock(encoded, scratch, &record_count, &payload));
   // Every record costs at least two bytes (one per side), so a count
-  // beyond the payload size is corruption — reject before reserving.
-  if (record_count > payload.size()) {
+  // beyond half the payload size is corruption — reject before reserving.
+  if (record_count > payload.size() / 2) {
     return Status::DataLoss("run block record count exceeds payload");
   }
   pairs->clear();

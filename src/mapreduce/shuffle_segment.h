@@ -52,6 +52,7 @@ void EncodeShuffleSegment(const MapTaskOutput<K, V>& output, size_t partition,
   }
   std::string body;
   AppendVarint(&body, run_count);
+  CodecScratch scratch;
   for (const auto& spill : output.spills) {
     if (partition >= spill.size()) continue;
     const SortedRun<K, V>& run = spill[partition];
@@ -63,7 +64,8 @@ void EncodeShuffleSegment(const MapTaskOutput<K, V>& output, size_t partition,
     if (!run.encoded.empty()) {
       block = run.encoded;  // binary format: ship the committed block as is
     } else {
-      EncodeRunBlock(BlockCodec::kNone, run.pairs, &block, &logical_bytes);
+      EncodeRunBlock(BlockCodec::kNone, run.pairs, &scratch, &block,
+                     &logical_bytes);
       record_count = run.pairs.size();
       // The reduce side verifies runs with encoded payloads against
       // HashString(encoded) — re-point the text run's checksum at the

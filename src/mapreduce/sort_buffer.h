@@ -227,8 +227,8 @@ class SortBuffer : public Emitter<K, V> {
         // covers the encoded bytes — the bytes in the shuffle are the
         // bytes verified at the read boundaries.
         run.record_count = run.pairs.size();
-        EncodeRunBlock(spec_->block_codec, run.pairs, &run.encoded,
-                       &run.logical_bytes);
+        EncodeRunBlock(spec_->block_codec, run.pairs, &codec_scratch_,
+                       &run.encoded, &run.logical_bytes);
         run.pairs.clear();
         run.pairs.shrink_to_fit();
         run.bytes = run.encoded.size();
@@ -318,6 +318,8 @@ class SortBuffer : public Emitter<K, V> {
   GroupMap groups_{0, KeyHasher{}, KeyEqual{ordering_}};  ///< combining jobs
   size_t buffered_pairs_ = 0;
   uint64_t buffered_bytes_ = 0;
+  /// Binary format: reused by every run block this attempt encodes.
+  CodecScratch codec_scratch_;
 };
 
 }  // namespace fj::mr

@@ -5,8 +5,10 @@
 // data forward; and a fully completed run resumes as a no-op.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/generator.h"
@@ -53,6 +55,52 @@ const std::vector<std::string>& Lines(const mr::Dfs& dfs,
   auto lines = dfs.ReadFile(file);
   EXPECT_TRUE(lines.ok()) << file << ": " << lines.status().ToString();
   return *lines.value();
+}
+
+TEST(ResumeTest, BinaryFjlzRSJoinManifestChecksumsArePinned) {
+  // Golden checksums of every committed stage output of a seeded BRJ R-S
+  // join whose shuffle runs through binary fjlz blocks under a 4 KiB sort
+  // buffer (so every stage spills and merges encoded runs). The values
+  // were captured before the codec and the output-commit hashing were
+  // rewritten; any change to a committed byte, or to how the Dfs folds
+  // line checksums, moves them.
+  auto r_config = data::DblpLikeConfig(220, 17);
+  r_config.payload_bytes = 24;
+  const std::vector<data::Record> r = data::GenerateRecords(r_config);
+  auto s_config = data::CiteseerxLikeConfig(150, 23);
+  s_config.payload_bytes = 24;
+  std::vector<data::Record> s = data::GenerateRecords(s_config);
+  data::InjectOverlap(r, 0.25, /*max_edits=*/1, 29, &s);
+  mr::Dfs dfs;
+  ASSERT_TRUE(dfs.WriteFile("r", data::RecordsToLines(r)).ok());
+  ASSERT_TRUE(dfs.WriteFile("s", data::RecordsToLines(s)).ok());
+  auto config = BaseConfig();
+  config.stage3 = Stage3Algorithm::kBRJ;
+  config.record_format = mr::RecordFormat::kBinary;
+  config.block_codec = mr::BlockCodec::kFjlz;
+  config.sort_buffer_bytes = 4096;
+  auto result = RunRSJoin(&dfs, "r", "s", "out", config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  auto manifest = LoadManifest(dfs, "out.manifest");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  std::vector<std::pair<std::string, uint64_t>> outputs;
+  for (const ManifestStage& stage : manifest->stages) {
+    for (const auto& output : stage.outputs) {
+      outputs.push_back(output);
+      EXPECT_EQ(dfs.FileChecksum(output.first).value(), output.second)
+          << output.first;
+      EXPECT_TRUE(dfs.VerifyFile(output.first).ok()) << output.first;
+    }
+  }
+  const std::vector<std::pair<std::string, uint64_t>> golden = {
+      {"out.ordering", 0xcb6d15de4bb2e845ULL},
+      {"out.ridpairs", 0x661352c5a3104a14ULL},
+      {"out.joined", 0xebfccf4a707588ffULL},
+  };
+  EXPECT_EQ(outputs, golden);
+  EXPECT_GT(Lines(dfs, "out.joined").size(), 10u);
+  EXPECT_EQ(manifest->fingerprint, 0x709225853bfac271ULL);
 }
 
 TEST(ResumeTest, ResumesAfterPermanentStage3KillRunningOnlyStage3) {

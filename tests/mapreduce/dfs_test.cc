@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "mapreduce/integrity.h"
+
 namespace fj::mr {
 namespace {
 
@@ -276,6 +283,56 @@ TEST(DfsTest, AppendExtendsChecksumIncrementally) {
   ASSERT_TRUE(fresh.WriteFile("f", {"a", "b", "c"}).ok());
   EXPECT_EQ(dfs.FileChecksum("f").value(), fresh.FileChecksum("f").value());
   EXPECT_TRUE(dfs.VerifyFile("f").ok());
+}
+
+TEST(DfsTest, WriterLineChecksumsGiveTheSameFile) {
+  // A writer that hashed its own lines (a job's reduce tasks do) produces
+  // exactly the file the Dfs would have hashed itself, text and binary.
+  const std::vector<std::string> lines = {"alpha", "", "beta\tgamma",
+                                          std::string("\xfb\x01\x00z", 4)};
+  std::vector<uint64_t> checksums;
+  for (const std::string& line : lines) checksums.push_back(LineChecksum(line));
+  Dfs dfs;
+  ASSERT_TRUE(dfs.WriteFile("text", lines).ok());
+  ASSERT_TRUE(dfs.WriteFile("text_hashed", lines, checksums).ok());
+  ASSERT_TRUE(dfs.WriteFileBlocks("blocks", lines).ok());
+  ASSERT_TRUE(dfs.WriteFileBlocks("blocks_hashed", lines, checksums).ok());
+  for (const auto& [name, plain] : {std::pair{"text_hashed", "text"},
+                                     std::pair{"blocks_hashed", "blocks"}}) {
+    EXPECT_EQ(dfs.FileChecksum(name).value(), dfs.FileChecksum(plain).value())
+        << name;
+    EXPECT_EQ(dfs.VerifyFile(name).value(), dfs.VerifyFile(plain).value())
+        << name;
+    EXPECT_EQ(dfs.IsBinary(name), dfs.IsBinary(plain)) << name;
+  }
+  // The stored hashes still guard the bytes.
+  ASSERT_TRUE(dfs.CorruptByteForTest("text_hashed", 3).ok());
+  EXPECT_EQ(dfs.VerifyFile("text_hashed").status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(DfsTest, WriterChecksumCountMustMatchTheLines) {
+  Dfs dfs;
+  EXPECT_EQ(dfs.WriteFile("f", {"a", "b"}, {LineChecksum("a")}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(dfs.WriteFileBlocks("f", {"a"}, {1, 2}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(dfs.Exists("f"));
+}
+
+TEST(DfsTest, WrongWriterChecksumIsCaughtInDebugBuilds) {
+  Dfs dfs;
+  const Status written =
+      dfs.WriteFile("f", {"a", "b"}, {LineChecksum("a"), LineChecksum("a")});
+#ifdef NDEBUG
+  // Optimized builds trust the writer; the wrong hash is stored, so the
+  // file fails verification instead.
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(dfs.VerifyFile("f").status().code(), StatusCode::kDataLoss);
+#else
+  EXPECT_EQ(written.code(), StatusCode::kInternal);
+  EXPECT_FALSE(dfs.Exists("f"));
+#endif
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/string_util.h"
 #include "mapreduce/dfs.h"
@@ -320,6 +322,105 @@ TEST(JobTest, EmptyCharge) {
   ASSERT_TRUE(metrics.ok());
   ASSERT_EQ(metrics->map_tasks.size(), 1u);
   EXPECT_GE(metrics->map_tasks[0].seconds, 5.0);
+}
+
+// The checksum a plain Dfs write of `file`'s committed lines gives, the
+// Dfs hashing every line itself.
+uint64_t PlainWriteChecksum(const Dfs& dfs, const std::string& file) {
+  const std::vector<std::string> lines = *dfs.ReadFile(file).value();
+  Dfs plain;
+  const Status written = dfs.IsBinary(file)
+                             ? plain.WriteFileBlocks("f", lines)
+                             : plain.WriteFile("f", lines);
+  EXPECT_TRUE(written.ok()) << written.ToString();
+  return plain.FileChecksum("f").value();
+}
+
+std::vector<std::string> WordLines() {
+  std::vector<std::string> lines;
+  for (int i = 0; i < 60; ++i) {
+    lines.push_back("w" + std::to_string(i % 17) + " w" +
+                    std::to_string(i % 5) + " x" + std::to_string(i));
+  }
+  return lines;
+}
+
+TEST(JobTest, CommittedOutputChecksumsMatchAPlainDfsWrite) {
+  // The reduce tasks hash their own output lines and the commit only folds
+  // them: the committed file must be the one a plain write produces.
+  struct Case {
+    const char* name;
+    bool binary_output;
+    RecordFormat format;
+    BlockCodec codec;
+    bool speculative;
+  };
+  const Case cases[] = {
+      {"text", false, RecordFormat::kText, BlockCodec::kNone, false},
+      {"blocks", true, RecordFormat::kText, BlockCodec::kNone, false},
+      {"fjlz", false, RecordFormat::kBinary, BlockCodec::kFjlz, false},
+      {"text+speculation", false, RecordFormat::kText, BlockCodec::kNone,
+       true},
+      {"fjlz+blocks+speculation", true, RecordFormat::kBinary,
+       BlockCodec::kFjlz, true},
+  };
+  for (const Case& c : cases) {
+    Dfs dfs;
+    ASSERT_TRUE(dfs.WriteFile("in", WordLines()).ok());
+    auto spec = WordCountSpec("in", "out");
+    spec.num_reduce_tasks = 4;
+    spec.sort_buffer_bytes = 256;
+    spec.binary_output = c.binary_output;
+    spec.record_format = c.format;
+    spec.block_codec = c.codec;
+    if (c.speculative) {
+      // Reduce task 1 straggles, so it gets a speculative backup.
+      auto plan = std::make_shared<FaultPlan>();
+      plan->faults.push_back(FaultSpec{.phase = TaskPhase::kReduce,
+                                       .task_id = 1,
+                                       .extra_seconds = 50.0});
+      spec.fault_plan = plan;
+      spec.speculative_execution = true;
+    }
+    Job<K, V> job(&dfs, std::move(spec));
+    auto metrics = job.Run();
+    ASSERT_TRUE(metrics.ok()) << c.name << ": " << metrics.status().ToString();
+    if (c.speculative) {
+      EXPECT_GT(metrics->speculative_launched, 0u) << c.name;
+    }
+    EXPECT_EQ(dfs.IsBinary("out"), c.binary_output) << c.name;
+    EXPECT_GT(dfs.FileLines("out").value(), 20u) << c.name;
+    EXPECT_TRUE(dfs.VerifyFile("out").ok()) << c.name;
+    EXPECT_EQ(dfs.FileChecksum("out").value(), PlainWriteChecksum(dfs, "out"))
+        << c.name;
+  }
+}
+
+TEST(JobTest, CorruptedReduceOutputIsWhatGetsHashed) {
+  // With verification off, a reduce-output corruption commits silently —
+  // and the file's checksums describe the corrupted bytes, exactly as a
+  // plain write of those bytes would.
+  Dfs dfs;
+  ASSERT_TRUE(dfs.WriteFile("in", WordLines()).ok());
+  Job<K, V> clean(&dfs, WordCountSpec("in", "clean"));
+  ASSERT_TRUE(clean.Run().ok());
+
+  auto spec = WordCountSpec("in", "out");
+  auto plan = std::make_shared<FaultPlan>();
+  plan->faults.push_back(
+      FaultSpec{.phase = TaskPhase::kReduce,
+                .task_id = 0,
+                .failing_attempts = FaultSpec::kAllAttempts,
+                .corrupt_target = CorruptTarget::kReduceOutput,
+                .corrupt_salt = 7});
+  spec.fault_plan = plan;
+  Job<K, V> corrupted(&dfs, std::move(spec));
+  auto metrics = corrupted.Run();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(metrics->corruption_detected, 0u);
+  EXPECT_NE(*dfs.ReadFile("out").value(), *dfs.ReadFile("clean").value());
+  EXPECT_TRUE(dfs.VerifyFile("out").ok());
+  EXPECT_EQ(dfs.FileChecksum("out").value(), PlainWriteChecksum(dfs, "out"));
 }
 
 }  // namespace
