@@ -118,8 +118,44 @@ Result<int64_t> ParseInt64(std::string_view s) {
   return static_cast<int64_t>(magnitude);
 }
 
+namespace {
+
+/// Parses "digits" or "digits.digits" with at most 15 digits in all, the
+/// shape of every similarity the pipeline writes ("%.6f"). The integer N
+/// of all the digits and 10^k, k the fraction digits, are exact doubles
+/// (both below 2^53), and IEEE division rounds N / 10^k correctly, so the
+/// result is bit-identical to strtod's correctly rounded one. Returns
+/// false for anything else (sign, exponent, whitespace, more digits).
+bool ParsePlainDecimal(std::string_view s, double* value) {
+  static constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,
+                                      1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+                                      1e12, 1e13, 1e14, 1e15};
+  constexpr size_t kMaxDigits = 15;
+  const size_t dot = s.find('.');
+  const std::string_view whole = s.substr(0, dot);
+  const std::string_view fraction =
+      dot == std::string_view::npos ? std::string_view() : s.substr(dot + 1);
+  if (whole.empty() || (dot != std::string_view::npos && fraction.empty()) ||
+      whole.size() + fraction.size() > kMaxDigits) {
+    return false;
+  }
+  uint64_t n = 0;
+  for (std::string_view digits : {whole, fraction}) {
+    for (char c : digits) {
+      if (c < '0' || c > '9') return false;
+      n = n * 10 + static_cast<uint64_t>(c - '0');
+    }
+  }
+  *value = static_cast<double>(n) / kPow10[fraction.size()];
+  return true;
+}
+
+}  // namespace
+
 Result<double> ParseDouble(std::string_view s) {
   if (s.empty()) return Status::InvalidArgument("empty double");
+  double plain = 0;
+  if (ParsePlainDecimal(s, &plain)) return plain;
   std::string buf(s);
   errno = 0;
   char* end = nullptr;

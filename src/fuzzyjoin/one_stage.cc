@@ -2,7 +2,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -28,69 +27,31 @@ using mr::OutputEmitter;
 using mr::TaskContext;
 
 /// Routes FULL RECORD LINES by prefix-token group — the fat-value variant
-/// of the stage-2 mapper.
-class FullRecordMapper : public mr::Mapper<Stage2Key, std::string> {
+/// of the stage-2 kernel mapper, projecting and routing exactly as stage 2
+/// does.
+class FullRecordMapper : public internal::ProjectionMapperBase<std::string> {
  public:
-  FullRecordMapper(std::shared_ptr<const text::Tokenizer> tokenizer,
-                   const std::vector<std::string>* ordering_lines,
-                   sim::SimilaritySpec spec, TokenRouting routing,
-                   uint32_t num_groups)
-      : tokenizer_(std::move(tokenizer)),
-        ordering_lines_(ordering_lines),
-        spec_(spec),
-        routing_(routing),
-        num_groups_(num_groups) {}
-
-  void Setup(TaskContext* ctx) override {
-    auto parsed = text::TokenOrdering::FromLines(*ordering_lines_);
-    if (!parsed.ok()) {
-      ctx->counters().Add("onestage.bad_ordering", 1);
-      ordering_.emplace();
-      return;
-    }
-    ordering_.emplace(std::move(parsed).value());
-  }
+  explicit FullRecordMapper(internal::Stage2Context ctx)
+      : ProjectionMapperBase(std::move(ctx), "onestage") {}
 
   void Map(const InputRecord& record, Emitter<Stage2Key, std::string>* out,
            TaskContext* ctx) override {
-    auto parsed = data::Record::FromLine(*record.line);
-    if (!parsed.ok()) {
-      ctx->counters().Add("onestage.bad_records", 1);
-      ctx->QuarantineRecord(*record.line);
-      return;
-    }
-    auto ids =
-        ordering_->ToSortedIds(tokenizer_->Tokenize(parsed->JoinAttribute()));
-    if (ids.empty()) return;
-    uint32_t length = static_cast<uint32_t>(ids.size());
-    size_t prefix = spec_.PrefixLength(ids.size());
-    std::vector<uint32_t> groups;
-    for (size_t i = 0; i < prefix; ++i) {
-      if (text::IsUnknownToken(ids[i])) continue;
-      uint32_t g = routing_ == TokenRouting::kIndividualTokens
-                       ? static_cast<uint32_t>(ids[i])
-                       : static_cast<uint32_t>(ids[i] % num_groups_);
-      bool seen = false;
-      for (uint32_t existing : groups) seen = seen || existing == g;
-      if (seen) continue;
-      groups.push_back(g);
+    if (!ProjectRecord(record, ctx, &projection_)) return;
+    const uint32_t length = static_cast<uint32_t>(projection_.tokens.size());
+    for (uint32_t g : PrefixGroups(projection_)) {
       out->Emit(Stage2Key{g, length, 0, 0}, *record.line);
     }
   }
 
  private:
-  std::shared_ptr<const text::Tokenizer> tokenizer_;
-  const std::vector<std::string>* ordering_lines_;
-  std::optional<text::TokenOrdering> ordering_;
-  sim::SimilaritySpec spec_;
-  TokenRouting routing_;
-  uint32_t num_groups_;
+  TokenSetRecord projection_;
 };
 
 /// Re-parses and re-tokenizes every record in the group (full records
 /// arrive, not projections), runs the PPJoin+ kernel, and emits complete
-/// joined pairs directly. One kernel stream serves every group of the
-/// reduce task, reset between groups.
+/// joined pairs directly. Records are parsed in place: the views point
+/// into the group's values, which outlive the Reduce call. One kernel
+/// stream serves every group of the reduce task, reset between groups.
 class FullRecordReducer : public mr::Reducer<Stage2Key, std::string> {
  public:
   FullRecordReducer(std::shared_ptr<const text::Tokenizer> tokenizer,
@@ -100,46 +61,40 @@ class FullRecordReducer : public mr::Reducer<Stage2Key, std::string> {
         ordering_lines_(ordering_lines),
         stream_(spec) {}
 
-  void Setup(TaskContext* ctx) override {
-    auto parsed = text::TokenOrdering::FromLines(*ordering_lines_);
-    if (!parsed.ok()) {
-      ctx->counters().Add("onestage.bad_ordering", 1);
-      ordering_.emplace();
-      return;
-    }
-    ordering_.emplace(std::move(parsed).value());
+  void Setup(TaskContext*) override {
+    // The driver checked these lines before the job started.
+    ordering_ = text::TokenOrdering::FromLines(*ordering_lines_).value();
   }
 
   void Reduce(const Stage2Key&,
               std::span<const std::pair<Stage2Key, std::string>> group,
               OutputEmitter* out, TaskContext* ctx) override {
-    std::vector<data::Record> records;
+    std::vector<data::RecordView> records;
     std::vector<ppjoin::TokenSetRecord> sets;
     records.reserve(group.size());
     sets.reserve(group.size());
     std::map<uint64_t, size_t> by_rid;
     for (const auto& [key, line] : group) {
-      auto parsed = data::Record::FromLine(line);
-      if (!parsed.ok()) {
+      auto view = data::RecordView::FromLine(line);
+      if (!view.ok()) {
         ctx->counters().Add("onestage.bad_records", 1);
         continue;
       }
-      auto ids = ordering_->ToSortedIds(
-          tokenizer_->Tokenize(parsed->JoinAttribute()));
-      by_rid[parsed->rid] = records.size();
-      sets.push_back(ppjoin::TokenSetRecord{parsed->rid, std::move(ids)});
-      records.push_back(std::move(parsed).value());
+      view->JoinAttributeInto(&attribute_);
+      tokenizer_->TokenizeInto(attribute_, &tokens_);
+      ppjoin::TokenSetRecord& set = sets.emplace_back();
+      set.rid = view->rid;
+      ordering_.ToSortedIds(tokens_, &set.tokens);
+      by_rid[view->rid] = records.size();
+      records.push_back(*view);
     }
     // Group arrives length-sorted via the composite key.
     stream_.Reset();
     std::vector<ppjoin::SimilarPair> pairs;
     for (const auto& set : sets) stream_.ProbeAndInsert(set, &pairs);
     for (const auto& pair : pairs) {
-      JoinedPair joined;
-      joined.similarity = pair.similarity;
-      joined.first = records[by_rid[pair.rid1]];
-      joined.second = records[by_rid[pair.rid2]];
-      out->Emit(joined.ToLine());
+      out->Emit(FormatJoinedLine(pair.similarity, records[by_rid[pair.rid1]],
+                                 records[by_rid[pair.rid2]]));
       ctx->counters().Add("onestage.pairs_emitted", 1);
     }
     internal::MergePPJoinStats(stream_.stats(), ctx);
@@ -151,8 +106,11 @@ class FullRecordReducer : public mr::Reducer<Stage2Key, std::string> {
  private:
   std::shared_ptr<const text::Tokenizer> tokenizer_;
   const std::vector<std::string>* ordering_lines_;
-  std::optional<text::TokenOrdering> ordering_;
+  text::TokenOrdering ordering_;
   ppjoin::PPJoinStream stream_;
+  /// Task-owned buffers reused for every record of every group.
+  std::string attribute_;
+  text::TokenList tokens_;
 };
 
 /// Deduplicates joined-pair lines (the same pair may be produced by every
@@ -219,13 +177,15 @@ Result<JoinRunResult> RunOneStageSelfJoin(mr::Dfs* dfs,
   // holding a pointer to it.
   FJ_ASSIGN_OR_RETURN(const std::vector<std::string> ordering_owned,
                       ReadOrderingLines(*dfs, result.ordering_file));
+  // A malformed ordering fails here, before any map task loads it.
+  FJ_RETURN_IF_ERROR(text::TokenOrdering::FromLines(ordering_owned).status());
   const std::vector<std::string>* ordering_lines = &ordering_owned;
 
   // The fat-value kernel job.
+  const internal::Stage2Context ctx =
+      internal::MakeStage2Context(cfg, ordering_lines);
   sim::SimilaritySpec spec = cfg.MakeSpec();
   auto tokenizer = cfg.tokenizer;
-  auto routing = cfg.routing;
-  auto num_groups = cfg.num_groups;
 
   mr::JobSpec<Stage2Key, std::string> kernel;
   kernel.name = "onestage-kernel";
@@ -237,10 +197,8 @@ Result<JoinRunResult> RunOneStageSelfJoin(mr::Dfs* dfs,
   kernel.group_equal = [](const Stage2Key& a, const Stage2Key& b) {
     return a.group == b.group;
   };
-  kernel.mapper_factory = [tokenizer, ordering_lines, spec, routing,
-                           num_groups] {
-    return std::make_unique<FullRecordMapper>(tokenizer, ordering_lines, spec,
-                                              routing, num_groups);
+  kernel.mapper_factory = [ctx] {
+    return std::make_unique<FullRecordMapper>(ctx);
   };
   kernel.reducer_factory = [tokenizer, ordering_lines, spec] {
     return std::make_unique<FullRecordReducer>(tokenizer, ordering_lines,

@@ -23,9 +23,27 @@ namespace fj::join {
 
 /// Runs: stage 1 (token ordering) exactly as the normal pipeline, then the
 /// full-record kernel job, then the deduplication job. Produces the same
-/// JoinedPair output file as RunSelfJoin. Honors config.stage1, routing,
-/// and the similarity predicate; stage2/stage3 selections are ignored (the
-/// whole point is that there is no stage 2/3 split).
+/// JoinedPair output file as RunSelfJoin.
+///
+/// The config fields it honours:
+///   - stage 1: stage1, use_stage1_combiner, tokenizer;
+///   - the predicate: function, tau;
+///   - routing: routing, num_groups, group_assignment — the kernel mapper
+///     projects and routes through stage 2's mapper base, so a record goes
+///     to the reduce tasks its projection would go to (length-signature
+///     routing sends every record to one group);
+///   - the job shape: num_map_tasks, num_reduce_tasks;
+///   - every engine knob ApplyEngineKnobs copies (threads and executor,
+///     sort buffer and merge factor, fault tolerance and speculation,
+///     integrity and contract checks, skipped-record cap, record format
+///     and block codec, net_fetch_local_fallback, and a caller-supplied
+///     shuffle_transport).
+/// Ignored: stage2 (the kernel is always PPJoin+), stage3, block
+/// processing, bk_length_routing, length_class_width,
+/// oprj_memory_limit_bytes, resume (no manifest is written), and
+/// transport / num_shuffle_workers / net_fault_plan /
+/// spawn_worker_processes (no socket worker pool is started). The whole
+/// point is that there is no stage 2/3 split.
 Result<JoinRunResult> RunOneStageSelfJoin(mr::Dfs* dfs,
                                           const std::string& input_file,
                                           const std::string& output_prefix,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "common/string_util.h"
@@ -23,7 +24,8 @@ using mr::JobSpec;
 using mr::OutputEmitter;
 using mr::TaskContext;
 
-/// Tokenizes each record's join attribute and emits (token, 1).
+/// Tokenizes each record's join attribute and emits (token, 1). The record
+/// is parsed in place and tokenized into task-owned buffers.
 class TokenCountMapper : public mr::Mapper<std::string, uint64_t> {
  public:
   explicit TokenCountMapper(std::shared_ptr<const text::Tokenizer> tokenizer)
@@ -31,19 +33,23 @@ class TokenCountMapper : public mr::Mapper<std::string, uint64_t> {
 
   void Map(const InputRecord& record, Emitter<std::string, uint64_t>* out,
            TaskContext* ctx) override {
-    auto parsed = data::Record::FromLine(*record.line);
-    if (!parsed.ok()) {
+    auto view = data::RecordView::FromLine(*record.line);
+    if (!view.ok()) {
       ctx->counters().Add("stage1.bad_records", 1);
       ctx->QuarantineRecord(*record.line);
       return;
     }
-    for (auto& token : tokenizer_->Tokenize(parsed->JoinAttribute())) {
-      out->Emit(std::move(token), 1);
+    view->JoinAttributeInto(&attribute_);
+    tokenizer_->TokenizeInto(attribute_, &tokens_);
+    for (size_t i = 0; i < tokens_.size(); ++i) {
+      out->Emit(std::string(tokens_[i]), 1);
     }
   }
 
  private:
   std::shared_ptr<const text::Tokenizer> tokenizer_;
+  std::string attribute_;
+  text::TokenList tokens_;
 };
 
 void SumCombiner(const std::string& token, std::vector<uint64_t>&& counts,
@@ -132,17 +138,19 @@ class SwapMapper : public mr::Mapper<SortKey, uint8_t> {
       out->Emit(SortKey(count, std::move(token)), 0);
       return;
     }
-    std::vector<std::string> fields = fj::Split(*record.line, '\t');
-    if (fields.size() != 2) {
+    const std::string_view line(*record.line);
+    const size_t tab = line.find('\t');
+    if (tab == std::string_view::npos ||
+        line.find('\t', tab + 1) != std::string_view::npos) {
       ctx->counters().Add("stage1.bad_count_lines", 1);
       return;
     }
-    auto count = fj::ParseUint64(fields[1]);
+    auto count = fj::ParseUint64(line.substr(tab + 1));
     if (!count.ok()) {
       ctx->counters().Add("stage1.bad_count_lines", 1);
       return;
     }
-    out->Emit(SortKey(count.value(), std::move(fields[0])), 0);
+    out->Emit(SortKey(count.value(), std::string(line.substr(0, tab))), 0);
   }
 };
 

@@ -1,5 +1,6 @@
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
 
 #include "common/string_util.h"
 #include "fuzzyjoin/stage2.h"
@@ -44,18 +45,38 @@ Result<std::tuple<uint64_t, uint64_t, double>> ParseRidPairLine(
     }
     return std::tuple<uint64_t, uint64_t, double>(rid1, rid2, similarity);
   }
-  std::vector<std::string> fields = fj::Split(line, '\t');
-  if (fields.size() != 3) {
+  // Exactly two tabs: rid1, rid2 and the similarity, parsed in place.
+  const std::string_view view(line);
+  const size_t tab1 = view.find('\t');
+  const size_t tab2 =
+      tab1 == std::string_view::npos ? tab1 : view.find('\t', tab1 + 1);
+  if (tab2 == std::string_view::npos ||
+      view.find('\t', tab2 + 1) != std::string_view::npos) {
     return Status::InvalidArgument("bad rid-pair line: " +
                                    fj::ErrorExcerpt(line));
   }
-  FJ_ASSIGN_OR_RETURN(uint64_t rid1, fj::ParseUint64(fields[0]));
-  FJ_ASSIGN_OR_RETURN(uint64_t rid2, fj::ParseUint64(fields[1]));
-  FJ_ASSIGN_OR_RETURN(double similarity, fj::ParseDouble(fields[2]));
+  FJ_ASSIGN_OR_RETURN(uint64_t rid1, fj::ParseUint64(view.substr(0, tab1)));
+  FJ_ASSIGN_OR_RETURN(uint64_t rid2,
+                      fj::ParseUint64(view.substr(tab1 + 1, tab2 - tab1 - 1)));
+  FJ_ASSIGN_OR_RETURN(double similarity,
+                      fj::ParseDouble(view.substr(tab2 + 1)));
   return std::tuple<uint64_t, uint64_t, double>(rid1, rid2, similarity);
 }
 
 namespace internal {
+
+Stage2Context MakeStage2Context(const JoinConfig& config,
+                                const std::vector<std::string>* ordering_lines) {
+  Stage2Context ctx;
+  ctx.tokenizer = config.tokenizer;
+  ctx.ordering_lines = ordering_lines;
+  ctx.spec = config.MakeSpec();
+  ctx.routing = config.routing;
+  ctx.num_groups = config.num_groups;
+  ctx.group_assignment = config.group_assignment;
+  ctx.num_blocks = config.num_blocks;
+  return ctx;
+}
 
 std::string SerializeProjection(const TokenSetRecord& projection) {
   std::string out = std::to_string(projection.rid);

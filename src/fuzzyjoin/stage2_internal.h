@@ -4,8 +4,8 @@
 // library; not part of the public API.
 #pragma once
 
+#include <algorithm>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +25,8 @@ struct Stage2Context {
   std::shared_ptr<const text::Tokenizer> tokenizer;
   /// Raw stage-1 output; every map task parses it in Setup (really, so the
   /// broadcast-loading cost the paper discusses is metered, not modeled).
+  /// The driver parses it once before the job starts and returns any
+  /// error, so the per-task parse succeeds.
   const std::vector<std::string>* ordering_lines = nullptr;
   sim::SimilaritySpec spec{sim::SimilarityFunction::kJaccard, 0.8};
   TokenRouting routing = TokenRouting::kIndividualTokens;
@@ -33,41 +35,46 @@ struct Stage2Context {
   uint32_t num_blocks = 1;
 };
 
+/// The Stage2Context fields a JoinConfig fixes.
+Stage2Context MakeStage2Context(const JoinConfig& config,
+                                const std::vector<std::string>* ordering_lines);
+
 /// Base for stage-2 mappers: parses records, tokenizes the join attribute,
 /// converts to sorted token ids under the stage-1 ordering, and computes
-/// prefix routing groups.
-class ProjectionMapperBase : public mr::Mapper<Stage2Key, TokenSetRecord> {
+/// prefix routing groups. `V` is the shuffled value: the projection, or
+/// (one-stage join) the whole record line. Bad and empty records are
+/// counted as "<counter_prefix>.bad_records" / ".empty_records".
+template <typename V = TokenSetRecord>
+class ProjectionMapperBase : public mr::Mapper<Stage2Key, V> {
  public:
-  explicit ProjectionMapperBase(Stage2Context ctx) : ctx_(std::move(ctx)) {}
+  explicit ProjectionMapperBase(Stage2Context ctx,
+                                std::string counter_prefix = "stage2")
+      : ctx_(std::move(ctx)), counter_prefix_(std::move(counter_prefix)) {}
 
-  void Setup(mr::TaskContext* ctx) override {
+  void Setup(mr::TaskContext*) override {
     // Each map task loads the broadcast token ordering — the per-task cost
     // the paper attributes to distributing stage-1 output.
-    auto parsed = text::TokenOrdering::FromLines(*ctx_.ordering_lines);
-    if (!parsed.ok()) {
-      ctx->counters().Add("stage2.bad_ordering", 1);
-      ordering_.emplace();  // empty ordering: everything becomes unknown
-      return;
-    }
-    ordering_.emplace(std::move(parsed).value());
+    ordering_ = text::TokenOrdering::FromLines(*ctx_.ordering_lines).value();
   }
 
  protected:
   /// Projects one input line. Returns false (and counts why) when the line
-  /// is unparsable or the token set is empty.
+  /// is unparsable or the token set is empty. The record is parsed in place
+  /// and tokenized into task-owned buffers.
   bool ProjectRecord(const mr::InputRecord& record, mr::TaskContext* ctx,
                      TokenSetRecord* projection) {
-    auto parsed = data::Record::FromLine(*record.line);
-    if (!parsed.ok()) {
-      ctx->counters().Add("stage2.bad_records", 1);
+    auto view = data::RecordView::FromLine(*record.line);
+    if (!view.ok()) {
+      ctx->counters().Add(counter_prefix_ + ".bad_records", 1);
       ctx->QuarantineRecord(*record.line);
       return false;
     }
-    projection->rid = parsed->rid;
-    projection->tokens =
-        ordering_->ToSortedIds(ctx_.tokenizer->Tokenize(parsed->JoinAttribute()));
+    projection->rid = view->rid;
+    view->JoinAttributeInto(&attribute_);
+    ctx_.tokenizer->TokenizeInto(attribute_, &tokens_);
+    ordering_.ToSortedIds(tokens_, &projection->tokens);
     if (projection->tokens.empty()) {
-      ctx->counters().Add("stage2.empty_records", 1);
+      ctx->counters().Add(counter_prefix_ + ".empty_records", 1);
       return false;
     }
     return true;
@@ -84,7 +91,7 @@ class ProjectionMapperBase : public mr::Mapper<Stage2Key, TokenSetRecord> {
     if (ctx_.group_assignment == GroupAssignment::kRoundRobin) {
       return static_cast<uint32_t>(id % ctx_.num_groups);
     }
-    size_t dictionary = std::max<size_t>(1, ordering_->size());
+    size_t dictionary = std::max<size_t>(1, ordering_.size());
     size_t width = (dictionary + ctx_.num_groups - 1) / ctx_.num_groups;
     return static_cast<uint32_t>(std::min<TokenId>(
         id / width, ctx_.num_groups - 1));
@@ -122,7 +129,13 @@ class ProjectionMapperBase : public mr::Mapper<Stage2Key, TokenSetRecord> {
   }
 
   Stage2Context ctx_;
-  std::optional<text::TokenOrdering> ordering_;
+  text::TokenOrdering ordering_;
+
+ private:
+  std::string counter_prefix_;
+  /// Task-owned buffers reused by every ProjectRecord call.
+  std::string attribute_;
+  text::TokenList tokens_;
 };
 
 /// BK verification of one candidate pair: length filter, then the

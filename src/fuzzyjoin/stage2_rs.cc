@@ -43,7 +43,7 @@ enum class RSLayout {
   kReduceBlocks,  ///< (group, relation, block) — R blocks spilled by reducer
 };
 
-class RSKernelMapper : public ProjectionMapperBase {
+class RSKernelMapper : public ProjectionMapperBase<> {
  public:
   RSKernelMapper(Stage2Context ctx, RSLayout layout)
       : ProjectionMapperBase(std::move(ctx)), layout_(layout) {}
@@ -317,14 +317,10 @@ Result<Stage2Result> RunStage2RSJoin(mr::Dfs* dfs, const std::string& r_file,
   FJ_ASSIGN_OR_RETURN(const std::vector<std::string> ordering_lines,
                       ReadOrderingLines(*dfs, ordering_file));
 
-  Stage2Context ctx;
-  ctx.tokenizer = config.tokenizer;
-  ctx.ordering_lines = &ordering_lines;
-  ctx.spec = config.MakeSpec();
-  ctx.routing = config.routing;
-  ctx.num_groups = config.num_groups;
-  ctx.group_assignment = config.group_assignment;
-  ctx.num_blocks = config.num_blocks;
+  // A malformed ordering fails here, before any map task loads it.
+  FJ_RETURN_IF_ERROR(text::TokenOrdering::FromLines(ordering_lines).status());
+  const Stage2Context ctx =
+      internal::MakeStage2Context(config, &ordering_lines);
 
   RSLayout layout = RSLayout::kPK;
   if (config.block_processing == BlockProcessing::kMapBased) {

@@ -27,7 +27,7 @@ using PairSpan = std::span<const Pair>;
 
 /// Plain kernel mapper: one (key, projection) per distinct prefix routing
 /// group, key = (group, length) so PK reducers see a length-sorted stream.
-class SelfKernelMapper : public ProjectionMapperBase {
+class SelfKernelMapper : public ProjectionMapperBase<> {
  public:
   using ProjectionMapperBase::ProjectionMapperBase;
 
@@ -48,7 +48,7 @@ class SelfKernelMapper : public ProjectionMapperBase {
 /// block b is replicated to every round r <= b; within round r, block r is
 /// the loaded block and later blocks stream against it. Key = (group,
 /// round, block).
-class SelfMapBlockMapper : public ProjectionMapperBase {
+class SelfMapBlockMapper : public ProjectionMapperBase<> {
  public:
   using ProjectionMapperBase::ProjectionMapperBase;
 
@@ -70,7 +70,7 @@ class SelfMapBlockMapper : public ProjectionMapperBase {
 /// Reduce-based block processing (Section 5, Figure 7b): each projection
 /// is sent exactly once with key = (group, block); the reducer spills
 /// non-resident blocks to its local disk.
-class SelfReduceBlockMapper : public ProjectionMapperBase {
+class SelfReduceBlockMapper : public ProjectionMapperBase<> {
  public:
   using ProjectionMapperBase::ProjectionMapperBase;
 
@@ -93,7 +93,7 @@ class SelfReduceBlockMapper : public ProjectionMapperBase {
 /// own-class); the partitioner hashes (group, class), so a token group is
 /// split across reducers by length — the data is "partitioned even
 /// further" and reducer memory shrinks.
-class BkLengthRoutingMapper : public ProjectionMapperBase {
+class BkLengthRoutingMapper : public ProjectionMapperBase<> {
  public:
   BkLengthRoutingMapper(Stage2Context ctx, uint32_t class_width)
       : ProjectionMapperBase(std::move(ctx)), class_width_(class_width) {}
@@ -369,14 +369,10 @@ Result<Stage2Result> RunStage2SelfJoin(mr::Dfs* dfs,
   FJ_ASSIGN_OR_RETURN(const std::vector<std::string> ordering_lines,
                       ReadOrderingLines(*dfs, ordering_file));
 
-  Stage2Context ctx;
-  ctx.tokenizer = config.tokenizer;
-  ctx.ordering_lines = &ordering_lines;
-  ctx.spec = config.MakeSpec();
-  ctx.routing = config.routing;
-  ctx.num_groups = config.num_groups;
-  ctx.group_assignment = config.group_assignment;
-  ctx.num_blocks = config.num_blocks;
+  // A malformed ordering fails here, before any map task loads it.
+  FJ_RETURN_IF_ERROR(text::TokenOrdering::FromLines(ordering_lines).status());
+  const Stage2Context ctx =
+      internal::MakeStage2Context(config, &ordering_lines);
 
   mr::JobSpec<Stage2Key, TokenSetRecord> spec;
   spec.name = std::string("stage2-") + Stage2Name(config.stage2) + "-self";

@@ -2,11 +2,12 @@
 #include "fuzzyjoin/stage3.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
-#include <unordered_map>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -25,17 +26,26 @@ using mr::InputRecord;
 using mr::OutputEmitter;
 using mr::TaskContext;
 
-std::string SanitizeTabs(std::string s) {
-  for (char& c : s) {
-    if (c == '\t') c = ' ';
-  }
-  return s;
-}
-
 std::string FormatSim(double sim) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6f", sim);
   return buf;
+}
+
+void AppendUint(uint64_t value, std::string* out) {
+  char buf[20];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, result.ptr);
+}
+
+/// Appends `field` with its tabs turned into spaces. Only a payload can
+/// hold a tab, so the common case is one search and a plain append.
+void AppendSanitized(std::string_view field, std::string* out) {
+  const size_t at = out->size();
+  out->append(field);
+  if (field.find('\t') == std::string_view::npos) return;
+  std::replace(out->begin() + static_cast<std::ptrdiff_t>(at), out->end(),
+               '\t', ' ');
 }
 
 // ------------------------------------------------------------ phase-1 types
@@ -172,15 +182,15 @@ class Phase1Mapper : public mr::Mapper<RidKey, TaggedLine> {
       out->Emit(RidKey(0, rid1), TaggedLine{1, *record.line});
       out->Emit(RidKey(is_rs_ ? 1 : 0, rid2), TaggedLine{1, *record.line});
     } else {
-      auto parsed = data::Record::FromLine(*record.line);
-      if (!parsed.ok()) {
+      auto view = data::RecordView::FromLine(*record.line);
+      if (!view.ok()) {
         ctx->counters().Add("stage3.bad_records", 1);
         ctx->QuarantineRecord(*record.line);
         return;
       }
       uint32_t relation =
           is_rs_ ? static_cast<uint32_t>(record.file_index) : 0;
-      out->Emit(RidKey(relation, parsed->rid), TaggedLine{0, *record.line});
+      out->Emit(RidKey(relation, view->rid), TaggedLine{0, *record.line});
     }
   }
 
@@ -280,17 +290,13 @@ class Phase2Reducer : public mr::Reducer<PairKey, HalfPair> {
       ctx->counters().Add("stage3.incomplete_pairs", 1);
       return;
     }
-    auto rec1 = data::Record::FromLine(first->record_line);
-    auto rec2 = data::Record::FromLine(second->record_line);
+    auto rec1 = data::RecordView::FromLine(first->record_line);
+    auto rec2 = data::RecordView::FromLine(second->record_line);
     if (!rec1.ok() || !rec2.ok()) {
       ctx->counters().Add("stage3.bad_records", 1);
       return;
     }
-    JoinedPair joined;
-    joined.similarity = first->similarity;
-    joined.first = std::move(rec1).value();
-    joined.second = std::move(rec2).value();
-    out->Emit(joined.ToLine());
+    out->Emit(FormatJoinedLine(first->similarity, *rec1, *rec2));
     (void)key;
   }
 };
@@ -305,15 +311,16 @@ struct RidPairEntry {
 
 /// OPRJ mapper: loads and indexes the broadcast RID-pair list in Setup
 /// (per map task — the constant-cost step the paper identifies as OPRJ's
-/// scalability limit), then joins records map-side.
+/// scalability limit), then joins records map-side. The index is two
+/// sorted arrays searched by binary search: the distinct pairs by
+/// (rid1, rid2), and their positions by (rid2, position).
 class OprjMapper : public mr::Mapper<PairKey, HalfPair> {
  public:
   OprjMapper(const std::vector<std::string>* pair_lines, bool is_rs)
       : pair_lines_(pair_lines), is_rs_(is_rs) {}
 
   void Setup(TaskContext* ctx) override {
-    std::vector<RidPairEntry> parsed;
-    parsed.reserve(pair_lines_->size());
+    pairs_.reserve(pair_lines_->size());
     for (const std::string& line : *pair_lines_) {
       auto pair = ParseRidPairLine(line);
       if (!pair.ok()) {
@@ -321,55 +328,58 @@ class OprjMapper : public mr::Mapper<PairKey, HalfPair> {
         continue;
       }
       auto [rid1, rid2, sim] = pair.value();
-      parsed.push_back(RidPairEntry{rid1, rid2, sim});
+      pairs_.push_back(RidPairEntry{rid1, rid2, sim});
     }
-    std::sort(parsed.begin(), parsed.end(),
+    std::sort(pairs_.begin(), pairs_.end(),
               [](const RidPairEntry& a, const RidPairEntry& b) {
                 return std::tie(a.rid1, a.rid2) < std::tie(b.rid1, b.rid2);
               });
-    parsed.erase(std::unique(parsed.begin(), parsed.end(),
+    pairs_.erase(std::unique(pairs_.begin(), pairs_.end(),
                              [](const RidPairEntry& a, const RidPairEntry& b) {
                                return a.rid1 == b.rid1 && a.rid2 == b.rid2;
                              }),
-                 parsed.end());
-    pairs_ = std::move(parsed);
+                 pairs_.end());
+    by_second_.resize(pairs_.size());
     for (size_t i = 0; i < pairs_.size(); ++i) {
-      by_first_[pairs_[i].rid1].push_back(i);
-      by_second_[pairs_[i].rid2].push_back(i);
+      by_second_[i] = static_cast<uint32_t>(i);
     }
+    std::sort(by_second_.begin(), by_second_.end(),
+              [this](uint32_t a, uint32_t b) {
+                return std::tie(pairs_[a].rid2, a) < std::tie(pairs_[b].rid2, b);
+              });
   }
 
   void Map(const InputRecord& record, Emitter<PairKey, HalfPair>* out,
            TaskContext* ctx) override {
-    auto parsed = data::Record::FromLine(*record.line);
-    if (!parsed.ok()) {
+    auto view = data::RecordView::FromLine(*record.line);
+    if (!view.ok()) {
       ctx->counters().Add("stage3.bad_records", 1);
       ctx->QuarantineRecord(*record.line);
       return;
     }
-    uint64_t rid = parsed->rid;
+    const uint64_t rid = view->rid;
     // Self-join records match on either side; R-S records only on the side
-    // their relation owns (file 0 = R = side 0).
+    // their relation owns (file 0 = R = side 0). Each side's pairs come out
+    // in (rid1, rid2) order.
     bool emit_first = !is_rs_ || record.file_index == 0;
     bool emit_second = !is_rs_ || record.file_index == 1;
     if (emit_first) {
-      auto it = by_first_.find(rid);
-      if (it != by_first_.end()) {
-        for (size_t i : it->second) {
-          const RidPairEntry& p = pairs_[i];
-          out->Emit(PairKey(p.rid1, p.rid2),
-                    HalfPair{0, p.similarity, *record.line});
-        }
+      auto it = std::lower_bound(
+          pairs_.begin(), pairs_.end(), rid,
+          [](const RidPairEntry& p, uint64_t r) { return p.rid1 < r; });
+      for (; it != pairs_.end() && it->rid1 == rid; ++it) {
+        out->Emit(PairKey(it->rid1, it->rid2),
+                  HalfPair{0, it->similarity, *record.line});
       }
     }
     if (emit_second) {
-      auto it = by_second_.find(rid);
-      if (it != by_second_.end()) {
-        for (size_t i : it->second) {
-          const RidPairEntry& p = pairs_[i];
-          out->Emit(PairKey(p.rid1, p.rid2),
-                    HalfPair{1, p.similarity, *record.line});
-        }
+      auto it = std::lower_bound(
+          by_second_.begin(), by_second_.end(), rid,
+          [this](uint32_t i, uint64_t r) { return pairs_[i].rid2 < r; });
+      for (; it != by_second_.end() && pairs_[*it].rid2 == rid; ++it) {
+        const RidPairEntry& p = pairs_[*it];
+        out->Emit(PairKey(p.rid1, p.rid2),
+                  HalfPair{1, p.similarity, *record.line});
       }
     }
   }
@@ -377,9 +387,10 @@ class OprjMapper : public mr::Mapper<PairKey, HalfPair> {
  private:
   const std::vector<std::string>* pair_lines_;
   bool is_rs_;
+  /// Distinct pairs sorted by (rid1, rid2).
   std::vector<RidPairEntry> pairs_;
-  std::unordered_map<uint64_t, std::vector<size_t>> by_first_;
-  std::unordered_map<uint64_t, std::vector<size_t>> by_second_;
+  /// Positions in pairs_ sorted by (rid2, position).
+  std::vector<uint32_t> by_second_;
 };
 
 // ------------------------------------------------------------ job drivers
@@ -474,26 +485,31 @@ Result<Stage3Result> RunOprj(mr::Dfs* dfs,
 
 // --------------------------------------------------------------- JoinedPair
 
-std::string JoinedPair::ToLine() const {
+std::string FormatJoinedLine(double similarity, const data::RecordView& first,
+                             const data::RecordView& second) {
+  const std::string sim_text = FormatSim(similarity);
   std::string line;
-  line += std::to_string(first.rid);
+  line.reserve(48 + sim_text.size() + first.title.size() +
+               first.authors.size() + first.payload.size() +
+               second.title.size() + second.authors.size() +
+               second.payload.size());
+  AppendUint(first.rid, &line);
   line += '\t';
-  line += std::to_string(second.rid);
+  AppendUint(second.rid, &line);
   line += '\t';
-  line += FormatSim(similarity);
-  line += '\t';
-  line += SanitizeTabs(first.title);
-  line += '\t';
-  line += SanitizeTabs(first.authors);
-  line += '\t';
-  line += SanitizeTabs(first.payload);
-  line += '\t';
-  line += SanitizeTabs(second.title);
-  line += '\t';
-  line += SanitizeTabs(second.authors);
-  line += '\t';
-  line += SanitizeTabs(second.payload);
+  line += sim_text;
+  for (const data::RecordView* record : {&first, &second}) {
+    for (std::string_view field :
+         {record->title, record->authors, record->payload}) {
+      line += '\t';
+      AppendSanitized(field, &line);
+    }
+  }
   return line;
+}
+
+std::string JoinedPair::ToLine() const {
+  return FormatJoinedLine(similarity, first.View(), second.View());
 }
 
 Result<JoinedPair> JoinedPair::FromLine(const std::string& line) {

@@ -39,6 +39,12 @@ struct JoinedPair {
   static Result<JoinedPair> FromLine(const std::string& line);
 };
 
+/// Formats one joined line from two record views: the format of
+/// JoinedPair::ToLine, which calls it, and of every reducer that writes
+/// a joined pair straight from the parsed record lines.
+std::string FormatJoinedLine(double similarity, const data::RecordView& first,
+                             const data::RecordView& second);
+
 /// Parses a whole stage-3 output file.
 Result<std::vector<JoinedPair>> ReadJoinedPairs(const mr::Dfs& dfs,
                                                 const std::string& file);

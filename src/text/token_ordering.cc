@@ -31,18 +31,21 @@ Result<TokenOrdering> TokenOrdering::FromLines(
   ordering.by_rank_.reserve(lines.size());
   ordering.ranks_.reserve(lines.size());
   for (const std::string& line : lines) {
-    std::vector<std::string> fields = fj::Split(line, '\t');
-    if (fields.size() != 2) {
+    const std::string_view view(line);
+    const size_t tab = view.find('\t');
+    if (tab == std::string_view::npos ||
+        view.find('\t', tab + 1) != std::string_view::npos) {
       return Status::InvalidArgument("bad token-ordering line: " +
                                      fj::ErrorExcerpt(line));
     }
-    FJ_ASSIGN_OR_RETURN(uint64_t count, fj::ParseUint64(fields[1]));
+    const std::string_view token = view.substr(0, tab);
+    FJ_ASSIGN_OR_RETURN(uint64_t count, fj::ParseUint64(view.substr(tab + 1)));
     TokenId rank = ordering.by_rank_.size();
-    if (!ordering.InsertRank(fields[0], rank)) {
+    if (!ordering.InsertRank(token, rank)) {
       return Status::InvalidArgument("duplicate token in ordering: " +
-                                     fj::ErrorExcerpt(fields[0]));
+                                     fj::ErrorExcerpt(token));
     }
-    ordering.by_rank_.emplace_back(std::move(fields[0]), count);
+    ordering.by_rank_.emplace_back(std::string(token), count);
   }
   return ordering;
 }
@@ -56,7 +59,7 @@ std::vector<std::string> TokenOrdering::ToLines() const {
   return lines;
 }
 
-bool TokenOrdering::InsertRank(const std::string& token, TokenId rank) {
+bool TokenOrdering::InsertRank(std::string_view token, TokenId rank) {
   auto [it, inserted] = ranks_.emplace(fj::HashString(token), rank);
   if (inserted) return true;
   if (by_rank_[static_cast<size_t>(it->second)].first == token) {
@@ -64,10 +67,10 @@ bool TokenOrdering::InsertRank(const std::string& token, TokenId rank) {
   }
   // Distinct tokens with colliding FNV hashes: the later one lives in the
   // string-keyed fallback map.
-  return collision_ranks_.emplace(token, rank).second;
+  return collision_ranks_.emplace(std::string(token), rank).second;
 }
 
-std::optional<TokenId> TokenOrdering::RankHashed(const std::string& token,
+std::optional<TokenId> TokenOrdering::RankHashed(std::string_view token,
                                                  uint64_t hash) const {
   auto it = ranks_.find(hash);
   if (it != ranks_.end() &&
@@ -75,17 +78,17 @@ std::optional<TokenId> TokenOrdering::RankHashed(const std::string& token,
     return it->second;
   }
   if (!collision_ranks_.empty()) {
-    auto ct = collision_ranks_.find(token);
+    auto ct = collision_ranks_.find(std::string(token));
     if (ct != collision_ranks_.end()) return ct->second;
   }
   return std::nullopt;
 }
 
-std::optional<TokenId> TokenOrdering::Rank(const std::string& token) const {
+std::optional<TokenId> TokenOrdering::Rank(std::string_view token) const {
   return RankHashed(token, fj::HashString(token));
 }
 
-TokenId TokenOrdering::IdOf(const std::string& token) const {
+TokenId TokenOrdering::IdOf(std::string_view token) const {
   uint64_t hash = fj::HashString(token);
   if (std::optional<TokenId> rank = RankHashed(token, hash)) return *rank;
   // Stable id outside the rank range, reusing the already-computed hash.
@@ -93,15 +96,35 @@ TokenId TokenOrdering::IdOf(const std::string& token) const {
   return kUnknownTokenBase | hash;
 }
 
+namespace {
+
+/// One ToSortedIds for both token containers: one IdOf (one FNV-1a hash)
+/// per token, then sort and dedupe.
+template <typename Tokens>
+void SortedIdsOf(const TokenOrdering& ordering, const Tokens& tokens,
+                 std::vector<TokenId>* ids) {
+  ids->clear();
+  ids->reserve(tokens.size());
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    ids->push_back(ordering.IdOf(tokens[i]));
+  }
+  std::sort(ids->begin(), ids->end());
+  // Hash-derived ids for *distinct* unknown tokens could in principle
+  // collide; dedupe so the result is a set.
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
+
+}  // namespace
+
+void TokenOrdering::ToSortedIds(const TokenList& tokens,
+                                std::vector<TokenId>* ids) const {
+  SortedIdsOf(*this, tokens, ids);
+}
+
 std::vector<TokenId> TokenOrdering::ToSortedIds(
     const std::vector<std::string>& tokens) const {
   std::vector<TokenId> ids;
-  ids.reserve(tokens.size());
-  for (const auto& t : tokens) ids.push_back(IdOf(t));
-  std::sort(ids.begin(), ids.end());
-  // Hash-derived ids for *distinct* unknown tokens could in principle
-  // collide; dedupe so the result is a set.
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  SortedIdsOf(*this, tokens, &ids);
   return ids;
 }
 

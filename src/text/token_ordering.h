@@ -18,10 +18,12 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
+#include "text/tokenizer.h"
 
 namespace fj::text {
 
@@ -43,26 +45,32 @@ class TokenOrdering {
       const std::vector<std::pair<std::string, uint64_t>>& counts);
 
   /// Parses the stage-1 output: one "token<TAB>count" line per token, in
-  /// rank order (rarest first). Inverse of ToLines().
+  /// rank order (rarest first). Inverse of ToLines(). A line without
+  /// exactly one tab is InvalidArgument quoting the line; a repeated token
+  /// quotes the token, a bad count the count.
   static Result<TokenOrdering> FromLines(const std::vector<std::string>& lines);
 
   /// Serializes to "token<TAB>count" lines in rank order.
   std::vector<std::string> ToLines() const;
 
   /// Rank of `token`, or nullopt if not in the ordering.
-  std::optional<TokenId> Rank(const std::string& token) const;
+  std::optional<TokenId> Rank(std::string_view token) const;
 
   /// Id for `token`: its rank if known, otherwise a stable hash-derived id
   /// >= kUnknownTokenBase. The token is hashed exactly once (FNV-1a): the
   /// same hash drives the rank lookup and, on a miss, the unknown id — the
   /// hot path of ToSortedIds.
-  TokenId IdOf(const std::string& token) const;
+  TokenId IdOf(std::string_view token) const;
 
-  /// Maps tokens to ids and sorts ascending — the canonical set
-  /// representation consumed by the similarity kernels. (Ascending id order
-  /// IS the global frequency order for known tokens; unknown tokens sort
-  /// after every known one, i.e. they are treated as maximally frequent,
-  /// which keeps prefix filtering correct for R-S joins.)
+  /// Maps tokens to ids and sorts ascending, without duplicates, into
+  /// `*ids` (replacing its contents) — the canonical set representation
+  /// consumed by the similarity kernels. (Ascending id order IS the global
+  /// frequency order for known tokens; unknown tokens sort after every
+  /// known one, i.e. they are treated as maximally frequent, which keeps
+  /// prefix filtering correct for R-S joins.)
+  void ToSortedIds(const TokenList& tokens, std::vector<TokenId>* ids) const;
+
+  /// The same for tokens held as separate strings.
   std::vector<TokenId> ToSortedIds(const std::vector<std::string>& tokens) const;
 
   /// Corpus frequency of the token with the given rank.
@@ -77,10 +85,10 @@ class TokenOrdering {
  private:
   /// Registers `token` under `rank`. Returns false if the token already
   /// has a rank (duplicate).
-  bool InsertRank(const std::string& token, TokenId rank);
+  bool InsertRank(std::string_view token, TokenId rank);
 
   /// Rank lookup with a precomputed FNV-1a hash of `token`.
-  std::optional<TokenId> RankHashed(const std::string& token,
+  std::optional<TokenId> RankHashed(std::string_view token,
                                     uint64_t hash) const;
 
   std::vector<std::pair<std::string, uint64_t>> by_rank_;  // (token, count)

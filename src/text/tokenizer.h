@@ -6,9 +6,12 @@
 // tokenizers lower-case and strip punctuation themselves.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace fj::text {
@@ -20,12 +23,59 @@ enum class DuplicatePolicy {
   kNumber,  ///< k-th duplicate becomes "token#k", preserving multiplicity
 };
 
+/// The tokens of one string: one byte buffer plus the end offset of each
+/// token. A task tokenizes every record into the same list, so once the
+/// buffers have grown nothing is allocated per token or per record. The
+/// views it hands out are valid until the list is next changed.
+class TokenList {
+ public:
+  size_t size() const { return ends_.size(); }
+
+  std::string_view operator[](size_t i) const {
+    const size_t begin = i == 0 ? 0 : ends_[i - 1];
+    return std::string_view(bytes_.data() + begin, ends_[i] - begin);
+  }
+
+  void clear() {
+    bytes_.clear();
+    ends_.clear();
+  }
+
+  /// Appends `token` as the last token.
+  void Add(std::string_view token) {
+    bytes_.append(token);
+    ends_.push_back(bytes_.size());
+  }
+
+  /// The tokens as separate strings.
+  std::vector<std::string> ToStrings() const;
+
+ private:
+  friend class WordTokenizer;
+  friend class QGramTokenizer;
+  friend void ApplyDuplicatePolicy(DuplicatePolicy policy, TokenList* tokens);
+
+  std::string bytes_;
+  /// Token i is bytes_[ends_[i - 1], ends_[i]), starting at 0 for i = 0.
+  std::vector<size_t> ends_;
+  /// Scratch the tokenizers and the duplicate policy reuse across calls:
+  /// the q-gram normalized string, (hash, position) per token in sort
+  /// order, and per-position repeat counts.
+  std::string norm_;
+  std::vector<std::pair<uint64_t, uint32_t>> order_;
+  std::vector<uint32_t> repeats_;
+};
+
 class Tokenizer {
  public:
   virtual ~Tokenizer() = default;
 
-  /// Splits `text` into tokens, applying the duplicate policy.
-  virtual std::vector<std::string> Tokenize(std::string_view text) const = 0;
+  /// Splits `text` into `*tokens` (replacing its contents), applying the
+  /// duplicate policy.
+  virtual void TokenizeInto(std::string_view text, TokenList* tokens) const = 0;
+
+  /// The same tokens as separate strings.
+  std::vector<std::string> Tokenize(std::string_view text) const;
 
   /// Short name for diagnostics ("word", "qgram3", ...).
   virtual std::string Name() const = 0;
@@ -39,7 +89,7 @@ class WordTokenizer : public Tokenizer {
   explicit WordTokenizer(DuplicatePolicy policy = DuplicatePolicy::kRemove)
       : policy_(policy) {}
 
-  std::vector<std::string> Tokenize(std::string_view text) const override;
+  void TokenizeInto(std::string_view text, TokenList* tokens) const override;
   std::string Name() const override { return "word"; }
 
  private:
@@ -56,7 +106,7 @@ class QGramTokenizer : public Tokenizer {
   explicit QGramTokenizer(size_t q,
                           DuplicatePolicy policy = DuplicatePolicy::kNumber);
 
-  std::vector<std::string> Tokenize(std::string_view text) const override;
+  void TokenizeInto(std::string_view text, TokenList* tokens) const override;
   std::string Name() const override { return "qgram" + std::to_string(q_); }
 
   size_t q() const { return q_; }
@@ -68,7 +118,11 @@ class QGramTokenizer : public Tokenizer {
 
 /// Applies the duplicate policy to an ordered token list in place. The
 /// first occurrence of a token keeps its place and spelling; later
-/// occurrences are dropped (kRemove) or become "token#k" (kNumber).
+/// occurrences are dropped (kRemove) or become "token#k" (kNumber), where
+/// k counts the earlier copies of the token as it was before numbering.
+void ApplyDuplicatePolicy(DuplicatePolicy policy, TokenList* tokens);
+
+/// The same on separate strings.
 void ApplyDuplicatePolicy(DuplicatePolicy policy,
                           std::vector<std::string>* tokens);
 

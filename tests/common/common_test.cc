@@ -1,8 +1,14 @@
 // Foundation tests: Status/Result, string utilities, hashing, counters.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <string>
+
 #include "common/counters.h"
 #include "common/hash.h"
+#include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -117,6 +123,42 @@ TEST(StringUtilTest, ParseDouble) {
   EXPECT_FALSE(ParseDouble("abc").ok());
   EXPECT_FALSE(ParseDouble("1.5x").ok());
   EXPECT_FALSE(ParseDouble("").ok());
+}
+
+TEST(StringUtilTest, ParseDoubleIsBitIdenticalToStrtod) {
+  // Plain decimals take a fast path; every value, on either path, must
+  // be strtod's to the bit.
+  auto expect_strtod = [](const std::string& text) {
+    auto parsed = ParseDouble(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    const double want = std::strtod(text.c_str(), nullptr);
+    const double got = parsed.value();
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << text << ": " << got << " vs " << want;
+  };
+  Rng rng(424242);
+  for (int i = 0; i < 20000; ++i) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.6f", rng.NextDouble());
+    expect_strtod(buf);
+    // 1 to 18 digits with the dot anywhere (or nowhere): 16 and more
+    // digits leave the fast path.
+    std::string digits;
+    const size_t length = 1 + rng.NextBelow(18);
+    for (size_t d = 0; d < length; ++d) {
+      digits.push_back(static_cast<char>('0' + rng.NextBelow(10)));
+    }
+    const size_t dot = rng.NextBelow(length + 1);
+    if (dot > 0 && dot < length) digits.insert(dot, 1, '.');
+    expect_strtod(digits);
+  }
+  for (const char* text : {"0", "0.0", "00.000", "1", "0.000001", "0.1",
+                           "0.3", "999999999999999", "99999999999999.9",
+                           "0.000000000000001", "1234567.890123",
+                           "9007199254740993", "0.30000000000000004",
+                           "5.", ".5", "+0.5", "-0.0", "1e-3", "0x1p-1"}) {
+    expect_strtod(text);
+  }
 }
 
 TEST(StringUtilTest, StartsEndsWith) {

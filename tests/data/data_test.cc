@@ -3,9 +3,15 @@
 // dictionary and linear join-result growth — are verified here).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/random.h"
+#include "common/string_util.h"
 #include "data/generator.h"
 #include "data/increase.h"
 #include "data/record.h"
@@ -39,6 +45,133 @@ TEST(RecordTest, RejectsMalformedLines) {
 TEST(RecordTest, JoinAttributeConcatenatesTitleAndAuthors) {
   Record r{1, "deep joins", "mcfoo mcbar", "p"};
   EXPECT_EQ(r.JoinAttribute(), "deep joins mcfoo mcbar");
+  std::string buffer = "stale contents";
+  r.View().JoinAttributeInto(&buffer);
+  EXPECT_EQ(buffer, r.JoinAttribute());
+}
+
+// A view into a temporary line would dangle: that overload is deleted.
+template <typename Line>
+concept ViewParses = requires(Line&& line) {
+  RecordView::FromLine(std::forward<Line>(line));
+};
+static_assert(ViewParses<const std::string&>);
+static_assert(ViewParses<std::string&>);
+static_assert(!ViewParses<std::string>);
+
+// ---- Oracle: the SplitN-based record parser the view parser replaced.
+// Record::FromLine and RecordView::FromLine must return its fields, or
+// its Status code and message, on every line.
+
+Result<Record> ReferenceFromLine(const std::string& line) {
+  std::vector<std::string> fields = fj::SplitN(line, '\t', 4);
+  if (fields.size() != 4) {
+    return Status::InvalidArgument("bad record line (want 4 fields): " +
+                                   fj::ErrorExcerpt(line));
+  }
+  FJ_ASSIGN_OR_RETURN(uint64_t rid, fj::ParseUint64(fields[0]));
+  Record record;
+  record.rid = rid;
+  record.title = std::move(fields[1]);
+  record.authors = std::move(fields[2]);
+  record.payload = std::move(fields[3]);
+  return record;
+}
+
+void ExpectParsersMatchReference(const std::string& line) {
+  const Result<Record> want = ReferenceFromLine(line);
+  const Result<Record> got = Record::FromLine(line);
+  const Result<RecordView> view = RecordView::FromLine(line);
+  ASSERT_EQ(got.ok(), want.ok());
+  ASSERT_EQ(view.ok(), want.ok());
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    EXPECT_EQ(view.status().code(), want.status().code());
+    EXPECT_EQ(view.status().message(), want.status().message());
+    return;
+  }
+  EXPECT_EQ(got.value(), want.value());
+  EXPECT_EQ(view->rid, want->rid);
+  EXPECT_EQ(view->title, want->title);
+  EXPECT_EQ(view->authors, want->authors);
+  EXPECT_EQ(view->payload, want->payload);
+  std::string attribute;
+  view->JoinAttributeInto(&attribute);
+  EXPECT_EQ(attribute, want->JoinAttribute());
+}
+
+/// One random edit of the kinds a damaged record line shows: a tab removed
+/// or added, a field emptied, a bad or 20-digit rid, a byte >= 0x80, or an
+/// embedded NUL.
+void MutateRecordLine(fj::Rng* rng, std::string* line) {
+  const size_t at = line->empty() ? 0 : rng->NextBelow(line->size() + 1);
+  switch (rng->NextBelow(7)) {
+    case 0: {  // remove a tab
+      const size_t tab = line->find('\t', at);
+      if (tab != std::string::npos) line->erase(tab, 1);
+      break;
+    }
+    case 1:  // add a tab
+      line->insert(at, 1, '\t');
+      break;
+    case 2: {  // empty the field around `at`
+      const size_t begin = line->rfind('\t', at == 0 ? 0 : at - 1);
+      const size_t from = begin == std::string::npos ? 0 : begin + 1;
+      const size_t end = line->find('\t', from);
+      line->erase(from, (end == std::string::npos ? line->size() : end) - from);
+      break;
+    }
+    case 3: {  // a non-digit rid
+      static const char* const kBad[] = {"", "x", "12a", "-5", "+5", " 7",
+                                         "7 ", "0x1f", "1.0"};
+      const size_t tab = line->find('\t');
+      line->replace(0, tab == std::string::npos ? line->size() : tab,
+                    kBad[rng->NextBelow(std::size(kBad))]);
+      break;
+    }
+    case 4: {  // a 20-digit rid: the largest uint64, one past it, or more
+      static const char* const kWide[] = {"18446744073709551615",
+                                          "18446744073709551616",
+                                          "99999999999999999999",
+                                          "00000000000000000042"};
+      const size_t tab = line->find('\t');
+      line->replace(0, tab == std::string::npos ? line->size() : tab,
+                    kWide[rng->NextBelow(std::size(kWide))]);
+      break;
+    }
+    case 5:  // a byte >= 0x80
+      line->insert(at, 1, static_cast<char>(0x80 + rng->NextBelow(128)));
+      break;
+    default:  // an embedded NUL
+      line->insert(at, 1, '\0');
+      break;
+  }
+}
+
+TEST(RecordParserOracleTest, MutatedLinesMatchTheSplitReference) {
+  auto config = DblpLikeConfig(400, 71);
+  config.payload_bytes = 40;
+  const std::vector<std::string> lines =
+      RecordsToLines(GenerateRecords(config));
+  fj::Rng rng(20261017);
+  size_t rejected = 0;
+  for (size_t round = 0; round < 4000; ++round) {
+    std::string line = lines[round % lines.size()];
+    const size_t edits = rng.NextBelow(4);
+    for (size_t e = 0; e < edits; ++e) MutateRecordLine(&rng, &line);
+    SCOPED_TRACE(fj::ErrorExcerpt(line));
+    ExpectParsersMatchReference(line);
+    if (!ReferenceFromLine(line).ok()) ++rejected;
+  }
+  // Both outcomes occur often enough for the comparison to mean something.
+  EXPECT_GT(rejected, 500u);
+  EXPECT_LT(rejected, 3500u);
+  for (const char* edge : {"", "\t", "\t\t\t", "1\t\t\t", "1\t\t\t\t",
+                           "1\ta\tb", "\ta\tb\tc", "1\ta\tb\tc\td\te"}) {
+    SCOPED_TRACE(fj::ErrorExcerpt(edge));
+    ExpectParsersMatchReference(edge);
+  }
 }
 
 TEST(RecordTest, LinesRoundTrip) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "data/generator.h"
 #include "fuzzyjoin/fuzzyjoin.h"
@@ -78,6 +80,61 @@ TEST(OneStageTest, GroupedRoutingAlsoAgrees) {
   ASSERT_TRUE(one_stage.ok());
   EXPECT_EQ(CollectPairs(dfs, one_stage->output_file),
             CollectPairs(dfs, three_stage->output_file));
+}
+
+std::vector<uint64_t> ReduceInputRecords(const mr::JobMetrics& job) {
+  std::vector<uint64_t> records;
+  for (const mr::TaskMetrics& task : job.reduce_tasks) {
+    records.push_back(task.input_records);
+  }
+  return records;
+}
+
+TEST(OneStageTest, RoutesLikeStage2UnderEveryGroupAssignment) {
+  // The one-stage mapper projects and routes through the stage-2 mapper
+  // base, so each reduce task of its kernel job receives exactly the
+  // records the same stage-2 reduce task receives — under round-robin and
+  // under contiguous group assignment alike — and the join output does
+  // not depend on the assignment.
+  auto records = data::GenerateRecords(data::DblpLikeConfig(2000, 64));
+  mr::Dfs dfs;
+  ASSERT_TRUE(dfs.WriteFile("records", data::RecordsToLines(records)).ok());
+
+  std::vector<std::vector<uint64_t>> stage2_inputs;
+  std::vector<std::string> first_output;
+  for (GroupAssignment assignment :
+       {GroupAssignment::kRoundRobin, GroupAssignment::kContiguous}) {
+    const bool round_robin = assignment == GroupAssignment::kRoundRobin;
+    SCOPED_TRACE(round_robin ? "round-robin" : "contiguous");
+    JoinConfig config;
+    config.routing = TokenRouting::kGroupedTokens;
+    config.num_groups = 16;
+    config.group_assignment = assignment;
+    const std::string tag = round_robin ? "rr" : "contiguous";
+    auto three_stage = RunSelfJoin(&dfs, "records", "three-" + tag, config);
+    ASSERT_TRUE(three_stage.ok()) << three_stage.status().ToString();
+    auto one_stage =
+        RunOneStageSelfJoin(&dfs, "records", "one-" + tag, config);
+    ASSERT_TRUE(one_stage.ok()) << one_stage.status().ToString();
+
+    const std::vector<uint64_t> stage2 =
+        ReduceInputRecords(three_stage->stages[1].jobs.at(0));
+    EXPECT_EQ(ReduceInputRecords(one_stage->stages[1].jobs.at(0)), stage2);
+    stage2_inputs.push_back(stage2);
+
+    const auto pairs = CollectPairs(dfs, one_stage->output_file);
+    ASSERT_FALSE(pairs.empty());
+    EXPECT_EQ(pairs, CollectPairs(dfs, three_stage->output_file));
+    const std::vector<std::string> output =
+        *dfs.ReadFile(one_stage->output_file).value();
+    if (first_output.empty()) {
+      first_output = output;
+    } else {
+      EXPECT_EQ(output, first_output);
+    }
+  }
+  // The two assignments really route differently.
+  EXPECT_NE(stage2_inputs[0], stage2_inputs[1]);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "data/generator.h"
 #include "fuzzyjoin/fuzzyjoin.h"
 #include "fuzzyjoin/manifest.h"
+#include "text/tokenizer.h"
 
 namespace fj::join {
 namespace {
@@ -57,13 +59,54 @@ const std::vector<std::string>& Lines(const mr::Dfs& dfs,
   return *lines.value();
 }
 
-TEST(ResumeTest, BinaryFjlzRSJoinManifestChecksumsArePinned) {
-  // Golden checksums of every committed stage output of a seeded BRJ R-S
-  // join whose shuffle runs through binary fjlz blocks under a 4 KiB sort
-  // buffer (so every stage spills and merges encoded runs). The values
-  // were captured before the codec and the output-commit hashing were
-  // rewritten; any change to a committed byte, or to how the Dfs folds
-  // line checksums, moves them.
+struct PinnedManifest {
+  const char* name;
+  bool rs;  ///< R-S join of r and s; otherwise a self-join of r
+  void (*configure)(JoinConfig*);
+  std::vector<std::pair<std::string, uint64_t>> outputs;
+  uint64_t fingerprint;
+};
+
+TEST(ResumeTest, ManifestChecksumsArePinned) {
+  // Golden checksums of every committed stage output of seeded joins,
+  // captured at commits whose code the goldens guard:
+  //  - a BRJ R-S join whose shuffle runs through binary fjlz blocks under
+  //    a 4 KiB sort buffer (so every stage spills and merges encoded
+  //    runs), captured before the codec and the output-commit hashing
+  //    were rewritten;
+  //  - the default self-join (BTO-PK-OPRJ, text intermediates, word
+  //    tokens) and an OPRJ R-S join with q-gram tokens, captured before
+  //    records, tokens and RID pairs were parsed in place.
+  // Any change to a committed byte, or to how the Dfs folds line
+  // checksums, moves them.
+  const std::vector<PinnedManifest> cases = {
+      {"binary fjlz BRJ R-S join", true,
+       [](JoinConfig* config) {
+         config->stage3 = Stage3Algorithm::kBRJ;
+         config->record_format = mr::RecordFormat::kBinary;
+         config->block_codec = mr::BlockCodec::kFjlz;
+         config->sort_buffer_bytes = 4096;
+       },
+       {{"out.ordering", 0xcb6d15de4bb2e845ULL},
+        {"out.ridpairs", 0x661352c5a3104a14ULL},
+        {"out.joined", 0xebfccf4a707588ffULL}},
+       0x709225853bfac271ULL},
+      {"default self-join", false, [](JoinConfig*) {},
+       {{"out.ordering", 0x11c9e09893895d91ULL},
+        {"out.ridpairs", 0xd5b618c815c8bd57ULL},
+        {"out.joined", 0x472994821ad4fc44ULL}},
+       0x00f39605e793b4e6ULL},
+      {"q-gram OPRJ R-S join", true,
+       [](JoinConfig* config) {
+         config->stage3 = Stage3Algorithm::kOPRJ;
+         config->tokenizer = std::make_shared<text::QGramTokenizer>(3);
+       },
+       {{"out.ordering", 0x5425fa8ec43010b3ULL},
+        {"out.ridpairs", 0x306058fbdd46ffbeULL},
+        {"out.joined", 0x54ac4b1318e4e2d1ULL}},
+       0xc8103e4c441c17c2ULL},
+  };
+
   auto r_config = data::DblpLikeConfig(220, 17);
   r_config.payload_bytes = 24;
   const std::vector<data::Record> r = data::GenerateRecords(r_config);
@@ -71,36 +114,39 @@ TEST(ResumeTest, BinaryFjlzRSJoinManifestChecksumsArePinned) {
   s_config.payload_bytes = 24;
   std::vector<data::Record> s = data::GenerateRecords(s_config);
   data::InjectOverlap(r, 0.25, /*max_edits=*/1, 29, &s);
-  mr::Dfs dfs;
-  ASSERT_TRUE(dfs.WriteFile("r", data::RecordsToLines(r)).ok());
-  ASSERT_TRUE(dfs.WriteFile("s", data::RecordsToLines(s)).ok());
-  auto config = BaseConfig();
-  config.stage3 = Stage3Algorithm::kBRJ;
-  config.record_format = mr::RecordFormat::kBinary;
-  config.block_codec = mr::BlockCodec::kFjlz;
-  config.sort_buffer_bytes = 4096;
-  auto result = RunRSJoin(&dfs, "r", "s", "out", config);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  auto manifest = LoadManifest(dfs, "out.manifest");
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  std::vector<std::pair<std::string, uint64_t>> outputs;
-  for (const ManifestStage& stage : manifest->stages) {
-    for (const auto& output : stage.outputs) {
-      outputs.push_back(output);
-      EXPECT_EQ(dfs.FileChecksum(output.first).value(), output.second)
-          << output.first;
-      EXPECT_TRUE(dfs.VerifyFile(output.first).ok()) << output.first;
+  for (const PinnedManifest& c : cases) {
+    SCOPED_TRACE(c.name);
+    mr::Dfs dfs;
+    ASSERT_TRUE(dfs.WriteFile("r", data::RecordsToLines(r)).ok());
+    ASSERT_TRUE(dfs.WriteFile("s", data::RecordsToLines(s)).ok());
+    JoinConfig config = BaseConfig();
+    c.configure(&config);
+    auto result = c.rs ? RunRSJoin(&dfs, "r", "s", "out", config)
+                       : RunSelfJoin(&dfs, "r", "out", config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+    auto manifest = LoadManifest(dfs, "out.manifest");
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    std::vector<std::pair<std::string, uint64_t>> outputs;
+    std::string printed;
+    for (const ManifestStage& stage : manifest->stages) {
+      for (const auto& output : stage.outputs) {
+        outputs.push_back(output);
+        EXPECT_EQ(dfs.FileChecksum(output.first).value(), output.second)
+            << output.first;
+        EXPECT_TRUE(dfs.VerifyFile(output.first).ok()) << output.first;
+        char hex[24];
+        std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                      static_cast<unsigned long long>(output.second));
+        printed += output.first + "=" + hex + " ";
+      }
     }
+    EXPECT_EQ(outputs, c.outputs) << printed;
+    EXPECT_GT(Lines(dfs, "out.joined").size(), 10u);
+    EXPECT_EQ(manifest->fingerprint, c.fingerprint)
+        << std::hex << manifest->fingerprint;
   }
-  const std::vector<std::pair<std::string, uint64_t>> golden = {
-      {"out.ordering", 0xcb6d15de4bb2e845ULL},
-      {"out.ridpairs", 0x661352c5a3104a14ULL},
-      {"out.joined", 0xebfccf4a707588ffULL},
-  };
-  EXPECT_EQ(outputs, golden);
-  EXPECT_GT(Lines(dfs, "out.joined").size(), 10u);
-  EXPECT_EQ(manifest->fingerprint, 0x709225853bfac271ULL);
 }
 
 TEST(ResumeTest, ResumesAfterPermanentStage3KillRunningOnlyStage3) {

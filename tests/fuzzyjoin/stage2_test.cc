@@ -7,12 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "common/random.h"
+#include "common/string_util.h"
 #include "data/generator.h"
 #include "fuzzyjoin/stage1.h"
 #include "mapreduce/dfs.h"
+#include "mapreduce/record_format.h"
 
 namespace fj::join {
 namespace {
@@ -192,6 +200,49 @@ TEST(Stage2EdgeTest, MissingOrderingFileFails) {
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
+TEST(Stage2EdgeTest, MalformedOrderingFailsBothDrivers) {
+  // A text ordering with a line that has no tab, or a repeated token, used
+  // to reach every map task as an empty ordering: the kernel then ran to
+  // an OK status with no pairs. The drivers now parse it first.
+  auto records = data::GenerateRecords(data::DblpLikeConfig(120, 44));
+  mr::Dfs dfs;
+  ASSERT_TRUE(dfs.WriteFile("records", data::RecordsToLines(records)).ok());
+  JoinConfig config;
+  ASSERT_TRUE(RunStage1(&dfs, "records", "ordering", config).ok());
+  std::vector<std::string> good = *dfs.ReadFile("ordering").value();
+  ASSERT_GT(good.size(), 3u);
+  const std::string token = good[1].substr(0, good[1].find('\t'));
+
+  struct Case {
+    const char* name;
+    std::vector<std::string> lines;
+    std::string quoted;  // what the message must quote
+  };
+  std::vector<Case> cases;
+  cases.push_back({"no tab", good, ""});
+  cases.back().lines[2] = "line-without-a-tab";
+  cases.back().quoted = fj::ErrorExcerpt("line-without-a-tab");
+  cases.push_back({"duplicate token", good, fj::ErrorExcerpt(token)});
+  cases.back().lines[2] = token + "\t7";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string file = std::string("bad-ordering-") + c.name;
+    ASSERT_TRUE(dfs.WriteFile(file, c.lines).ok());
+    auto self = RunStage2SelfJoin(&dfs, "records", file, file + ".self",
+                                  config);
+    EXPECT_EQ(self.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(self.status().message().find(c.quoted), std::string::npos)
+        << self.status().message();
+    EXPECT_FALSE(dfs.Exists(file + ".self"));
+    auto rs = RunStage2RSJoin(&dfs, "records", "records", file, file + ".rs",
+                              config);
+    EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rs.status().message().find(c.quoted), std::string::npos)
+        << rs.status().message();
+    EXPECT_FALSE(dfs.Exists(file + ".rs"));
+  }
+}
+
 TEST(Stage2EdgeTest, PairLineRoundTrip) {
   std::string line = FormatRidPairLine(12, 99, 0.8125);
   auto parsed = ParseRidPairLine(line);
@@ -202,6 +253,123 @@ TEST(Stage2EdgeTest, PairLineRoundTrip) {
   EXPECT_NEAR(sim, 0.8125, 1e-9);
   EXPECT_FALSE(ParseRidPairLine("1\t2").ok());
   EXPECT_FALSE(ParseRidPairLine("1\t2\tx").ok());
+}
+
+// ---- Oracle: the Split-based RID-pair parser the in-place one replaced.
+// ParseRidPairLine must return its values, or its Status code and
+// message, on every text line and binary record.
+
+using RidPair = std::tuple<uint64_t, uint64_t, double>;
+
+Result<RidPair> ReferenceParseRidPairLine(const std::string& line) {
+  if (mr::IsBinaryRecord(line)) {
+    uint64_t rid1 = 0;
+    uint64_t rid2 = 0;
+    double similarity = 0;
+    if (!mr::ParseRidPairRecord(line, &rid1, &rid2, &similarity)) {
+      return Status::InvalidArgument("bad rid-pair record");
+    }
+    return RidPair(rid1, rid2, similarity);
+  }
+  std::vector<std::string> fields = fj::Split(line, '\t');
+  if (fields.size() != 3) {
+    return Status::InvalidArgument("bad rid-pair line: " +
+                                   fj::ErrorExcerpt(line));
+  }
+  FJ_ASSIGN_OR_RETURN(uint64_t rid1, fj::ParseUint64(fields[0]));
+  FJ_ASSIGN_OR_RETURN(uint64_t rid2, fj::ParseUint64(fields[1]));
+  FJ_ASSIGN_OR_RETURN(double similarity, fj::ParseDouble(fields[2]));
+  return RidPair(rid1, rid2, similarity);
+}
+
+void ExpectPairParserMatchesReference(const std::string& line) {
+  const Result<RidPair> want = ReferenceParseRidPairLine(line);
+  const Result<RidPair> got = ParseRidPairLine(line);
+  ASSERT_EQ(got.ok(), want.ok());
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    return;
+  }
+  EXPECT_EQ(std::get<0>(*got), std::get<0>(*want));
+  EXPECT_EQ(std::get<1>(*got), std::get<1>(*want));
+  // Bitwise, so a NaN similarity compares too.
+  const double got_sim = std::get<2>(*got);
+  const double want_sim = std::get<2>(*want);
+  EXPECT_EQ(std::memcmp(&got_sim, &want_sim, sizeof(double)), 0);
+}
+
+/// One random edit: a tab removed or added, a field emptied or replaced
+/// by a bad number, a byte >= 0x80, an embedded NUL, or (binary records)
+/// a flipped or dropped byte.
+void MutatePairLine(fj::Rng* rng, std::string* line) {
+  const size_t at = line->empty() ? 0 : rng->NextBelow(line->size() + 1);
+  static const char* const kFields[] = {
+      "", "x", "12a", "-5", "+5", " 7", "18446744073709551615",
+      "18446744073709551616", "99999999999999999999", "0.5", "1e-3",
+      " 0.25", "0.25 ", "nan", "inf", "0x1p-1", "1.5.5", "1e999", ".5"};
+  switch (rng->NextBelow(7)) {
+    case 0: {
+      const size_t tab = line->find('\t', at);
+      if (tab != std::string::npos) line->erase(tab, 1);
+      break;
+    }
+    case 1:
+      line->insert(at, 1, '\t');
+      break;
+    case 2: {  // replace the field around `at`
+      const size_t begin = line->rfind('\t', at == 0 ? 0 : at - 1);
+      const size_t from = begin == std::string::npos ? 0 : begin + 1;
+      const size_t end = line->find('\t', from);
+      line->replace(from,
+                    (end == std::string::npos ? line->size() : end) - from,
+                    kFields[rng->NextBelow(std::size(kFields))]);
+      break;
+    }
+    case 3:
+      line->insert(at, 1, static_cast<char>(0x80 + rng->NextBelow(128)));
+      break;
+    case 4:
+      line->insert(at, 1, '\0');
+      break;
+    case 5:
+      if (!line->empty()) {
+        (*line)[rng->NextBelow(line->size())] ^=
+            static_cast<char>(1 + rng->NextBelow(255));
+      }
+      break;
+    default:
+      if (!line->empty()) line->erase(rng->NextBelow(line->size()), 1);
+      break;
+  }
+}
+
+TEST(Stage2EdgeTest, PairLineParserMatchesSplitReference) {
+  fj::Rng rng(20261018);
+  size_t rejected = 0;
+  for (size_t round = 0; round < 6000; ++round) {
+    const uint64_t rid1 = rng.NextBelow(2) == 0 ? rng.NextBelow(1000)
+                                                : rng.Next();
+    const uint64_t rid2 = rng.NextBelow(1000000);
+    const double similarity = rng.NextDouble();
+    std::string line;
+    FormatRidPairOut(round % 2 == 0 ? mr::RecordFormat::kText
+                                    : mr::RecordFormat::kBinary,
+                     rid1, rid2, similarity, &line);
+    if (round % 4 == 0) ExpectPairParserMatchesReference(line);
+    const size_t edits = 1 + rng.NextBelow(3);
+    for (size_t e = 0; e < edits; ++e) MutatePairLine(&rng, &line);
+    SCOPED_TRACE(fj::ErrorExcerpt(line));
+    ExpectPairParserMatchesReference(line);
+    if (!ReferenceParseRidPairLine(line).ok()) ++rejected;
+  }
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_LT(rejected, 5500u);
+  for (const char* edge : {"", "\t", "\t\t", "1\t2\t", "\t2\t0.5",
+                           "1\t\t0.5", "1\t2\t0.5\t", "1\t2\t0.5\t\t"}) {
+    SCOPED_TRACE(fj::ErrorExcerpt(edge));
+    ExpectPairParserMatchesReference(edge);
+  }
 }
 
 }  // namespace

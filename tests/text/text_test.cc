@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -78,31 +79,75 @@ std::vector<std::string> ReferenceQGramTokens(const std::string& text,
   return tokens;
 }
 
-/// Every tokenizer configuration against its oracle on one input.
-void ExpectMatchesOracle(const std::string& text) {
+/// Calls `check(tokenizer, oracle_tokens)` for every tokenizer
+/// configuration on `text`.
+template <typename Fn>
+void ForEachConfiguration(const std::string& text, Fn&& check) {
   for (DuplicatePolicy policy :
        {DuplicatePolicy::kRemove, DuplicatePolicy::kNumber}) {
-    const bool remove = policy == DuplicatePolicy::kRemove;
-    EXPECT_EQ(WordTokenizer(policy).Tokenize(text),
-              ReferenceWordTokens(text, policy))
-        << "word, remove=" << remove << ", input bytes=" << text.size();
+    check(WordTokenizer(policy), ReferenceWordTokens(text, policy));
     for (size_t q : {1, 2, 3}) {
-      EXPECT_EQ(QGramTokenizer(q, policy).Tokenize(text),
-                ReferenceQGramTokens(text, q, policy))
-          << "qgram" << q << ", remove=" << remove
-          << ", input bytes=" << text.size();
+      check(QGramTokenizer(q, policy), ReferenceQGramTokens(text, q, policy));
     }
   }
 }
 
+/// An ordering over the oracle tokens of some of the inputs, so that the
+/// others bring unknown tokens.
+TokenOrdering OrderingOf(const std::vector<std::string>& texts) {
+  std::map<std::string, uint64_t> counts;
+  for (const std::string& text : texts) {
+    ForEachConfiguration(text, [&counts](const Tokenizer&,
+                                         const std::vector<std::string>& want) {
+      for (const std::string& token : want) ++counts[token];
+    });
+  }
+  return TokenOrdering::FromCounts({counts.begin(), counts.end()});
+}
+
+/// Every tokenizer configuration against its oracle on one input, through
+/// the vector path and the token-list path. One list serves every call, as
+/// one does for every record of a task.
+void ExpectMatchesOracle(const std::string& text,
+                         const TokenOrdering& ordering) {
+  static TokenList* const shared_list = new TokenList;
+  std::vector<TokenId> ids;
+  ForEachConfiguration(text, [&](const Tokenizer& tokenizer,
+                                 const std::vector<std::string>& want) {
+    SCOPED_TRACE(tokenizer.Name());
+    SCOPED_TRACE(text.size());
+    EXPECT_EQ(tokenizer.Tokenize(text), want);
+    tokenizer.TokenizeInto(text, shared_list);
+    ASSERT_EQ(shared_list->size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ((*shared_list)[i], want[i]) << "token " << i;
+    }
+    EXPECT_EQ(shared_list->ToStrings(), want);
+    ordering.ToSortedIds(*shared_list, &ids);
+    EXPECT_EQ(ids, ordering.ToSortedIds(want));
+  });
+}
+
+/// Runs ExpectMatchesOracle on every input, under an ordering built from
+/// the first half of them.
+void ExpectAllMatchOracle(const std::vector<std::string>& texts) {
+  const TokenOrdering ordering = OrderingOf(
+      std::vector<std::string>(texts.begin(), texts.begin() + texts.size() / 2));
+  for (size_t i = 0; i < texts.size(); ++i) {
+    SCOPED_TRACE(i);
+    ExpectMatchesOracle(texts[i], ordering);
+  }
+}
+
 TEST(TokenizerOracleTest, EverySingleByte) {
+  std::vector<std::string> texts;
   for (int b = 0; b < 256; ++b) {
     const char c = static_cast<char>(b);
-    SCOPED_TRACE(b);
-    ExpectMatchesOracle(std::string(1, c));
+    texts.push_back(std::string(1, c));
     // The byte inside, between and around tokens, repeated.
-    ExpectMatchesOracle(std::string("ab") + c + "AB" + c + "ab" + c + c);
+    texts.push_back(std::string("ab") + c + "AB" + c + "ab" + c + c);
   }
+  ExpectAllMatchOracle(texts);
 }
 
 TEST(TokenizerOracleTest, RandomStringsWithRepeatsAndHighBytes) {
@@ -115,6 +160,7 @@ TEST(TokenizerOracleTest, RandomStringsWithRepeatsAndHighBytes) {
   const std::vector<char> separators = {' ', '\t', ',', '-', '.', '\0',
                                         '\x80', '\xa0', '\xc3', '\xff'};
   fj::Rng rng(20240917);
+  std::vector<std::string> texts;
   for (int round = 0; round < 3000; ++round) {
     std::string text;
     const size_t pieces = rng.NextBelow(24);
@@ -134,9 +180,9 @@ TEST(TokenizerOracleTest, RandomStringsWithRepeatsAndHighBytes) {
           break;
       }
     }
-    SCOPED_TRACE(round);
-    ExpectMatchesOracle(text);
+    texts.push_back(std::move(text));
   }
+  ExpectAllMatchOracle(texts);
 }
 
 TEST(TokenizerOracleTest, DuplicatePolicyKeepsFirstOccurrences) {
