@@ -86,6 +86,11 @@ class Executor {
   /// this executor.
   static constexpr size_t kNotAWorker = static_cast<size_t>(-1);
 
+  /// The largest worker count a configuration may request. Config
+  /// validation and the tools refuse more, so a mistyped count fails
+  /// cleanly instead of starting threads without bound.
+  static constexpr size_t kMaxWorkers = 1024;
+
   /// Spawns ResolveWorkerCount(num_threads) persistent workers.
   explicit Executor(size_t num_threads);
 

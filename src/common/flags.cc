@@ -1,6 +1,8 @@
 #include "common/flags.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <system_error>
 
 namespace fj {
 
@@ -32,6 +34,25 @@ double Flags::GetDouble(const std::string& key, double default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   return std::strtod(it->second.c_str(), nullptr);
+}
+
+Status Flags::ParseCount(const std::string& key, uint64_t max_value,
+                         uint64_t* value) const {
+  auto it = values_.find(key);
+  if (it == values_.end()) return Status::OK();
+  const std::string& text = it->second;
+  uint64_t parsed = 0;
+  // An unsigned from_chars refuses a sign, so "-1" fails here too.
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (error != std::errc() || end != text.data() + text.size() ||
+      parsed > max_value) {
+    return Status::InvalidArgument(
+        "--" + key + "=" + text + ": expected a non-negative integer" +
+        (max_value < UINT64_MAX ? " <= " + std::to_string(max_value) : ""));
+  }
+  *value = parsed;
+  return Status::OK();
 }
 
 std::string Flags::GetString(const std::string& key,

@@ -1,5 +1,7 @@
 #include "fuzzyjoin/config.h"
 
+#include <string>
+
 namespace fj::join {
 
 const char* Stage1Name(Stage1Algorithm a) {
@@ -81,19 +83,15 @@ Status JoinConfig::Validate() const {
   if (num_reduce_tasks == 0) {
     return Status::InvalidArgument("num_reduce_tasks must be >= 1");
   }
-  if (merge_factor < 2) {
-    return Status::InvalidArgument("merge_factor must be >= 2");
+  if (num_map_tasks > kMaxTasks) {
+    return Status::InvalidArgument("num_map_tasks must be <= " +
+                                   std::to_string(kMaxTasks));
   }
-  if (max_task_attempts < 1) {
-    return Status::InvalidArgument("max_task_attempts must be >= 1");
+  if (num_reduce_tasks > kMaxTasks) {
+    return Status::InvalidArgument("num_reduce_tasks must be <= " +
+                                   std::to_string(kMaxTasks));
   }
-  if (speculative_execution && speculation_slowdown_factor <= 1.0) {
-    return Status::InvalidArgument(
-        "speculation_slowdown_factor must be > 1");
-  }
-  if (check_contracts && contract_sample_every < 1) {
-    return Status::InvalidArgument("contract_sample_every must be >= 1");
-  }
+  FJ_RETURN_IF_ERROR(EngineOptions::Validate());
   if (tokenizer == nullptr) {
     return Status::InvalidArgument("tokenizer must be set");
   }
@@ -106,6 +104,10 @@ Status JoinConfig::Validate() const {
   if (transport == mr::TransportKind::kSocket && num_shuffle_workers < 1) {
     return Status::InvalidArgument(
         "the socket transport needs num_shuffle_workers >= 1");
+  }
+  if (num_shuffle_workers > kMaxShuffleWorkers) {
+    return Status::InvalidArgument("num_shuffle_workers must be <= " +
+                                   std::to_string(kMaxShuffleWorkers));
   }
   if (net_fault_plan != nullptr &&
       transport != mr::TransportKind::kSocket && !shuffle_transport) {

@@ -13,19 +13,11 @@
 #include <memory>
 #include <string>
 
-#include "common/executor.h"
 #include "common/result.h"
-#include "mapreduce/fault.h"
-#include "mapreduce/record_format.h"
+#include "mapreduce/job_spec.h"
 #include "mapreduce/shuffle_transport.h"
 #include "similarity/similarity.h"
 #include "text/tokenizer.h"
-
-namespace fj::mr {
-// Default for check_contracts (defined in mapreduce/contract.cc): on in
-// debug builds and under FJ_CHECK_CONTRACTS=1, off under NDEBUG.
-bool ContractChecksDefaultOn();
-}  // namespace fj::mr
 
 namespace fj::join {
 
@@ -77,7 +69,16 @@ const char* Stage1Name(Stage1Algorithm a);
 const char* Stage2Name(Stage2Algorithm a);
 const char* Stage3Name(Stage3Algorithm a);
 
-struct JoinConfig {
+/// The paper's algorithm choices and the job shape, plus the engine
+/// settings every job of the pipeline runs under. Under record_format =
+/// binary the stage-1 token lists and stage-2 RID pairs are binary wire
+/// records too; the ".joined" output is text either way.
+struct JoinConfig : mr::EngineOptions {
+  /// Bounds on the counts below, so a mistyped count fails Validate
+  /// instead of allocating tasks or starting workers without bound.
+  static constexpr size_t kMaxTasks = 65536;
+  static constexpr size_t kMaxShuffleWorkers = 1024;
+
   // --- similarity predicate (paper default: Jaccard, tau = 0.80) ---
   sim::SimilarityFunction function = sim::SimilarityFunction::kJaccard;
   double tau = 0.80;
@@ -114,75 +115,10 @@ struct JoinConfig {
   uint32_t length_class_width = 4;
 
   // --- MapReduce shape (mirrors the Hadoop job configuration) ---
-  /// Map tasks per job; 0 = one per input file.
+  /// Map tasks per job; 0 = one per input file. At most kMaxTasks.
   size_t num_map_tasks = 8;
-  /// Reduce tasks per job (the paper runs 4 per node).
+  /// Reduce tasks per job (the paper runs 4 per node); in [1, kMaxTasks].
   size_t num_reduce_tasks = 8;
-  /// Host threads executing tasks (physical concurrency only). 0 = auto:
-  /// use std::thread::hardware_concurrency(). Excluded from the resume
-  /// fingerprint — join output is byte-identical at any thread count.
-  size_t local_threads = 1;
-
-  /// Host executor shared by every job of the pipeline, so workers
-  /// persist across stage boundaries (no per-phase pool construction,
-  /// warm caches). nullptr = the driver creates one with local_threads
-  /// workers at pipeline entry. Callers running several pipelines can
-  /// pass their own to share it across runs (bench sweeps do).
-  std::shared_ptr<Executor> executor;
-
-  /// Per-map-task sort buffer budget in bytes, applied to every job in the
-  /// pipeline (JobSpec::sort_buffer_bytes — the analogue of Hadoop's
-  /// io.sort.mb). When a task's intermediate output exceeds the budget it
-  /// is sorted and spilled to task-local disk as sorted runs, and the
-  /// reduce side k-way merges them; the cluster model charges the spill
-  /// I/O. 0 = unbounded (no spilling). Join results are identical either
-  /// way.
-  uint64_t sort_buffer_bytes = 0;
-
-  /// Maximum sorted runs merged per reduce-side pass when spilling is on
-  /// (JobSpec::merge_factor, Hadoop's io.sort.factor).
-  size_t merge_factor = 16;
-
-  // --- fault tolerance (applied to every job in the pipeline) ---
-  /// Attempts per task before a job — and the pipeline — fails
-  /// (JobSpec::max_task_attempts, Hadoop's mapred.*.max.attempts).
-  uint32_t max_task_attempts = 4;
-  /// Launch speculative backup attempts for straggling tasks
-  /// (JobSpec::speculative_execution).
-  bool speculative_execution = false;
-  /// Straggler threshold as a multiple of the phase median task cost;
-  /// must be > 1 (JobSpec::speculation_slowdown_factor).
-  double speculation_slowdown_factor = 3.0;
-  /// Deterministic fault plan injected into every job of the pipeline;
-  /// nullptr = fault-free. With a recoverable plan the join output is
-  /// byte-identical to the fault-free run (see mapreduce/fault.h).
-  std::shared_ptr<const mr::FaultPlan> fault_plan;
-
-  // --- data integrity and checkpoint/resume ---
-  /// Verify Dfs checksums at every job boundary
-  /// (JobSpec::verify_integrity): input files before the map phase, sorted
-  /// runs at map commit and at the reduce side's merge read, output lines
-  /// at reduce commit. A detected mismatch fails the attempt and the
-  /// engine re-runs it under max_task_attempts, so recoverable corruption
-  /// still yields byte-identical join output. Off by default; the cluster
-  /// model prices the checksum passes separately
-  /// (SimulatedJobTime::integrity_seconds).
-  bool verify_integrity = false;
-
-  /// Verify the user-hook contract of every job in the pipeline
-  /// (JobSpec::check_contracts): sort/group comparators against the
-  /// strict-weak-ordering axioms, partitioner against the group
-  /// comparator, combiner algebra on sampled key groups, key immutability
-  /// across reduce calls. A violation fails the pipeline with a structured
-  /// FailedPrecondition Status naming the offending key pair — never a
-  /// wrong join result. Default: on in debug builds and CI
-  /// (FJ_CHECK_CONTRACTS=1), off in optimized builds; the cluster model
-  /// prices the checks separately (SimulatedJobTime::contract_seconds).
-  bool check_contracts = mr::ContractChecksDefaultOn();
-
-  /// Every kth emitted key enters the contract checker's sampled axiom
-  /// pool (1 = check every key). Must be >= 1 when check_contracts is on.
-  uint32_t contract_sample_every = 16;
 
   /// Resume a previous run of the same pipeline from its stage manifest
   /// ("<output_prefix>.manifest"): stages whose manifest entry validates
@@ -193,31 +129,7 @@ struct JoinConfig {
   /// incompatible intermediate files into the pipeline.
   bool resume = false;
 
-  /// Per-job cap on malformed input lines. Jobs quarantine bad lines to
-  /// "<output>.bad" instead of failing; when a single job skips more than
-  /// this many records it fails with DataLoss
-  /// (JobSpec::max_skipped_records). ~0 = unlimited.
-  uint64_t max_skipped_records = ~0ULL;
-
-  // --- intermediate-data representation (applied to every job) ---
-  /// Representation of spill runs, shuffle segments, and stage
-  /// intermediate files (JobSpec::record_format). Text (the default)
-  /// shuffles tab-separated lines and meters size estimates; binary
-  /// serializes every run with the varint record codec
-  /// (mapreduce/record_format.h), stores stage-1 token lists and stage-2
-  /// RID pairs as binary wire records, and meters the actual encoded
-  /// bytes. The final ".joined" output is text either way, and join
-  /// results are byte-identical across formats. Part of the resume
-  /// fingerprint — a manifest written under one format cannot be resumed
-  /// under the other.
-  mr::RecordFormat record_format = mr::RecordFormat::kText;
-
-  /// Block codec applied to every spill-run/shuffle block in binary
-  /// format (JobSpec::block_codec). Requires record_format = binary when
-  /// not kNone; codec CPU is metered and priced by the cluster model.
-  mr::BlockCodec block_codec = mr::BlockCodec::kNone;
-
-  // --- shuffle transport (applied to every job; see shuffle_transport.h) ---
+  // --- shuffle transport (see shuffle_transport.h) ---
   /// How committed map-output segments reach the reduce side. Inproc (the
   /// default) is the classic in-process hand-off. Socket moves every
   /// segment over length-framed loopback TCP through num_shuffle_workers
@@ -225,11 +137,15 @@ struct JoinConfig {
   /// with backoff + jitter, heartbeat liveness, and the escalation ladder
   /// (local committed spill, then deterministic map re-run). The ".joined"
   /// output is byte-identical across transports, worker counts, and
-  /// recoverable fault plans; excluded from the resume fingerprint like
-  /// local_threads.
+  /// recoverable fault plans. The driver resolves this into the inherited
+  /// `shuffle_transport` instance at pipeline entry — unless the caller
+  /// already set one (tests, multi-process runs where the worker
+  /// endpoints exist): then `transport`, num_shuffle_workers, and
+  /// net_fault_plan are ignored and every job uses that instance.
   mr::TransportKind transport = mr::TransportKind::kInproc;
 
-  /// Shuffle-worker endpoints under the socket transport (>= 1).
+  /// Shuffle-worker endpoints under the socket transport, in
+  /// [1, kMaxShuffleWorkers].
   size_t num_shuffle_workers = 2;
 
   /// Deterministic network fault plan under the socket transport
@@ -237,17 +153,6 @@ struct JoinConfig {
   /// nullptr = clean wire. Applied server-side by the workers the driver
   /// spawns, plus the client-side refuse-connect draw.
   std::shared_ptr<const mr::NetFaultPlan> net_fault_plan;
-
-  /// Caller-supplied transport (tests, multi-process runs where the
-  /// worker endpoints already exist). When set, `transport`,
-  /// num_shuffle_workers, and net_fault_plan are ignored and every job
-  /// uses this instance.
-  std::shared_ptr<mr::ShuffleTransport> shuffle_transport;
-
-  /// Escalation rung 2 switch (JobSpec::net_fetch_local_fallback): serve
-  /// permanently unfetchable segments from the map task's committed local
-  /// output before re-running the attempt. Disable to force rung 3.
-  bool net_fetch_local_fallback = true;
 
   /// Socket transport only: run the shuffle workers as real forked
   /// subprocesses of this binary (the coordinator re-execs itself in
@@ -270,7 +175,9 @@ struct JoinConfig {
     return sim::SimilaritySpec(function, tau);
   }
 
-  /// Validates knob combinations (e.g. block processing requires BK).
+  /// Validates knob combinations (e.g. block processing requires BK, a
+  /// block codec the binary format), the count limits, and the engine
+  /// settings (EngineOptions::Validate).
   Status Validate() const;
 };
 

@@ -1,7 +1,9 @@
 #include "fuzzyjoin/driver.h"
 
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/executor.h"
 #include "fuzzyjoin/manifest.h"
@@ -186,6 +188,75 @@ Status RunStage(StageCheckpointer* ckpt, JoinRunResult* result,
   return ckpt->Commit(stage_name, outputs);
 }
 
+// The jobs of a finished stage (a Stage1Result, Stage2Result or
+// Stage3Result), or its error.
+template <typename StageResult>
+Result<std::vector<mr::JobMetrics>> JobsOf(Result<StageResult> stage) {
+  FJ_RETURN_IF_ERROR(stage.status());
+  return std::move(stage->jobs);
+}
+
+// The pipeline body shared by the self-join (one input) and the R-S join
+// (inputs R and S), which differ only in their inputs and in which stage-2
+// and stage-3 functions run. Stage 1 runs on the first input only
+// (relation R of an R-S join, Section 4).
+Result<JoinRunResult> RunPipeline(mr::Dfs* dfs,
+                                  const std::vector<std::string>& inputs,
+                                  const std::string& output_prefix,
+                                  const JoinConfig& config) {
+  FJ_RETURN_IF_ERROR(config.Validate());
+  // One executor serves every job of the pipeline: workers persist across
+  // stage boundaries instead of being rebuilt per phase. Callers that set
+  // config.executor share theirs (bench sweeps reuse one across runs).
+  JoinConfig cfg = config;
+  if (!cfg.executor) {
+    cfg.executor = std::make_shared<Executor>(cfg.local_threads);
+  }
+  // Same policy for the shuffle transport: the socket worker pool (when
+  // any) persists across stage boundaries instead of being respawned per
+  // job. Like local_threads, the transport is a how-it-runs knob — it is
+  // excluded from the resume fingerprint.
+  FJ_ASSIGN_OR_RETURN(cfg.shuffle_transport, MakeRunTransport(cfg));
+  JoinRunResult result;
+  result.ordering_file = output_prefix + ".ordering";
+  result.rid_pairs_file = output_prefix + ".ridpairs";
+  result.output_file = output_prefix + ".joined";
+
+  FJ_ASSIGN_OR_RETURN(uint64_t fingerprint,
+                      PipelineFingerprint(cfg, *dfs, inputs));
+  StageCheckpointer ckpt(dfs, output_prefix + ".manifest", fingerprint,
+                         config.resume);
+  FJ_RETURN_IF_ERROR(ckpt.Init());
+
+  FJ_RETURN_IF_ERROR(RunStage(
+      &ckpt, &result, std::string("1-") + Stage1Name(cfg.stage1),
+      {result.ordering_file}, [&] {
+        return JobsOf(RunStage1(dfs, inputs[0], result.ordering_file, cfg));
+      }));
+  const bool rs = inputs.size() == 2;
+  FJ_RETURN_IF_ERROR(RunStage(
+      &ckpt, &result, std::string("2-") + Stage2Name(cfg.stage2),
+      {result.rid_pairs_file}, [&] {
+        return rs ? JobsOf(RunStage2RSJoin(dfs, inputs[0], inputs[1],
+                                           result.ordering_file,
+                                           result.rid_pairs_file, cfg))
+                  : JobsOf(RunStage2SelfJoin(dfs, inputs[0],
+                                             result.ordering_file,
+                                             result.rid_pairs_file, cfg));
+      }));
+  FJ_RETURN_IF_ERROR(RunStage(
+      &ckpt, &result, std::string("3-") + Stage3Name(cfg.stage3),
+      {result.output_file}, [&] {
+        return rs ? JobsOf(RunStage3RSJoin(dfs, inputs[0], inputs[1],
+                                           result.rid_pairs_file,
+                                           result.output_file, cfg))
+                  : JobsOf(RunStage3SelfJoin(dfs, inputs[0],
+                                             result.rid_pairs_file,
+                                             result.output_file, cfg));
+      }));
+  return result;
+}
+
 }  // namespace
 
 double JoinRunResult::TotalWallSeconds() const {
@@ -213,115 +284,14 @@ double JoinRunResult::SimulatedStageSeconds(
 Result<JoinRunResult> RunSelfJoin(mr::Dfs* dfs, const std::string& input_file,
                                   const std::string& output_prefix,
                                   const JoinConfig& config) {
-  FJ_RETURN_IF_ERROR(config.Validate());
-  // One executor serves every job of the pipeline: workers persist across
-  // stage boundaries instead of being rebuilt per phase. Callers that set
-  // config.executor share theirs (bench sweeps reuse one across runs).
-  JoinConfig cfg = config;
-  if (!cfg.executor) {
-    cfg.executor = std::make_shared<Executor>(cfg.local_threads);
-  }
-  // Same policy for the shuffle transport: the socket worker pool (when
-  // any) persists across stage boundaries instead of being respawned per
-  // job. Like local_threads, the transport is a how-it-runs knob — it is
-  // excluded from the resume fingerprint.
-  FJ_ASSIGN_OR_RETURN(cfg.shuffle_transport, MakeRunTransport(cfg));
-  JoinRunResult result;
-  result.ordering_file = output_prefix + ".ordering";
-  result.rid_pairs_file = output_prefix + ".ridpairs";
-  result.output_file = output_prefix + ".joined";
-
-  FJ_ASSIGN_OR_RETURN(uint64_t fingerprint,
-                      PipelineFingerprint(cfg, *dfs, {input_file}));
-  StageCheckpointer ckpt(dfs, output_prefix + ".manifest", fingerprint,
-                         config.resume);
-  FJ_RETURN_IF_ERROR(ckpt.Init());
-
-  FJ_RETURN_IF_ERROR(RunStage(
-      &ckpt, &result, std::string("1-") + Stage1Name(cfg.stage1),
-      {result.ordering_file}, [&]() -> Result<std::vector<mr::JobMetrics>> {
-        FJ_ASSIGN_OR_RETURN(
-            Stage1Result stage1,
-            RunStage1(dfs, input_file, result.ordering_file, cfg));
-        return std::move(stage1.jobs);
-      }));
-
-  FJ_RETURN_IF_ERROR(RunStage(
-      &ckpt, &result, std::string("2-") + Stage2Name(cfg.stage2),
-      {result.rid_pairs_file}, [&]() -> Result<std::vector<mr::JobMetrics>> {
-        FJ_ASSIGN_OR_RETURN(
-            Stage2Result stage2,
-            RunStage2SelfJoin(dfs, input_file, result.ordering_file,
-                              result.rid_pairs_file, cfg));
-        return std::move(stage2.jobs);
-      }));
-
-  FJ_RETURN_IF_ERROR(RunStage(
-      &ckpt, &result, std::string("3-") + Stage3Name(cfg.stage3),
-      {result.output_file}, [&]() -> Result<std::vector<mr::JobMetrics>> {
-        FJ_ASSIGN_OR_RETURN(
-            Stage3Result stage3,
-            RunStage3SelfJoin(dfs, input_file, result.rid_pairs_file,
-                              result.output_file, cfg));
-        return std::move(stage3.jobs);
-      }));
-
-  return result;
+  return RunPipeline(dfs, {input_file}, output_prefix, config);
 }
 
 Result<JoinRunResult> RunRSJoin(mr::Dfs* dfs, const std::string& r_file,
                                 const std::string& s_file,
                                 const std::string& output_prefix,
                                 const JoinConfig& config) {
-  FJ_RETURN_IF_ERROR(config.Validate());
-  // Same pipeline-wide executor and transport policy as RunSelfJoin.
-  JoinConfig cfg = config;
-  if (!cfg.executor) {
-    cfg.executor = std::make_shared<Executor>(cfg.local_threads);
-  }
-  FJ_ASSIGN_OR_RETURN(cfg.shuffle_transport, MakeRunTransport(cfg));
-  JoinRunResult result;
-  result.ordering_file = output_prefix + ".ordering";
-  result.rid_pairs_file = output_prefix + ".ridpairs";
-  result.output_file = output_prefix + ".joined";
-
-  FJ_ASSIGN_OR_RETURN(uint64_t fingerprint,
-                      PipelineFingerprint(cfg, *dfs, {r_file, s_file}));
-  StageCheckpointer ckpt(dfs, output_prefix + ".manifest", fingerprint,
-                         config.resume);
-  FJ_RETURN_IF_ERROR(ckpt.Init());
-
-  // Stage 1 runs on relation R only (Section 4).
-  FJ_RETURN_IF_ERROR(RunStage(
-      &ckpt, &result, std::string("1-") + Stage1Name(cfg.stage1),
-      {result.ordering_file}, [&]() -> Result<std::vector<mr::JobMetrics>> {
-        FJ_ASSIGN_OR_RETURN(
-            Stage1Result stage1,
-            RunStage1(dfs, r_file, result.ordering_file, cfg));
-        return std::move(stage1.jobs);
-      }));
-
-  FJ_RETURN_IF_ERROR(RunStage(
-      &ckpt, &result, std::string("2-") + Stage2Name(cfg.stage2),
-      {result.rid_pairs_file}, [&]() -> Result<std::vector<mr::JobMetrics>> {
-        FJ_ASSIGN_OR_RETURN(
-            Stage2Result stage2,
-            RunStage2RSJoin(dfs, r_file, s_file, result.ordering_file,
-                            result.rid_pairs_file, cfg));
-        return std::move(stage2.jobs);
-      }));
-
-  FJ_RETURN_IF_ERROR(RunStage(
-      &ckpt, &result, std::string("3-") + Stage3Name(cfg.stage3),
-      {result.output_file}, [&]() -> Result<std::vector<mr::JobMetrics>> {
-        FJ_ASSIGN_OR_RETURN(
-            Stage3Result stage3,
-            RunStage3RSJoin(dfs, r_file, s_file, result.rid_pairs_file,
-                            result.output_file, cfg));
-        return std::move(stage3.jobs);
-      }));
-
-  return result;
+  return RunPipeline(dfs, {r_file, s_file}, output_prefix, config);
 }
 
 }  // namespace fj::join

@@ -12,11 +12,10 @@
 // The fingerprint folds every knob that affects the bytes of the join
 // output (algorithm selection, routing, tau, tokenizer, task counts — task
 // counts change output line order) together with the input files' content
-// checksums. Knobs proven byte-transparent (sort_buffer_bytes,
-// merge_factor, fault_plan, verify_integrity, local_threads) are excluded
-// on purpose: a run that crashed under fault injection may be resumed with
-// the faults turned off, and a run executed without verification may be
-// resumed with it on.
+// checksums. Knobs proven byte-transparent are excluded on purpose (see
+// PipelineFingerprint): a run that crashed under fault injection may be
+// resumed with the faults turned off, and a run executed without
+// verification may be resumed with it on.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +43,12 @@ struct Manifest {
 
 /// Fingerprint of (result-affecting configuration) x (input contents).
 /// Reads each input's checksum from the Dfs; fails if an input is missing.
+/// Of the engine settings only record_format and block_codec are folded:
+/// the format decides how stage intermediates are stored, and the codec
+/// keeps a resumed run's metered byte counts equal to the original's. The
+/// other mr::EngineOptions fields and the socket-transport knobs
+/// (transport, num_shuffle_workers, net_fault_plan,
+/// spawn_worker_processes) leave the join output byte-identical.
 Result<uint64_t> PipelineFingerprint(const JoinConfig& config,
                                      const mr::Dfs& dfs,
                                      const std::vector<std::string>& inputs);

@@ -8,7 +8,6 @@
 #include "common/executor.h"
 #include "common/string_util.h"
 #include "data/record.h"
-#include "fuzzyjoin/engine_knobs.h"
 #include "fuzzyjoin/stage1.h"
 #include "fuzzyjoin/stage2.h"
 #include "fuzzyjoin/stage2_internal.h"
@@ -156,7 +155,7 @@ Result<JoinRunResult> RunOneStageSelfJoin(mr::Dfs* dfs,
                                           const JoinConfig& config) {
   FJ_RETURN_IF_ERROR(config.Validate());
   // One-stage pipelines share a pipeline-wide executor too (see
-  // driver.cc); both jobs below run on it via ApplyEngineKnobs.
+  // driver.cc); both jobs below run on it through their engine options.
   JoinConfig cfg = config;
   if (!cfg.executor) {
     cfg.executor = std::make_shared<Executor>(cfg.local_threads);
@@ -187,13 +186,12 @@ Result<JoinRunResult> RunOneStageSelfJoin(mr::Dfs* dfs,
   sim::SimilaritySpec spec = cfg.MakeSpec();
   auto tokenizer = cfg.tokenizer;
 
-  mr::JobSpec<Stage2Key, std::string> kernel;
+  mr::JobSpec<Stage2Key, std::string> kernel{cfg.engine()};
   kernel.name = "onestage-kernel";
   kernel.input_files = {input_file};
   kernel.output_file = output_prefix + ".withdups";
   kernel.num_map_tasks = cfg.num_map_tasks;
   kernel.num_reduce_tasks = cfg.num_reduce_tasks;
-  ApplyEngineKnobs(cfg, &kernel);
   kernel.group_equal = [](const Stage2Key& a, const Stage2Key& b) {
     return a.group == b.group;
   };
@@ -210,13 +208,13 @@ Result<JoinRunResult> RunOneStageSelfJoin(mr::Dfs* dfs,
       StageMetrics{"2-ONESTAGE", {std::move(kernel_metrics)}});
 
   // Deduplication job.
-  mr::JobSpec<std::pair<uint64_t, uint64_t>, std::string> dedup;
+  mr::JobSpec<std::pair<uint64_t, uint64_t>, std::string> dedup{
+      cfg.engine()};
   dedup.name = "onestage-dedup";
   dedup.input_files = {output_prefix + ".withdups"};
   dedup.output_file = result.output_file;
   dedup.num_map_tasks = cfg.num_map_tasks;
   dedup.num_reduce_tasks = cfg.num_reduce_tasks;
-  ApplyEngineKnobs(cfg, &dedup);
   dedup.mapper_factory = [] { return std::make_unique<DedupMapper>(); };
   dedup.reducer_factory = [] { return std::make_unique<DedupReducer>(); };
   mr::Job<std::pair<uint64_t, uint64_t>, std::string> dedup_job(

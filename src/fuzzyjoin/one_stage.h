@@ -33,11 +33,11 @@ namespace fj::join {
 ///     to the reduce tasks its projection would go to (length-signature
 ///     routing sends every record to one group);
 ///   - the job shape: num_map_tasks, num_reduce_tasks;
-///   - every engine knob ApplyEngineKnobs copies (threads and executor,
-///     sort buffer and merge factor, fault tolerance and speculation,
-///     integrity and contract checks, skipped-record cap, record format
-///     and block codec, net_fetch_local_fallback, and a caller-supplied
-///     shuffle_transport).
+///   - every mr::EngineOptions field, which both jobs inherit from the
+///     config (threads and executor, sort buffer and merge factor, fault
+///     tolerance and speculation, integrity and contract checks,
+///     skipped-record cap, record format and block codec,
+///     net_fetch_local_fallback, and a caller-supplied shuffle_transport).
 /// Ignored: stage2 (the kernel is always PPJoin+), stage3, block
 /// processing, bk_length_routing, length_class_width,
 /// oprj_memory_limit_bytes, resume (no manifest is written), and

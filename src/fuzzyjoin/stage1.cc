@@ -1,7 +1,5 @@
 #include "fuzzyjoin/stage1.h"
 
-#include "fuzzyjoin/engine_knobs.h"
-
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -180,13 +178,12 @@ Result<Stage1Result> RunStage1(mr::Dfs* dfs, const std::string& input_file,
 
   if (config.stage1 == Stage1Algorithm::kBTO) {
     // Phase 1: count token frequencies (combiner cuts shuffle traffic).
-    JobSpec<std::string, uint64_t> count_spec;
+    JobSpec<std::string, uint64_t> count_spec{config.engine()};
     count_spec.name = "stage1-bto-count";
     count_spec.input_files = {input_file};
     count_spec.output_file = output_file + ".counts";
     count_spec.num_map_tasks = config.num_map_tasks;
     count_spec.num_reduce_tasks = config.num_reduce_tasks;
-    ApplyEngineKnobs(config, &count_spec);
     count_spec.binary_output = binary;
     auto tokenizer = config.tokenizer;
     count_spec.mapper_factory = [tokenizer] {
@@ -201,13 +198,12 @@ Result<Stage1Result> RunStage1(mr::Dfs* dfs, const std::string& input_file,
     result.jobs.push_back(std::move(count_metrics));
 
     // Phase 2: total sort by (count, token) through a single reducer.
-    JobSpec<SortKey, uint8_t> sort_spec;
+    JobSpec<SortKey, uint8_t> sort_spec{config.engine()};
     sort_spec.name = "stage1-bto-sort";
     sort_spec.input_files = {output_file + ".counts"};
     sort_spec.output_file = output_file;
     sort_spec.num_map_tasks = config.num_map_tasks;
     sort_spec.num_reduce_tasks = 1;  // total order requires one reducer
-    ApplyEngineKnobs(config, &sort_spec);
     sort_spec.binary_output = binary;
     sort_spec.mapper_factory = [] { return std::make_unique<SwapMapper>(); };
     sort_spec.reducer_factory = [format] {
@@ -220,13 +216,12 @@ Result<Stage1Result> RunStage1(mr::Dfs* dfs, const std::string& input_file,
   }
 
   // OPTO: one phase, one reducer, sort in Teardown.
-  JobSpec<std::string, uint64_t> spec;
+  JobSpec<std::string, uint64_t> spec{config.engine()};
   spec.name = "stage1-opto";
   spec.input_files = {input_file};
   spec.output_file = output_file;
   spec.num_map_tasks = config.num_map_tasks;
   spec.num_reduce_tasks = 1;
-  ApplyEngineKnobs(config, &spec);
   spec.binary_output = binary;
   auto tokenizer = config.tokenizer;
   spec.mapper_factory = [tokenizer] {

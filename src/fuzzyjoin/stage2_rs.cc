@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "fuzzyjoin/engine_knobs.h"
 #include "fuzzyjoin/stage1.h"
 #include "fuzzyjoin/stage2.h"
 #include "fuzzyjoin/stage2_internal.h"
@@ -331,13 +330,12 @@ Result<Stage2Result> RunStage2RSJoin(mr::Dfs* dfs, const std::string& r_file,
     layout = RSLayout::kBK;
   }
 
-  mr::JobSpec<Stage2Key, TokenSetRecord> spec;
+  mr::JobSpec<Stage2Key, TokenSetRecord> spec{config.engine()};
   spec.name = std::string("stage2-") + Stage2Name(config.stage2) + "-rs";
   spec.input_files = {r_file, s_file};
   spec.output_file = output_file;
   spec.num_map_tasks = config.num_map_tasks;
   spec.num_reduce_tasks = config.num_reduce_tasks;
-  ApplyEngineKnobs(config, &spec);
   spec.binary_output = format == mr::RecordFormat::kBinary;
   spec.group_equal = [](const Stage2Key& a, const Stage2Key& b) {
     return a.group == b.group;

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "fuzzyjoin/engine_knobs.h"
 #include "fuzzyjoin/stage1.h"
 #include "fuzzyjoin/stage2.h"
 #include "fuzzyjoin/stage2_internal.h"
@@ -374,13 +373,12 @@ Result<Stage2Result> RunStage2SelfJoin(mr::Dfs* dfs,
   const Stage2Context ctx =
       internal::MakeStage2Context(config, &ordering_lines);
 
-  mr::JobSpec<Stage2Key, TokenSetRecord> spec;
+  mr::JobSpec<Stage2Key, TokenSetRecord> spec{config.engine()};
   spec.name = std::string("stage2-") + Stage2Name(config.stage2) + "-self";
   spec.input_files = {input_file};
   spec.output_file = output_file;
   spec.num_map_tasks = config.num_map_tasks;
   spec.num_reduce_tasks = config.num_reduce_tasks;
-  ApplyEngineKnobs(config, &spec);
   spec.binary_output = format == mr::RecordFormat::kBinary;
   spec.group_equal = [](const Stage2Key& a, const Stage2Key& b) {
     return a.group == b.group;

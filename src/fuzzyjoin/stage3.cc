@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "fuzzyjoin/engine_knobs.h"
 #include "fuzzyjoin/stage2.h"
 #include "mapreduce/job.h"
 #include "mapreduce/record_format.h"
@@ -404,7 +403,7 @@ Result<Stage3Result> RunBrj(mr::Dfs* dfs,
   result.output_file = output_file;
 
   // Phase 1: fill each half of every pair with its record.
-  mr::JobSpec<RidKey, TaggedLine> phase1;
+  mr::JobSpec<RidKey, TaggedLine> phase1{config.engine()};
   phase1.name = "stage3-brj-1";
   phase1.input_files = record_files;
   phase1.input_files.push_back(pairs_file);
@@ -412,7 +411,6 @@ Result<Stage3Result> RunBrj(mr::Dfs* dfs,
   phase1.output_file = output_file + ".halves";
   phase1.num_map_tasks = config.num_map_tasks;
   phase1.num_reduce_tasks = config.num_reduce_tasks;
-  ApplyEngineKnobs(config, &phase1);
   phase1.mapper_factory = [pairs_file_index, is_rs] {
     return std::make_unique<Phase1Mapper>(pairs_file_index, is_rs);
   };
@@ -424,13 +422,12 @@ Result<Stage3Result> RunBrj(mr::Dfs* dfs,
   result.jobs.push_back(std::move(metrics1));
 
   // Phase 2: bring the two halves of each pair together.
-  mr::JobSpec<PairKey, HalfPair> phase2;
+  mr::JobSpec<PairKey, HalfPair> phase2{config.engine()};
   phase2.name = "stage3-brj-2";
   phase2.input_files = {output_file + ".halves"};
   phase2.output_file = output_file;
   phase2.num_map_tasks = config.num_map_tasks;
   phase2.num_reduce_tasks = config.num_reduce_tasks;
-  ApplyEngineKnobs(config, &phase2);
   phase2.mapper_factory = [] { return std::make_unique<Phase2Mapper>(); };
   phase2.reducer_factory = [] { return std::make_unique<Phase2Reducer>(); };
   mr::Job<PairKey, HalfPair> job2(dfs, std::move(phase2));
@@ -464,13 +461,12 @@ Result<Stage3Result> RunOprj(mr::Dfs* dfs,
   Stage3Result result;
   result.output_file = output_file;
 
-  mr::JobSpec<PairKey, HalfPair> spec;
+  mr::JobSpec<PairKey, HalfPair> spec{config.engine()};
   spec.name = "stage3-oprj";
   spec.input_files = record_files;
   spec.output_file = output_file;
   spec.num_map_tasks = config.num_map_tasks;
   spec.num_reduce_tasks = config.num_reduce_tasks;
-  ApplyEngineKnobs(config, &spec);
   spec.mapper_factory = [pair_lines, is_rs] {
     return std::make_unique<OprjMapper>(pair_lines, is_rs);
   };

@@ -45,7 +45,7 @@ struct ClusterConfig {
   double shuffle_bytes_per_second_per_node = 50.0 * 1024 * 1024;
 
   /// Aggregate network bandwidth contributed by each node for the
-  /// socket shuffle transport's segment traffic (JobSpec::transport),
+  /// socket shuffle transport's segment traffic (JobSpec::shuffle_transport),
   /// bytes/second. Priced against JobMetrics::net_bytes_pushed +
   /// net_bytes_fetched — every segment crosses the wire twice (map side
   /// pushes it to its worker, reduce side fetches it back), and

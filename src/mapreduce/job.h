@@ -51,7 +51,11 @@
 //   - committed TaskMetrics/counters always describe exactly one clean
 //     attempt, so a faulted run's committed metrics — and its output
 //     bytes — match the fault-free run; the wasted work is tracked in the
-//     attempt-bookkeeping fields the cluster model prices separately.
+//     attempt-bookkeeping fields the cluster model prices separately;
+//   - map and reduce tasks climb the same ladder: one retry chain and one
+//     backup routine in Job::Run, called with each phase's attempt
+//     function, and one copy of their bookkeeping (TallyAttempt,
+//     CommitAttempt, FindStragglers, CommitBackup) compiled in job.cc.
 //
 // Data integrity (integrity.h + JobSpec::verify_integrity) adds the HDFS
 // checksum analogue on top of the attempt layer:
@@ -146,6 +150,57 @@
 
 namespace fj::mr {
 
+// The engine's type-independent bookkeeping, compiled once in job.cc.
+namespace internal {
+
+/// Copies a finished task's scratch I/O into the attempt's counters.
+void AccountScratch(const TaskContext& ctx, CounterSet* counters);
+
+/// The attempt's cost: measured wall time plus simulated charges, slowed
+/// down by any straggler fault.
+double AttemptSeconds(const WallTimer& timer, const TaskContext& ctx,
+                      const AttemptFault& fault);
+
+/// What the attempt ladder reads of one finished attempt of either phase.
+struct AttemptResult {
+  bool crashed = false;
+  TaskMetrics metrics;
+  CounterSet counters;
+  /// Contract violation found by this attempt (check_contracts). Attempts
+  /// are deterministic, so a violation is PERMANENT: the job fails with
+  /// this Status immediately, no retry.
+  Status contract;
+};
+
+/// Retry-chain bookkeeping. TallyAttempt folds a finished attempt into
+/// `chain`: its verification work and detections always (the bytes were
+/// really hashed even when the attempt then crashed), and its cost as a
+/// failed attempt when it crashed. CommitAttempt stamps the clean
+/// attempt's metrics with the chain's tally.
+void TallyAttempt(const TaskMetrics& attempt, bool crashed,
+                  TaskMetrics* chain);
+TaskMetrics CommitAttempt(TaskMetrics clean, const TaskMetrics& chain);
+
+/// The tasks whose committed cost exceeds `slowdown_factor` x the phase
+/// median, which lands in `*median`; none in a phase of under two tasks.
+std::vector<size_t> FindStragglers(const std::vector<TaskMetrics>& tasks,
+                                   double slowdown_factor, double* median);
+
+/// First-finisher-wins cost commit of a backup attempt of `*task`,
+/// launched when the detector noticed, at `median`. A crashed backup
+/// loses. The loser is KILLED at the winner's commit, so it occupies its
+/// slot only until then — that kill is what makes speculation pay.
+void CommitBackup(TaskMetrics backup, bool crashed, double median,
+                  TaskMetrics* task);
+
+/// Sums the committed task metrics (plus the inputs' verified bytes) into
+/// the job totals and the job counters they feed — O(tasks), never a walk
+/// over the intermediate data.
+void SumJobTotals(const EngineOptions& options,
+                  uint64_t input_integrity_bytes, JobMetrics* metrics);
+
+}  // namespace internal
+
 /// Executes JobSpecs against a Dfs.
 template <typename K, typename V>
 class Job {
@@ -184,64 +239,17 @@ class Job {
 
   /// Everything one attempt produces, scoped to the attempt so a crash
   /// discards it wholesale.
-  struct MapAttemptResult {
-    bool crashed = false;
-    TaskMetrics metrics;
-    CounterSet counters;
+  struct MapAttemptResult : internal::AttemptResult {
     MapTaskOutput<K, V> output;
     /// Malformed input lines the attempt quarantined (committed with it).
     std::vector<std::string> quarantined;
-    /// Contract violation found by this attempt (JobSpec::check_contracts).
-    /// Attempts are deterministic, so a violation is PERMANENT: the job
-    /// fails with this Status immediately, no retry.
-    Status contract;
   };
 
-  struct ReduceAttemptResult {
-    bool crashed = false;
-    TaskMetrics metrics;
-    CounterSet counters;
+  struct ReduceAttemptResult : internal::AttemptResult {
     std::vector<std::string> output;
     /// LineChecksum of each output line, as committed (set unless crashed).
     std::vector<uint64_t> line_checksums;
-    /// See MapAttemptResult::contract.
-    Status contract;
   };
-
-  // Copies a finished task's scratch I/O into the attempt's counters.
-  static void AccountScratch(const TaskContext& ctx, CounterSet* counters) {
-    const LocalScratch& scratch = ctx.scratch();
-    if (scratch.bytes_written() > 0 || scratch.bytes_read() > 0) {
-      counters->Add("scratch.bytes_written",
-                    static_cast<int64_t>(scratch.bytes_written()));
-      counters->Add("scratch.bytes_read",
-                    static_cast<int64_t>(scratch.bytes_read()));
-    }
-    if (scratch.spill_bytes_written() > 0 || scratch.spill_bytes_read() > 0) {
-      counters->Add("scratch.spill_bytes_written",
-                    static_cast<int64_t>(scratch.spill_bytes_written()));
-      counters->Add("scratch.spill_bytes_read",
-                    static_cast<int64_t>(scratch.spill_bytes_read()));
-    }
-  }
-
-  /// The attempt's cost: measured wall time plus simulated charges, slowed
-  /// down by any straggler fault.
-  static double AttemptSeconds(const WallTimer& timer, const TaskContext& ctx,
-                               const AttemptFault& fault) {
-    return (timer.ElapsedSeconds() + ctx.charged_seconds()) * fault.slowdown +
-           fault.extra_seconds;
-  }
-
-  /// Median of the committed task costs of one phase — the speculation
-  /// detector's notion of "normal" (and of when it noticed the straggler).
-  static double MedianSeconds(const std::vector<TaskMetrics>& tasks) {
-    std::vector<double> secs;
-    secs.reserve(tasks.size());
-    for (const TaskMetrics& t : tasks) secs.push_back(t.seconds);
-    std::sort(secs.begin(), secs.end());
-    return secs.empty() ? 0.0 : secs[secs.size() / 2];
-  }
 
   /// Injected CorruptRecord fault: really mutates the attempt's shuffle
   /// output, AFTER the write-side checksums were computed — exactly the
@@ -341,7 +349,7 @@ typename Job<K, V>::MapAttemptResult Job<K, V>::RunMapAttempt(
   if (!res.crashed && (!checker || checker->ok())) {
     mapper->Teardown(&buffer, &ctx);
     buffer.Flush();
-    AccountScratch(ctx, &res.counters);
+    internal::AccountScratch(ctx, &res.counters);
     res.quarantined = ctx.TakeQuarantined();
   }
   if (checker) {
@@ -351,7 +359,7 @@ typename Job<K, V>::MapAttemptResult Job<K, V>::RunMapAttempt(
         checker->stats().checks + checker->stats().keys_observed;
     res.contract = checker->status();
     if (!res.contract.ok()) {
-      res.metrics.seconds = AttemptSeconds(timer, ctx, fault);
+      res.metrics.seconds = internal::AttemptSeconds(timer, ctx, fault);
       return res;
     }
   }
@@ -380,7 +388,7 @@ typename Job<K, V>::MapAttemptResult Job<K, V>::RunMapAttempt(
       }
     }
   }
-  res.metrics.seconds = AttemptSeconds(timer, ctx, fault);
+  res.metrics.seconds = internal::AttemptSeconds(timer, ctx, fault);
   return res;
 }
 
@@ -454,7 +462,7 @@ typename Job<K, V>::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
       }
     }
     if (res.crashed) {
-      res.metrics.seconds = AttemptSeconds(timer, ctx, fault);
+      res.metrics.seconds = internal::AttemptSeconds(timer, ctx, fault);
       return res;
     }
   }
@@ -476,7 +484,7 @@ typename Job<K, V>::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
       if (!decoded.ok()) {
         res.metrics.corruption_detected++;
         res.crashed = true;
-        res.metrics.seconds = AttemptSeconds(timer, ctx, fault);
+        res.metrics.seconds = internal::AttemptSeconds(timer, ctx, fault);
         return res;
       }
       if (binary) {
@@ -523,14 +531,14 @@ typename Job<K, V>::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
     res.metrics.contract_checks = checker->stats().checks;
     res.contract = checker->status();
     if (!res.contract.ok()) {
-      res.metrics.seconds = AttemptSeconds(timer, ctx, fault);
+      res.metrics.seconds = internal::AttemptSeconds(timer, ctx, fault);
       return res;
     }
   }
   if (!res.crashed && ctx.CrashDue()) res.crashed = true;
   if (!res.crashed) {
     reducer->Teardown(&out, &ctx);
-    AccountScratch(ctx, &res.counters);
+    internal::AccountScratch(ctx, &res.counters);
   }
   if (!res.crashed && fault.corrupt_target == CorruptTarget::kReduceOutput &&
       !res.output.empty()) {
@@ -559,7 +567,7 @@ typename Job<K, V>::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
       res.crashed = true;
     }
   }
-  res.metrics.seconds = AttemptSeconds(timer, ctx, fault);
+  res.metrics.seconds = internal::AttemptSeconds(timer, ctx, fault);
   return res;
 }
 
@@ -575,21 +583,9 @@ Result<JobMetrics> Job<K, V>::Run() {
     return Status::InvalidArgument("job '" + spec_.name +
                                    "': num_reduce_tasks must be >= 1");
   }
-  if (spec_.merge_factor < 2) {
-    return Status::InvalidArgument("job '" + spec_.name +
-                                   "': merge_factor must be >= 2");
-  }
-  if (spec_.max_task_attempts < 1) {
-    return Status::InvalidArgument("job '" + spec_.name +
-                                   "': max_task_attempts must be >= 1");
-  }
-  if (spec_.speculative_execution && spec_.speculation_slowdown_factor <= 1.0) {
-    return Status::InvalidArgument(
-        "job '" + spec_.name + "': speculation_slowdown_factor must be > 1");
-  }
-  if (spec_.check_contracts && spec_.contract_sample_every < 1) {
-    return Status::InvalidArgument(
-        "job '" + spec_.name + "': contract_sample_every must be >= 1");
+  if (Status engine = spec_.Validate(); !engine.ok()) {
+    return Status(engine.code(),
+                  "job '" + spec_.name + "': " + engine.message());
   }
   if (spec_.input_files.empty()) {
     return Status::InvalidArgument("job '" + spec_.name + "': no input files");
@@ -640,10 +636,10 @@ Result<JobMetrics> Job<K, V>::Run() {
   // Reduce attempts must not consume the shuffle when a retry or backup
   // might need it again.
   const bool preserve_runs = injector.active() || spec_.speculative_execution;
-  // Shuffle transport (spec_.transport): when set, committed map output
-  // crosses a real hand-off — encoded, Publish()ed, Fetch()ed back, and
-  // checksum-verified — and the reduce side merges the FETCHED bytes.
-  ShuffleTransport* const transport = spec_.transport.get();
+  // Shuffle transport (spec_.shuffle_transport): when set, committed map
+  // output crosses a real hand-off — encoded, Publish()ed, Fetch()ed back,
+  // and checksum-verified — and the reduce side merges the FETCHED bytes.
+  ShuffleTransport* const transport = spec_.shuffle_transport.get();
   const uint64_t net_losses_before =
       transport ? transport->worker_losses() : 0;
   // Transport-fetched runs arrive with encoded payloads even in text
@@ -658,26 +654,15 @@ Result<JobMetrics> Job<K, V>::Run() {
   if (!executor) executor = std::make_shared<Executor>(spec_.local_threads);
   const ExecutorStats runtime_before = executor->stats();
 
-  // First permanent task failure wins; later ones are redundant detail.
+  // First job failure wins — an exhausted retry chain, a contract
+  // violation (a deterministic user-code bug: no retry, no output), an
+  // unrecoverable shuffle segment; later ones are redundant detail.
   // job_failed is the lock-free "already latched?" flag task bodies poll.
   // Job-local latch; ranked kJobState — held across nothing but the
   // status write, always acquired from task bodies that hold no lock.
   Mutex failure_mu{"job.failure", lock_rank::kJobState};
   Status job_status;
   std::atomic<bool> job_failed{false};
-  auto record_failure = [this, &failure_mu, &job_status, &job_failed](
-                            TaskPhase phase, size_t task_id) {
-    MutexLock lock(&failure_mu);
-    if (job_status.ok()) {
-      job_status = Status::Internal(
-          "job '" + spec_.name + "': " + TaskPhaseName(phase) + " task " +
-          std::to_string(task_id) + " failed permanently after " +
-          std::to_string(spec_.max_task_attempts) + " attempts");
-    }
-    job_failed.store(true, std::memory_order_release);
-  };
-  // Contract violations are deterministic user-code bugs, not transient
-  // faults: the first one fails the job (no retry, no output).
   auto latch_status = [&failure_mu, &job_status, &job_failed](const Status& s) {
     MutexLock lock(&failure_mu);
     if (job_status.ok()) job_status = s;
@@ -743,133 +728,100 @@ Result<JobMetrics> Job<K, V>::Run() {
   TaskGroup group(executor.get());
 
   // ---- Task bodies ----
-  // The retry chain of one map task: attempts run sequentially on one
-  // worker until one commits (or the budget is exhausted).
-  auto run_map_chain = [this, &splits, &file_lines, &metrics, &map_outputs,
-                        &quarantined, &ordering, &injector, &record_failure,
-                        &latch_status](size_t m) {
-      const InputSplit& split = splits[m];
-      const std::vector<std::string>& lines = *file_lines[split.file_index];
-      uint32_t failed = 0;
-      double failed_seconds = 0;
-      // Verification work and detections accumulate across ALL attempts
-      // (the bytes were really hashed even when the attempt then crashed).
-      uint64_t integrity_bytes = 0;
-      uint32_t corruption_detected = 0;
-      for (uint32_t attempt = 0; attempt < spec_.max_task_attempts;
-           ++attempt) {
-        MapAttemptResult res =
-            RunMapAttempt(split, lines, ordering, m, attempt,
-                          injector.FaultFor(TaskPhase::kMap, m, attempt));
-        integrity_bytes += res.metrics.integrity_bytes_verified;
-        corruption_detected += res.metrics.corruption_detected;
-        if (!res.contract.ok()) {
-          // Deterministic violation — retrying would find it again.
-          metrics.map_tasks[m].contract_checks = res.metrics.contract_checks;
-          latch_status(res.contract);
-          return;
-        }
-        if (res.crashed) {
-          failed++;
-          failed_seconds += res.metrics.seconds;
-          continue;
-        }
-        // Commit: the clean attempt's metrics, counters, and shuffle
-        // output become the task's result; failed attempts only leave
-        // their cost behind.
-        TaskMetrics committed = std::move(res.metrics);
-        committed.attempts = failed + 1;
-        committed.failed_attempts = failed;
-        committed.failed_attempt_seconds = failed_seconds;
-        committed.integrity_bytes_verified = integrity_bytes;
-        committed.corruption_detected = corruption_detected;
-        metrics.map_tasks[m] = std::move(committed);
-        metrics.counters.MergeFrom(res.counters);
-        map_outputs[m] = std::move(res.output);
-        quarantined[m] = std::move(res.quarantined);
-        return;
-      }
-      metrics.map_tasks[m].attempts = failed;
-      metrics.map_tasks[m].failed_attempts = failed;
-      metrics.map_tasks[m].failed_attempt_seconds = failed_seconds;
-      metrics.map_tasks[m].integrity_bytes_verified = integrity_bytes;
-      metrics.map_tasks[m].corruption_detected = corruption_detected;
-      record_failure(TaskPhase::kMap, m);
+  // One attempt of each phase's task t, as numbered by the attempt ladder.
+  auto map_attempt = [this, &splits, &file_lines, &ordering, &injector](
+                         size_t m, uint32_t attempt) {
+    const InputSplit& split = splits[m];
+    return RunMapAttempt(split, *file_lines[split.file_index], ordering, m,
+                         attempt,
+                         injector.FaultFor(TaskPhase::kMap, m, attempt));
+  };
+  auto reduce_attempt = [this, preserve_runs, runs_encoded, merge_factor,
+                         &partition_runs, &ordering, &injector,
+                         &worker_scratch](size_t r, uint32_t attempt) {
+    return RunReduceAttempt(partition_runs[r], preserve_runs, runs_encoded,
+                            ordering, merge_factor, r, attempt,
+                            injector.FaultFor(TaskPhase::kReduce, r, attempt),
+                            worker_scratch());
   };
 
-  // Speculative map backups, spawned by the map phase's completion
-  // continuation: back up stragglers, first finisher (by simulated time)
-  // wins the COST commit. The backup never re-points map_outputs[m]:
-  // attempts are deterministic, so its bytes equal the already-published
-  // primary bytes — which is exactly what lets the released reduce tasks
-  // keep consuming the shuffle while backups are still in flight.
-  auto spawn_map_backups = [this, &group, &splits, &file_lines, &metrics,
-                            &ordering, &injector, num_map_tasks] {
-    if (!spec_.speculative_execution || num_map_tasks < 2) return;
-    const double median = MedianSeconds(metrics.map_tasks);
-    const double threshold = median * spec_.speculation_slowdown_factor;
-    for (size_t m = 0; m < num_map_tasks; ++m) {
-      if (median <= 0 || metrics.map_tasks[m].seconds <= threshold) continue;
-      group.Spawn([this, m, median, &splits, &file_lines, &metrics, &ordering,
-                   &injector] {
-        const InputSplit& split = splits[m];
-        const std::vector<std::string>& lines = *file_lines[split.file_index];
-        TaskMetrics& task = metrics.map_tasks[m];
-        const uint32_t attempt = task.attempts;
-        MapAttemptResult res =
-            RunMapAttempt(split, lines, ordering, m, attempt,
-                          injector.FaultFor(TaskPhase::kMap, m, attempt));
-        task.attempts++;
-        task.speculative_launched = true;
-        task.integrity_bytes_verified += res.metrics.integrity_bytes_verified;
-        task.corruption_detected += res.metrics.corruption_detected;
-        if (res.crashed) {
-          // The backup died (or would have been killed at the straggler's
-          // commit, whichever came first); the straggler's commit stands.
-          task.speculative_loser_seconds += std::min(
-              res.metrics.seconds,
-              std::max(0.0, task.failed_attempt_seconds + task.seconds -
-                                median));
-          return;
-        }
-        // First-finisher-wins: the straggler has been running since the
-        // phase started (behind its failed attempts); the backup launched
-        // when the detector noticed — at the phase median. The loser is
-        // KILLED at the winner's commit, so it only occupies its slot
-        // until then — that kill is what makes speculation pay.
-        const double primary_finish =
-            task.failed_attempt_seconds + task.seconds;
-        const double backup_finish = median + res.metrics.seconds;
-        if (backup_finish < primary_finish) {
-          TaskMetrics committed = std::move(res.metrics);
-          committed.attempts = task.attempts;
-          committed.failed_attempts = task.failed_attempts;
-          committed.failed_attempt_seconds = task.failed_attempt_seconds;
-          committed.speculative_launched = true;
-          committed.speculative_won = true;
-          committed.speculative_loser_seconds =
-              task.speculative_loser_seconds +
-              std::max(0.0, backup_finish - task.failed_attempt_seconds);
-          committed.integrity_bytes_verified = task.integrity_bytes_verified;
-          committed.corruption_detected = task.corruption_detected;
-          task = std::move(committed);
-          // Deterministic attempts emit identical counters, output bytes,
-          // and quarantined lines, so the primary's already-merged
-          // counters — and its published runs — stand for the backup too.
-        } else {
-          task.speculative_loser_seconds += std::min(
-              res.metrics.seconds, std::max(0.0, primary_finish - median));
-        }
+  // The retry chain of one task of either phase: attempts run sequentially
+  // on one worker until one commits — its metrics and counters become the
+  // task's, and `commit` takes its output; failed attempts only leave their
+  // cost behind — or the budget is exhausted.
+  auto run_chain = [this, &metrics, &latch_status](
+                       TaskPhase phase, size_t t, const auto& attempt_fn,
+                       const auto& commit) {
+    TaskMetrics& task = phase == TaskPhase::kMap ? metrics.map_tasks[t]
+                                                 : metrics.reduce_tasks[t];
+    TaskMetrics chain;
+    for (uint32_t attempt = 0; attempt < spec_.max_task_attempts; ++attempt) {
+      auto res = attempt_fn(t, attempt);
+      internal::TallyAttempt(res.metrics, res.crashed, &chain);
+      if (!res.contract.ok()) {
+        // Deterministic violation — retrying would find it again.
+        task.contract_checks = res.metrics.contract_checks;
+        latch_status(res.contract);
+        return;
+      }
+      if (res.crashed) continue;
+      task = internal::CommitAttempt(std::move(res.metrics), chain);
+      metrics.counters.MergeFrom(res.counters);
+      commit(t, res);
+      return;
+    }
+    // Every attempt crashed: the task's metrics are the chain's tally.
+    chain.attempts = chain.failed_attempts;
+    task = chain;
+    latch_status(Status::Internal(
+        "job '" + spec_.name + "': " + TaskPhaseName(phase) + " task " +
+        std::to_string(t) + " failed permanently after " +
+        std::to_string(spec_.max_task_attempts) + " attempts"));
+  };
+
+  // Speculative backups of one phase, spawned by its completion
+  // continuation: stragglers get a backup attempt, and the first finisher
+  // (by simulated time) wins the COST commit. A backup never re-points the
+  // committed output: attempts are deterministic, so its bytes, counters
+  // and quarantined lines equal the primary's — which is exactly what lets
+  // the released reduce tasks keep consuming the shuffle while map backups
+  // are still in flight.
+  auto spawn_backups = [this, &group, &job_failed](
+                           std::vector<TaskMetrics>* tasks,
+                           const auto& attempt_fn) {
+    if (!spec_.speculative_execution ||
+        job_failed.load(std::memory_order_acquire)) {
+      return;
+    }
+    double median = 0;
+    for (size_t t : internal::FindStragglers(
+             *tasks, spec_.speculation_slowdown_factor, &median)) {
+      group.Spawn([tasks, t, median, attempt_fn] {
+        TaskMetrics& task = (*tasks)[t];
+        auto res = attempt_fn(t, task.attempts);
+        internal::CommitBackup(std::move(res.metrics), res.crashed, median,
+                               &task);
       });
     }
+  };
+
+  auto commit_map = [&map_outputs, &quarantined](size_t m,
+                                                 MapAttemptResult& res) {
+    map_outputs[m] = std::move(res.output);
+    quarantined[m] = std::move(res.quarantined);
+  };
+  auto commit_reduce = [&reduce_outputs, &reduce_checksums](
+                           size_t r, ReduceAttemptResult& res) {
+    reduce_outputs[r] = std::move(res.output);
+    reduce_checksums[r] = std::move(res.line_checksums);
   };
 
   // Map-phase completion continuation, run by whichever worker finished
   // the last map task. Quarantine accounting must precede the final
   // reduce release (the old engine checked it between the phases).
   auto on_maps_done = [this, &job_timer, &map_done_wall, &metrics,
-                       &quarantined, &latch_status, &job_failed,
-                       &spawn_map_backups] {
+                       &quarantined, &latch_status, &spawn_backups,
+                       &map_attempt] {
     map_done_wall = job_timer.ElapsedSeconds();
     // Quarantine bookkeeping: malformed input lines the committed map
     // attempts routed to TaskContext::QuarantineRecord (attempts are
@@ -885,19 +837,25 @@ Result<JobMetrics> Job<K, V>::Run() {
           std::to_string(spec_.max_skipped_records)));
       return;
     }
-    if (!job_failed.load(std::memory_order_acquire)) spawn_map_backups();
+    spawn_backups(&metrics.map_tasks, map_attempt);
   };
 
-  // The retry chain of one reduce task: a streaming k-way merge over the
-  // partition's committed runs.
-  auto run_reduce_chain = [this, preserve_runs, runs_encoded, transport,
-                           &metrics, &map_outputs, &fetched_slots,
-                           &partition_runs, &reduce_outputs,
-                           &reduce_checksums, &ordering,
-                           merge_factor, &injector, &record_failure,
-                           &latch_status, &job_failed, &worker_scratch,
-                           num_map_tasks](size_t r) {
-      if (job_failed.load(std::memory_order_acquire)) return;
+  // Reduce-phase completion continuation: stamp the wall when the last
+  // PRIMARY reduce commits (backups it spawns run past it, tracked by the
+  // same group).
+  auto on_reduces_done = [&job_timer, &reduce_done_wall, &spawn_backups,
+                          &metrics, &reduce_attempt] {
+    reduce_done_wall = job_timer.ElapsedSeconds();
+    spawn_backups(&metrics.reduce_tasks, reduce_attempt);
+  };
+
+  // One reduce task: a streaming k-way merge over the partition's
+  // committed runs, under the retry chain.
+  auto run_reduce_task = [&run_chain, &reduce_attempt, &commit_reduce,
+                          transport, &map_outputs, &fetched_slots,
+                          &partition_runs, &job_failed, &reduces_remaining,
+                          &on_reduces_done, num_map_tasks](size_t r) {
+    if (!job_failed.load(std::memory_order_acquire)) {
       // This partition's runs from every map task, in map-task-then-spill
       // order — the rank order the merger's tie-break relies on. The slot
       // board is indexed by map task, so commit ARRIVAL order cannot
@@ -916,119 +874,8 @@ Result<JobMetrics> Job<K, V>::Run() {
           }
         }
       }
-      uint32_t failed = 0;
-      double failed_seconds = 0;
-      uint64_t integrity_bytes = 0;
-      uint32_t corruption_detected = 0;
-      for (uint32_t attempt = 0; attempt < spec_.max_task_attempts;
-           ++attempt) {
-        ReduceAttemptResult res = RunReduceAttempt(
-            runs, preserve_runs, runs_encoded, ordering, merge_factor, r,
-            attempt, injector.FaultFor(TaskPhase::kReduce, r, attempt),
-            worker_scratch());
-        integrity_bytes += res.metrics.integrity_bytes_verified;
-        corruption_detected += res.metrics.corruption_detected;
-        if (!res.contract.ok()) {
-          metrics.reduce_tasks[r].contract_checks =
-              res.metrics.contract_checks;
-          latch_status(res.contract);
-          return;
-        }
-        if (res.crashed) {
-          failed++;
-          failed_seconds += res.metrics.seconds;
-          continue;
-        }
-        TaskMetrics committed = std::move(res.metrics);
-        committed.attempts = failed + 1;
-        committed.failed_attempts = failed;
-        committed.failed_attempt_seconds = failed_seconds;
-        committed.integrity_bytes_verified = integrity_bytes;
-        committed.corruption_detected = corruption_detected;
-        metrics.reduce_tasks[r] = std::move(committed);
-        metrics.counters.MergeFrom(res.counters);
-        reduce_outputs[r] = std::move(res.output);
-        reduce_checksums[r] = std::move(res.line_checksums);
-        return;
-      }
-      metrics.reduce_tasks[r].attempts = failed;
-      metrics.reduce_tasks[r].failed_attempts = failed;
-      metrics.reduce_tasks[r].failed_attempt_seconds = failed_seconds;
-      metrics.reduce_tasks[r].integrity_bytes_verified = integrity_bytes;
-      metrics.reduce_tasks[r].corruption_detected = corruption_detected;
-      record_failure(TaskPhase::kReduce, r);
-  };
-
-  // Speculative reduce backups (see spawn_map_backups: cost-accounting
-  // commit only, reduce_outputs[r] is never re-pointed).
-  auto spawn_reduce_backups = [this, &group, preserve_runs, runs_encoded,
-                               &metrics, &partition_runs, &ordering,
-                               merge_factor, &injector, &worker_scratch,
-                               num_reduce_tasks] {
-    if (!spec_.speculative_execution || num_reduce_tasks < 2) return;
-    const double median = MedianSeconds(metrics.reduce_tasks);
-    const double threshold = median * spec_.speculation_slowdown_factor;
-    for (size_t r = 0; r < num_reduce_tasks; ++r) {
-      if (median <= 0 || metrics.reduce_tasks[r].seconds <= threshold) {
-        continue;
-      }
-      group.Spawn([this, r, median, preserve_runs, runs_encoded, &metrics,
-                   &partition_runs, &ordering, merge_factor, &injector,
-                   &worker_scratch] {
-        TaskMetrics& task = metrics.reduce_tasks[r];
-        const uint32_t attempt = task.attempts;
-        ReduceAttemptResult res = RunReduceAttempt(
-            partition_runs[r], preserve_runs, runs_encoded, ordering,
-            merge_factor, r, attempt,
-            injector.FaultFor(TaskPhase::kReduce, r, attempt),
-            worker_scratch());
-        task.attempts++;
-        task.speculative_launched = true;
-        task.integrity_bytes_verified += res.metrics.integrity_bytes_verified;
-        task.corruption_detected += res.metrics.corruption_detected;
-        if (res.crashed) {
-          task.speculative_loser_seconds += std::min(
-              res.metrics.seconds,
-              std::max(0.0, task.failed_attempt_seconds + task.seconds -
-                                median));
-          return;
-        }
-        const double primary_finish =
-            task.failed_attempt_seconds + task.seconds;
-        const double backup_finish = median + res.metrics.seconds;
-        if (backup_finish < primary_finish) {
-          TaskMetrics committed = std::move(res.metrics);
-          committed.attempts = task.attempts;
-          committed.failed_attempts = task.failed_attempts;
-          committed.failed_attempt_seconds = task.failed_attempt_seconds;
-          committed.speculative_launched = true;
-          committed.speculative_won = true;
-          committed.speculative_loser_seconds =
-              task.speculative_loser_seconds +
-              std::max(0.0, backup_finish - task.failed_attempt_seconds);
-          committed.integrity_bytes_verified = task.integrity_bytes_verified;
-          committed.corruption_detected = task.corruption_detected;
-          task = std::move(committed);
-        } else {
-          task.speculative_loser_seconds += std::min(
-              res.metrics.seconds, std::max(0.0, primary_finish - median));
-        }
-      });
+      run_chain(TaskPhase::kReduce, r, reduce_attempt, commit_reduce);
     }
-  };
-
-  // Reduce-phase completion continuation: stamp the wall when the last
-  // PRIMARY reduce commits (backups it spawns run past it, tracked by the
-  // same group).
-  auto on_reduces_done = [&job_timer, &reduce_done_wall, &job_failed,
-                          &spawn_reduce_backups] {
-    reduce_done_wall = job_timer.ElapsedSeconds();
-    if (!job_failed.load(std::memory_order_acquire)) spawn_reduce_backups();
-  };
-
-  auto run_reduce_task = [&run_reduce_chain, &reduces_remaining,
-                          &on_reduces_done](size_t r) {
-    run_reduce_chain(r);
     if (reduces_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       on_reduces_done();
     }
@@ -1046,8 +893,7 @@ Result<JobMetrics> Job<K, V>::Run() {
   // machinery's re-run). Only after every rung fails does the job latch
   // a structured Unavailable.
   auto transport_shuffle = [this, transport, &map_outputs, &fetched_slots,
-                            &metrics, &net_mu, &splits, &file_lines,
-                            &ordering, &injector, &latch_status](
+                            &metrics, &net_mu, &map_attempt, &latch_status](
                                size_t m, size_t r,
                                uint32_t committed_attempt) {
     bool has_records = false;
@@ -1097,11 +943,7 @@ Result<JobMetrics> Job<K, V>::Run() {
       }
       // Rung 3: the committed attempt's fault draw was clean (it
       // committed), so re-running it reproduces the identical output.
-      const InputSplit& split = splits[m];
-      MapAttemptResult redo = RunMapAttempt(
-          split, *file_lines[split.file_index], ordering, m,
-          committed_attempt,
-          injector.FaultFor(TaskPhase::kMap, m, committed_attempt));
+      MapAttemptResult redo = map_attempt(m, committed_attempt);
       if (redo.crashed || !redo.contract.ok()) {
         shuffled = Status::Internal(
             "job '" + spec_.name + "': map task " + std::to_string(m) +
@@ -1173,8 +1015,8 @@ Result<JobMetrics> Job<K, V>::Run() {
   // ---- Spawn the graph: map tasks now, reduce tasks as their inputs
   // commit, backups from the phase-completion continuations ----
   for (size_t m = 0; m < num_map_tasks; ++m) {
-    group.Spawn([&run_map_chain, &finish_map_task, m] {
-      run_map_chain(m);
+    group.Spawn([&run_chain, &map_attempt, &commit_map, &finish_map_task, m] {
+      run_chain(TaskPhase::kMap, m, map_attempt, commit_map);
       finish_map_task(m);
     });
   }
@@ -1202,61 +1044,7 @@ Result<JobMetrics> Job<K, V>::Run() {
         transport->worker_losses() - net_losses_before;
   }
 
-  // ---- Job-level accounting (O(tasks): totals were metered on the emit
-  // and spill paths, never by re-walking the intermediate data) ----
-  for (const TaskMetrics& t : metrics.map_tasks) {
-    metrics.map_output_records += t.output_records;
-    metrics.map_output_bytes += t.output_bytes;
-    metrics.shuffle_records += t.shuffle_records;
-    metrics.shuffle_bytes += t.shuffle_bytes;
-    metrics.input_bytes += t.input_bytes;
-    metrics.spill_count += t.spill_count;
-    metrics.spilled_bytes += t.spilled_bytes;
-  }
-  for (const TaskMetrics& t : metrics.reduce_tasks) {
-    metrics.spill_count += t.spill_count;
-    metrics.spilled_bytes += t.spilled_bytes;
-    metrics.merge_passes += t.merge_passes;
-  }
-  for (const std::vector<TaskMetrics>* tasks :
-       {&metrics.map_tasks, &metrics.reduce_tasks}) {
-    for (const TaskMetrics& t : *tasks) {
-      metrics.failed_attempts += t.failed_attempts;
-      if (t.speculative_launched) metrics.speculative_launched++;
-      if (t.speculative_won) metrics.speculative_wins++;
-      metrics.wasted_task_seconds += t.wasted_seconds();
-      metrics.integrity_bytes_verified += t.integrity_bytes_verified;
-      metrics.corruption_detected += t.corruption_detected;
-      metrics.contract_checks += t.contract_checks;
-      metrics.codec_logical_bytes += t.codec_logical_bytes;
-      metrics.codec_encoded_bytes += t.codec_encoded_bytes;
-    }
-  }
-  if (metrics.codec_encoded_bytes > 0) {
-    metrics.counters.Add("format.logical_bytes",
-                         static_cast<int64_t>(metrics.codec_logical_bytes));
-    metrics.counters.Add("format.encoded_bytes",
-                         static_cast<int64_t>(metrics.codec_encoded_bytes));
-  }
-  if (spec_.check_contracts && metrics.contract_checks > 0) {
-    metrics.counters.Add("contract.checks",
-                         static_cast<int64_t>(metrics.contract_checks));
-  }
-  metrics.integrity_bytes_verified += input_integrity_bytes;
-  if (spec_.verify_integrity) {
-    metrics.counters.Add(
-        "integrity.bytes_verified",
-        static_cast<int64_t>(metrics.integrity_bytes_verified));
-    if (metrics.corruption_detected > 0) {
-      metrics.counters.Add(
-          "integrity.corruption_detected",
-          static_cast<int64_t>(metrics.corruption_detected));
-    }
-  }
-  if (metrics.records_skipped > 0) {
-    metrics.counters.Add("records_skipped",
-                         static_cast<int64_t>(metrics.records_skipped));
-  }
+  internal::SumJobTotals(spec_, input_integrity_bytes, &metrics);
 
   // ---- Output: atomic commit via temp-name + rename, so no observer can
   // ever read a partial file under the final name ----

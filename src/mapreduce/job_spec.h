@@ -1,9 +1,11 @@
 // Job description layer: the user-facing MapReduce contract.
 //
 // This header holds everything a job author touches — the Emitter /
-// Mapper / Reducer hooks, the functional adapters, and JobSpec, the full
-// declarative description of one job (inputs, task counts, comparators,
-// combiner, and the shuffle memory budget). The execution machinery lives
+// Mapper / Reducer hooks, the functional adapters, EngineOptions (how the
+// engine runs a job: threads, shuffle budget, fault tolerance, integrity,
+// format, transport), and JobSpec, the full declarative description of one
+// job (inputs, task counts, comparators, combiner, plus its
+// EngineOptions). The execution machinery lives
 // in separate layers: sort_buffer.h (map-side buffering and spilling),
 // run_merger.h (reduce-side k-way merging), and job.h (the engine that
 // wires them together).
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "common/executor.h"
+#include "common/status.h"
 #include "mapreduce/fault.h"
 #include "mapreduce/input.h"
 #include "mapreduce/key_traits.h"
@@ -28,9 +31,9 @@ namespace fj::mr {
 
 class ShuffleTransport;  // shuffle_transport.h; kept light here
 
-/// Default for JobSpec::check_contracts: the FJ_CHECK_CONTRACTS env var if
-/// set, else on in debug builds and off under NDEBUG (defined in
-/// contract.cc; declared here so the spec default needs no heavy include).
+/// Default for EngineOptions::check_contracts: the FJ_CHECK_CONTRACTS env
+/// var if set, else on in debug builds and off under NDEBUG (defined in
+/// contract.cc; declared here so the default needs no heavy include).
 bool ContractChecksDefaultOn();
 
 /// Receives intermediate (key, value) pairs from map or combine functions.
@@ -115,9 +118,148 @@ class LambdaReducer : public Reducer<K, V> {
   ReduceFn fn_;
 };
 
-/// Full description of one MapReduce job.
+/// How the engine runs a job. JobSpec and join::JoinConfig both derive
+/// from it, so a pipeline builds each job's spec from its own settings in
+/// one statement: `JobSpec<K, V> spec{config.engine()}`. A job that
+/// succeeds writes the same output bytes under any of these settings, a
+/// fault plan included as long as it is recoverable (fault.h).
+struct EngineOptions {
+  /// Host threads used to execute tasks (physical concurrency only; the
+  /// simulated cluster size lives in ClusterConfig, not here). 0 = auto:
+  /// resolve to std::thread::hardware_concurrency(); at most
+  /// Executor::kMaxWorkers. Ignored when `executor` is set — the host
+  /// executor's worker count rules.
+  size_t local_threads = 1;
+
+  /// Host executor running the tasks. Shared across the jobs of a
+  /// pipeline so workers persist (warm caches, no per-phase pool
+  /// construction); the join drivers create one at pipeline entry when a
+  /// JoinConfig leaves it unset, and bench sweeps share one across runs.
+  /// nullptr on a JobSpec = the job creates a private executor with
+  /// local_threads workers for the duration of Run().
+  std::shared_ptr<Executor> executor;
+
+  /// Map-side sort buffer budget in bytes — the analogue of Hadoop's
+  /// io.sort.mb. Emitted pairs accumulate in a per-task SortBuffer; when
+  /// their estimated serialized size would exceed this budget, the buffer
+  /// is sorted, combined, and spilled to the task's local scratch as one
+  /// sorted run per reduce partition. The reduce side then k-way merges
+  /// the runs instead of re-sorting a materialized partition. 0 =
+  /// unbounded: the whole map output becomes a single in-memory run and no
+  /// spill I/O is charged (the legacy behaviour). Output is byte-identical
+  /// either way.
+  uint64_t sort_buffer_bytes = 0;
+
+  /// Maximum number of sorted runs merged in one reduce-side pass — the
+  /// analogue of Hadoop's io.sort.factor. When a partition accumulates
+  /// more runs, contiguous groups are first collapsed into intermediate
+  /// on-disk runs (extra merge passes that re-read and re-write the data)
+  /// until one streaming pass suffices. Must be >= 2.
+  size_t merge_factor = 16;
+
+  /// Maximum attempts per task before the job fails — the analogue of
+  /// Hadoop's mapred.map.max.attempts / mapred.reduce.max.attempts (both
+  /// default 4 there too). A task whose every attempt crashes fails the
+  /// whole job with a structured Status; no partial output is written.
+  uint32_t max_task_attempts = 4;
+
+  /// Launch speculative backup attempts for straggling tasks (Hadoop's
+  /// mapred.*.tasks.speculative.execution). After a phase's tasks commit,
+  /// any task whose cost exceeds speculation_slowdown_factor x the phase
+  /// median is re-executed as a backup attempt; the first finisher (by
+  /// simulated completion time) wins the output commit and the loser's
+  /// cost is recorded as wasted work.
+  bool speculative_execution = false;
+
+  /// Straggler threshold for speculation, as a multiple of the phase's
+  /// median committed task cost. Must be > 1.
+  double speculation_slowdown_factor = 3.0;
+
+  /// Deterministic fault plan injected into the task attempts; nullptr =
+  /// fault-free. Shared so one plan can be handed to every job of a
+  /// pipeline. With any recoverable plan the job output is byte-identical
+  /// to the fault-free run (see mapreduce/fault.h).
+  std::shared_ptr<const FaultPlan> fault_plan;
+
+  /// End-to-end integrity verification — the HDFS checksum analogue. When
+  /// on: job inputs are verified against their Dfs hashes before the map
+  /// phase; every sorted run is checksummed at spill time and re-verified
+  /// at map-attempt commit and again at the reduce side's run-merge read;
+  /// reduce output lines are checksummed at emit and re-verified at the
+  /// attempt's commit. Any mismatch crashes the detecting attempt — a
+  /// transient failure retried under max_task_attempts — so a recoverable
+  /// CorruptRecord fault plan still yields byte-identical output.
+  /// Verified bytes are metered (TaskMetrics::integrity_bytes_verified)
+  /// and priced by the cluster model (SimulatedJobTime::integrity_seconds).
+  bool verify_integrity = false;
+
+  static constexpr uint64_t kUnlimitedSkippedRecords = ~0ULL;
+  /// Cap on malformed input records a job may quarantine (see
+  /// TaskContext::QuarantineRecord): quarantined lines land in
+  /// `<output_file>.bad` instead of aborting the job, but when their total
+  /// exceeds this cap the job fails with DataLoss — mass corruption should
+  /// not silently shrink the input.
+  uint64_t max_skipped_records = kUnlimitedSkippedRecords;
+
+  /// Contract checking (mapreduce/contract.h): verify the user-supplied
+  /// sort/group comparators against the strict-weak-ordering axioms, the
+  /// partitioner against the group comparator (group-equal keys must share
+  /// a partition; partition ids in range), the combiner's algebraic laws
+  /// (associativity, order-insensitivity, idempotence) on sampled key
+  /// groups, and key immutability across reduce calls. A violation fails
+  /// the job with a structured FailedPrecondition Status naming the
+  /// offending key pair — never a wrong answer. Checks are sampled (see
+  /// contract_sample_every), metered as TaskMetrics::contract_checks, and
+  /// priced by the cluster model. Default: on in debug builds and CI, off
+  /// under NDEBUG (overridable via the FJ_CHECK_CONTRACTS env var).
+  bool check_contracts = ContractChecksDefaultOn();
+
+  /// Every kth emitted key enters the contract checker's axiom pool
+  /// (1 = every key). Must be >= 1 when check_contracts is on.
+  uint32_t contract_sample_every = 16;
+
+  /// Representation of spill runs and shuffle segments (record_format.h).
+  /// Text (the default) keeps pairs in memory and meters ByteSizeOf
+  /// estimates; binary really serializes every run at spill time (varint
+  /// record format, optional block codec), meters actual encoded bytes,
+  /// and defines run checksums over the encoded blocks. Job output is
+  /// byte-identical across formats and codecs.
+  RecordFormat record_format = RecordFormat::kText;
+
+  /// Block codec applied per spill-run/shuffle block in binary format
+  /// (ignored under text). Codec CPU bytes are metered per task and
+  /// priced by the cluster model.
+  BlockCodec block_codec = BlockCodec::kNone;
+
+  /// Shuffle transport moving committed map-output partition segments to
+  /// the reduce side (shuffle_transport.h). nullptr = the classic direct
+  /// hand-off (map output consumed in place, no segment encoding). When
+  /// set, every non-empty (map task x partition) slot is encoded,
+  /// Publish()ed at map commit, and Fetch()ed back — checksum-verified —
+  /// before the partition's reduce countdown fires; the reduce side
+  /// merges the FETCHED bytes. Output is byte-identical either way.
+  /// Shared across a pipeline's jobs like `executor`.
+  std::shared_ptr<ShuffleTransport> shuffle_transport;
+
+  /// Escalation rung 2 (transport runs only): when a fetch exhausts the
+  /// transport's retry budget, answer it from the map task's locally
+  /// committed output (the DFS-spill analogue) instead of immediately
+  /// re-running the map attempt. Metered as net_redundant_fetches. Off
+  /// forces the ladder straight to rung 3 (deterministic map re-run) —
+  /// useful for exercising it in tests.
+  bool net_fetch_local_fallback = true;
+
+  const EngineOptions& engine() const { return *this; }
+
+  /// InvalidArgument naming the first out-of-range setting (job.cc).
+  Status Validate() const;
+};
+
+/// Full description of one MapReduce job: its inputs and output, task
+/// counts, user hooks and comparators, plus the EngineOptions it runs
+/// under.
 template <typename K, typename V>
-struct JobSpec {
+struct JobSpec : EngineOptions {
   std::string name = "job";
 
   std::vector<std::string> input_files;
@@ -126,18 +268,6 @@ struct JobSpec {
   /// Target number of map tasks; 0 means one split per input file.
   size_t num_map_tasks = 0;
   size_t num_reduce_tasks = 1;
-
-  /// Host threads used to execute tasks (physical concurrency only; the
-  /// simulated cluster size lives in ClusterConfig, not here). 0 = auto:
-  /// resolve to std::thread::hardware_concurrency(). Ignored when
-  /// `executor` is set — the host executor's worker count rules.
-  size_t local_threads = 1;
-
-  /// Host executor running this job's tasks. Shared across the jobs of a
-  /// pipeline so workers persist (warm caches, no per-phase pool
-  /// construction). nullptr = the job creates a private executor with
-  /// local_threads workers for the duration of Run().
-  std::shared_ptr<Executor> executor;
 
   std::function<std::unique_ptr<Mapper<K, V>>()> mapper_factory;
   std::function<std::unique_ptr<Reducer<K, V>>()> reducer_factory;
@@ -161,116 +291,6 @@ struct JobSpec {
   /// Group comparator; nullptr = equality under sort_less. Keys equal under
   /// group_equal MUST be contiguous under sort_less.
   std::function<bool(const K&, const K&)> group_equal;
-
-  /// Map-side sort buffer budget in bytes — the analogue of Hadoop's
-  /// io.sort.mb. Emitted pairs accumulate in a per-task SortBuffer; when
-  /// their estimated serialized size would exceed this budget, the buffer
-  /// is sorted, combined, and spilled to the task's local scratch as one
-  /// sorted run per reduce partition. The reduce side then k-way merges
-  /// the runs instead of re-sorting a materialized partition. 0 =
-  /// unbounded: the whole map output becomes a single in-memory run and no
-  /// spill I/O is charged (the legacy behaviour). Output is byte-identical
-  /// either way.
-  uint64_t sort_buffer_bytes = 0;
-
-  /// Maximum number of sorted runs merged in one reduce-side pass — the
-  /// analogue of Hadoop's io.sort.factor. When a partition accumulates
-  /// more runs, contiguous groups are first collapsed into intermediate
-  /// on-disk runs (extra merge passes that re-read and re-write the data)
-  /// until one streaming pass suffices.
-  size_t merge_factor = 16;
-
-  /// Maximum attempts per task before the job fails — the analogue of
-  /// Hadoop's mapred.map.max.attempts / mapred.reduce.max.attempts (both
-  /// default 4 there too). A task whose every attempt crashes fails the
-  /// whole job with a structured Status; no partial output is written.
-  uint32_t max_task_attempts = 4;
-
-  /// End-to-end integrity verification — the HDFS checksum analogue. When
-  /// on: job inputs are verified against their Dfs hashes before the map
-  /// phase; every sorted run is checksummed at spill time and re-verified
-  /// at map-attempt commit and again at the reduce side's run-merge read;
-  /// reduce output lines are checksummed at emit and re-verified at the
-  /// attempt's commit. Any mismatch crashes the detecting attempt — a
-  /// transient failure retried under max_task_attempts — so a recoverable
-  /// CorruptRecord fault plan still yields byte-identical output.
-  /// Verified bytes are metered (TaskMetrics::integrity_bytes_verified)
-  /// and priced by the cluster model.
-  bool verify_integrity = false;
-
-  static constexpr uint64_t kUnlimitedSkippedRecords = ~0ULL;
-  /// Cap on malformed input records a job may quarantine (see
-  /// TaskContext::QuarantineRecord): quarantined lines land in
-  /// `<output_file>.bad` instead of aborting the job, but when their total
-  /// exceeds this cap the job fails with DataLoss — mass corruption should
-  /// not silently shrink the input.
-  uint64_t max_skipped_records = kUnlimitedSkippedRecords;
-
-  /// Launch speculative backup attempts for straggling tasks (Hadoop's
-  /// mapred.*.tasks.speculative.execution). After a phase's tasks commit,
-  /// any task whose cost exceeds speculation_slowdown_factor x the phase
-  /// median is re-executed as a backup attempt; the first finisher (by
-  /// simulated completion time) wins the output commit and the loser's
-  /// cost is recorded as wasted work.
-  bool speculative_execution = false;
-
-  /// Straggler threshold for speculation, as a multiple of the phase's
-  /// median committed task cost. Must be > 1.
-  double speculation_slowdown_factor = 3.0;
-
-  /// Contract checking (mapreduce/contract.h): verify the user-supplied
-  /// sort/group comparators against the strict-weak-ordering axioms, the
-  /// partitioner against the group comparator (group-equal keys must share
-  /// a partition; partition ids in range), the combiner's algebraic laws
-  /// (associativity, order-insensitivity, idempotence) on sampled key
-  /// groups, and key immutability across reduce calls. A violation fails
-  /// the job with a structured FailedPrecondition Status naming the
-  /// offending key pair — never a wrong answer. Checks are sampled (see
-  /// contract_sample_every), metered as TaskMetrics::contract_checks, and
-  /// priced by the cluster model. Default: on in debug builds and CI, off
-  /// under NDEBUG (overridable via the FJ_CHECK_CONTRACTS env var).
-  bool check_contracts = ContractChecksDefaultOn();
-
-  /// Every kth emitted key enters the contract checker's axiom pool
-  /// (1 = every key). Must be >= 1 when check_contracts is on.
-  uint32_t contract_sample_every = 16;
-
-  /// Deterministic fault plan injected into this job's task attempts;
-  /// nullptr = fault-free. Shared so one plan can be handed to every job
-  /// of a pipeline. With any recoverable plan the job output is
-  /// byte-identical to the fault-free run (see mapreduce/fault.h).
-  std::shared_ptr<const FaultPlan> fault_plan;
-
-  /// Representation of spill runs and shuffle segments (record_format.h).
-  /// Text (the default) keeps pairs in memory and meters ByteSizeOf
-  /// estimates; binary really serializes every run at spill time (varint
-  /// record format, optional block codec), meters actual encoded bytes,
-  /// and defines run checksums over the encoded blocks. Job output is
-  /// byte-identical across formats and codecs.
-  RecordFormat record_format = RecordFormat::kText;
-
-  /// Block codec applied per spill-run/shuffle block in binary format
-  /// (ignored under text). Codec CPU bytes are metered per task and
-  /// priced by the cluster model.
-  BlockCodec block_codec = BlockCodec::kNone;
-
-  /// Shuffle transport moving committed map-output partition segments to
-  /// the reduce side (shuffle_transport.h). nullptr = the classic direct
-  /// hand-off (map output consumed in place, no segment encoding). When
-  /// set, every non-empty (map task x partition) slot is encoded,
-  /// Publish()ed at map commit, and Fetch()ed back — checksum-verified —
-  /// before the partition's reduce countdown fires; the reduce side
-  /// merges the FETCHED bytes. Output is byte-identical either way.
-  /// Shared across a pipeline's jobs like `executor`.
-  std::shared_ptr<ShuffleTransport> transport;
-
-  /// Escalation rung 2 (transport runs only): when a fetch exhausts the
-  /// transport's retry budget, answer it from the map task's locally
-  /// committed output (the DFS-spill analogue) instead of immediately
-  /// re-running the map attempt. Metered as net_redundant_fetches. Off
-  /// forces the ladder straight to rung 3 (deterministic map re-run) —
-  /// useful for exercising it in tests.
-  bool net_fetch_local_fallback = true;
 
   /// Commit the job's output file through the Dfs binary block API
   /// (Dfs::WriteFileBlocks) instead of the line API: emitted records are

@@ -152,7 +152,7 @@ struct JobMetrics {
   /// aborting (see JobSpec::max_skipped_records).
   uint64_t records_skipped = 0;
 
-  /// --- Shuffle transport (JobSpec::transport; all 0 when the hand-off
+  /// --- Shuffle transport (JobSpec::shuffle_transport; all 0 when the hand-off
   /// is the in-process default) ---
   /// Segments published at map commit (one per non-empty map x partition
   /// slot, plus re-publishes after worker losses and map re-runs).

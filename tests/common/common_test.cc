@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 
 #include "common/counters.h"
+#include "common/flags.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -207,6 +209,40 @@ TEST(CounterTest, CopyGetsIndependentState) {
   b.Add("x", 1);
   EXPECT_EQ(a.Get("x"), 1);
   EXPECT_EQ(b.Get("x"), 2);
+}
+
+TEST(FlagsTest, GetCountReadsNonNegativeIntegersOnly) {
+  const char* argv[] = {"tool",        "--threads=4", "--neg=-1",
+                        "--word=abc",  "--empty=",    "--plus=+3",
+                        "--huge=99999999999999999999", "--wide=4294967296",
+                        "--narrow=4294967295"};
+  const Flags flags(static_cast<int>(std::size(argv)),
+                    const_cast<char**>(argv));
+
+  size_t threads = 1;
+  ASSERT_TRUE(flags.GetCount("threads", &threads).ok());
+  EXPECT_EQ(threads, 4u);
+  size_t absent = 7;
+  ASSERT_TRUE(flags.GetCount("absent", &absent).ok());
+  EXPECT_EQ(absent, 7u);  // the default stands
+
+  for (const char* key : {"neg", "word", "empty", "plus", "huge"}) {
+    uint64_t value = 5;
+    const Status status = flags.GetCount(key, &value);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(status.message().find(std::string("--") + key + "="),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(value, 5u) << key;  // left unchanged on error
+  }
+  // The range is the target's: 2^32 does not fit a uint32_t field.
+  uint32_t narrow = 0;
+  EXPECT_FALSE(flags.GetCount("wide", &narrow).ok());
+  ASSERT_TRUE(flags.GetCount("narrow", &narrow).ok());
+  EXPECT_EQ(narrow, UINT32_MAX);
+  uint64_t wide = 0;
+  ASSERT_TRUE(flags.GetCount("wide", &wide).ok());
+  EXPECT_EQ(wide, 4294967296ULL);
 }
 
 }  // namespace

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/string_util.h"
 #include "data/generator.h"
 #include "fuzzyjoin/fuzzyjoin.h"
@@ -119,6 +124,46 @@ TEST_F(DriverTest, RSJoinStageOneRunsOnROnly) {
     EXPECT_EQ(line.find("zeta"), std::string::npos) << line;
     EXPECT_EQ(line.find("mcy"), std::string::npos) << line;
   }
+}
+
+// Count limits. SIZE_MAX is what a "-1" flag used to become; each count
+// must fail validation on its own, before anything allocates per task or
+// starts a worker — so this test builds no executor and no worker pool.
+TEST(ConfigLimitsTest, ValidateRefusesUnboundedCounts) {
+  const std::vector<std::pair<std::string, void (*)(JoinConfig*)>> cases = {
+      {"local_threads", [](JoinConfig* c) { c->local_threads = SIZE_MAX; }},
+      {"num_map_tasks", [](JoinConfig* c) { c->num_map_tasks = SIZE_MAX; }},
+      {"num_reduce_tasks",
+       [](JoinConfig* c) { c->num_reduce_tasks = SIZE_MAX; }},
+      {"num_shuffle_workers",
+       [](JoinConfig* c) { c->num_shuffle_workers = SIZE_MAX; }},
+      {"num_shuffle_workers",
+       [](JoinConfig* c) {
+         c->transport = mr::TransportKind::kSocket;
+         c->num_shuffle_workers = SIZE_MAX;
+       }},
+  };
+  for (const auto& [field, set] : cases) {
+    JoinConfig config;
+    set(&config);
+    const Status status = config.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(status.message().find(field), std::string::npos)
+        << status.ToString();
+  }
+
+  // Every count at its limit is accepted.
+  JoinConfig at_limit;
+  at_limit.local_threads = Executor::kMaxWorkers;
+  at_limit.num_map_tasks = JoinConfig::kMaxTasks;
+  at_limit.num_reduce_tasks = JoinConfig::kMaxTasks;
+  at_limit.num_shuffle_workers = JoinConfig::kMaxShuffleWorkers;
+  EXPECT_TRUE(at_limit.Validate().ok()) << at_limit.Validate().ToString();
+
+  // The thread limit is an engine check, shared with every JobSpec.
+  mr::EngineOptions engine;
+  engine.local_threads = Executor::kMaxWorkers + 1;
+  EXPECT_EQ(engine.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -491,6 +492,392 @@ TEST(FaultTest, InvalidSpeculationConfigRejected) {
   Job<K, V> bad_attempts(&dfs, spec2);
   EXPECT_FALSE(bad_attempts.Run().ok());
 }
+
+// Job::Run makes the engine checks JoinConfig::Validate makes
+// (EngineOptions::Validate), prefixed with the job's name, and before it
+// builds an executor.
+TEST(FaultTest, JobRunSharesTheEngineChecks) {
+  Dfs dfs;
+  WriteInput(&dfs);
+  auto threads = WordCountSpec("in", "out");
+  threads.local_threads = SIZE_MAX;
+  Job<K, V> threads_job(&dfs, threads);
+  EXPECT_EQ(threads_job.Run().status().ToString(),
+            "InvalidArgument: job 'wordcount': local_threads must be <= 1024");
+  auto merge = WordCountSpec("in", "out");
+  merge.merge_factor = 1;
+  Job<K, V> merge_job(&dfs, merge);
+  EXPECT_EQ(merge_job.Run().status().ToString(),
+            "InvalidArgument: job 'wordcount': merge_factor must be >= 2");
+  EXPECT_FALSE(dfs.Exists("out"));
+}
+
+// ---- Retry and speculation, run on each phase ----
+//
+// Map and reduce tasks share one attempt ladder: a crashed attempt
+// re-runs under max_task_attempts, and a straggler gets a speculative
+// backup that commits only if it finishes first. Each case below runs
+// with the faulted task in the map phase and again in the reduce phase.
+
+class FaultPhaseTest : public ::testing::TestWithParam<TaskPhase> {
+ protected:
+  TaskPhase phase() const { return GetParam(); }
+  TaskPhase other_phase() const {
+    return phase() == TaskPhase::kMap ? TaskPhase::kReduce : TaskPhase::kMap;
+  }
+  static const TaskMetrics& TaskOf(const JobMetrics& metrics, TaskPhase phase,
+                                   size_t task) {
+    return phase == TaskPhase::kMap ? metrics.map_tasks[task]
+                                    : metrics.reduce_tasks[task];
+  }
+  // A scripted fault on `task` of the phase under test.
+  FaultSpec Fault(size_t task, uint32_t first_attempt) const {
+    return FaultSpec{.phase = phase(),
+                     .task_id = task,
+                     .first_attempt = first_attempt,
+                     .failing_attempts = 1};
+  }
+  // A plan whose other phase is stabilized (see StabilizePhase), so only
+  // the phase under test can speculate.
+  std::shared_ptr<FaultPlan> SpeculationPlan() const {
+    auto plan = std::make_shared<FaultPlan>();
+    StabilizePhase(plan.get(), other_phase(), 3);
+    return plan;
+  }
+};
+
+TEST_P(FaultPhaseTest, StragglerGetsSpeculativeBackupThatWins) {
+  Baseline baseline = RunBaseline();
+  Dfs dfs;
+  WriteInput(&dfs);
+  auto plan = SpeculationPlan();
+  FaultSpec straggle = Fault(2, 0);
+  straggle.extra_seconds = 50.0;
+  plan->faults.push_back(straggle);
+  auto spec = WordCountSpec("in", "out");
+  spec.fault_plan = plan;
+  spec.speculative_execution = true;
+  Job<K, V> job(&dfs, spec);
+  auto metrics = job.Run();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+
+  EXPECT_EQ(OutputLines(dfs, "out"), baseline.output);
+  EXPECT_EQ(metrics->counters.Snapshot(), baseline.counters);
+  const TaskMetrics& task = TaskOf(*metrics, phase(), 2);
+  EXPECT_TRUE(task.speculative_launched);
+  EXPECT_TRUE(task.speculative_won);
+  EXPECT_EQ(task.attempts, 2u);
+  EXPECT_GT(task.speculative_loser_seconds, 0.0);
+  EXPECT_LT(task.speculative_loser_seconds, 1.0);
+  EXPECT_LT(task.seconds, 1.0);
+  EXPECT_EQ(metrics->speculative_launched, 1u);
+  EXPECT_EQ(metrics->speculative_wins, 1u);
+}
+
+TEST_P(FaultPhaseTest, SlowBackupLosesToPrimary) {
+  Baseline baseline = RunBaseline();
+  Dfs dfs;
+  WriteInput(&dfs);
+  auto plan = SpeculationPlan();
+  FaultSpec straggle = Fault(0, 0);
+  straggle.extra_seconds = 50.0;
+  FaultSpec slower_backup = Fault(0, 1);
+  slower_backup.extra_seconds = 200.0;
+  plan->faults.push_back(straggle);
+  plan->faults.push_back(slower_backup);
+  auto spec = WordCountSpec("in", "out");
+  spec.fault_plan = plan;
+  spec.speculative_execution = true;
+  Job<K, V> job(&dfs, spec);
+  auto metrics = job.Run();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+
+  EXPECT_EQ(OutputLines(dfs, "out"), baseline.output);
+  EXPECT_EQ(metrics->counters.Snapshot(), baseline.counters);
+  const TaskMetrics& task = TaskOf(*metrics, phase(), 0);
+  EXPECT_TRUE(task.speculative_launched);
+  EXPECT_FALSE(task.speculative_won);
+  EXPECT_EQ(task.attempts, 2u);
+  EXPECT_GE(task.seconds, 50.0);
+  // Killed at the primary's commit, long before its 200 seconds.
+  EXPECT_GE(task.speculative_loser_seconds, 40.0);
+  EXPECT_LT(task.speculative_loser_seconds, 100.0);
+  EXPECT_EQ(metrics->speculative_wins, 0u);
+}
+
+TEST_P(FaultPhaseTest, CrashedBackupLeavesPrimaryCommitStanding) {
+  Baseline baseline = RunBaseline();
+  Dfs dfs;
+  WriteInput(&dfs);
+  auto plan = SpeculationPlan();
+  FaultSpec straggle = Fault(1, 0);
+  straggle.extra_seconds = 50.0;
+  FaultSpec crashing_backup = Fault(1, 1);
+  crashing_backup.crash_after_records = 0;
+  plan->faults.push_back(straggle);
+  plan->faults.push_back(crashing_backup);
+  auto spec = WordCountSpec("in", "out");
+  spec.fault_plan = plan;
+  spec.speculative_execution = true;
+  Job<K, V> job(&dfs, spec);
+  auto metrics = job.Run();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+
+  EXPECT_EQ(OutputLines(dfs, "out"), baseline.output);
+  EXPECT_EQ(metrics->counters.Snapshot(), baseline.counters);
+  const TaskMetrics& task = TaskOf(*metrics, phase(), 1);
+  EXPECT_TRUE(task.speculative_launched);
+  EXPECT_FALSE(task.speculative_won);
+  EXPECT_EQ(task.attempts, 2u);
+  EXPECT_EQ(task.failed_attempts, 0u);
+  EXPECT_GE(task.seconds, 50.0);
+  EXPECT_GT(task.speculative_loser_seconds, 0.0);
+  EXPECT_EQ(metrics->speculative_wins, 0u);
+}
+
+TEST_P(FaultPhaseTest, RetryChainThenSpeculationComposes) {
+  Baseline baseline = RunBaseline();
+  Dfs dfs;
+  WriteInput(&dfs);
+  auto plan = SpeculationPlan();
+  // Attempt 0 crashes; attempt 1 commits but straggles; the backup
+  // (attempt 2) is clean and wins.
+  FaultSpec crash = Fault(1, 0);
+  crash.crash_after_records = 0;
+  FaultSpec straggle = Fault(1, 1);
+  straggle.extra_seconds = 50.0;
+  plan->faults.push_back(crash);
+  plan->faults.push_back(straggle);
+  auto spec = WordCountSpec("in", "out");
+  spec.fault_plan = plan;
+  spec.speculative_execution = true;
+  Job<K, V> job(&dfs, spec);
+  auto metrics = job.Run();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+
+  EXPECT_EQ(OutputLines(dfs, "out"), baseline.output);
+  EXPECT_EQ(metrics->counters.Snapshot(), baseline.counters);
+  const TaskMetrics& task = TaskOf(*metrics, phase(), 1);
+  EXPECT_EQ(task.attempts, 3u);
+  EXPECT_EQ(task.failed_attempts, 1u);
+  EXPECT_GT(task.failed_attempt_seconds, 0.0);
+  EXPECT_TRUE(task.speculative_won);
+  EXPECT_LT(task.speculative_loser_seconds, 1.0);
+  EXPECT_EQ(metrics->failed_attempts, 1u);
+}
+
+TEST_P(FaultPhaseTest, MaxAttemptsBoundsTheRetryChain) {
+  auto make_spec = [this](uint32_t failing) {
+    auto plan = std::make_shared<FaultPlan>();
+    FaultSpec crash = Fault(0, 0);
+    crash.failing_attempts = failing;
+    crash.crash_after_records = 0;
+    plan->faults.push_back(crash);
+    auto spec = WordCountSpec("in", "out");
+    spec.fault_plan = plan;
+    spec.max_task_attempts = 2;
+    return spec;
+  };
+
+  // Two crashing attempts exhaust a budget of two.
+  Dfs failing_dfs;
+  WriteInput(&failing_dfs);
+  Job<K, V> failing_job(&failing_dfs, make_spec(2));
+  EXPECT_FALSE(failing_job.Run().ok());
+  EXPECT_FALSE(failing_dfs.Exists("out"));
+  // One crashing attempt leaves room for the retry to commit.
+  Baseline baseline = RunBaseline();
+  Dfs dfs;
+  WriteInput(&dfs);
+  Job<K, V> recovering_job(&dfs, make_spec(1));
+  auto metrics = recovering_job.Run();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(OutputLines(dfs, "out"), baseline.output);
+  EXPECT_EQ(metrics->counters.Snapshot(), baseline.counters);
+  EXPECT_EQ(TaskOf(*metrics, phase(), 0).attempts, 2u);
+  EXPECT_EQ(TaskOf(*metrics, phase(), 0).failed_attempts, 1u);
+  EXPECT_EQ(TaskOf(*metrics, other_phase(), 0).attempts, 1u);
+}
+
+TEST_P(FaultPhaseTest, PermanentFailureFailsJobWithoutOutput) {
+  Dfs dfs;
+  WriteInput(&dfs);
+  auto plan = std::make_shared<FaultPlan>();
+  FaultSpec crash = Fault(1, 0);
+  crash.failing_attempts = FaultSpec::kAllAttempts;
+  crash.crash_after_records = 0;
+  plan->faults.push_back(crash);
+  auto spec = WordCountSpec("in", "out");
+  spec.fault_plan = plan;
+  spec.max_task_attempts = 3;
+  Job<K, V> job(&dfs, spec);
+  auto metrics = job.Run();
+  ASSERT_FALSE(metrics.ok());
+  const std::string message = metrics.status().ToString();
+  EXPECT_NE(message.find(std::string(TaskPhaseName(phase())) + " task 1"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("3 attempts"), std::string::npos) << message;
+  EXPECT_FALSE(dfs.Exists("out"));
+}
+
+INSTANTIATE_TEST_SUITE_P(BothPhases, FaultPhaseTest,
+                         ::testing::Values(TaskPhase::kMap,
+                                           TaskPhase::kReduce),
+                         [](const ::testing::TestParamInfo<TaskPhase>& info) {
+                           return std::string(TaskPhaseName(info.param));
+                         });
+
+// ---- Pinned attempt bookkeeping under a seeded crash-and-corrupt plan ----
+//
+// The committed per-task bookkeeping (attempts, failed attempts, verified
+// bytes, detections, contract checks) and the job counters of a faulted
+// run are a deterministic function of the plan. These goldens were
+// captured before the map and reduce phases shared one attempt ladder;
+// they pin that the shared ladder tallies exactly as the two per-phase
+// copies did. Wall-derived seconds are left out.
+
+// 240 lines of words drawn from a 40-word vocabulary by a fixed LCG.
+std::vector<std::string> GoldenInput() {
+  std::vector<std::string> lines;
+  uint64_t state = 12345;
+  for (int i = 0; i < 240; ++i) {
+    std::string line;
+    const int words = 3 + i % 5;
+    for (int w = 0; w < words; ++w) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      if (!line.empty()) line += ' ';
+      line += "w" + std::to_string((state >> 33) % 40);
+    }
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+std::string TaskLedger(const JobMetrics& metrics) {
+  std::string out;
+  auto add = [&out](const char* phase, size_t i, const TaskMetrics& t) {
+    out += std::string(phase) + std::to_string(i) +
+           " a=" + std::to_string(t.attempts) +
+           " f=" + std::to_string(t.failed_attempts) +
+           " iv=" + std::to_string(t.integrity_bytes_verified) +
+           " cd=" + std::to_string(t.corruption_detected) +
+           " cc=" + std::to_string(t.contract_checks) + "\n";
+  };
+  for (size_t i = 0; i < metrics.map_tasks.size(); ++i) {
+    add("m", i, metrics.map_tasks[i]);
+  }
+  for (size_t i = 0; i < metrics.reduce_tasks.size(); ++i) {
+    add("r", i, metrics.reduce_tasks[i]);
+  }
+  out += "job f=" + std::to_string(metrics.failed_attempts) + "\n";
+  for (const auto& [name, value] : metrics.counters.Snapshot()) {
+    out += name + "=" + std::to_string(value) + "\n";
+  }
+  return out;
+}
+
+struct GoldenCase {
+  const char* name;
+  RecordFormat format;
+  BlockCodec codec;
+  uint64_t sort_buffer_bytes;
+  const char* ledger;
+};
+
+class AttemptLedgerGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(AttemptLedgerGoldenTest, CrashAndCorruptPlanMatchesPinnedLedger) {
+  const GoldenCase& c = GetParam();
+  auto plan = std::make_shared<FaultPlan>();
+  plan->seed = 11;
+  plan->crash_probability = 0.4;
+  plan->crash_after_records = 3;
+  plan->crash_failing_attempts = 2;
+  plan->corrupt_probability = 0.4;
+  plan->corrupt_failing_attempts = 2;
+  ASSERT_TRUE(plan->RecoverableWith(4, /*verify_integrity=*/true));
+
+  auto run = [&c](std::shared_ptr<const FaultPlan> faults, size_t threads,
+                  std::vector<std::string>* output) {
+    Dfs dfs;
+    EXPECT_TRUE(dfs.WriteFile("in", GoldenInput()).ok());
+    auto spec = WordCountSpec("in", "out");
+    spec.num_map_tasks = 4;
+    spec.num_reduce_tasks = 3;
+    spec.combiner = [](const K& key, std::vector<V>&& values,
+                       Emitter<K, V>* out) {
+      V total = 0;
+      for (V v : values) total += v;
+      out->Emit(key, total);
+    };
+    spec.local_threads = threads;
+    spec.fault_plan = std::move(faults);
+    spec.verify_integrity = true;
+    spec.check_contracts = true;
+    spec.contract_sample_every = 4;
+    spec.record_format = c.format;
+    spec.block_codec = c.codec;
+    spec.sort_buffer_bytes = c.sort_buffer_bytes;
+    spec.merge_factor = 2;
+    Job<K, V> job(&dfs, spec);
+    auto metrics = job.Run();
+    EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
+    *output = OutputLines(dfs, "out");
+    return metrics.ok() ? TaskLedger(*metrics) : std::string();
+  };
+
+  std::vector<std::string> clean_output;
+  run(nullptr, 1, &clean_output);
+  for (size_t threads : {1, 3}) {
+    std::vector<std::string> output;
+    const std::string ledger = run(plan, threads, &output);
+    EXPECT_EQ(output, clean_output) << "threads=" << threads;
+    EXPECT_EQ(ledger, c.ledger) << "threads=" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TextAndBinary, AttemptLedgerGoldenTest,
+    ::testing::Values(
+        GoldenCase{"text", RecordFormat::kText, BlockCodec::kNone, 0,
+                   R"(m0 a=3 f=2 iv=1180 cd=1 cc=15497
+m1 a=3 f=2 iv=590 cd=0 cc=15482
+m2 a=2 f=1 iv=1180 cd=1 cc=15501
+m3 a=3 f=2 iv=1770 cd=2 cc=15507
+r0 a=1 f=0 iv=722 cd=0 cc=44
+r1 a=3 f=2 iv=2868 cd=1 cc=60
+r2 a=3 f=2 iv=2566 cd=0 cc=56
+job f=11
+contract.checks=62147
+integrity.bytes_verified=15382
+integrity.corruption_detected=5
+mapper.lines=240
+reducer.groups=40
+)"},
+        GoldenCase{"binary_fjlz_spill", RecordFormat::kBinary,
+                   BlockCodec::kFjlz, 256,
+                   R"(m0 a=3 f=2 iv=2662 cd=1 cc=15857
+m1 a=3 f=2 iv=1387 cd=0 cc=15842
+m2 a=2 f=1 iv=2628 cd=1 cc=15846
+m3 a=3 f=2 iv=4074 cd=2 cc=15862
+r0 a=1 f=0 iv=1609 cd=0 cc=44
+r1 a=3 f=2 iv=6537 cd=1 cc=60
+r2 a=3 f=2 iv=5326 cd=0 cc=56
+job f=11
+contract.checks=63567
+format.encoded_bytes=10780
+format.logical_bytes=9592
+integrity.bytes_verified=28729
+integrity.corruption_detected=5
+mapper.lines=240
+reducer.groups=40
+scratch.spill_bytes_read=197532
+scratch.spill_bytes_written=197532
+)"}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace fj::mr

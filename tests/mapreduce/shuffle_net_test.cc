@@ -563,7 +563,7 @@ TEST(JobTransportTest, InprocTransportMatchesDirectHandOff) {
     const std::string out = "inproc-" + tag;
     auto spec = WordCountSpec("in", out);
     spec.record_format = format;
-    spec.transport = std::make_shared<InprocTransport>();
+    spec.shuffle_transport = std::make_shared<InprocTransport>();
     auto routed = RunOrDie(&dfs, std::move(spec));
     EXPECT_EQ(Output(dfs, "direct-" + tag), Output(dfs, out));
     EXPECT_GT(routed.net_segments, 0u);
@@ -589,7 +589,7 @@ TEST(JobTransportTest, SocketTransportMatchesDirectHandOff) {
   auto transport = std::shared_ptr<ShuffleTransport>(
       MakeSocketTransport((*pool)->ports(), nullptr, FastClientOptions()));
   auto spec = WordCountSpec("in", "socket");
-  spec.transport = transport;
+  spec.shuffle_transport = transport;
   spec.local_threads = 4;
   auto routed = RunOrDie(&dfs, std::move(spec));
   EXPECT_EQ(Output(dfs, "direct"), Output(dfs, "socket"));
@@ -614,7 +614,7 @@ TEST(JobTransportTest, WireCorruptionIsDetectedAndRetried) {
   auto pool = WorkerPool::StartInProcess(2, plan);
   ASSERT_TRUE(pool.ok());
   auto spec = WordCountSpec("in", "chaos");
-  spec.transport = MakeSocketTransport((*pool)->ports(), nullptr,
+  spec.shuffle_transport = MakeSocketTransport((*pool)->ports(), nullptr,
                                        FastClientOptions());
   spec.local_threads = 4;
   auto routed = RunOrDie(&dfs, std::move(spec));
@@ -679,7 +679,7 @@ TEST(JobTransportTest, Rung2ServesUnfetchableSegmentFromLocalSpill) {
   auto flaky = std::make_shared<FlakyFetchTransport>(
       std::make_shared<InprocTransport>(), /*fail_per_key=*/1000);
   auto spec = WordCountSpec("in", "rung2");
-  spec.transport = flaky;
+  spec.shuffle_transport = flaky;
   spec.net_fetch_local_fallback = true;
   auto routed = RunOrDie(&dfs, std::move(spec));
   EXPECT_EQ(Output(dfs, "direct"), Output(dfs, "rung2"));
@@ -695,7 +695,7 @@ TEST(JobTransportTest, Rung3RerunsMapTaskWhenFallbackDisabled) {
   auto flaky = std::make_shared<FlakyFetchTransport>(
       std::make_shared<InprocTransport>(), /*fail_per_key=*/1);
   auto spec = WordCountSpec("in", "rung3");
-  spec.transport = flaky;
+  spec.shuffle_transport = flaky;
   spec.net_fetch_local_fallback = false;
   auto routed = RunOrDie(&dfs, std::move(spec));
   EXPECT_EQ(Output(dfs, "direct"), Output(dfs, "rung3"));
@@ -710,7 +710,7 @@ TEST(JobTransportTest, UnrecoverableFetchFailsTheJobCleanly) {
   auto flaky = std::make_shared<FlakyFetchTransport>(
       std::make_shared<InprocTransport>(), /*fail_per_key=*/1000000);
   auto spec = WordCountSpec("in", "doomed");
-  spec.transport = flaky;
+  spec.shuffle_transport = flaky;
   spec.net_fetch_local_fallback = false;
   Job<K, V> job(&dfs, std::move(spec));
   auto metrics = job.Run();

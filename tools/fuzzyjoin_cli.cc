@@ -27,6 +27,10 @@
 //   editjoin  --input=FILE --out=FILE --distance=D [--qgram=3]
 //             edit-distance join over the join attribute strings
 //
+// Count flags take non-negative integers (else exit status 2); --threads
+// and --shuffle_workers are at most 1024, --map_tasks and --reduce_tasks
+// at most 65536.
+//
 // Record files are tab-separated "rid<TAB>title<TAB>authors<TAB>payload"
 // lines (see data/record.h); join output files are JoinedPair lines (see
 // fuzzyjoin/stage3.h).
@@ -53,6 +57,13 @@ namespace {
 using fj::Flags;
 using fj::Result;
 using fj::Status;
+
+// Prints `status` and returns `exit_code`: 2 for a usage error such as a
+// bad flag, 1 for a run that failed.
+int Fail(const Status& status, int exit_code = 1) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return exit_code;
+}
 
 Result<std::vector<std::string>> ReadLines(const std::string& path) {
   std::ifstream in(path);
@@ -109,16 +120,15 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
   } else {
     return Status::InvalidArgument("unknown --routing: " + routing);
   }
-  config.num_groups = static_cast<uint32_t>(flags.GetInt("groups", 64));
-  config.num_map_tasks = static_cast<size_t>(flags.GetInt("map_tasks", 8));
-  config.num_reduce_tasks =
-      static_cast<size_t>(flags.GetInt("reduce_tasks", 8));
-  config.local_threads = static_cast<size_t>(flags.GetInt("threads", 1));
-  config.sort_buffer_bytes =
-      static_cast<uint64_t>(flags.GetInt("sort_buffer", 0));
-  config.merge_factor = static_cast<size_t>(flags.GetInt("merge_factor", 16));
-  config.max_task_attempts =
-      static_cast<uint32_t>(flags.GetInt("max_attempts", 4));
+  // Count flags keep JoinConfig's defaults when absent.
+  FJ_RETURN_IF_ERROR(flags.GetCount("groups", &config.num_groups));
+  FJ_RETURN_IF_ERROR(flags.GetCount("map_tasks", &config.num_map_tasks));
+  FJ_RETURN_IF_ERROR(flags.GetCount("reduce_tasks", &config.num_reduce_tasks));
+  FJ_RETURN_IF_ERROR(flags.GetCount("threads", &config.local_threads));
+  FJ_RETURN_IF_ERROR(flags.GetCount("sort_buffer", &config.sort_buffer_bytes));
+  FJ_RETURN_IF_ERROR(flags.GetCount("merge_factor", &config.merge_factor));
+  FJ_RETURN_IF_ERROR(
+      flags.GetCount("max_attempts", &config.max_task_attempts));
   config.speculative_execution = flags.Has("speculate");
   config.speculation_slowdown_factor =
       flags.GetDouble("speculation_factor", 3.0);
@@ -128,8 +138,8 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
   if (flags.Has("check_contracts")) {
     config.check_contracts = flags.GetInt("check_contracts", 1) != 0;
   }
-  config.contract_sample_every =
-      static_cast<uint32_t>(flags.GetInt("contract_sample_every", 16));
+  FJ_RETURN_IF_ERROR(flags.GetCount("contract_sample_every",
+                                    &config.contract_sample_every));
   std::string record_format = flags.GetString("record_format", "text");
   if (!fj::mr::ParseRecordFormat(record_format, &config.record_format)) {
     return Status::InvalidArgument("unknown --record_format: " +
@@ -140,10 +150,8 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
     return Status::InvalidArgument("unknown --codec: " + codec);
   }
   config.resume = flags.Has("resume");
-  if (flags.Has("max_skipped")) {
-    config.max_skipped_records =
-        static_cast<uint64_t>(flags.GetInt("max_skipped", 0));
-  }
+  FJ_RETURN_IF_ERROR(
+      flags.GetCount("max_skipped", &config.max_skipped_records));
   // Deterministic fault injection: any non-zero probability builds a
   // FaultPlan shared by every job of the pipeline. Joins still produce
   // byte-identical output as long as the plan is recoverable.
@@ -157,8 +165,8 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
     plan->straggler_probability = straggler_p;
     plan->straggler_slowdown = flags.GetDouble("fault_slowdown", 4.0);
     plan->corrupt_probability = corrupt_p;
-    plan->corrupt_failing_attempts =
-        static_cast<uint32_t>(flags.GetInt("fault_corrupt_attempts", 2));
+    FJ_RETURN_IF_ERROR(flags.GetCount("fault_corrupt_attempts",
+                                      &plan->corrupt_failing_attempts));
     if (!plan->RecoverableWith(config.max_task_attempts,
                                config.verify_integrity)) {
       return Status::InvalidArgument(
@@ -177,8 +185,8 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
   if (!fj::mr::ParseTransportKind(transport, &config.transport)) {
     return Status::InvalidArgument("unknown --transport: " + transport);
   }
-  config.num_shuffle_workers =
-      static_cast<size_t>(flags.GetInt("shuffle_workers", 2));
+  FJ_RETURN_IF_ERROR(
+      flags.GetCount("shuffle_workers", &config.num_shuffle_workers));
   config.spawn_worker_processes = flags.Has("spawn_worker_processes");
   config.net_fetch_local_fallback =
       flags.GetInt("net_local_fallback", 1) != 0;
@@ -191,18 +199,19 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
     plan.stall_probability = flags.GetDouble("net_stall_p", 0.0);
     plan.delay_probability = flags.GetDouble("net_delay_p", 0.0);
     plan.refuse_connect_probability = flags.GetDouble("net_refuse_p", 0.0);
-    plan.delay_ms = static_cast<uint32_t>(flags.GetInt("net_delay_ms", 20));
-    plan.stall_ms = static_cast<uint32_t>(flags.GetInt("net_stall_ms", 400));
-    plan.fault_attempts =
-        static_cast<uint32_t>(flags.GetInt("net_fault_attempts", 2));
+    FJ_RETURN_IF_ERROR(flags.GetCount("net_delay_ms", &plan.delay_ms));
+    FJ_RETURN_IF_ERROR(flags.GetCount("net_stall_ms", &plan.stall_ms));
+    FJ_RETURN_IF_ERROR(
+        flags.GetCount("net_fault_attempts", &plan.fault_attempts));
     if (!plan.Empty()) {
       config.net_fault_plan =
           std::make_shared<const fj::mr::NetFaultPlan>(plan);
     }
   }
   if (flags.Has("qgram")) {
-    config.tokenizer = std::make_shared<fj::text::QGramTokenizer>(
-        static_cast<size_t>(flags.GetInt("qgram", 3)));
+    size_t q = 3;
+    FJ_RETURN_IF_ERROR(flags.GetCount("qgram", &q));
+    config.tokenizer = std::make_shared<fj::text::QGramTokenizer>(q);
   }
   FJ_RETURN_IF_ERROR(config.Validate());
   return config;
@@ -503,7 +512,11 @@ int Generate(const Flags& flags) {
     std::fprintf(stderr, "generate: --out=FILE is required\n");
     return 2;
   }
-  uint64_t records = flags.GetInt("records", 10000);
+  uint64_t records = 10000;
+  size_t factor = 1;
+  Status counts = flags.GetCount("records", &records);
+  if (counts.ok()) counts = flags.GetCount("increase", &factor);
+  if (!counts.ok()) return Fail(counts, 2);
   uint64_t seed = flags.GetInt("seed", 42);
   std::string kind = flags.GetString("kind", "dblp");
   fj::data::GeneratorConfig config;
@@ -516,20 +529,13 @@ int Generate(const Flags& flags) {
     return 2;
   }
   auto dataset = fj::data::GenerateRecords(config);
-  size_t factor = flags.GetInt("increase", 1);
   if (factor > 1) {
     auto increased = fj::data::IncreaseDataset(dataset, factor);
-    if (!increased.ok()) {
-      std::fprintf(stderr, "%s\n", increased.status().ToString().c_str());
-      return 1;
-    }
+    if (!increased.ok()) return Fail(increased.status());
     dataset = std::move(increased).value();
   }
   auto status = WriteLines(out, fj::data::RecordsToLines(dataset));
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (!status.ok()) return Fail(status);
   std::fprintf(stderr, "wrote %zu records to %s\n", dataset.size(),
                out.c_str());
   return 0;
@@ -543,21 +549,14 @@ int SelfJoin(const Flags& flags) {
     return 2;
   }
   auto config = ConfigFromFlags(flags);
-  if (!config.ok()) {
-    std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-    return 2;
-  }
+  if (!config.ok()) return Fail(config.status(), 2);
   auto lines = ReadLines(input);
-  if (!lines.ok()) {
-    std::fprintf(stderr, "%s\n", lines.status().ToString().c_str());
-    return 1;
-  }
+  if (!lines.ok()) return Fail(lines.status());
   fj::mr::Dfs dfs;
   const std::string dfs_dir = flags.GetString("dfs_dir", "");
   if (!dfs_dir.empty()) {
     if (auto status = LoadDfsDir(dfs_dir, &dfs); !status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
+      return Fail(status);
     }
     // The local file is authoritative for the input; a stale copy loaded
     // from the state directory would shadow it.
@@ -569,22 +568,14 @@ int SelfJoin(const Flags& flags) {
   // of the committed stages is exactly what --resume needs next time.
   if (!dfs_dir.empty()) {
     if (auto status = SaveDfsDir(dfs_dir, dfs); !status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
+      return Fail(status);
     }
   }
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return Fail(result.status());
   auto output = dfs.ReadFile(result->output_file);
-  if (!output.ok()) {
-    std::fprintf(stderr, "%s\n", output.status().ToString().c_str());
-    return 1;
-  }
+  if (!output.ok()) return Fail(output.status());
   if (auto status = WriteLines(out, *output.value()); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
+    return Fail(status);
   }
   std::fprintf(stderr, "%zu joined pairs -> %s\n", output.value()->size(),
                out.c_str());
@@ -601,10 +592,7 @@ int RSJoin(const Flags& flags) {
     return 2;
   }
   auto config = ConfigFromFlags(flags);
-  if (!config.ok()) {
-    std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-    return 2;
-  }
+  if (!config.ok()) return Fail(config.status(), 2);
   auto r_lines = ReadLines(r_path);
   auto s_lines = ReadLines(s_path);
   if (!r_lines.ok() || !s_lines.ok()) {
@@ -615,8 +603,7 @@ int RSJoin(const Flags& flags) {
   const std::string dfs_dir = flags.GetString("dfs_dir", "");
   if (!dfs_dir.empty()) {
     if (auto status = LoadDfsDir(dfs_dir, &dfs); !status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
+      return Fail(status);
     }
     if (dfs.Exists("r")) (void)dfs.DeleteFile("r");
     if (dfs.Exists("s")) (void)dfs.DeleteFile("s");
@@ -626,22 +613,14 @@ int RSJoin(const Flags& flags) {
   auto result = fj::join::RunRSJoin(&dfs, "r", "s", "join", *config);
   if (!dfs_dir.empty()) {
     if (auto status = SaveDfsDir(dfs_dir, dfs); !status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
+      return Fail(status);
     }
   }
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return Fail(result.status());
   auto output = dfs.ReadFile(result->output_file);
-  if (!output.ok()) {
-    std::fprintf(stderr, "%s\n", output.status().ToString().c_str());
-    return 1;
-  }
+  if (!output.ok()) return Fail(output.status());
   if (auto status = WriteLines(out, *output.value()); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
+    return Fail(status);
   }
   std::fprintf(stderr, "%zu joined pairs -> %s\n", output.value()->size(),
                out.c_str());
@@ -656,18 +635,15 @@ int EditJoin(const Flags& flags) {
     std::fprintf(stderr, "editjoin: --input=FILE and --out=FILE required\n");
     return 2;
   }
-  size_t distance = flags.GetInt("distance", 2);
-  size_t q = flags.GetInt("qgram", 3);
+  size_t distance = 2;
+  size_t q = 3;
+  Status counts = flags.GetCount("distance", &distance);
+  if (counts.ok()) counts = flags.GetCount("qgram", &q);
+  if (!counts.ok()) return Fail(counts, 2);
   auto lines = ReadLines(input);
-  if (!lines.ok()) {
-    std::fprintf(stderr, "%s\n", lines.status().ToString().c_str());
-    return 1;
-  }
+  if (!lines.ok()) return Fail(lines.status());
   auto records = fj::data::RecordsFromLines(*lines);
-  if (!records.ok()) {
-    std::fprintf(stderr, "%s\n", records.status().ToString().c_str());
-    return 1;
-  }
+  if (!records.ok()) return Fail(records.status());
   std::vector<std::string> strings;
   strings.reserve(records->size());
   for (const auto& record : *records) {
@@ -682,10 +658,7 @@ int EditJoin(const Flags& flags) {
          << (*records)[pair.index2].rid << '\t' << pair.distance;
     output.push_back(line.str());
   }
-  if (auto status = WriteLines(out, output); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (auto status = WriteLines(out, output); !status.ok()) return Fail(status);
   std::fprintf(stderr, "%zu pairs within edit distance %zu -> %s\n",
                pairs.size(), distance, out.c_str());
   return 0;

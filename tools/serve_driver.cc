@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/flags.h"
 #include "common/varint.h"
 #include "mapreduce/worker_net.h"
@@ -49,6 +50,13 @@ namespace {
 using fj::Flags;
 using fj::Result;
 using fj::Status;
+
+// Prints `status` and returns `exit_code`: 2 for a usage error such as a
+// bad flag, 1 for a run that failed.
+int Fail(const Status& status, int exit_code = 1) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return exit_code;
+}
 
 // Responses go to stdout through the EINTR/EAGAIN-safe fd writer rather
 // than std::cout: when the client is a pipe that closes mid-probe (head,
@@ -188,16 +196,30 @@ int Run(const Flags& flags) {
   index_options.compact_tombstone_fraction =
       flags.GetDouble("compact_fraction", 0.25);
   index_options.lsh_preroute = flags.Has("lsh");
-  index_options.lsh.num_bands =
-      static_cast<size_t>(flags.GetInt("bands", 16));
-  index_options.lsh.rows_per_band =
-      static_cast<size_t>(flags.GetInt("rows", 4));
+  // Count flags keep the option structs' defaults when absent.
+  size_t threads = 2;
+  fj::serve::QueryServiceOptions service_options;
+  Status counts = [&]() -> Status {
+    FJ_RETURN_IF_ERROR(flags.GetCount("bands", &index_options.lsh.num_bands));
+    FJ_RETURN_IF_ERROR(
+        flags.GetCount("rows", &index_options.lsh.rows_per_band));
+    FJ_RETURN_IF_ERROR(flags.GetCount("threads", &threads));
+    FJ_RETURN_IF_ERROR(
+        flags.GetCount("queue_depth", &service_options.max_queue_depth));
+    FJ_RETURN_IF_ERROR(flags.GetCount("batch", &service_options.max_batch));
+    FJ_RETURN_IF_ERROR(
+        flags.GetCount("cache", &service_options.cache_capacity));
+    if (threads > fj::Executor::kMaxWorkers) {
+      return Status::InvalidArgument(
+          "--threads=" + std::to_string(threads) + ": at most " +
+          std::to_string(fj::Executor::kMaxWorkers));
+    }
+    return Status::OK();
+  }();
+  if (!counts.ok()) return Fail(counts, 2);
   auto function = fj::sim::SimilarityFunctionFromName(
       flags.GetString("function", "jaccard"));
-  if (!function.ok()) {
-    std::fprintf(stderr, "%s\n", function.status().ToString().c_str());
-    return 2;
-  }
+  if (!function.ok()) return Fail(function.status(), 2);
   index_options.function = *function;
 
   // --- Seed the index: snapshot beats corpus beats empty. ---
@@ -207,56 +229,34 @@ int Run(const Flags& flags) {
   const std::string load = flags.GetString("load", "");
   if (!snapshot_in.empty()) {
     auto blocks = ReadSnapshotFile(snapshot_in);
-    if (!blocks.ok()) {
-      std::fprintf(stderr, "%s\n", blocks.status().ToString().c_str());
-      return 1;
-    }
+    if (!blocks.ok()) return Fail(blocks.status());
     auto loaded = fj::serve::LoadSnapshot(*blocks);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
+    if (!loaded.ok()) return Fail(loaded.status());
     seeded = std::move(loaded).value();
   } else {
     std::vector<std::string> record_lines;
     std::vector<std::string> ordering_lines;
     if (!load.empty()) {
       auto lines = ReadLines(load);
-      if (!lines.ok()) {
-        std::fprintf(stderr, "%s\n", lines.status().ToString().c_str());
-        return 1;
-      }
+      if (!lines.ok()) return Fail(lines.status());
       record_lines = std::move(lines).value();
     }
     const std::string ordering_path = flags.GetString("ordering", "");
     if (!ordering_path.empty()) {
       auto lines = ReadLines(ordering_path);
-      if (!lines.ok()) {
-        std::fprintf(stderr, "%s\n", lines.status().ToString().c_str());
-        return 1;
-      }
+      if (!lines.ok()) return Fail(lines.status());
       ordering_lines = std::move(lines).value();
     }
     auto built = fj::serve::BuildFromJoinOutput(ordering_lines, record_lines,
                                                 tokenizer, index_options);
-    if (!built.ok()) {
-      std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
-      return 1;
-    }
+    if (!built.ok()) return Fail(built.status());
     seeded = std::move(built).value();
   }
   std::fprintf(stderr, "serving %zu records (tau_floor=%.2f, %s)\n",
                seeded.index->live_records(), index_options.tau_floor,
                fj::sim::SimilarityFunctionName(index_options.function));
 
-  fj::Executor executor(
-      static_cast<size_t>(flags.GetInt("threads", 2)));
-  fj::serve::QueryServiceOptions service_options;
-  service_options.max_queue_depth =
-      static_cast<size_t>(flags.GetInt("queue_depth", 1024));
-  service_options.max_batch = static_cast<size_t>(flags.GetInt("batch", 64));
-  service_options.cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache", 4096));
+  fj::Executor executor(threads);
   service_options.lsh_preroute = index_options.lsh_preroute;
   fj::serve::QueryService service(seeded.index.get(), &executor,
                                   service_options);
@@ -335,10 +335,7 @@ int Run(const Flags& flags) {
   if (!snapshot_out.empty()) {
     auto status = WriteSnapshotFile(
         snapshot_out, fj::serve::SaveSnapshot(*seeded.index, seeded.ordering));
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (!status.ok()) return Fail(status);
     std::fprintf(stderr, "snapshot -> %s\n", snapshot_out.c_str());
   }
   return 0;
