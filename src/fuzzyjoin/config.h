@@ -70,9 +70,9 @@ const char* Stage2Name(Stage2Algorithm a);
 const char* Stage3Name(Stage3Algorithm a);
 
 /// The paper's algorithm choices and the job shape, plus the engine
-/// settings every job of the pipeline runs under. Under record_format =
-/// binary the stage-1 token lists and stage-2 RID pairs are binary wire
-/// records too; the ".joined" output is text either way.
+/// settings every job of the pipeline runs under. record_format and
+/// block_codec choose only how spill runs and shuffle segments are
+/// encoded: every stage file is text lines either way.
 struct JoinConfig : mr::EngineOptions {
   /// Bounds on the counts below, so a mistyped count fails Validate
   /// instead of allocating tasks or starting workers without bound.

@@ -80,11 +80,9 @@ Result<uint64_t> PipelineFingerprint(const JoinConfig& config,
   // the byte order of every stage output — a resumed run must match them.
   h = FoldInt(h, config.num_map_tasks);
   h = FoldInt(h, config.num_reduce_tasks);
-  // The record format decides the REPRESENTATION of stage intermediate
-  // files (text lines vs binary wire records); resuming a text manifest
-  // under binary would splice unreadable files into the pipeline. The
-  // codec only affects transient run blocks, but is folded too so a
-  // resumed run reproduces the original's metered byte counts.
+  // The record format and the codec only affect transient run blocks, so
+  // every stage file is the same under each; they are folded so a resumed
+  // run reproduces the original's metered byte counts.
   h = FoldInt(h, static_cast<uint64_t>(config.record_format));
   h = FoldInt(h, static_cast<uint64_t>(config.block_codec));
   if (config.tokenizer != nullptr) {

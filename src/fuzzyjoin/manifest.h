@@ -44,8 +44,8 @@ struct Manifest {
 /// Fingerprint of (result-affecting configuration) x (input contents).
 /// Reads each input's checksum from the Dfs; fails if an input is missing.
 /// Of the engine settings only record_format and block_codec are folded:
-/// the format decides how stage intermediates are stored, and the codec
-/// keeps a resumed run's metered byte counts equal to the original's. The
+/// they leave every stage file byte-identical, but folding them keeps a
+/// resumed run's metered byte counts equal to the original's. The
 /// other mr::EngineOptions fields and the socket-transport knobs
 /// (transport, num_shuffle_workers, net_fault_plan,
 /// spawn_worker_processes) leave the join output byte-identical.

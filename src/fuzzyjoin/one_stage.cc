@@ -171,14 +171,12 @@ Result<JoinRunResult> RunOneStageSelfJoin(mr::Dfs* dfs,
   result.stages.push_back(StageMetrics{
       std::string("1-") + Stage1Name(cfg.stage1), std::move(stage1.jobs)});
 
-  // Owned decode of the (possibly binary) stage-1 ordering; both jobs
-  // below run synchronously, so the local outlives every mapper/reducer
-  // holding a pointer to it.
-  FJ_ASSIGN_OR_RETURN(const std::vector<std::string> ordering_owned,
-                      ReadOrderingLines(*dfs, result.ordering_file));
+  // Both jobs below read the Dfs's own stored ordering lines: the file is
+  // neither appended to nor deleted while they run.
+  FJ_ASSIGN_OR_RETURN(const std::vector<std::string>* ordering_lines,
+                      dfs->ReadFile(result.ordering_file));
   // A malformed ordering fails here, before any map task loads it.
-  FJ_RETURN_IF_ERROR(text::TokenOrdering::FromLines(ordering_owned).status());
-  const std::vector<std::string>* ordering_lines = &ordering_owned;
+  FJ_RETURN_IF_ERROR(text::TokenOrdering::FromLines(*ordering_lines).status());
 
   // The fat-value kernel job.
   const internal::Stage2Context ctx =

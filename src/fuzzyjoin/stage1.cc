@@ -9,7 +9,6 @@
 #include "common/string_util.h"
 #include "data/record.h"
 #include "mapreduce/job.h"
-#include "mapreduce/record_format.h"
 
 namespace fj::join {
 
@@ -57,41 +56,27 @@ void SumCombiner(const std::string& token, std::vector<uint64_t>&& counts,
   out->Emit(token, total);
 }
 
-/// Renders one (token, count) entry in the configured representation:
-/// "token<TAB>count" text or a binary token-count wire record.
-std::string FormatCountEntry(mr::RecordFormat format, const std::string& token,
-                             uint64_t count) {
-  if (format == mr::RecordFormat::kBinary) {
-    std::string record;
-    mr::FormatTokenCountRecord(token, count, &record);
-    return record;
-  }
+/// Renders one (token, count) entry as a "token<TAB>count" line.
+std::string FormatCountEntry(const std::string& token, uint64_t count) {
   return token + "\t" + std::to_string(count);
 }
 
 /// BTO phase-1 reducer: total count per token.
 class TokenCountReducer : public mr::Reducer<std::string, uint64_t> {
  public:
-  explicit TokenCountReducer(mr::RecordFormat format) : format_(format) {}
-
   void Reduce(const std::string& token,
               std::span<const std::pair<std::string, uint64_t>> group,
               OutputEmitter* out, TaskContext*) override {
     uint64_t total = 0;
     for (const auto& [key, count] : group) total += count;
-    out->Emit(FormatCountEntry(format_, token, total));
+    out->Emit(FormatCountEntry(token, total));
   }
-
- private:
-  mr::RecordFormat format_;
 };
 
 /// OPTO reducer: accumulates all (token, count) pairs and emits the sorted
 /// ordering from Teardown (the paper's tear-down trick).
 class OptoReducer : public mr::Reducer<std::string, uint64_t> {
  public:
-  explicit OptoReducer(mr::RecordFormat format) : format_(format) {}
-
   void Reduce(const std::string& token,
               std::span<const std::pair<std::string, uint64_t>> group,
               OutputEmitter*, TaskContext*) override {
@@ -107,12 +92,11 @@ class OptoReducer : public mr::Reducer<std::string, uint64_t> {
                 return a.first < b.first;
               });
     for (const auto& [token, count] : totals_) {
-      out->Emit(FormatCountEntry(format_, token, count));
+      out->Emit(FormatCountEntry(token, count));
     }
   }
 
  private:
-  mr::RecordFormat format_;
   std::vector<std::pair<std::string, uint64_t>> totals_;
 };
 
@@ -120,22 +104,10 @@ using SortKey = std::pair<uint64_t, std::string>;  // (count, token)
 
 /// BTO phase-2 mapper: swap (token, count) into a (count, token) sort key,
 /// exactly the paper's "map function swaps the input keys and values".
-/// Sniffs the phase-1 representation per record, so it reads both text
-/// count lines and binary token-count records.
 class SwapMapper : public mr::Mapper<SortKey, uint8_t> {
  public:
   void Map(const InputRecord& record, Emitter<SortKey, uint8_t>* out,
            TaskContext* ctx) override {
-    if (mr::IsBinaryRecord(*record.line)) {
-      std::string token;
-      uint64_t count = 0;
-      if (!mr::ParseTokenCountRecord(*record.line, &token, &count)) {
-        ctx->counters().Add("stage1.bad_count_lines", 1);
-        return;
-      }
-      out->Emit(SortKey(count, std::move(token)), 0);
-      return;
-    }
     const std::string_view line(*record.line);
     const size_t tab = line.find('\t');
     if (tab == std::string_view::npos ||
@@ -154,15 +126,10 @@ class SwapMapper : public mr::Mapper<SortKey, uint8_t> {
 
 class EmitOrderingReducer : public mr::Reducer<SortKey, uint8_t> {
  public:
-  explicit EmitOrderingReducer(mr::RecordFormat format) : format_(format) {}
-
   void Reduce(const SortKey& key, std::span<const std::pair<SortKey, uint8_t>>,
               OutputEmitter* out, TaskContext*) override {
-    out->Emit(FormatCountEntry(format_, key.second, key.first));
+    out->Emit(FormatCountEntry(key.second, key.first));
   }
-
- private:
-  mr::RecordFormat format_;
 };
 
 }  // namespace
@@ -173,8 +140,6 @@ Result<Stage1Result> RunStage1(mr::Dfs* dfs, const std::string& input_file,
   FJ_RETURN_IF_ERROR(config.Validate());
   Stage1Result result;
   result.ordering_file = output_file;
-  const mr::RecordFormat format = config.record_format;
-  const bool binary = format == mr::RecordFormat::kBinary;
 
   if (config.stage1 == Stage1Algorithm::kBTO) {
     // Phase 1: count token frequencies (combiner cuts shuffle traffic).
@@ -184,13 +149,12 @@ Result<Stage1Result> RunStage1(mr::Dfs* dfs, const std::string& input_file,
     count_spec.output_file = output_file + ".counts";
     count_spec.num_map_tasks = config.num_map_tasks;
     count_spec.num_reduce_tasks = config.num_reduce_tasks;
-    count_spec.binary_output = binary;
     auto tokenizer = config.tokenizer;
     count_spec.mapper_factory = [tokenizer] {
       return std::make_unique<TokenCountMapper>(tokenizer);
     };
-    count_spec.reducer_factory = [format] {
-      return std::make_unique<TokenCountReducer>(format);
+    count_spec.reducer_factory = [] {
+      return std::make_unique<TokenCountReducer>();
     };
     if (config.use_stage1_combiner) count_spec.combiner = SumCombiner;
     Job<std::string, uint64_t> count_job(dfs, std::move(count_spec));
@@ -204,10 +168,9 @@ Result<Stage1Result> RunStage1(mr::Dfs* dfs, const std::string& input_file,
     sort_spec.output_file = output_file;
     sort_spec.num_map_tasks = config.num_map_tasks;
     sort_spec.num_reduce_tasks = 1;  // total order requires one reducer
-    sort_spec.binary_output = binary;
     sort_spec.mapper_factory = [] { return std::make_unique<SwapMapper>(); };
-    sort_spec.reducer_factory = [format] {
-      return std::make_unique<EmitOrderingReducer>(format);
+    sort_spec.reducer_factory = [] {
+      return std::make_unique<EmitOrderingReducer>();
     };
     Job<SortKey, uint8_t> sort_job(dfs, std::move(sort_spec));
     FJ_ASSIGN_OR_RETURN(mr::JobMetrics sort_metrics, sort_job.Run());
@@ -222,39 +185,16 @@ Result<Stage1Result> RunStage1(mr::Dfs* dfs, const std::string& input_file,
   spec.output_file = output_file;
   spec.num_map_tasks = config.num_map_tasks;
   spec.num_reduce_tasks = 1;
-  spec.binary_output = binary;
   auto tokenizer = config.tokenizer;
   spec.mapper_factory = [tokenizer] {
     return std::make_unique<TokenCountMapper>(tokenizer);
   };
-  spec.reducer_factory = [format] {
-    return std::make_unique<OptoReducer>(format);
-  };
+  spec.reducer_factory = [] { return std::make_unique<OptoReducer>(); };
   if (config.use_stage1_combiner) spec.combiner = SumCombiner;
   Job<std::string, uint64_t> job(dfs, std::move(spec));
   FJ_ASSIGN_OR_RETURN(mr::JobMetrics metrics, job.Run());
   result.jobs.push_back(std::move(metrics));
   return result;
-}
-
-Result<std::vector<std::string>> ReadOrderingLines(
-    const mr::Dfs& dfs, const std::string& ordering_file) {
-  FJ_ASSIGN_OR_RETURN(const std::vector<std::string>* stored,
-                      dfs.ReadFile(ordering_file));
-  if (!dfs.IsBinary(ordering_file)) return *stored;
-  std::vector<std::string> lines;
-  lines.reserve(stored->size());
-  std::string token;
-  for (size_t i = 0; i < stored->size(); ++i) {
-    uint64_t count = 0;
-    if (!mr::ParseTokenCountRecord((*stored)[i], &token, &count)) {
-      return Status::DataLoss("ordering file " + ordering_file + ": record " +
-                              std::to_string(i) +
-                              " is not a token-count record");
-    }
-    lines.push_back(token + "\t" + std::to_string(count));
-  }
-  return lines;
 }
 
 }  // namespace fj::join

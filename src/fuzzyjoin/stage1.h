@@ -12,10 +12,8 @@
 //        than the data.
 //
 // Output: a Dfs file of "token<TAB>count" lines in rank order, parseable by
-// text::TokenOrdering::FromLines. Under JoinConfig::record_format = binary
-// the file holds token-count wire records instead
-// (mapreduce/record_format.h); ReadOrderingLines decodes either
-// representation back to the text form.
+// text::TokenOrdering::FromLines, whatever JoinConfig::record_format the
+// jobs shuffle in.
 #pragma once
 
 #include <string>
@@ -40,14 +38,5 @@ struct Stage1Result {
 Result<Stage1Result> RunStage1(mr::Dfs* dfs, const std::string& input_file,
                                const std::string& output_file,
                                const JoinConfig& config);
-
-/// Reads a stage-1 ordering file back as owned "token<TAB>count" text
-/// lines: text files are copied as stored, binary ordering files are
-/// decoded from their token-count wire records (DataLoss on a malformed
-/// record). Callers keep the vector alive for as long as mappers hold a
-/// pointer to it — the stage drivers hold it as a local across their
-/// synchronous job runs.
-Result<std::vector<std::string>> ReadOrderingLines(
-    const mr::Dfs& dfs, const std::string& ordering_file);
 
 }  // namespace fj::join

@@ -114,15 +114,7 @@ void FormatRidPairLine(uint64_t rid1, uint64_t rid2, double similarity,
 /// Allocating convenience overload (tests, one-off formatting).
 std::string FormatRidPairLine(uint64_t rid1, uint64_t rid2, double similarity);
 
-/// Formats one kernel output record in the configured representation: the
-/// text line above, or (binary) a rid-pair wire record carrying the exact
-/// double bits (mapreduce/record_format.h). Both are deterministic byte
-/// strings, so stage 3's string-equality deduplication works unchanged.
-void FormatRidPairOut(mr::RecordFormat format, uint64_t rid1, uint64_t rid2,
-                      double similarity, std::string* out);
-
-/// Parses a kernel output record, sniffing the representation per record:
-/// binary rid-pair wire records by their magic byte, text lines otherwise.
+/// Parses a kernel output line ("rid1<TAB>rid2<TAB>sim").
 Result<std::tuple<uint64_t, uint64_t, double>> ParseRidPairLine(
     const std::string& line);
 

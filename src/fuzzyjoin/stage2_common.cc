@@ -5,7 +5,6 @@
 #include "common/string_util.h"
 #include "fuzzyjoin/stage2.h"
 #include "fuzzyjoin/stage2_internal.h"
-#include "mapreduce/record_format.h"
 #include "ppjoin/ppjoin.h"
 
 namespace fj::join {
@@ -25,26 +24,8 @@ std::string FormatRidPairLine(uint64_t rid1, uint64_t rid2,
   return out;
 }
 
-void FormatRidPairOut(mr::RecordFormat format, uint64_t rid1, uint64_t rid2,
-                      double similarity, std::string* out) {
-  if (format == mr::RecordFormat::kBinary) {
-    mr::FormatRidPairRecord(rid1, rid2, similarity, out);
-    return;
-  }
-  FormatRidPairLine(rid1, rid2, similarity, out);
-}
-
 Result<std::tuple<uint64_t, uint64_t, double>> ParseRidPairLine(
     const std::string& line) {
-  if (mr::IsBinaryRecord(line)) {
-    uint64_t rid1 = 0;
-    uint64_t rid2 = 0;
-    double similarity = 0;
-    if (!mr::ParseRidPairRecord(line, &rid1, &rid2, &similarity)) {
-      return Status::InvalidArgument("bad rid-pair record");
-    }
-    return std::tuple<uint64_t, uint64_t, double>(rid1, rid2, similarity);
-  }
   // Exactly two tabs: rid1, rid2 and the similarity, parsed in place.
   const std::string_view view(line);
   const size_t tab1 = view.find('\t');

@@ -139,15 +139,14 @@ class ProjectionMapperBase : public mr::Mapper<Stage2Key, V> {
 };
 
 /// BK verification of one candidate pair: length filter, then the
-/// early-terminating overlap merge. Emits a pair record (text line or
-/// binary wire record per `format`) when it qualifies. `self_canonical`
-/// orders the RIDs (min, max) for self-joins; for R-S the caller passes
-/// x = R record, y = S record. `line_buf` is a scratch string the caller
-/// reuses across pairs so the emit path does not construct a fresh
-/// std::string per verification.
+/// early-terminating overlap merge. Emits a rid-pair line when it
+/// qualifies. `self_canonical` orders the RIDs (min, max) for self-joins;
+/// for R-S the caller passes x = R record, y = S record. `line_buf` is a
+/// scratch string the caller reuses across pairs so the emit path does not
+/// construct a fresh std::string per verification.
 inline void BkVerifyPair(const sim::SimilaritySpec& spec,
-                         mr::RecordFormat format, const TokenSetRecord& x,
-                         const TokenSetRecord& y, bool self_canonical,
+                         const TokenSetRecord& x, const TokenSetRecord& y,
+                         bool self_canonical,
                          std::string* line_buf, mr::OutputEmitter* out,
                          mr::TaskContext* ctx) {
   ctx->counters().Add("stage2.bk.pairs_considered", 1);
@@ -168,7 +167,7 @@ inline void BkVerifyPair(const sim::SimilaritySpec& spec,
   uint64_t rid1 = x.rid;
   uint64_t rid2 = y.rid;
   if (self_canonical && rid1 > rid2) std::swap(rid1, rid2);
-  FormatRidPairOut(format, rid1, rid2, similarity, line_buf);
+  FormatRidPairLine(rid1, rid2, similarity, line_buf);
   out->Emit(*line_buf);
 }
 

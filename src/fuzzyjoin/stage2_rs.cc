@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "fuzzyjoin/stage1.h"
 #include "fuzzyjoin/stage2.h"
 #include "fuzzyjoin/stage2_internal.h"
 #include "ppjoin/ppjoin.h"
@@ -102,8 +101,7 @@ class RSKernelMapper : public ProjectionMapperBase<> {
 /// BK: store the R partition (it arrives first), stream S against it.
 class BkRSReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
  public:
-  BkRSReducer(sim::SimilaritySpec spec, mr::RecordFormat format)
-      : spec_(spec), format_(format) {}
+  explicit BkRSReducer(sim::SimilaritySpec spec) : spec_(spec) {}
 
   void Reduce(const Stage2Key&, PairSpan group, OutputEmitter* out,
               TaskContext* ctx) override {
@@ -114,8 +112,8 @@ class BkRSReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
         r_records.push_back(&projection);
       } else {
         for (const TokenSetRecord* r : r_records) {
-          BkVerifyPair(spec_, format_, *r, projection, /*self_canonical=*/false, &line_buf, out,
-                       ctx);
+          BkVerifyPair(spec_, *r, projection, /*self_canonical=*/false,
+                       &line_buf, out, ctx);
         }
       }
     }
@@ -125,7 +123,6 @@ class BkRSReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 
  private:
   sim::SimilaritySpec spec_;
-  mr::RecordFormat format_;
 };
 
 /// PK: index R projections, probe with S projections, in length-class
@@ -134,8 +131,7 @@ class BkRSReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 /// reset between groups.
 class PkRSReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
  public:
-  PkRSReducer(sim::SimilaritySpec spec, mr::RecordFormat format)
-      : format_(format), stream_(spec) {}
+  explicit PkRSReducer(sim::SimilaritySpec spec) : stream_(spec) {}
 
   void Reduce(const Stage2Key&, PairSpan group, OutputEmitter* out,
               TaskContext* ctx) override {
@@ -150,7 +146,7 @@ class PkRSReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
     }
     std::string line_buf;  // reused across emitted pairs
     for (const auto& p : pairs) {
-      FormatRidPairOut(format_, p.rid1, p.rid2, p.similarity, &line_buf);
+      FormatRidPairLine(p.rid1, p.rid2, p.similarity, &line_buf);
       out->Emit(line_buf);
     }
     internal::MergePPJoinStats(stream_.stats(), ctx);
@@ -160,7 +156,6 @@ class PkRSReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
   }
 
  private:
-  mr::RecordFormat format_;
   ppjoin::PPJoinStream stream_;
 };
 
@@ -168,8 +163,7 @@ class PkRSReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 /// partition (replicated by the mapper).
 class BkRSMapBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
  public:
-  BkRSMapBlockReducer(sim::SimilaritySpec spec, mr::RecordFormat format)
-      : spec_(spec), format_(format) {}
+  explicit BkRSMapBlockReducer(sim::SimilaritySpec spec) : spec_(spec) {}
 
   void Reduce(const Stage2Key&, PairSpan group, OutputEmitter* out,
               TaskContext* ctx) override {
@@ -187,8 +181,8 @@ class BkRSMapBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
         peak = std::max(peak, memory.size());
       } else {
         for (const TokenSetRecord* r : memory) {
-          BkVerifyPair(spec_, format_, *r, projection, /*self_canonical=*/false, &line_buf, out,
-                       ctx);
+          BkVerifyPair(spec_, *r, projection, /*self_canonical=*/false,
+                       &line_buf, out, ctx);
         }
       }
     }
@@ -198,7 +192,6 @@ class BkRSMapBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 
  private:
   sim::SimilaritySpec spec_;
-  mr::RecordFormat format_;
 };
 
 /// BK + reduce-based blocks: R block 0 stays in memory; later R blocks and
@@ -206,8 +199,7 @@ class BkRSMapBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 /// each R block (Section 5, "Handling R-S Joins").
 class BkRSReduceBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
  public:
-  BkRSReduceBlockReducer(sim::SimilaritySpec spec, mr::RecordFormat format)
-      : spec_(spec), format_(format) {}
+  explicit BkRSReduceBlockReducer(sim::SimilaritySpec spec) : spec_(spec) {}
 
   void Reduce(const Stage2Key& key, PairSpan group, OutputEmitter* out,
               TaskContext* ctx) override {
@@ -251,7 +243,8 @@ class BkRSReduceBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
     s_spill.reserve(s_stream.size());
     for (const TokenSetRecord* s : s_stream) {
       for (const TokenSetRecord* r : memory) {
-        BkVerifyPair(spec_, format_, *r, *s, /*self_canonical=*/false, &line_buf, out, ctx);
+        BkVerifyPair(spec_, *r, *s, /*self_canonical=*/false, &line_buf, out,
+                     ctx);
       }
       s_spill.push_back(internal::SerializeProjection(*s));
     }
@@ -281,8 +274,8 @@ class BkRSReduceBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
           continue;
         }
         for (const TokenSetRecord& r : resident) {
-          BkVerifyPair(spec_, format_, r, s.value(), /*self_canonical=*/false, &line_buf, out,
-                       ctx);
+          BkVerifyPair(spec_, r, s.value(), /*self_canonical=*/false, &line_buf,
+                       out, ctx);
         }
       }
       ctx->scratch().Erase(scratch_name("r" + std::to_string(order[t])));
@@ -294,7 +287,6 @@ class BkRSReduceBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 
  private:
   sim::SimilaritySpec spec_;
-  mr::RecordFormat format_;
 };
 
 }  // namespace
@@ -310,16 +302,14 @@ Result<Stage2Result> RunStage2RSJoin(mr::Dfs* dfs, const std::string& r_file,
         "length-signature routing is implemented for the self-join case "
         "only (the paper's footnote-2 exploration)");
   }
-  const mr::RecordFormat format = config.record_format;
-  // Owned decode of the (possibly binary) stage-1 ordering; the job below
-  // runs synchronously, so holding it as a local outlives every mapper.
-  FJ_ASSIGN_OR_RETURN(const std::vector<std::string> ordering_lines,
-                      ReadOrderingLines(*dfs, ordering_file));
+  // The mappers read the Dfs's own stored lines: the ordering file is
+  // neither appended to nor deleted while the job below runs.
+  FJ_ASSIGN_OR_RETURN(const std::vector<std::string>* ordering_lines,
+                      dfs->ReadFile(ordering_file));
 
   // A malformed ordering fails here, before any map task loads it.
-  FJ_RETURN_IF_ERROR(text::TokenOrdering::FromLines(ordering_lines).status());
-  const Stage2Context ctx =
-      internal::MakeStage2Context(config, &ordering_lines);
+  FJ_RETURN_IF_ERROR(text::TokenOrdering::FromLines(*ordering_lines).status());
+  const Stage2Context ctx = internal::MakeStage2Context(config, ordering_lines);
 
   RSLayout layout = RSLayout::kPK;
   if (config.block_processing == BlockProcessing::kMapBased) {
@@ -336,7 +326,6 @@ Result<Stage2Result> RunStage2RSJoin(mr::Dfs* dfs, const std::string& r_file,
   spec.output_file = output_file;
   spec.num_map_tasks = config.num_map_tasks;
   spec.num_reduce_tasks = config.num_reduce_tasks;
-  spec.binary_output = format == mr::RecordFormat::kBinary;
   spec.group_equal = [](const Stage2Key& a, const Stage2Key& b) {
     return a.group == b.group;
   };
@@ -347,23 +336,23 @@ Result<Stage2Result> RunStage2RSJoin(mr::Dfs* dfs, const std::string& r_file,
   };
   switch (layout) {
     case RSLayout::kPK:
-      spec.reducer_factory = [sim_spec, format] {
-        return std::make_unique<PkRSReducer>(sim_spec, format);
+      spec.reducer_factory = [sim_spec] {
+        return std::make_unique<PkRSReducer>(sim_spec);
       };
       break;
     case RSLayout::kBK:
-      spec.reducer_factory = [sim_spec, format] {
-        return std::make_unique<BkRSReducer>(sim_spec, format);
+      spec.reducer_factory = [sim_spec] {
+        return std::make_unique<BkRSReducer>(sim_spec);
       };
       break;
     case RSLayout::kMapBlocks:
-      spec.reducer_factory = [sim_spec, format] {
-        return std::make_unique<BkRSMapBlockReducer>(sim_spec, format);
+      spec.reducer_factory = [sim_spec] {
+        return std::make_unique<BkRSMapBlockReducer>(sim_spec);
       };
       break;
     case RSLayout::kReduceBlocks:
-      spec.reducer_factory = [sim_spec, format] {
-        return std::make_unique<BkRSReduceBlockReducer>(sim_spec, format);
+      spec.reducer_factory = [sim_spec] {
+        return std::make_unique<BkRSReduceBlockReducer>(sim_spec);
       };
       break;
   }

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "fuzzyjoin/stage1.h"
 #include "fuzzyjoin/stage2.h"
 #include "fuzzyjoin/stage2_internal.h"
 #include "ppjoin/ppjoin.h"
@@ -123,8 +122,7 @@ class BkLengthRoutingMapper : public ProjectionMapperBase<> {
 /// BK: nested-loop verification of the whole group (Section 3.2.1).
 class BkSelfReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
  public:
-  BkSelfReducer(sim::SimilaritySpec spec, mr::RecordFormat format)
-      : spec_(spec), format_(format) {}
+  explicit BkSelfReducer(sim::SimilaritySpec spec) : spec_(spec) {}
 
   void Reduce(const Stage2Key&, PairSpan group, OutputEmitter* out,
               TaskContext* ctx) override {
@@ -133,7 +131,7 @@ class BkSelfReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
                         static_cast<int64_t>(group.size()));
     for (size_t i = 0; i < group.size(); ++i) {
       for (size_t j = i + 1; j < group.size(); ++j) {
-        BkVerifyPair(spec_, format_, group[i].second, group[j].second,
+        BkVerifyPair(spec_, group[i].second, group[j].second,
                      /*self_canonical=*/true, &line_buf, out, ctx);
       }
     }
@@ -141,7 +139,6 @@ class BkSelfReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 
  private:
   sim::SimilaritySpec spec_;
-  mr::RecordFormat format_;
 };
 
 /// PK: the PPJoin+ streaming kernel; the group arrives length-sorted via
@@ -150,8 +147,7 @@ class BkSelfReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 /// reset between groups.
 class PkSelfReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
  public:
-  PkSelfReducer(sim::SimilaritySpec spec, mr::RecordFormat format)
-      : format_(format), stream_(spec) {}
+  explicit PkSelfReducer(sim::SimilaritySpec spec) : stream_(spec) {}
 
   void Reduce(const Stage2Key&, PairSpan group, OutputEmitter* out,
               TaskContext* ctx) override {
@@ -162,7 +158,7 @@ class PkSelfReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
     }
     std::string line_buf;  // reused across emitted pairs
     for (const auto& p : pairs) {
-      FormatRidPairOut(format_, p.rid1, p.rid2, p.similarity, &line_buf);
+      FormatRidPairLine(p.rid1, p.rid2, p.similarity, &line_buf);
       out->Emit(line_buf);
     }
     internal::MergePPJoinStats(stream_.stats(), ctx);
@@ -172,7 +168,6 @@ class PkSelfReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
   }
 
  private:
-  mr::RecordFormat format_;
   ppjoin::PPJoinStream stream_;
 };
 
@@ -184,8 +179,7 @@ class PkSelfReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 /// in a higher class).
 class BkLengthRoutingReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
  public:
-  BkLengthRoutingReducer(sim::SimilaritySpec spec, mr::RecordFormat format)
-      : spec_(spec), format_(format) {}
+  explicit BkLengthRoutingReducer(sim::SimilaritySpec spec) : spec_(spec) {}
 
   void Reduce(const Stage2Key& key, PairSpan group, OutputEmitter* out,
               TaskContext* ctx) override {
@@ -199,11 +193,11 @@ class BkLengthRoutingReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
                         static_cast<int64_t>(group.size()));
     for (size_t i = 0; i < natives.size(); ++i) {
       for (size_t j = i + 1; j < natives.size(); ++j) {
-        BkVerifyPair(spec_, format_, *natives[i], *natives[j],
-                     /*self_canonical=*/true, &line_buf, out, ctx);
+        BkVerifyPair(spec_, *natives[i], *natives[j], /*self_canonical=*/true,
+                     &line_buf, out, ctx);
       }
       for (const TokenSetRecord* visitor : visitors) {
-        BkVerifyPair(spec_, format_, *natives[i], *visitor, /*self_canonical=*/true,
+        BkVerifyPair(spec_, *natives[i], *visitor, /*self_canonical=*/true,
                      &line_buf, out, ctx);
       }
     }
@@ -211,7 +205,6 @@ class BkLengthRoutingReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 
  private:
   sim::SimilaritySpec spec_;
-  mr::RecordFormat format_;
 };
 
 /// BK + map-based blocks: walk the (round, block)-ordered stream; block r
@@ -219,8 +212,7 @@ class BkLengthRoutingReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 /// stream against it.
 class BkSelfMapBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
  public:
-  BkSelfMapBlockReducer(sim::SimilaritySpec spec, mr::RecordFormat format)
-      : spec_(spec), format_(format) {}
+  explicit BkSelfMapBlockReducer(sim::SimilaritySpec spec) : spec_(spec) {}
 
   void Reduce(const Stage2Key&, PairSpan group, OutputEmitter* out,
               TaskContext* ctx) override {
@@ -234,7 +226,7 @@ class BkSelfMapBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
         current_round = key.s1;
       }
       for (const TokenSetRecord* resident : memory) {
-        BkVerifyPair(spec_, format_, *resident, projection, /*self_canonical=*/true,
+        BkVerifyPair(spec_, *resident, projection, /*self_canonical=*/true,
                      &line_buf, out, ctx);
       }
       if (key.s2 == current_round) {  // this value belongs to the loaded block
@@ -248,7 +240,6 @@ class BkSelfMapBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 
  private:
   sim::SimilaritySpec spec_;
-  mr::RecordFormat format_;
 };
 
 /// BK + reduce-based blocks: the first block stays in memory; later blocks
@@ -256,8 +247,7 @@ class BkSelfMapBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 /// pairwise (Figure 7b). Spill I/O is metered through the task scratch.
 class BkSelfReduceBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
  public:
-  BkSelfReduceBlockReducer(sim::SimilaritySpec spec, mr::RecordFormat format)
-      : spec_(spec), format_(format) {}
+  explicit BkSelfReduceBlockReducer(sim::SimilaritySpec spec) : spec_(spec) {}
 
   void Reduce(const Stage2Key& key, PairSpan group, OutputEmitter* out,
               TaskContext* ctx) override {
@@ -287,7 +277,8 @@ class BkSelfReduceBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
       memory.reserve(first.size());
       for (const TokenSetRecord* p : first) {
         for (const TokenSetRecord& resident : memory) {
-          BkVerifyPair(spec_, format_, resident, *p, /*self_canonical=*/true, &line_buf, out, ctx);
+          BkVerifyPair(spec_, resident, *p, /*self_canonical=*/true, &line_buf,
+                       out, ctx);
         }
         memory.push_back(*p);
       }
@@ -297,8 +288,8 @@ class BkSelfReduceBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
         spill.reserve(blocks[order[t]].size());
         for (const TokenSetRecord* p : blocks[order[t]]) {
           for (const TokenSetRecord& resident : memory) {
-            BkVerifyPair(spec_, format_, resident, *p, /*self_canonical=*/true, &line_buf, out,
-                         ctx);
+            BkVerifyPair(spec_, resident, *p, /*self_canonical=*/true,
+                         &line_buf, out, ctx);
           }
           spill.push_back(internal::SerializeProjection(*p));
         }
@@ -319,7 +310,7 @@ class BkSelfReduceBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
           continue;
         }
         for (const TokenSetRecord& resident : memory) {
-          BkVerifyPair(spec_, format_, resident, projection.value(),
+          BkVerifyPair(spec_, resident, projection.value(),
                        /*self_canonical=*/true, &line_buf, out, ctx);
         }
         memory.push_back(std::move(projection).value());
@@ -335,7 +326,7 @@ class BkSelfReduceBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
             continue;
           }
           for (const TokenSetRecord& resident : memory) {
-            BkVerifyPair(spec_, format_, resident, projection.value(),
+            BkVerifyPair(spec_, resident, projection.value(),
                          /*self_canonical=*/true, &line_buf, out, ctx);
           }
         }
@@ -351,7 +342,6 @@ class BkSelfReduceBlockReducer : public mr::Reducer<Stage2Key, TokenSetRecord> {
 
  private:
   sim::SimilaritySpec spec_;
-  mr::RecordFormat format_;
 };
 
 }  // namespace
@@ -362,16 +352,14 @@ Result<Stage2Result> RunStage2SelfJoin(mr::Dfs* dfs,
                                        const std::string& output_file,
                                        const JoinConfig& config) {
   FJ_RETURN_IF_ERROR(config.Validate());
-  const mr::RecordFormat format = config.record_format;
-  // Owned decode of the (possibly binary) stage-1 ordering; the jobs below
-  // run synchronously, so holding it as a local outlives every mapper.
-  FJ_ASSIGN_OR_RETURN(const std::vector<std::string> ordering_lines,
-                      ReadOrderingLines(*dfs, ordering_file));
+  // The mappers read the Dfs's own stored lines: the ordering file is
+  // neither appended to nor deleted while the job below runs.
+  FJ_ASSIGN_OR_RETURN(const std::vector<std::string>* ordering_lines,
+                      dfs->ReadFile(ordering_file));
 
   // A malformed ordering fails here, before any map task loads it.
-  FJ_RETURN_IF_ERROR(text::TokenOrdering::FromLines(ordering_lines).status());
-  const Stage2Context ctx =
-      internal::MakeStage2Context(config, &ordering_lines);
+  FJ_RETURN_IF_ERROR(text::TokenOrdering::FromLines(*ordering_lines).status());
+  const Stage2Context ctx = internal::MakeStage2Context(config, ordering_lines);
 
   mr::JobSpec<Stage2Key, TokenSetRecord> spec{config.engine()};
   spec.name = std::string("stage2-") + Stage2Name(config.stage2) + "-self";
@@ -379,7 +367,6 @@ Result<Stage2Result> RunStage2SelfJoin(mr::Dfs* dfs,
   spec.output_file = output_file;
   spec.num_map_tasks = config.num_map_tasks;
   spec.num_reduce_tasks = config.num_reduce_tasks;
-  spec.binary_output = format == mr::RecordFormat::kBinary;
   spec.group_equal = [](const Stage2Key& a, const Stage2Key& b) {
     return a.group == b.group;
   };
@@ -404,8 +391,8 @@ Result<Stage2Result> RunStage2SelfJoin(mr::Dfs* dfs,
     spec.mapper_factory = [ctx, width] {
       return std::make_unique<BkLengthRoutingMapper>(ctx, width);
     };
-    spec.reducer_factory = [sim_spec, format] {
-      return std::make_unique<BkLengthRoutingReducer>(sim_spec, format);
+    spec.reducer_factory = [sim_spec] {
+      return std::make_unique<BkLengthRoutingReducer>(sim_spec);
     };
     mr::Job<Stage2Key, TokenSetRecord> job(dfs, std::move(spec));
     FJ_ASSIGN_OR_RETURN(mr::JobMetrics metrics, job.Run());
@@ -421,12 +408,12 @@ Result<Stage2Result> RunStage2SelfJoin(mr::Dfs* dfs,
         return std::make_unique<SelfKernelMapper>(ctx);
       };
       if (config.stage2 == Stage2Algorithm::kPK) {
-        spec.reducer_factory = [sim_spec, format] {
-          return std::make_unique<PkSelfReducer>(sim_spec, format);
+        spec.reducer_factory = [sim_spec] {
+          return std::make_unique<PkSelfReducer>(sim_spec);
         };
       } else {
-        spec.reducer_factory = [sim_spec, format] {
-          return std::make_unique<BkSelfReducer>(sim_spec, format);
+        spec.reducer_factory = [sim_spec] {
+          return std::make_unique<BkSelfReducer>(sim_spec);
         };
       }
       break;
@@ -434,16 +421,16 @@ Result<Stage2Result> RunStage2SelfJoin(mr::Dfs* dfs,
       spec.mapper_factory = [ctx] {
         return std::make_unique<SelfMapBlockMapper>(ctx);
       };
-      spec.reducer_factory = [sim_spec, format] {
-        return std::make_unique<BkSelfMapBlockReducer>(sim_spec, format);
+      spec.reducer_factory = [sim_spec] {
+        return std::make_unique<BkSelfMapBlockReducer>(sim_spec);
       };
       break;
     case BlockProcessing::kReduceBased:
       spec.mapper_factory = [ctx] {
         return std::make_unique<SelfReduceBlockMapper>(ctx);
       };
-      spec.reducer_factory = [sim_spec, format] {
-        return std::make_unique<BkSelfReduceBlockReducer>(sim_spec, format);
+      spec.reducer_factory = [sim_spec] {
+        return std::make_unique<BkSelfReduceBlockReducer>(sim_spec);
       };
       break;
   }

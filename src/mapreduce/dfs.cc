@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/hash.h"
-#include "common/varint.h"
 #include "mapreduce/integrity.h"
 
 namespace fj::mr {
@@ -25,9 +24,8 @@ Result<const Dfs::FileEntry*> Dfs::FindLocked(const std::string& name) const {
   return static_cast<const FileEntry*>(it->second.get());
 }
 
-Status Dfs::WriteInternal(const std::string& name,
-                          std::vector<std::string> lines,
-                          std::vector<uint64_t> line_checksums, bool binary) {
+Status Dfs::WriteFile(const std::string& name, std::vector<std::string> lines,
+                      std::vector<uint64_t> line_checksums) {
   if (line_checksums.empty()) {
     line_checksums.reserve(lines.size());
     for (const auto& line : lines) line_checksums.push_back(LineChecksum(line));
@@ -53,31 +51,11 @@ Status Dfs::WriteInternal(const std::string& name,
   }
   entry->lines = std::move(lines);
   entry->line_hashes = std::move(line_checksums);
-  entry->binary = binary;
   WriterMutexLock lock(&mu_);
   auto [it, inserted] = files_.try_emplace(name, std::move(entry));
   (void)it;
   if (!inserted) return Status::AlreadyExists("dfs file exists: " + name);
   return Status::OK();
-}
-
-Status Dfs::WriteFile(const std::string& name, std::vector<std::string> lines,
-                      std::vector<uint64_t> line_checksums) {
-  return WriteInternal(name, std::move(lines), std::move(line_checksums),
-                       /*binary=*/false);
-}
-
-Status Dfs::WriteFileBlocks(const std::string& name,
-                            std::vector<std::string> blocks,
-                            std::vector<uint64_t> block_checksums) {
-  return WriteInternal(name, std::move(blocks), std::move(block_checksums),
-                       /*binary=*/true);
-}
-
-bool Dfs::IsBinary(const std::string& name) const {
-  ReaderMutexLock lock(&mu_);
-  auto it = files_.find(name);
-  return it != files_.end() && it->second->binary;
 }
 
 Status Dfs::AppendToFile(const std::string& name,
@@ -134,11 +112,7 @@ Result<uint64_t> Dfs::VerifyFile(const std::string& name) const {
   uint64_t fold = kFnvOffsetBasis;
   for (size_t i = 0; i < entry->lines.size(); ++i) {
     const uint64_t h = LineChecksum(entry->lines[i]);
-    // Binary blocks are framed by a varint length prefix, text lines by a
-    // newline terminator.
-    bytes += entry->binary
-                 ? VarintLen(entry->lines[i].size()) + entry->lines[i].size()
-                 : entry->lines[i].size() + 1;
+    bytes += entry->lines[i].size() + 1;
     if (h != entry->line_hashes[i]) {
       return Status::DataLoss("dfs file " + name + ": line " +
                               std::to_string(i) +
@@ -191,9 +165,7 @@ Result<uint64_t> Dfs::FileBytes(const std::string& name) const {
   ReaderMutexLock lock(&mu_);
   FJ_ASSIGN_OR_RETURN(const FileEntry* entry, FindLocked(name));
   uint64_t total = 0;
-  for (const auto& l : entry->lines) {
-    total += entry->binary ? VarintLen(l.size()) + l.size() : l.size() + 1;
-  }
+  for (const auto& l : entry->lines) total += l.size() + 1;
   return total;
 }
 

@@ -48,21 +48,6 @@ class Dfs {
   Status WriteFile(const std::string& name, std::vector<std::string> lines,
                    std::vector<uint64_t> line_checksums = {});
 
-  /// Creates `name` as a BINARY file holding length-prefixed blocks (each
-  /// element one binary record/block, arbitrary bytes — record_format.h).
-  /// Fails if the file exists. Storage and integrity metadata are shared
-  /// with the line API; the difference is on-disk framing: byte counts and
-  /// VerifyFile charge varint length prefixes instead of newline
-  /// terminators, and IsBinary() reports true so readers and the CLI's
-  /// --dfs_dir import/export pick the right representation.
-  /// `block_checksums` as WriteFile's `line_checksums`.
-  Status WriteFileBlocks(const std::string& name,
-                         std::vector<std::string> blocks,
-                         std::vector<uint64_t> block_checksums = {});
-
-  /// True when `name` exists and was written through WriteFileBlocks.
-  bool IsBinary(const std::string& name) const;
-
   /// Creates `name` if needed and appends the lines.
   Status AppendToFile(const std::string& name,
                       const std::vector<std::string>& lines);
@@ -98,9 +83,7 @@ class Dfs {
   /// next VerifyFile reports DataLoss. Fails on missing or all-empty files.
   Status CorruptByteForTest(const std::string& name, uint64_t seed);
 
-  /// Total serialized bytes of the file: lines plus newline terminators
-  /// for text files, blocks plus their varint length prefixes for binary
-  /// files.
+  /// Total serialized bytes of the file: lines plus newline terminators.
   Result<uint64_t> FileBytes(const std::string& name) const;
 
   Result<size_t> FileLines(const std::string& name) const;
@@ -122,15 +105,9 @@ class Dfs {
     std::vector<std::string> lines;
     std::vector<uint64_t> line_hashes;
     uint64_t file_hash;
-    /// True for files created via WriteFileBlocks: elements are binary
-    /// blocks framed by varint length prefixes rather than newlines.
-    bool binary = false;
     FileEntry();
     void Append(const std::string& line);
   };
-
-  Status WriteInternal(const std::string& name, std::vector<std::string> lines,
-                       std::vector<uint64_t> line_checksums, bool binary);
 
   Result<const FileEntry*> FindLocked(const std::string& name) const
       FJ_REQUIRES_SHARED(mu_);

@@ -1063,16 +1063,9 @@ Result<JobMetrics> Job<K, V>::Run() {
     }
     const std::string tmp = spec_.output_file + ".__commit";
     if (dfs_->Exists(tmp)) FJ_RETURN_IF_ERROR(dfs_->DeleteFile(tmp));
-    // Binary-record outputs commit through the Dfs block API so the file's
-    // checksums and byte counts are defined over the varint-framed
-    // encoding; the quarantine file below always holds text input lines.
     // The line checksums were computed by the reduce tasks.
     FJ_RETURN_IF_ERROR(
-        spec_.binary_output
-            ? dfs_->WriteFileBlocks(tmp, std::move(all_lines),
-                                    std::move(all_checksums))
-            : dfs_->WriteFile(tmp, std::move(all_lines),
-                              std::move(all_checksums)));
+        dfs_->WriteFile(tmp, std::move(all_lines), std::move(all_checksums)));
     Status renamed = dfs_->RenameFile(tmp, spec_.output_file);
     if (!renamed.ok()) {
       (void)dfs_->DeleteFile(tmp);  // best effort; the rename error wins

@@ -291,14 +291,6 @@ struct JobSpec : EngineOptions {
   /// Group comparator; nullptr = equality under sort_less. Keys equal under
   /// group_equal MUST be contiguous under sort_less.
   std::function<bool(const K&, const K&)> group_equal;
-
-  /// Commit the job's output file through the Dfs binary block API
-  /// (Dfs::WriteFileBlocks) instead of the line API: emitted records are
-  /// stored as length-prefixed blocks, and the file's checksums/byte
-  /// counts are defined over the varint-framed encoding. Set by stages
-  /// whose emitted records are binary wire records (record_format.h
-  /// layer 3) rather than text lines.
-  bool binary_output = false;
 };
 
 /// The job's resolved key ordering: comparators and partitioner with the

@@ -352,59 +352,4 @@ bool ParseBlockCodec(std::string_view name, BlockCodec* codec) {
   return false;
 }
 
-void FormatTokenCountRecord(std::string_view token, uint64_t count,
-                            std::string* out) {
-  out->clear();
-  out->push_back(static_cast<char>(kBinaryRecordMagic));
-  out->push_back(static_cast<char>(kTokenCountRecordKind));
-  AppendVarint(out, token.size());
-  out->append(token);
-  AppendVarint(out, count);
-}
-
-bool ParseTokenCountRecord(std::string_view record, std::string* token,
-                           uint64_t* count) {
-  if (record.size() < 2 ||
-      static_cast<uint8_t>(record[0]) != kBinaryRecordMagic ||
-      static_cast<uint8_t>(record[1]) != kTokenCountRecordKind) {
-    return false;
-  }
-  size_t pos = 2;
-  uint64_t len = 0;
-  if (!DecodeVarint(record, &pos, &len)) return false;
-  if (len > record.size() - pos) return false;
-  token->assign(record.data() + pos, static_cast<size_t>(len));
-  pos += static_cast<size_t>(len);
-  if (!DecodeVarint(record, &pos, count)) return false;
-  return pos == record.size();
-}
-
-void FormatRidPairRecord(uint64_t rid1, uint64_t rid2, double similarity,
-                         std::string* out) {
-  out->clear();
-  out->push_back(static_cast<char>(kBinaryRecordMagic));
-  out->push_back(static_cast<char>(kRidPairRecordKind));
-  AppendVarint(out, rid1);
-  AppendVarint(out, rid2);
-  uint64_t bits = 0;
-  std::memcpy(&bits, &similarity, sizeof(bits));
-  internal::AppendFixed64(out, bits);
-}
-
-bool ParseRidPairRecord(std::string_view record, uint64_t* rid1,
-                        uint64_t* rid2, double* similarity) {
-  if (record.size() < 2 ||
-      static_cast<uint8_t>(record[0]) != kBinaryRecordMagic ||
-      static_cast<uint8_t>(record[1]) != kRidPairRecordKind) {
-    return false;
-  }
-  size_t pos = 2;
-  if (!DecodeVarint(record, &pos, rid1)) return false;
-  if (!DecodeVarint(record, &pos, rid2)) return false;
-  uint64_t bits = 0;
-  if (!internal::DecodeFixed64(record, &pos, &bits)) return false;
-  std::memcpy(similarity, &bits, sizeof(bits));
-  return pos == record.size();
-}
-
 }  // namespace fj::mr

@@ -1,7 +1,8 @@
-// The binary record format for spill runs, shuffle segments, and stage
-// intermediate files, plus the pluggable block codec applied on top.
+// The binary record format for spill runs and shuffle segments, plus the
+// pluggable block codec applied on top. DFS stage files are always text
+// lines, whatever the format.
 //
-// Three layers, bottom up:
+// Two layers, bottom up:
 //
 //  1. Typed content codec: EncodeContent/DecodeContent serialize the
 //     (key, value) types that cross the shuffle. Varints for integers
@@ -15,10 +16,6 @@
 //     as [codec byte | varint record count | varint raw size | payload],
 //     optionally compressed by the block codec. Decoding returns Status:
 //     a truncated or corrupted block is an error, never UB.
-//  3. Wire records: self-describing binary records stored in DFS stage
-//     files (stage-1 token counts, stage-2 RID pairs). Each starts with
-//     the magic byte 0xFB — an invalid UTF-8 lead byte, so a reader can
-//     sniff binary vs. text records and text lines can never collide.
 //
 // Checksums over binary runs are defined over the *encoded* block bytes
 // (see job.h): the bytes that sit in the shuffle are the bytes verified,
@@ -42,11 +39,11 @@
 
 namespace fj::mr {
 
-/// How records are represented in spill runs, shuffle segments, and
-/// intermediate stage files. Text is the compatibility default: every
-/// record is a std::string line and shuffle bytes are ByteSizeOf
-/// estimates. Binary makes serialization real: runs hold encoded blocks
-/// and the byte meters count actual encoded sizes.
+/// How records are represented in spill runs and shuffle segments. Text
+/// is the compatibility default: every record is a std::string line and
+/// shuffle bytes are ByteSizeOf estimates. Binary makes serialization
+/// real: runs hold encoded blocks and the byte meters count actual
+/// encoded sizes. Neither changes a byte of a job's committed output.
 enum class RecordFormat : uint8_t {
   kText = 0,
   kBinary = 1,
@@ -401,36 +398,5 @@ Status DecodeRunBlock(std::string_view encoded, CodecScratch* scratch,
   }
   return Status::OK();
 }
-
-// ---------------------------------------------------------------------------
-// Layer 3: wire records for DFS stage files.
-
-/// First byte of every binary wire record. 0xFB is an invalid UTF-8 lead
-/// byte and never starts a text line produced by this system.
-inline constexpr uint8_t kBinaryRecordMagic = 0xFB;
-/// Record kinds (second byte).
-inline constexpr uint8_t kTokenCountRecordKind = 0x01;
-inline constexpr uint8_t kRidPairRecordKind = 0x03;
-
-/// True when `record` starts with the binary magic byte — readers use
-/// this to dispatch between text lines and binary wire records.
-inline bool IsBinaryRecord(std::string_view record) {
-  return !record.empty() &&
-         static_cast<uint8_t>(record.front()) == kBinaryRecordMagic;
-}
-
-/// Stage-1 ordering entry: (token, frequency). Replaces "token\tcount".
-void FormatTokenCountRecord(std::string_view token, uint64_t count,
-                            std::string* out);
-bool ParseTokenCountRecord(std::string_view record, std::string* token,
-                           uint64_t* count);
-
-/// Stage-2 result: (rid1, rid2, similarity). The double is stored as its
-/// exact bit pattern, so re-rendering with %.6f matches the text path
-/// byte for byte. Replaces "rid1\trid2\tsim".
-void FormatRidPairRecord(uint64_t rid1, uint64_t rid2, double similarity,
-                         std::string* out);
-bool ParseRidPairRecord(std::string_view record, uint64_t* rid1,
-                        uint64_t* rid2, double* similarity);
 
 }  // namespace fj::mr

@@ -55,11 +55,9 @@ std::vector<uint64_t> MinHashSignature(const TokenSetRecord& record,
                                        size_t hashes, uint64_t seed);
 
 /// One bucket key per band: the combined hash of the band's signature
-/// rows. `signature` must hold num_bands * rows_per_band slots. This is
-/// the bucket identity shared by the batch LSH join and the serving
-/// index's incremental LSH tier — both sides MUST agree, and the keys are
-/// deterministic functions of (signature, options) with no per-process
-/// state, so they are stable across runs and machines.
+/// rows. `signature` must hold num_bands * rows_per_band slots. The keys
+/// are deterministic functions of (signature, options) with no
+/// per-process state, so they are stable across runs and machines.
 std::vector<uint64_t> BandKeys(const std::vector<uint64_t>& signature,
                                const MinHashLshOptions& options);
 

@@ -254,12 +254,8 @@ ServeResponse QueryService::Execute(const Request& request) {
     return response;
   }
   if (request.kind == RequestKind::kProbeThreshold) {
-    response.status =
-        options_.lsh_preroute
-            ? index_->ProbeApprox(request.record, request.threshold,
-                                  &response.results)
-            : index_->ProbeThreshold(request.record, request.threshold,
-                                     &response.results);
+    response.status = index_->ProbeThreshold(
+        request.record, request.threshold, &response.results);
   } else {
     response.status =
         index_->ProbeTopK(request.record, request.top_k, &response.results);

@@ -71,10 +71,6 @@ struct QueryServiceOptions {
   size_t max_batch = 64;
   /// LRU result-cache entries; 0 disables caching.
   size_t cache_capacity = 4096;
-  /// Route threshold probes through the index's MinHash-LSH tier
-  /// (approximate: recall < 1). Requires the index to have been built
-  /// with lsh_preroute.
-  bool lsh_preroute = false;
   /// When false, no drainer task is spawned: the owner pumps DrainAll()
   /// itself. Lets tests and benches fill the queue deterministically to
   /// exercise admission control.

@@ -17,15 +17,15 @@ namespace {
 // first rung with >= k results is final.
 constexpr double kTopKLadder[] = {0.9, 0.75, 0.6};
 
-constexpr char kSnapshotMagic[] = "FJSV1";
+// Bumped whenever the header layout changes, so an older snapshot is
+// refused as DataLoss instead of being misread.
+constexpr char kSnapshotMagic[] = "FJSV2";
 
 }  // namespace
 
 ServingIndex::ServingIndex(ServingIndexOptions options)
     : options_(options),
-      floor_spec_(options.function, options.tau_floor) {
-  if (options_.lsh_preroute) bands_.resize(options_.lsh.num_bands);
-}
+      floor_spec_(options.function, options.tau_floor) {}
 
 Status ServingIndex::ValidateRecord(const TokenSetRecord& record) const {
   if (record.tokens.empty()) {
@@ -81,16 +81,6 @@ void ServingIndex::AppendSlot(const TokenSetRecord& record) {
   for (size_t i = 0; i < index_prefix; ++i) {
     PostingListFor(record.tokens[i])
         .entries.push_back({slot_index, static_cast<uint32_t>(i), length});
-  }
-
-  if (options_.lsh_preroute) {
-    const auto signature = ppjoin::MinHashSignature(
-        record, options_.lsh.num_bands * options_.lsh.rows_per_band,
-        options_.lsh.seed);
-    const auto keys = ppjoin::BandKeys(signature, options_.lsh);
-    for (size_t band = 0; band < keys.size(); ++band) {
-      bands_[band][keys[band]].push_back(slot_index);
-    }
   }
 }
 
@@ -233,61 +223,6 @@ Status ServingIndex::ProbeTopK(const TokenSetRecord& record, size_t k,
   return Status::OK();
 }
 
-Status ServingIndex::ProbeApprox(const TokenSetRecord& record, double tau,
-                                 std::vector<ProbeResult>* out) {
-  out->clear();
-  if (!options_.lsh_preroute) {
-    return Status::FailedPrecondition(
-        "approximate probes need lsh_preroute enabled at index build time");
-  }
-  FJ_RETURN_IF_ERROR(ValidateRecord(record));
-  if (tau > 1.0 || !(tau > 0.0)) {
-    return Status::InvalidArgument("threshold must lie in (0, 1]");
-  }
-  // No floor check: band buckets cover whole records, so (approximate)
-  // answers below the exact index's floor are still servable.
-  const sim::SimilaritySpec spec(options_.function, tau);
-  ++stats_.probes;
-  ++stats_.lsh_probes;
-  ++probe_epoch_;
-  const size_t length = record.tokens.size();
-  const size_t lb = spec.LengthLowerBound(length);
-  const size_t ub = spec.LengthUpperBound(length);
-  const sim::BitmapSignature probe_sig =
-      sim::BuildBitmapSignature(record.tokens);
-  const auto signature = ppjoin::MinHashSignature(
-      record, options_.lsh.num_bands * options_.lsh.rows_per_band,
-      options_.lsh.seed);
-  const auto keys = ppjoin::BandKeys(signature, options_.lsh);
-  for (size_t band = 0; band < keys.size(); ++band) {
-    auto bucket = bands_[band].find(keys[band]);
-    if (bucket == bands_[band].end()) continue;
-    for (uint32_t slot_index : bucket->second) {
-      const Slot& slot = slots_[slot_index];
-      if (!slot.live() || slot.rid == record.rid) continue;
-      if (slot.length < lb || slot.length > ub) continue;
-      CandidateSlot& candidate = candidate_slots_[slot_index];
-      if (candidate.epoch == probe_epoch_) continue;
-      candidate.epoch = probe_epoch_;
-      ++stats_.candidates;
-      ++stats_.lsh_candidates;
-      const size_t alpha = spec.MinOverlap(length, slot.length);
-      if (sim::BitmapOverlapUpperBound(probe_sig, slot.signature, length,
-                                       slot.length) < alpha) {
-        ++stats_.bitmap_pruned;
-        continue;
-      }
-      candidate_order_.push_back(slot_index);
-    }
-  }
-  VerifyCandidates(record, spec, out);
-  std::sort(out->begin(), out->end(),
-            [](const ProbeResult& a, const ProbeResult& b) {
-              return a.rid < b.rid;
-            });
-  return Status::OK();
-}
-
 void ServingIndex::CompactNow() {
   std::vector<TokenSetRecord> live;
   ExportLive(&live);
@@ -298,7 +233,6 @@ void ServingIndex::CompactNow() {
   dense_index_.clear();
   unknown_index_.clear();
   rid_to_slot_.clear();
-  bands_.assign(options_.lsh_preroute ? options_.lsh.num_bands : 0, {});
   candidate_slots_.clear();
   candidate_order_.clear();
   probe_epoch_ = 0;
@@ -381,10 +315,6 @@ std::vector<std::string> SaveSnapshot(const ServingIndex& index,
   AppendVarint(&header, std::bit_cast<uint64_t>(options.tau_floor));
   AppendVarint(&header,
                std::bit_cast<uint64_t>(options.compact_tombstone_fraction));
-  AppendVarint(&header, options.lsh_preroute ? 1 : 0);
-  AppendVarint(&header, options.lsh.num_bands);
-  AppendVarint(&header, options.lsh.rows_per_band);
-  AppendVarint(&header, options.lsh.seed);
 
   std::vector<TokenSetRecord> live;
   index.ExportLive(&live);
@@ -422,10 +352,9 @@ Result<SeededIndex> LoadSnapshot(const std::vector<std::string>& blocks) {
   }
   const std::string& header = blocks[0];
   size_t pos = kMagicLen;
-  uint64_t function = 0, tau_bits = 0, fraction_bits = 0, lsh = 0;
-  uint64_t bands = 0, rows = 0, seed = 0, record_count = 0;
-  for (uint64_t* field : {&function, &tau_bits, &fraction_bits, &lsh, &bands,
-                          &rows, &seed, &record_count}) {
+  uint64_t function = 0, tau_bits = 0, fraction_bits = 0, record_count = 0;
+  for (uint64_t* field :
+       {&function, &tau_bits, &fraction_bits, &record_count}) {
     if (!DecodeVarint(header, &pos, field)) {
       return Status::DataLoss("truncated snapshot header");
     }
@@ -437,10 +366,6 @@ Result<SeededIndex> LoadSnapshot(const std::vector<std::string>& blocks) {
   options.function = static_cast<sim::SimilarityFunction>(function);
   options.tau_floor = std::bit_cast<double>(tau_bits);
   options.compact_tombstone_fraction = std::bit_cast<double>(fraction_bits);
-  options.lsh_preroute = lsh != 0;
-  options.lsh.num_bands = static_cast<size_t>(bands);
-  options.lsh.rows_per_band = static_cast<size_t>(rows);
-  options.lsh.seed = seed;
   if (!(options.tau_floor > 0.0) || options.tau_floor > 1.0) {
     return Status::DataLoss("snapshot carries an invalid tau floor");
   }
@@ -473,6 +398,12 @@ Result<SeededIndex> LoadSnapshot(const std::vector<std::string>& blocks) {
     if (!DecodeVarint(block, &at, &rid) ||
         !DecodeVarint(block, &at, &count)) {
       return Status::DataLoss("truncated snapshot record block");
+    }
+    // Every delta takes at least one byte, so a count beyond the bytes
+    // left is corruption: refuse it before reserving.
+    if (count > block.size() - at) {
+      return Status::DataLoss("snapshot record declares more tokens than "
+                              "its block holds");
     }
     TokenSetRecord record;
     record.rid = rid;

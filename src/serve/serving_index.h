@@ -21,7 +21,7 @@
 //     until compaction.
 //   * Compaction triggers when the tombstone fraction reaches
 //     compact_tombstone_fraction: live records are rewritten into a fresh
-//     arena / posting index / LSH tables, dead postings disappear, and
+//     arena and posting index, dead postings disappear, and
 //     probe answers are provably unchanged (compaction does NOT bump the
 //     write epoch, so cached results stay valid across it).
 //
@@ -30,9 +30,6 @@
 // 128-bit hashed-bitmap pre-verification bound, then an early-terminating
 // merge over the full token arrays. ProbeTopK answers "the k most similar
 // records" exactly down to the floor, by iterative threshold deepening.
-// An optional MinHash-LSH tier (lsh_preroute) maintains band buckets
-// incrementally and serves approximate probes (perfect precision, recall
-// follows the 1-(1-s^r)^b curve) for cheap first-pass routing.
 //
 // Thread-compatibility: like the batch kernel, this class is single
 // writer / single prober (probes reuse epoch-stamped candidate scratch).
@@ -47,7 +44,6 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "ppjoin/minhash_lsh.h"
 #include "ppjoin/token_set.h"
 #include "similarity/filters.h"
 #include "similarity/similarity.h"
@@ -81,10 +77,6 @@ struct ServingIndexOptions {
   /// live). Values outside (0, 1] disable threshold-triggered compaction
   /// (CompactNow is always available).
   double compact_tombstone_fraction = 0.25;
-  /// Maintain MinHash-LSH band buckets incrementally so ProbeApprox can
-  /// serve approximate probes (recall < 1, precision 1).
-  bool lsh_preroute = false;
-  ppjoin::MinHashLshOptions lsh;
 };
 
 /// Monotonic counters describing the life of one ServingIndex.
@@ -99,8 +91,6 @@ struct ServingIndexStats {
   uint64_t results = 0;
   uint64_t compactions = 0;
   uint64_t tombstones_purged = 0;  ///< dead slots removed by compaction
-  uint64_t lsh_probes = 0;
-  uint64_t lsh_candidates = 0;
   uint64_t topk_deepenings = 0;   ///< extra ladder rungs ProbeTopK probed
 };
 
@@ -136,15 +126,6 @@ class ServingIndex {
   /// means fewer than k records clear the floor.
   Status ProbeTopK(const TokenSetRecord& record, size_t k,
                    std::vector<ProbeResult>* out);
-
-  // --- Probes (approximate, lsh_preroute only) ---
-
-  /// LSH-routed probe: candidates come from MinHash band buckets instead
-  /// of the posting index, then verify exactly. A subset of
-  /// ProbeThreshold's answer (precision 1, recall < 1). Jaccard only.
-  /// FailedPrecondition unless options.lsh_preroute is on.
-  Status ProbeApprox(const TokenSetRecord& record, double tau,
-                     std::vector<ProbeResult>* out);
 
   // --- Maintenance / introspection ---
 
@@ -206,12 +187,12 @@ class ServingIndex {
   PostingList* FindPostingList(sim::TokenId id);
   PostingList& PostingListFor(sim::TokenId id);
 
-  /// Appends `record` as a new live slot (store + arena + postings + LSH
-  /// buckets). The caller has validated it.
+  /// Appends `record` as a new live slot (store + arena + postings). The
+  /// caller has validated it.
   void AppendSlot(const TokenSetRecord& record);
 
-  /// Shared verify loop over candidate_order_ under `spec`; appends
-  /// results and clears the scratch.
+  /// Verify loop over candidate_order_ under `spec`; appends results and
+  /// clears the scratch.
   void VerifyCandidates(const TokenSetRecord& record,
                         const sim::SimilaritySpec& spec,
                         std::vector<ProbeResult>* out);
@@ -236,9 +217,6 @@ class ServingIndex {
   // they leave, so map iteration order never escapes.
   std::unordered_map<sim::TokenId, PostingList> unknown_index_;
   std::unordered_map<uint64_t, uint32_t> rid_to_slot_;  ///< live rids only
-
-  /// MinHash band buckets (lsh_preroute): band -> band key -> slots.
-  std::vector<std::unordered_map<uint64_t, std::vector<uint32_t>>> bands_;
 
   std::vector<CandidateSlot> candidate_slots_;  ///< one per slot
   std::vector<uint32_t> candidate_order_;       ///< touched list

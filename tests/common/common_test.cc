@@ -245,5 +245,45 @@ TEST(FlagsTest, GetCountReadsNonNegativeIntegersOnly) {
   EXPECT_EQ(wide, 4294967296ULL);
 }
 
+TEST(FlagsTest, CheckNamesTheFirstFlagNoGetterRead) {
+  const char* argv[] = {"tool", "run", "--threads=4", "--thraeds=4",
+                        "--verbose"};
+  const Flags flags(static_cast<int>(std::size(argv)),
+                    const_cast<char**>(argv));
+  size_t threads = 1;
+  ASSERT_TRUE(flags.GetCount("threads", &threads).ok());
+  EXPECT_FALSE(flags.Has("absent"));  // reading an absent key is fine
+  Status status = flags.Check();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--thraeds"), std::string::npos)
+      << status.ToString();
+  // Once every given flag has been read, the check passes; positional
+  // arguments are not flags.
+  EXPECT_EQ(flags.GetInt("thraeds", 0), 4);
+  EXPECT_TRUE(flags.Has("verbose"));
+  EXPECT_TRUE(flags.Check().ok());
+}
+
+TEST(FlagsTest, MalformedNumbersKeepTheDefaultAndFailTheCheck) {
+  const char* argv[] = {"tool",         "--seed=xyz", "--p=abc",
+                        "--int=-12",    "--num=0.25", "--exp=1e-3",
+                        "--partial=12x", "--flag"};
+  const Flags flags(static_cast<int>(std::size(argv)),
+                    const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("int", 0), -12);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("num", 0), 0.25);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("exp", 0), 1e-3);
+  EXPECT_EQ(flags.GetInt("flag", 0), 1);  // a bare flag reads as 1
+
+  EXPECT_EQ(flags.GetInt("seed", 7), 7);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("p", 0.5), 0.5);
+  EXPECT_EQ(flags.GetInt("partial", 3), 3);
+  // The first malformed value is the one reported.
+  const Status status = flags.Check();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--seed=xyz"), std::string::npos)
+      << status.ToString();
+}
+
 }  // namespace
 }  // namespace fj

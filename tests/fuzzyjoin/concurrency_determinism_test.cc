@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -211,11 +212,10 @@ TEST(ConcurrencyDeterminismTest, RSJoinThreadCountInvariant) {
   }
 }
 
-// The record format changes HOW intermediates are represented, never WHAT
-// the join produces: the final .joined output must be byte-identical
-// across every format x codec combination, threaded or not, faulted or
-// not. (Intermediate files legitimately differ — binary wire records vs.
-// text lines — so only the output file is compared across formats.)
+// The record format changes HOW spill runs and shuffle segments are
+// represented, never WHAT the join produces: the final .joined output
+// must be byte-identical across every format x codec combination,
+// threaded or not, faulted or not.
 TEST(ConcurrencyDeterminismTest, OutputInvariantAcrossFormatsAndCodecs) {
   mr::Dfs dfs;
   ASSERT_TRUE(dfs.WriteFile("records", SelfInputLines()).ok());
@@ -241,6 +241,79 @@ TEST(ConcurrencyDeterminismTest, OutputInvariantAcrossFormatsAndCodecs) {
       EXPECT_EQ(expected, Lines(dfs, result->output_file))
           << variant.Name() << " threads=" << threads;
     }
+  }
+}
+
+// Every committed Dfs file of the run named `prefix`, keyed by its name
+// without the prefix, with its whole-file checksum. The manifest is left
+// out: its fingerprint folds the format and codec on purpose.
+std::map<std::string, uint64_t> StageFileChecksums(const mr::Dfs& dfs,
+                                                   const std::string& prefix) {
+  std::map<std::string, uint64_t> files;
+  for (const std::string& name : dfs.ListFiles()) {
+    if (name.rfind(prefix + ".", 0) != 0 || name == prefix + ".manifest") {
+      continue;
+    }
+    files[name.substr(prefix.size())] = dfs.FileChecksum(name).value();
+  }
+  return files;
+}
+
+// Every stage file is text lines: record_format and block_codec choose
+// only how spill runs and shuffle segments are encoded, so each committed
+// file of a join has the same checksum under text and under binary+fjlz.
+TEST(ConcurrencyDeterminismTest, StageFilesInvariantAcrossFormatsAndCodecs) {
+  struct Case {
+    const char* name;
+    bool rs;
+    JoinConfig config;
+    std::vector<std::string> expected_files;
+  };
+  const Case cases[] = {
+      {"spilling BTO-PK-BRJ R-S join", true,
+       MakeConfig(2, Variant{false, true, false}),
+       {".joined", ".joined.halves", ".ordering", ".ordering.counts",
+        ".ridpairs"}},
+      {"default self-join", false, JoinConfig{},
+       {".joined", ".ordering", ".ordering.counts", ".ridpairs"}},
+  };
+  // S shares a quarter of R's records (one edit each), so the R-S join
+  // finds pairs.
+  auto r_config = data::DblpLikeConfig(300, 17);
+  r_config.payload_bytes = 24;
+  const std::vector<data::Record> r = data::GenerateRecords(r_config);
+  auto s_config = data::CiteseerxLikeConfig(200, 31);
+  s_config.payload_bytes = 24;
+  std::vector<data::Record> s = data::GenerateRecords(s_config);
+  data::InjectOverlap(r, 0.25, /*max_edits=*/1, 29, &s);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::map<std::string, uint64_t>> files;
+    for (const auto& [format, codec] :
+         {std::pair{mr::RecordFormat::kText, mr::BlockCodec::kNone},
+          std::pair{mr::RecordFormat::kBinary, mr::BlockCodec::kFjlz}}) {
+      mr::Dfs dfs;
+      ASSERT_TRUE(dfs.WriteFile("r", data::RecordsToLines(r)).ok());
+      ASSERT_TRUE(dfs.WriteFile("s", data::RecordsToLines(s)).ok());
+      JoinConfig config = c.config;
+      config.record_format = format;
+      config.block_codec = codec;
+      auto result = c.rs ? RunRSJoin(&dfs, "r", "s", "out", config)
+                         : RunSelfJoin(&dfs, "r", "out", config);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      uint64_t encoded = 0;
+      for (const auto& stage : result->stages) {
+        for (const auto& job : stage.jobs) encoded += job.codec_encoded_bytes;
+      }
+      // Binary runs really were encoded; text runs never are.
+      EXPECT_EQ(encoded > 0, format == mr::RecordFormat::kBinary);
+      EXPECT_GT(Lines(dfs, result->output_file).size(), 10u);
+      files.push_back(StageFileChecksums(dfs, "out"));
+    }
+    std::vector<std::string> names;
+    for (const auto& [name, checksum] : files[0]) names.push_back(name);
+    EXPECT_EQ(names, c.expected_files);
+    EXPECT_EQ(files[0], files[1]);
   }
 }
 

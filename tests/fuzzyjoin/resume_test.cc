@@ -87,8 +87,8 @@ TEST(ResumeTest, ManifestChecksumsArePinned) {
          config->block_codec = mr::BlockCodec::kFjlz;
          config->sort_buffer_bytes = 4096;
        },
-       {{"out.ordering", 0xcb6d15de4bb2e845ULL},
-        {"out.ridpairs", 0x661352c5a3104a14ULL},
+       {{"out.ordering", 0x11c9e09893895d91ULL},
+        {"out.ridpairs", 0x505483c55ea73a71ULL},
         {"out.joined", 0xebfccf4a707588ffULL}},
        0x709225853bfac271ULL},
       {"default self-join", false, [](JoinConfig*) {},

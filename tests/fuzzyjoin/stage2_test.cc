@@ -257,20 +257,11 @@ TEST(Stage2EdgeTest, PairLineRoundTrip) {
 
 // ---- Oracle: the Split-based RID-pair parser the in-place one replaced.
 // ParseRidPairLine must return its values, or its Status code and
-// message, on every text line and binary record.
+// message, on every line.
 
 using RidPair = std::tuple<uint64_t, uint64_t, double>;
 
 Result<RidPair> ReferenceParseRidPairLine(const std::string& line) {
-  if (mr::IsBinaryRecord(line)) {
-    uint64_t rid1 = 0;
-    uint64_t rid2 = 0;
-    double similarity = 0;
-    if (!mr::ParseRidPairRecord(line, &rid1, &rid2, &similarity)) {
-      return Status::InvalidArgument("bad rid-pair record");
-    }
-    return RidPair(rid1, rid2, similarity);
-  }
   std::vector<std::string> fields = fj::Split(line, '\t');
   if (fields.size() != 3) {
     return Status::InvalidArgument("bad rid-pair line: " +
@@ -300,8 +291,8 @@ void ExpectPairParserMatchesReference(const std::string& line) {
 }
 
 /// One random edit: a tab removed or added, a field emptied or replaced
-/// by a bad number, a byte >= 0x80, an embedded NUL, or (binary records)
-/// a flipped or dropped byte.
+/// by a bad number, a byte >= 0x80, an embedded NUL, or a flipped or
+/// dropped byte.
 void MutatePairLine(fj::Rng* rng, std::string* line) {
   const size_t at = line->empty() ? 0 : rng->NextBelow(line->size() + 1);
   static const char* const kFields[] = {
@@ -353,9 +344,7 @@ TEST(Stage2EdgeTest, PairLineParserMatchesSplitReference) {
     const uint64_t rid2 = rng.NextBelow(1000000);
     const double similarity = rng.NextDouble();
     std::string line;
-    FormatRidPairOut(round % 2 == 0 ? mr::RecordFormat::kText
-                                    : mr::RecordFormat::kBinary,
-                     rid1, rid2, similarity, &line);
+    FormatRidPairLine(rid1, rid2, similarity, &line);
     if (round % 4 == 0) ExpectPairParserMatchesReference(line);
     const size_t edits = 1 + rng.NextBelow(3);
     for (size_t e = 0; e < edits; ++e) MutatePairLine(&rng, &line);

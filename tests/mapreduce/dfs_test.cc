@@ -287,7 +287,7 @@ TEST(DfsTest, AppendExtendsChecksumIncrementally) {
 
 TEST(DfsTest, WriterLineChecksumsGiveTheSameFile) {
   // A writer that hashed its own lines (a job's reduce tasks do) produces
-  // exactly the file the Dfs would have hashed itself, text and binary.
+  // exactly the file the Dfs would have hashed itself.
   const std::vector<std::string> lines = {"alpha", "", "beta\tgamma",
                                           std::string("\xfb\x01\x00z", 4)};
   std::vector<uint64_t> checksums;
@@ -295,16 +295,10 @@ TEST(DfsTest, WriterLineChecksumsGiveTheSameFile) {
   Dfs dfs;
   ASSERT_TRUE(dfs.WriteFile("text", lines).ok());
   ASSERT_TRUE(dfs.WriteFile("text_hashed", lines, checksums).ok());
-  ASSERT_TRUE(dfs.WriteFileBlocks("blocks", lines).ok());
-  ASSERT_TRUE(dfs.WriteFileBlocks("blocks_hashed", lines, checksums).ok());
-  for (const auto& [name, plain] : {std::pair{"text_hashed", "text"},
-                                     std::pair{"blocks_hashed", "blocks"}}) {
-    EXPECT_EQ(dfs.FileChecksum(name).value(), dfs.FileChecksum(plain).value())
-        << name;
-    EXPECT_EQ(dfs.VerifyFile(name).value(), dfs.VerifyFile(plain).value())
-        << name;
-    EXPECT_EQ(dfs.IsBinary(name), dfs.IsBinary(plain)) << name;
-  }
+  EXPECT_EQ(dfs.FileChecksum("text_hashed").value(),
+            dfs.FileChecksum("text").value());
+  EXPECT_EQ(dfs.VerifyFile("text_hashed").value(),
+            dfs.VerifyFile("text").value());
   // The stored hashes still guard the bytes.
   ASSERT_TRUE(dfs.CorruptByteForTest("text_hashed", 3).ok());
   EXPECT_EQ(dfs.VerifyFile("text_hashed").status().code(),
@@ -314,8 +308,6 @@ TEST(DfsTest, WriterLineChecksumsGiveTheSameFile) {
 TEST(DfsTest, WriterChecksumCountMustMatchTheLines) {
   Dfs dfs;
   EXPECT_EQ(dfs.WriteFile("f", {"a", "b"}, {LineChecksum("a")}).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(dfs.WriteFileBlocks("f", {"a"}, {1, 2}).code(),
             StatusCode::kInvalidArgument);
   EXPECT_FALSE(dfs.Exists("f"));
 }

@@ -329,9 +329,7 @@ TEST(JobTest, EmptyCharge) {
 uint64_t PlainWriteChecksum(const Dfs& dfs, const std::string& file) {
   const std::vector<std::string> lines = *dfs.ReadFile(file).value();
   Dfs plain;
-  const Status written = dfs.IsBinary(file)
-                             ? plain.WriteFileBlocks("f", lines)
-                             : plain.WriteFile("f", lines);
+  const Status written = plain.WriteFile("f", lines);
   EXPECT_TRUE(written.ok()) << written.ToString();
   return plain.FileChecksum("f").value();
 }
@@ -350,19 +348,15 @@ TEST(JobTest, CommittedOutputChecksumsMatchAPlainDfsWrite) {
   // them: the committed file must be the one a plain write produces.
   struct Case {
     const char* name;
-    bool binary_output;
     RecordFormat format;
     BlockCodec codec;
     bool speculative;
   };
   const Case cases[] = {
-      {"text", false, RecordFormat::kText, BlockCodec::kNone, false},
-      {"blocks", true, RecordFormat::kText, BlockCodec::kNone, false},
-      {"fjlz", false, RecordFormat::kBinary, BlockCodec::kFjlz, false},
-      {"text+speculation", false, RecordFormat::kText, BlockCodec::kNone,
-       true},
-      {"fjlz+blocks+speculation", true, RecordFormat::kBinary,
-       BlockCodec::kFjlz, true},
+      {"text", RecordFormat::kText, BlockCodec::kNone, false},
+      {"fjlz", RecordFormat::kBinary, BlockCodec::kFjlz, false},
+      {"text+speculation", RecordFormat::kText, BlockCodec::kNone, true},
+      {"fjlz+speculation", RecordFormat::kBinary, BlockCodec::kFjlz, true},
   };
   for (const Case& c : cases) {
     Dfs dfs;
@@ -370,7 +364,6 @@ TEST(JobTest, CommittedOutputChecksumsMatchAPlainDfsWrite) {
     auto spec = WordCountSpec("in", "out");
     spec.num_reduce_tasks = 4;
     spec.sort_buffer_bytes = 256;
-    spec.binary_output = c.binary_output;
     spec.record_format = c.format;
     spec.block_codec = c.codec;
     if (c.speculative) {
@@ -388,7 +381,6 @@ TEST(JobTest, CommittedOutputChecksumsMatchAPlainDfsWrite) {
     if (c.speculative) {
       EXPECT_GT(metrics->speculative_launched, 0u) << c.name;
     }
-    EXPECT_EQ(dfs.IsBinary("out"), c.binary_output) << c.name;
     EXPECT_GT(dfs.FileLines("out").value(), 20u) << c.name;
     EXPECT_TRUE(dfs.VerifyFile("out").ok()) << c.name;
     EXPECT_EQ(dfs.FileChecksum("out").value(), PlainWriteChecksum(dfs, "out"))

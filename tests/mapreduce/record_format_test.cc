@@ -1,7 +1,7 @@
 // The binary record format, bottom up: varint primitives, the typed
-// content codec, the fjlz block codec, run-block framing, and the wire
-// records stored in DFS stage files — plus an end-to-end job proving the
-// binary path produces byte-identical output to text. The decode-side
+// content codec, the fjlz block codec and run-block framing — plus an
+// end-to-end job proving the binary path produces byte-identical output
+// to text. The decode-side
 // tests are deliberately hostile: every truncation prefix and random
 // byte-flip must come back as `false`/Status, never UB (the job layer
 // relies on that to turn corrupted shuffle blocks into failed attempts).
@@ -720,50 +720,6 @@ TEST(RunBlockTest, IncompressiblePayloadFallsBackToStored) {
   EXPECT_EQ(decoded, pairs);
 }
 
-// --- layer 3: wire records -----------------------------------------------
-
-TEST(WireRecordTest, TokenCountRoundTripAndSniffing) {
-  for (const auto& [token, count] :
-       std::vector<std::pair<std::string, uint64_t>>{
-           {"", 0},
-           {"hello", 42},
-           {"tab\tand\nnewline", 7},
-           {std::string(5000, 'q'), std::numeric_limits<uint64_t>::max()}}) {
-    std::string record;
-    FormatTokenCountRecord(token, count, &record);
-    EXPECT_TRUE(IsBinaryRecord(record));
-    std::string token_out;
-    uint64_t count_out = 0;
-    ASSERT_TRUE(ParseTokenCountRecord(record, &token_out, &count_out));
-    EXPECT_EQ(token_out, token);
-    EXPECT_EQ(count_out, count);
-    for (size_t cut = 0; cut < record.size(); ++cut) {
-      EXPECT_FALSE(ParseTokenCountRecord(
-          std::string_view(record.data(), cut), &token_out, &count_out));
-    }
-  }
-  EXPECT_FALSE(IsBinaryRecord(""));
-  EXPECT_FALSE(IsBinaryRecord("plain\ttext\tline"));
-}
-
-TEST(WireRecordTest, RidPairCarriesExactDoubleBits) {
-  double similarity = 2.0 / 3.0;
-  std::string record;
-  FormatRidPairRecord(81, 1024, similarity, &record);
-  EXPECT_TRUE(IsBinaryRecord(record));
-  uint64_t rid1 = 0, rid2 = 0;
-  double sim_out = 0;
-  ASSERT_TRUE(ParseRidPairRecord(record, &rid1, &rid2, &sim_out));
-  EXPECT_EQ(rid1, 81u);
-  EXPECT_EQ(rid2, 1024u);
-  EXPECT_EQ(sim_out, similarity);  // exact bits, not %.6f precision
-  // A token-count record must not parse as a rid pair (kind byte).
-  std::string other;
-  FormatTokenCountRecord("x", 1, &other);
-  EXPECT_FALSE(ParseRidPairRecord(other, &rid1, &rid2, &sim_out));
-  EXPECT_FALSE(ParseTokenCountRecord(record, &other, &rid1));
-}
-
 TEST(RecordFormatTest, NamesAndParsersAgree) {
   RecordFormat format = RecordFormat::kText;
   EXPECT_TRUE(ParseRecordFormat("binary", &format));
@@ -898,35 +854,6 @@ TEST(RecordFormatTest, CorruptedEncodedBlockIsDetectedAndRetried) {
   auto clean = clean_dfs.ReadFile("out");
   ASSERT_TRUE(faulted.ok() && clean.ok());
   EXPECT_EQ(*faulted.value(), *clean.value());
-}
-
-// --- DFS binary block files ----------------------------------------------
-
-TEST(RecordFormatTest, DfsBinaryBlocksVerifyAndCharge) {
-  Dfs dfs;
-  std::vector<std::string> blocks{std::string("\xfb\x01raw", 5),
-                                  std::string(), RandomBytes(256, 3)};
-  ASSERT_TRUE(dfs.WriteFileBlocks("bin", blocks).ok());
-  EXPECT_TRUE(dfs.IsBinary("bin"));
-  ASSERT_TRUE(dfs.WriteFile("txt", {"a line"}).ok());
-  EXPECT_FALSE(dfs.IsBinary("txt"));
-
-  auto stored = dfs.ReadFile("bin");
-  ASSERT_TRUE(stored.ok());
-  EXPECT_EQ(*stored.value(), blocks);
-
-  // Binary files charge varint length prefixes, not newline terminators.
-  uint64_t expected = 0;
-  for (const auto& b : blocks) expected += VarintLen(b.size()) + b.size();
-  auto bytes = dfs.FileBytes("bin");
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(*bytes, expected);
-
-  auto verified = dfs.VerifyFile("bin");
-  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
-  EXPECT_EQ(*verified, expected);
-  ASSERT_TRUE(dfs.CorruptByteForTest("bin", 11).ok());
-  EXPECT_FALSE(dfs.VerifyFile("bin").ok());
 }
 
 }  // namespace

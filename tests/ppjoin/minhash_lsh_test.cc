@@ -156,10 +156,9 @@ TEST(LshJoinTest, DeterministicForFixedSeed) {
 
 TEST(BandKeysTest, DeterministicAcrossRunsGoldenValues) {
   // Band keys are pure functions of (signature, options) with no
-  // per-process state (no ASLR-dependent pointers, no global counters):
-  // the serving index persists bucket contents derived from them across
-  // snapshots, so these exact values are part of the on-disk contract.
-  // If this test breaks, the snapshot format has silently changed.
+  // per-process state (no ASLR-dependent pointers, no global counters),
+  // so a rerun of bench_lsh reproduces BENCH_lsh.json's candidate sets.
+  // If this test breaks, the band hashing has silently changed.
   auto record = MakeRecord(1, {3, 7, 9, 11, 20});
   MinHashLshOptions options;
   options.num_bands = 4;

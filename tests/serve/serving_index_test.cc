@@ -5,18 +5,16 @@
 //     like an index rebuilt from scratch over the surviving records —
 //     swept over operation orders and compaction trigger points;
 //   * ProbeTopK is the sorted-truncated exact answer at the floor;
-//   * ProbeApprox is a perfect-precision subset of the exact answer;
 //   * snapshots round-trip into an index that answers identically.
 #include "serve/serving_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "common/random.h"
+#include "common/varint.h"
 #include "ppjoin/naive.h"
 #include "ppjoin/ppjoin.h"
 
@@ -286,81 +284,11 @@ TEST(ServingIndexTest, TopKZeroIsEmpty) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(ServingIndexTest, ApproxProbeIsPerfectPrecisionSubset) {
-  auto records = RandomRecords(150, 41);
-  ServingIndexOptions options;
-  options.tau_floor = 0.5;
-  options.lsh_preroute = true;
-  options.lsh.num_bands = 24;
-  options.lsh.rows_per_band = 4;
-  ServingIndex index(options);
-  for (const auto& record : records) {
-    ASSERT_TRUE(index.Insert(record).ok());
-  }
-  size_t exact_total = 0, approx_total = 0;
-  for (const auto& probe : records) {
-    std::vector<ProbeResult> exact, approx;
-    ASSERT_TRUE(index.ProbeThreshold(probe, 0.8, &exact).ok());
-    ASSERT_TRUE(index.ProbeApprox(probe, 0.8, &approx).ok());
-    // Precision 1: every approximate answer is in the exact answer,
-    // with the same (exactly computed) similarity.
-    std::map<uint64_t, double> exact_by_rid;
-    for (const auto& r : exact) exact_by_rid[r.rid] = r.similarity;
-    for (const auto& r : approx) {
-      auto it = exact_by_rid.find(r.rid);
-      ASSERT_NE(it, exact_by_rid.end()) << "false positive rid " << r.rid;
-      EXPECT_DOUBLE_EQ(it->second, r.similarity);
-    }
-    exact_total += exact.size();
-    approx_total += approx.size();
-  }
-  ASSERT_GT(exact_total, 20u);
-  // Recall is high at 24x4 and tau 0.8 (P(candidate) ~ 1).
-  EXPECT_GT(static_cast<double>(approx_total),
-            0.9 * static_cast<double>(exact_total));
-}
-
-TEST(ServingIndexTest, ApproxProbeRequiresLshPreroute) {
-  ServingIndex index;  // lsh_preroute off
-  ASSERT_TRUE(index.Insert(MakeRecord(1, {1, 2, 3})).ok());
-  std::vector<ProbeResult> out;
-  EXPECT_EQ(index.ProbeApprox(MakeRecord(9, {1, 2, 3}), 0.8, &out).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(ServingIndexTest, ApproxProbeSurvivesMutationsAndCompaction) {
-  ServingIndexOptions options;
-  options.lsh_preroute = true;
-  options.lsh.num_bands = 24;
-  options.lsh.rows_per_band = 4;
-  options.compact_tombstone_fraction = 0.3;
-  ServingIndex index(options);
-  auto records = RandomRecords(80, 53);
-  for (const auto& record : records) {
-    ASSERT_TRUE(index.Insert(record).ok());
-  }
-  for (size_t i = 0; i < records.size(); i += 2) {
-    ASSERT_TRUE(index.Remove(records[i].rid).ok());
-  }
-  EXPECT_GT(index.stats().compactions, 0u);
-  for (const auto& probe : records) {
-    std::vector<ProbeResult> exact, approx;
-    ASSERT_TRUE(index.ProbeThreshold(probe, 0.8, &exact).ok());
-    ASSERT_TRUE(index.ProbeApprox(probe, 0.8, &approx).ok());
-    std::set<uint64_t> exact_rids;
-    for (const auto& r : exact) exact_rids.insert(r.rid);
-    for (const auto& r : approx) {
-      EXPECT_TRUE(exact_rids.count(r.rid)) << r.rid;
-    }
-  }
-}
-
 TEST(ServingIndexTest, SnapshotRoundTripAnswersIdentically) {
   auto records = RandomRecords(60, 67);
   ServingIndexOptions options;
   options.tau_floor = 0.55;
   options.function = SimilarityFunction::kJaccard;
-  options.lsh_preroute = true;
   ServingIndex index(options);
   for (const auto& record : records) {
     ASSERT_TRUE(index.Insert(record).ok());
@@ -376,7 +304,6 @@ TEST(ServingIndexTest, SnapshotRoundTripAnswersIdentically) {
   EXPECT_EQ(loaded->index->live_records(), index.live_records());
   EXPECT_EQ(loaded->ordering.size(), ordering.size());
   EXPECT_DOUBLE_EQ(loaded->index->options().tau_floor, 0.55);
-  EXPECT_TRUE(loaded->index->options().lsh_preroute);
   for (const auto& probe : records) {
     std::vector<ProbeResult> got, want;
     ASSERT_TRUE(index.ProbeThreshold(probe, 0.6, &got).ok());
@@ -400,6 +327,40 @@ TEST(ServingIndexTest, SnapshotRejectsCorruptBlocks) {
     EXPECT_FALSE(LoadSnapshot(bad).ok());
   }
   EXPECT_FALSE(LoadSnapshot({}).ok());
+}
+
+TEST(ServingIndexTest, SnapshotRefusesATokenCountBeyondItsBlock) {
+  ServingIndex index;
+  ASSERT_TRUE(index.Insert(MakeRecord(1, {1, 2, 3})).ok());
+  const auto blocks = SaveSnapshot(index, text::TokenOrdering());
+  ASSERT_EQ(blocks.size(), 3u);
+  const std::string& record = blocks[2];
+  size_t deltas = 0;
+  uint64_t rid = 0, count = 0;
+  ASSERT_TRUE(DecodeVarint(record, &deltas, &rid));
+  ASSERT_TRUE(DecodeVarint(record, &deltas, &count));
+  ASSERT_EQ(count, 3u);
+  // Re-frame the record with a larger token count and the same deltas: a
+  // count the block cannot hold is DataLoss, never an allocation.
+  for (const uint64_t forged : {uint64_t{4}, uint64_t{1} << 62, UINT64_MAX}) {
+    auto bad = blocks;
+    bad[2].clear();
+    AppendVarint(&bad[2], rid);
+    AppendVarint(&bad[2], forged);
+    bad[2].append(record, deltas);
+    StatusCode code = StatusCode::kOk;
+    EXPECT_NO_THROW(code = LoadSnapshot(bad).status().code()) << forged;
+    EXPECT_EQ(code, StatusCode::kDataLoss) << forged;
+  }
+}
+
+TEST(ServingIndexTest, SnapshotRefusesTheOlderHeaderLayout) {
+  ServingIndex index;
+  ASSERT_TRUE(index.Insert(MakeRecord(1, {1, 2, 3})).ok());
+  auto blocks = SaveSnapshot(index, text::TokenOrdering());
+  ASSERT_EQ(blocks[0].compare(0, 5, "FJSV2"), 0);
+  blocks[0].replace(0, 5, "FJSV1");
+  EXPECT_EQ(LoadSnapshot(blocks).status().code(), StatusCode::kDataLoss);
 }
 
 TEST(ServingIndexTest, BuildFromJoinOutputProbesLikeTheCorpus) {

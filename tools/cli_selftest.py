@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end test of the shipped `fuzzyjoin` and `fuzzyjoin_serve` binaries.
 
-Two checks:
+Four checks:
 
 1. Transparent engine flags. `selfjoin` and `rsjoin` each run twice over
    small generated inputs: once with default flags, and once with every
@@ -10,15 +10,24 @@ Two checks:
    with --verify_integrity, binary records with the fjlz codec, contract
    checks, the skipped-record cap). The two `.joined` files must be
    byte-identical.
-2. Count flags. A negative or non-numeric count is a usage error: exit
-   status 2 with an InvalidArgument message naming the flag, never a
-   signal.
+2. Resume from a state directory. `rsjoin` with binary records and the
+   fjlz codec runs into --dfs_dir, then again with --resume: all three
+   stages resume from their checkpoints, the two `.joined` files are
+   byte-identical, and every file in the directory is newline-terminated
+   UTF-8 text (binary records would carry bytes UTF-8 never uses).
+3. Refused flags. A negative or non-numeric count, a misspelled flag, a
+   malformed number, an out-of-range --tau_floor and a retired flag are
+   usage errors: exit status 2 with an InvalidArgument message naming the
+   flag, never a signal.
+4. A crafted snapshot whose record declares 2^62 tokens makes
+   `fuzzyjoin_serve --snapshot_in` fail with DataLoss, never a signal.
 
 Usage: cli_selftest.py <path/to/fuzzyjoin> <path/to/fuzzyjoin_serve>
 Stdlib only; registered as the cli_selftest ctest target.
 """
 
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -42,12 +51,43 @@ ENGINE_FLAGS = [
 ]
 
 # (tool, arguments after the subcommand inputs, flag the message must name)
-BAD_COUNTS = [
+BAD_FLAGS = [
     ("fuzzyjoin", ["--threads=-1"], "--threads"),
     ("fuzzyjoin", ["--reduce_tasks=-1"], "--reduce_tasks"),
     ("fuzzyjoin", ["--threads=abc"], "--threads"),
+    ("fuzzyjoin", ["--thraeds=4"], "--thraeds"),
+    ("fuzzyjoin", ["--fault_crash_p=abc"], "--fault_crash_p"),
+    ("fuzzyjoin", ["--fault_seed=xyz", "--fault_crash_p=0.2"],
+     "--fault_seed"),
+    ("fuzzyjoin", ["--check_contracts=yes"], "--check_contracts"),
     ("fuzzyjoin_serve", ["--threads=-1"], "--threads"),
+    ("fuzzyjoin_serve", ["--tau_floor=abc"], "--tau_floor"),
+    ("fuzzyjoin_serve", ["--tau_floor=0"], "--tau_floor"),
+    ("fuzzyjoin_serve", ["--lsh"], "--lsh"),
 ]
+
+
+def varint(value):
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def crafted_snapshot():
+    """A snapshot file (magic, then varint-framed blocks) whose one record
+    declares 2^62 tokens but holds three one-byte deltas."""
+    bits = lambda x: struct.unpack("<Q", struct.pack("<d", x))[0]
+    header = (b"FJSV2" + varint(0) + varint(bits(0.5)) + varint(bits(0.25))
+              + varint(1))
+    record = varint(1) + varint(1 << 62) + b"\x01\x01\x01"
+    blocks = [header, b"", record]
+    return b"FJSN" + b"".join(varint(len(b)) + b for b in blocks)
 
 
 def run(args, **kwargs):
@@ -103,7 +143,48 @@ def main():
                       f"{command} output byte-identical under engine flags",
                       failures)
 
-        for tool, flags, flag in BAD_COUNTS:
+        state = path("state")
+        resume_flags = ["--r=" + path("r.tsv"), "--s=" + path("s.tsv"),
+                        "--record_format=binary", "--codec=fjlz",
+                        "--dfs_dir=" + state]
+        outputs = []
+        for label, extra in [("first", []), ("resumed", ["--resume",
+                                                         "--stats"])]:
+            out = path(f"resume.{label}.joined")
+            res = run([fuzzyjoin, "rsjoin", *resume_flags, "--out=" + out,
+                       *extra])
+            check(res.returncode == 0, f"rsjoin --dfs_dir {label} run",
+                  failures)
+            if res.returncode != 0:
+                print(res.stderr)
+                continue
+            with open(out, "rb") as f:
+                outputs.append(f.read())
+            if label == "resumed":
+                resumed = res.stderr.count("resumed from checkpoint")
+                check(resumed == 3,
+                      f"rsjoin --resume resumes all 3 stages (got {resumed})",
+                      failures)
+        if len(outputs) == 2:
+            check(outputs[0] == outputs[1],
+                  "rsjoin output byte-identical after --resume", failures)
+        if os.path.isdir(state):
+            not_text = []
+            for name in sorted(os.listdir(state)):
+                with open(os.path.join(state, name), "rb") as f:
+                    data = f.read()
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError:
+                    not_text.append(name)
+                    continue
+                if data and not data.endswith(b"\n"):
+                    not_text.append(name)
+            check(not not_text,
+                  f"every state file is text lines (not: {not_text})",
+                  failures)
+
+        for tool, flags, flag in BAD_FLAGS:
             if tool == "fuzzyjoin":
                 args = [fuzzyjoin, "selfjoin", "--input=" + path("r.tsv"),
                         "--out=" + path("bad.joined"), *flags]
@@ -114,6 +195,15 @@ def main():
                   and flag in res.stderr,
                   f"{tool} {' '.join(flags)} -> exit 2 naming {flag} "
                   f"(got {res.returncode}: {res.stderr.strip()})", failures)
+
+        snapshot = path("crafted.snapshot")
+        with open(snapshot, "wb") as f:
+            f.write(crafted_snapshot())
+        res = run([serve, "--snapshot_in=" + snapshot],
+                  stdin=subprocess.DEVNULL)
+        check(res.returncode > 0 and "DataLoss" in res.stderr,
+              f"crafted snapshot -> DataLoss, no signal "
+              f"(got {res.returncode}: {res.stderr.strip()})", failures)
 
     if failures:
         print(f"{len(failures)} check(s) failed")

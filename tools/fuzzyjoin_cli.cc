@@ -29,7 +29,8 @@
 //
 // Count flags take non-negative integers (else exit status 2); --threads
 // and --shuffle_workers are at most 1024, --map_tasks and --reduce_tasks
-// at most 65536.
+// at most 65536. An unknown flag, or a malformed number in any flag, is a
+// usage error too (exit status 2, naming the flag).
 //
 // Record files are tab-separated "rid<TAB>title<TAB>authors<TAB>payload"
 // lines (see data/record.h); join output files are JoinedPair lines (see
@@ -39,12 +40,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <sstream>
 
 #include "common/flags.h"
 #include "common/latency_histogram.h"
-#include "common/varint.h"
 #include "data/generator.h"
 #include "data/increase.h"
 #include "fuzzyjoin/fuzzyjoin.h"
@@ -154,19 +153,20 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
       flags.GetCount("max_skipped", &config.max_skipped_records));
   // Deterministic fault injection: any non-zero probability builds a
   // FaultPlan shared by every job of the pipeline. Joins still produce
-  // byte-identical output as long as the plan is recoverable.
+  // byte-identical output as long as the plan is recoverable. Every fault
+  // flag is read either way, so Flags::Check knows them all.
   const double crash_p = flags.GetDouble("fault_crash_p", 0.0);
   const double straggler_p = flags.GetDouble("fault_straggler_p", 0.0);
   const double corrupt_p = flags.GetDouble("fault_corrupt_p", 0.0);
+  auto plan = std::make_shared<fj::mr::FaultPlan>();
+  plan->seed = static_cast<uint64_t>(flags.GetInt("fault_seed", 1));
+  plan->crash_probability = crash_p;
+  plan->straggler_probability = straggler_p;
+  plan->straggler_slowdown = flags.GetDouble("fault_slowdown", 4.0);
+  plan->corrupt_probability = corrupt_p;
+  FJ_RETURN_IF_ERROR(flags.GetCount("fault_corrupt_attempts",
+                                    &plan->corrupt_failing_attempts));
   if (crash_p > 0.0 || straggler_p > 0.0 || corrupt_p > 0.0) {
-    auto plan = std::make_shared<fj::mr::FaultPlan>();
-    plan->seed = static_cast<uint64_t>(flags.GetInt("fault_seed", 1));
-    plan->crash_probability = crash_p;
-    plan->straggler_probability = straggler_p;
-    plan->straggler_slowdown = flags.GetDouble("fault_slowdown", 4.0);
-    plan->corrupt_probability = corrupt_p;
-    FJ_RETURN_IF_ERROR(flags.GetCount("fault_corrupt_attempts",
-                                      &plan->corrupt_failing_attempts));
     if (!plan->RecoverableWith(config.max_task_attempts,
                                config.verify_integrity)) {
       return Status::InvalidArgument(
@@ -407,58 +407,9 @@ void PrintStats(const fj::join::JoinRunResult& result) {
 // The Dfs is in-memory, so by default every CLI invocation starts from an
 // empty file system and --resume has nothing to resume from. --dfs_dir
 // persists the Dfs across invocations: each Dfs file becomes one regular
-// file inside the directory. The directory is owned by the tool — saving
-// replaces its contents with the Dfs's current files.
-
-// Binary Dfs files (those written through Dfs::WriteFileBlocks — encoded
-// stage intermediates under --record_format=binary) persist as real binary
-// files: a 4-byte magic header followed by varint-length-prefixed blocks,
-// the same framing the Dfs charges them for. Text files stay plain
-// newline-terminated lines, so state directories from text runs remain
-// directly inspectable.
-constexpr char kBinaryDfsMagic[4] = {'F', 'J', 'B', '1'};
-
-Result<std::vector<std::string>> ReadBlocks(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  std::vector<std::string> blocks;
-  size_t pos = sizeof(kBinaryDfsMagic);
-  while (pos < bytes.size()) {
-    uint64_t len = 0;
-    if (!fj::DecodeVarint(bytes, &pos, &len) || len > bytes.size() - pos) {
-      return Status::DataLoss("corrupt binary dfs file: " + path);
-    }
-    blocks.push_back(bytes.substr(pos, static_cast<size_t>(len)));
-    pos += static_cast<size_t>(len);
-  }
-  return blocks;
-}
-
-Status WriteBlocks(const std::string& path,
-                   const std::vector<std::string>& blocks) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out.write(kBinaryDfsMagic, sizeof(kBinaryDfsMagic));
-  std::string frame;
-  for (const auto& block : blocks) {
-    frame.clear();
-    fj::AppendVarint(&frame, block.size());
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    out.write(block.data(), static_cast<std::streamsize>(block.size()));
-  }
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-bool HasBinaryDfsMagic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char header[sizeof(kBinaryDfsMagic)] = {};
-  in.read(header, sizeof(header));
-  return in.gcount() == sizeof(header) &&
-         std::equal(header, header + sizeof(header), kBinaryDfsMagic);
-}
+// file of newline-terminated lines inside the directory. The directory is
+// owned by the tool — saving replaces its contents with the Dfs's current
+// files.
 
 Status LoadDfsDir(const std::string& dir, fj::mr::Dfs* dfs) {
   namespace fsys = std::filesystem;
@@ -467,12 +418,6 @@ Status LoadDfsDir(const std::string& dir, fj::mr::Dfs* dfs) {
   for (const auto& entry : fsys::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
-    if (HasBinaryDfsMagic(entry.path().string())) {
-      FJ_ASSIGN_OR_RETURN(std::vector<std::string> blocks,
-                          ReadBlocks(entry.path().string()));
-      FJ_RETURN_IF_ERROR(dfs->WriteFileBlocks(name, std::move(blocks)));
-      continue;
-    }
     FJ_ASSIGN_OR_RETURN(std::vector<std::string> lines,
                         ReadLines(entry.path().string()));
     FJ_RETURN_IF_ERROR(dfs->WriteFile(name, std::move(lines)));
@@ -497,11 +442,7 @@ Status SaveDfsDir(const std::string& dir, const fj::mr::Dfs& dfs) {
   for (const std::string& name : dfs.ListFiles()) {
     auto lines = dfs.ReadFile(name);
     if (!lines.ok()) return lines.status();
-    if (dfs.IsBinary(name)) {
-      FJ_RETURN_IF_ERROR(WriteBlocks(dir + "/" + name, *lines.value()));
-    } else {
-      FJ_RETURN_IF_ERROR(WriteLines(dir + "/" + name, *lines.value()));
-    }
+    FJ_RETURN_IF_ERROR(WriteLines(dir + "/" + name, *lines.value()));
   }
   return Status::OK();
 }
@@ -519,6 +460,7 @@ int Generate(const Flags& flags) {
   if (!counts.ok()) return Fail(counts, 2);
   uint64_t seed = flags.GetInt("seed", 42);
   std::string kind = flags.GetString("kind", "dblp");
+  if (Status checked = flags.Check(); !checked.ok()) return Fail(checked, 2);
   fj::data::GeneratorConfig config;
   if (kind == "dblp") {
     config = fj::data::DblpLikeConfig(records, seed);
@@ -544,16 +486,18 @@ int Generate(const Flags& flags) {
 int SelfJoin(const Flags& flags) {
   std::string input = flags.GetString("input", "");
   std::string out = flags.GetString("out", "");
+  const std::string dfs_dir = flags.GetString("dfs_dir", "");
+  const bool stats = flags.Has("stats");
   if (input.empty() || out.empty()) {
     std::fprintf(stderr, "selfjoin: --input=FILE and --out=FILE required\n");
     return 2;
   }
   auto config = ConfigFromFlags(flags);
   if (!config.ok()) return Fail(config.status(), 2);
+  if (Status checked = flags.Check(); !checked.ok()) return Fail(checked, 2);
   auto lines = ReadLines(input);
   if (!lines.ok()) return Fail(lines.status());
   fj::mr::Dfs dfs;
-  const std::string dfs_dir = flags.GetString("dfs_dir", "");
   if (!dfs_dir.empty()) {
     if (auto status = LoadDfsDir(dfs_dir, &dfs); !status.ok()) {
       return Fail(status);
@@ -579,7 +523,7 @@ int SelfJoin(const Flags& flags) {
   }
   std::fprintf(stderr, "%zu joined pairs -> %s\n", output.value()->size(),
                out.c_str());
-  if (flags.Has("stats")) PrintStats(*result);
+  if (stats) PrintStats(*result);
   return 0;
 }
 
@@ -587,12 +531,15 @@ int RSJoin(const Flags& flags) {
   std::string r_path = flags.GetString("r", "");
   std::string s_path = flags.GetString("s", "");
   std::string out = flags.GetString("out", "");
+  const std::string dfs_dir = flags.GetString("dfs_dir", "");
+  const bool stats = flags.Has("stats");
   if (r_path.empty() || s_path.empty() || out.empty()) {
     std::fprintf(stderr, "rsjoin: --r=FILE --s=FILE --out=FILE required\n");
     return 2;
   }
   auto config = ConfigFromFlags(flags);
   if (!config.ok()) return Fail(config.status(), 2);
+  if (Status checked = flags.Check(); !checked.ok()) return Fail(checked, 2);
   auto r_lines = ReadLines(r_path);
   auto s_lines = ReadLines(s_path);
   if (!r_lines.ok() || !s_lines.ok()) {
@@ -600,7 +547,6 @@ int RSJoin(const Flags& flags) {
     return 1;
   }
   fj::mr::Dfs dfs;
-  const std::string dfs_dir = flags.GetString("dfs_dir", "");
   if (!dfs_dir.empty()) {
     if (auto status = LoadDfsDir(dfs_dir, &dfs); !status.ok()) {
       return Fail(status);
@@ -624,7 +570,7 @@ int RSJoin(const Flags& flags) {
   }
   std::fprintf(stderr, "%zu joined pairs -> %s\n", output.value()->size(),
                out.c_str());
-  if (flags.Has("stats")) PrintStats(*result);
+  if (stats) PrintStats(*result);
   return 0;
 }
 
@@ -639,6 +585,7 @@ int EditJoin(const Flags& flags) {
   size_t q = 3;
   Status counts = flags.GetCount("distance", &distance);
   if (counts.ok()) counts = flags.GetCount("qgram", &q);
+  if (counts.ok()) counts = flags.Check();
   if (!counts.ok()) return Fail(counts, 2);
   auto lines = ReadLines(input);
   if (!lines.ok()) return Fail(lines.status());

@@ -4,7 +4,6 @@
 //                   [--snapshot_in=FILE] [--snapshot_out=FILE]
 //                   [--tau_floor=0.5] [--function=jaccard]
 //                   [--compact_fraction=0.25]
-//                   [--lsh] [--bands=16] [--rows=4]
 //                   [--threads=2] [--queue_depth=1024] [--batch=64]
 //                   [--cache=4096] [--stats]
 //
@@ -29,6 +28,9 @@
 // tokenization matches the batch pipeline (derived from the corpus when
 // omitted). --snapshot_in/--snapshot_out round-trip the seeded index
 // through the binary snapshot format instead.
+//
+// An unknown flag, a malformed number, a bad count or a --tau_floor
+// outside (0, 1] is a usage error: exit status 2, naming the flag.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -71,8 +73,7 @@ bool EmitLine(std::string line) {
 // Probes carry a rid no real record uses so self-exclusion never triggers.
 constexpr uint64_t kQueryRid = ~uint64_t{0};
 
-// Snapshot files: 4-byte magic, then varint-length-framed blocks (the same
-// framing the CLI uses for binary Dfs state).
+// Snapshot files: 4-byte magic, then varint-length-framed blocks.
 constexpr char kSnapshotMagic[4] = {'F', 'J', 'S', 'N'};
 
 Result<std::vector<std::string>> ReadLines(const std::string& path) {
@@ -195,14 +196,15 @@ int Run(const Flags& flags) {
   index_options.tau_floor = flags.GetDouble("tau_floor", 0.5);
   index_options.compact_tombstone_fraction =
       flags.GetDouble("compact_fraction", 0.25);
-  index_options.lsh_preroute = flags.Has("lsh");
+  const std::string snapshot_in = flags.GetString("snapshot_in", "");
+  const std::string snapshot_out = flags.GetString("snapshot_out", "");
+  const std::string load = flags.GetString("load", "");
+  const std::string ordering_path = flags.GetString("ordering", "");
+  const bool stats = flags.Has("stats");
   // Count flags keep the option structs' defaults when absent.
   size_t threads = 2;
   fj::serve::QueryServiceOptions service_options;
-  Status counts = [&]() -> Status {
-    FJ_RETURN_IF_ERROR(flags.GetCount("bands", &index_options.lsh.num_bands));
-    FJ_RETURN_IF_ERROR(
-        flags.GetCount("rows", &index_options.lsh.rows_per_band));
+  Status usage = [&]() -> Status {
     FJ_RETURN_IF_ERROR(flags.GetCount("threads", &threads));
     FJ_RETURN_IF_ERROR(
         flags.GetCount("queue_depth", &service_options.max_queue_depth));
@@ -214,19 +216,23 @@ int Run(const Flags& flags) {
           "--threads=" + std::to_string(threads) + ": at most " +
           std::to_string(fj::Executor::kMaxWorkers));
     }
+    FJ_ASSIGN_OR_RETURN(index_options.function,
+                        fj::sim::SimilarityFunctionFromName(
+                            flags.GetString("function", "jaccard")));
+    FJ_RETURN_IF_ERROR(flags.Check());
+    // The range LoadSnapshot accepts; SimilaritySpec requires it too.
+    if (!(index_options.tau_floor > 0.0) || index_options.tau_floor > 1.0) {
+      return Status::InvalidArgument("--tau_floor=" +
+                                     flags.GetString("tau_floor", "") +
+                                     ": must lie in (0, 1]");
+    }
     return Status::OK();
   }();
-  if (!counts.ok()) return Fail(counts, 2);
-  auto function = fj::sim::SimilarityFunctionFromName(
-      flags.GetString("function", "jaccard"));
-  if (!function.ok()) return Fail(function.status(), 2);
-  index_options.function = *function;
+  if (!usage.ok()) return Fail(usage, 2);
 
   // --- Seed the index: snapshot beats corpus beats empty. ---
   fj::serve::SeededIndex seeded;
   const fj::text::WordTokenizer tokenizer;
-  const std::string snapshot_in = flags.GetString("snapshot_in", "");
-  const std::string load = flags.GetString("load", "");
   if (!snapshot_in.empty()) {
     auto blocks = ReadSnapshotFile(snapshot_in);
     if (!blocks.ok()) return Fail(blocks.status());
@@ -241,7 +247,6 @@ int Run(const Flags& flags) {
       if (!lines.ok()) return Fail(lines.status());
       record_lines = std::move(lines).value();
     }
-    const std::string ordering_path = flags.GetString("ordering", "");
     if (!ordering_path.empty()) {
       auto lines = ReadLines(ordering_path);
       if (!lines.ok()) return Fail(lines.status());
@@ -257,7 +262,6 @@ int Run(const Flags& flags) {
                fj::sim::SimilarityFunctionName(index_options.function));
 
   fj::Executor executor(threads);
-  service_options.lsh_preroute = index_options.lsh_preroute;
   fj::serve::QueryService service(seeded.index.get(), &executor,
                                   service_options);
 
@@ -330,8 +334,7 @@ int Run(const Flags& flags) {
   }
 
   service.Flush();
-  if (flags.Has("stats")) PrintServeStats(*seeded.index, service);
-  const std::string snapshot_out = flags.GetString("snapshot_out", "");
+  if (stats) PrintServeStats(*seeded.index, service);
   if (!snapshot_out.empty()) {
     auto status = WriteSnapshotFile(
         snapshot_out, fj::serve::SaveSnapshot(*seeded.index, seeded.ordering));
