@@ -8,7 +8,7 @@
 // binary format exists to shrink), the codec's logical vs. encoded byte
 // meters, measured host wall, and simulated cluster seconds (which price
 // shuffle/spill bytes against network/disk bandwidth and the codec CPU
-// against ClusterConfig::codec_bytes_per_second_per_node).
+// against kCodecBytesPerSecondPerNode).
 //
 // Hard-fails (non-zero exit, CI smoke-tests this):
 //   - join output not byte-identical to the text baseline;

@@ -33,7 +33,7 @@ double Makespan(const std::vector<double>& task_seconds, size_t slots) {
 SimulatedJobTime SimulateJob(const JobMetrics& metrics,
                              const ClusterConfig& cluster) {
   SimulatedJobTime out;
-  out.startup_seconds = cluster.job_startup_seconds;
+  out.startup_seconds = kJobStartupSeconds;
 
   const double scale = cluster.work_scale;
   // A task occupies its slot for the whole retry chain: every crashed
@@ -53,78 +53,43 @@ SimulatedJobTime SimulateJob(const JobMetrics& metrics,
     }
     return costs;
   };
+  // Seconds to move `volume` at the cluster's aggregate rate.
+  auto priced = [scale, &cluster](double volume, double per_node_rate) {
+    const double rate = per_node_rate * static_cast<double>(cluster.nodes);
+    return volume > 0 && rate > 0 ? volume * scale / rate : 0.0;
+  };
 
   out.map_seconds =
       Makespan(phase_costs(metrics.map_tasks, &out.wasted_seconds),
                cluster.map_slots());
-
-  double bandwidth =
-      cluster.shuffle_bytes_per_second_per_node * static_cast<double>(cluster.nodes);
-  if (metrics.shuffle_bytes > 0 && bandwidth > 0) {
-    out.shuffle_seconds =
-        static_cast<double>(metrics.shuffle_bytes) * scale / bandwidth;
-  }
-
+  out.shuffle_seconds = priced(static_cast<double>(metrics.shuffle_bytes),
+                               kShuffleBytesPerSecondPerNode);
   // Socket-transport segment traffic: pushes and fetches both cross the
-  // wire (recovery traffic included in the counters), priced against the
-  // cluster's aggregate network bandwidth. Zero under inproc.
-  const uint64_t net_bytes =
-      metrics.net_bytes_pushed + metrics.net_bytes_fetched;
-  double net_bandwidth = cluster.network_bytes_per_second_per_node *
-                         static_cast<double>(cluster.nodes);
-  if (net_bytes > 0 && net_bandwidth > 0) {
-    out.network_seconds =
-        static_cast<double>(net_bytes) * scale / net_bandwidth;
-  }
-
+  // wire (recovery traffic included in the counters). Zero under inproc.
+  out.network_seconds = priced(
+      static_cast<double>(metrics.net_bytes_pushed + metrics.net_bytes_fetched),
+      kNetworkBytesPerSecondPerNode);
   // Sort-spill-merge disk traffic: each spilled byte is written once and
   // re-read once per consuming merge pass (spilled_bytes already counts
   // intermediate merge re-spills as fresh writes), so the disk moves
   // 2 x spilled_bytes in total.
-  double disk_bandwidth = cluster.local_disk_bytes_per_second_per_node *
-                          static_cast<double>(cluster.nodes);
-  if (metrics.spilled_bytes > 0 && disk_bandwidth > 0) {
-    out.spill_seconds = 2.0 * static_cast<double>(metrics.spilled_bytes) *
-                        scale / disk_bandwidth;
-  }
-
+  out.spill_seconds = priced(2.0 * static_cast<double>(metrics.spilled_bytes),
+                             kLocalDiskBytesPerSecondPerNode);
   out.reduce_seconds =
       Makespan(phase_costs(metrics.reduce_tasks, &out.wasted_seconds),
                cluster.reduce_slots());
-
-  // Integrity verification passes: every verified byte was hashed once at
-  // the recording boundary (input read, run commit/merge-read, output
-  // commit) — integrity_bytes_verified already counts each boundary
-  // separately, so the traffic is priced exactly once here.
-  double integrity_bandwidth = cluster.integrity_bytes_per_second_per_node *
-                               static_cast<double>(cluster.nodes);
-  if (metrics.integrity_bytes_verified > 0 && integrity_bandwidth > 0) {
-    out.integrity_seconds =
-        static_cast<double>(metrics.integrity_bytes_verified) * scale /
-        integrity_bandwidth;
-  }
-
-  // Block-codec CPU: every logical byte was varint-encoded once at spill
-  // time and decoded once at the merge read — codec_logical_bytes already
-  // counts the two boundaries separately, so the work is priced exactly
-  // once here.
-  double codec_bandwidth = cluster.codec_bytes_per_second_per_node *
-                           static_cast<double>(cluster.nodes);
-  if (metrics.codec_logical_bytes > 0 && codec_bandwidth > 0) {
-    out.codec_seconds = static_cast<double>(metrics.codec_logical_bytes) *
-                        scale / codec_bandwidth;
-  }
-
-  // Contract checking is priced like integrity verification: every counted
-  // check was really evaluated (across failed attempts too), against the
-  // cluster's aggregate predicate throughput.
-  double contract_bandwidth = cluster.contract_checks_per_second_per_node *
-                              static_cast<double>(cluster.nodes);
-  if (metrics.contract_checks > 0 && contract_bandwidth > 0) {
-    out.contract_seconds = static_cast<double>(metrics.contract_checks) *
-                           scale / contract_bandwidth;
-  }
-
+  // Integrity verification, block-codec CPU and contract checking: each
+  // counter already counts every boundary that did the work separately
+  // (input read, run commit/merge-read, output commit; encode at spill and
+  // decode at merge read; checks across failed attempts too), so each is
+  // priced exactly once here.
+  out.integrity_seconds =
+      priced(static_cast<double>(metrics.integrity_bytes_verified),
+             kIntegrityBytesPerSecondPerNode);
+  out.codec_seconds = priced(static_cast<double>(metrics.codec_logical_bytes),
+                             kCodecBytesPerSecondPerNode);
+  out.contract_seconds = priced(static_cast<double>(metrics.contract_checks),
+                                kContractChecksPerSecondPerNode);
   return out;
 }
 

@@ -6,8 +6,8 @@
 //
 //   job_time = startup_overhead
 //            + makespan(map task costs on nodes*map_slots slots)
-//            + shuffle_bytes / (nodes * per_node_shuffle_bandwidth)
-//            + 2 * spilled_bytes / (nodes * per_node_local_disk_bandwidth)
+//            + shuffle_bytes / (nodes * kShuffleBytesPerSecondPerNode)
+//            + 2 * spilled_bytes / (nodes * kLocalDiskBytesPerSecondPerNode)
 //            + makespan(reduce task costs on nodes*reduce_slots slots)
 //
 // Makespans use LPT (longest-processing-time-first) list scheduling, which
@@ -35,61 +35,66 @@
 
 namespace fj::mr {
 
-/// Virtual cluster shape and physics.
+/// The simulated cluster's per-node rates. They are constants, not
+/// settings: every paper figure prices against the same physics, and a
+/// cost model with fewer knobs is easier to trust (ClusterConfig keeps
+/// only the cluster's shape and the work scale).
+
+/// Aggregate shuffle bandwidth contributed by each node, bytes/second.
+inline constexpr double kShuffleBytesPerSecondPerNode = 50.0 * 1024 * 1024;
+
+/// Aggregate network bandwidth contributed by each node for the socket
+/// shuffle transport's segment traffic (JobSpec::shuffle_transport),
+/// bytes/second. Priced against JobMetrics::net_bytes_pushed +
+/// net_bytes_fetched — every segment crosses the wire twice (map side
+/// pushes it to its worker, reduce side fetches it back), and redundant
+/// fetches / re-publishes after faults are in the counters, so recovery
+/// traffic is priced too. Distinct from kShuffleBytesPerSecondPerNode,
+/// which prices the logical map->reduce volume: under `--transport=inproc`
+/// the segment counters are zero and this charge vanishes.
+inline constexpr double kNetworkBytesPerSecondPerNode = 100.0 * 1024 * 1024;
+
+/// Aggregate local-disk bandwidth contributed by each node for
+/// sort-spill-merge I/O (map-side spill files, reduce-side merge passes),
+/// bytes/second. Every spilled byte is written once and re-read once per
+/// consuming merge pass, so the priced traffic is 2 x
+/// JobMetrics::spilled_bytes. Jobs running with an unbounded sort buffer
+/// never spill and pay nothing here.
+inline constexpr double kLocalDiskBytesPerSecondPerNode = 80.0 * 1024 * 1024;
+
+/// Aggregate checksum throughput contributed by each node for the
+/// integrity layer (JobSpec::verify_integrity): input files verified
+/// before the map phase, sorted runs re-hashed at map commit and at the
+/// reduce side's merge read, output lines re-hashed at reduce commit.
+/// Priced against JobMetrics::integrity_bytes_verified. FNV/xxhash-class
+/// hashing streams at several hundred MB/s per core.
+inline constexpr double kIntegrityBytesPerSecondPerNode = 400.0 * 1024 * 1024;
+
+/// Aggregate block-codec throughput contributed by each node for the
+/// binary record format (JobSpec::record_format): varint encode at spill
+/// time plus decode at the reduce side's merge read, and the optional
+/// block codec on top. Priced against JobMetrics::codec_logical_bytes —
+/// the pre-codec payload size, which both sides of the codec touch.
+/// LZ4-class codecs stream at a few hundred MB/s per core.
+inline constexpr double kCodecBytesPerSecondPerNode = 200.0 * 1024 * 1024;
+
+/// Aggregate contract-check throughput contributed by each node
+/// (JobSpec::check_contracts): comparator/partitioner/combiner predicate
+/// evaluations and key hashes performed by the contract checker, priced
+/// against JobMetrics::contract_checks. Each check is a handful of
+/// comparisons on in-cache keys — order 10^8/s per node.
+inline constexpr double kContractChecksPerSecondPerNode = 100.0 * 1000 * 1000;
+
+/// Fixed cost of launching one MapReduce job (Hadoop job startup,
+/// scheduling, JVM spawn). Charged once per job.
+inline constexpr double kJobStartupSeconds = 3.0;
+
+/// Virtual cluster shape: the paper's 10 nodes with 4 map and 4 reduce
+/// slots each, by default.
 struct ClusterConfig {
   size_t nodes = 10;
   size_t map_slots_per_node = 4;
   size_t reduce_slots_per_node = 4;
-
-  /// Aggregate shuffle bandwidth contributed by each node, bytes/second.
-  double shuffle_bytes_per_second_per_node = 50.0 * 1024 * 1024;
-
-  /// Aggregate network bandwidth contributed by each node for the
-  /// socket shuffle transport's segment traffic (JobSpec::shuffle_transport),
-  /// bytes/second. Priced against JobMetrics::net_bytes_pushed +
-  /// net_bytes_fetched — every segment crosses the wire twice (map side
-  /// pushes it to its worker, reduce side fetches it back), and
-  /// redundant fetches / re-publishes after faults are in the counters,
-  /// so recovery traffic is priced too. Distinct from
-  /// shuffle_bytes_per_second_per_node, which prices the logical
-  /// map->reduce volume: under `--transport=inproc` the segment counters
-  /// are zero and this charge vanishes.
-  double network_bytes_per_second_per_node = 100.0 * 1024 * 1024;
-
-  /// Aggregate local-disk bandwidth contributed by each node for
-  /// sort-spill-merge I/O (map-side spill files, reduce-side merge
-  /// passes), bytes/second. Every spilled byte is written once and
-  /// re-read once per consuming merge pass, so the priced traffic is
-  /// 2 x JobMetrics::spilled_bytes. Jobs running with an unbounded sort
-  /// buffer never spill and pay nothing here.
-  double local_disk_bytes_per_second_per_node = 80.0 * 1024 * 1024;
-
-  /// Aggregate checksum throughput contributed by each node for the
-  /// integrity layer (JobSpec::verify_integrity): input files verified
-  /// before the map phase, sorted runs re-hashed at map commit and at the
-  /// reduce side's merge read, output lines re-hashed at reduce commit.
-  /// Priced against JobMetrics::integrity_bytes_verified. FNV/xxhash-class
-  /// hashing streams at several hundred MB/s per core.
-  double integrity_bytes_per_second_per_node = 400.0 * 1024 * 1024;
-
-  /// Aggregate block-codec throughput contributed by each node for the
-  /// binary record format (JobSpec::record_format): varint encode at spill
-  /// time plus decode at the reduce side's merge read, and the optional
-  /// block codec on top. Priced against JobMetrics::codec_logical_bytes —
-  /// the pre-codec payload size, which both sides of the codec touch.
-  /// LZ4-class codecs stream at a few hundred MB/s per core.
-  double codec_bytes_per_second_per_node = 200.0 * 1024 * 1024;
-
-  /// Aggregate contract-check throughput contributed by each node
-  /// (JobSpec::check_contracts): comparator/partitioner/combiner predicate
-  /// evaluations and key hashes performed by the contract checker, priced
-  /// against JobMetrics::contract_checks. Each check is a handful of
-  /// comparisons on in-cache keys — order 10^8/s per node.
-  double contract_checks_per_second_per_node = 100.0 * 1000 * 1000;
-
-  /// Fixed cost of launching one MapReduce job (Hadoop job startup,
-  /// scheduling, JVM spawn). Charged once per job.
-  double job_startup_seconds = 3.0;
 
   /// Linear extrapolation factor applied to measured task costs and
   /// shuffle bytes (NOT to the per-job startup overhead). The benchmarks

@@ -67,7 +67,7 @@ Status ContractViolation(const std::string& job_name, const std::string& rule,
                          const std::string& detail);
 
 /// Work performed by the checker, folded into TaskMetrics::contract_checks
-/// and priced by ClusterConfig::contract_checks_per_second_per_node.
+/// and priced by kContractChecksPerSecondPerNode (cluster_model.h).
 struct ContractStats {
   uint64_t keys_observed = 0;   ///< emitted keys seen (range check each)
   uint64_t keys_sampled = 0;    ///< keys that entered the axiom pool

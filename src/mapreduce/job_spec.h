@@ -255,11 +255,11 @@ struct EngineOptions {
   Status Validate() const;
 };
 
-/// Full description of one MapReduce job: its inputs and output, task
-/// counts, user hooks and comparators, plus the EngineOptions it runs
-/// under.
-template <typename K, typename V>
-struct JobSpec : EngineOptions {
+/// The part of a job's description that does not depend on its key and
+/// value types: name, inputs and output, task counts, plus the
+/// EngineOptions it runs under. What the engine's type-independent half
+/// (job.cc) reads.
+struct JobSpecBase : EngineOptions {
   std::string name = "job";
 
   std::vector<std::string> input_files;
@@ -268,7 +268,12 @@ struct JobSpec : EngineOptions {
   /// Target number of map tasks; 0 means one split per input file.
   size_t num_map_tasks = 0;
   size_t num_reduce_tasks = 1;
+};
 
+/// Full description of one MapReduce job: JobSpecBase plus the user hooks
+/// and comparators.
+template <typename K, typename V>
+struct JobSpec : JobSpecBase {
   std::function<std::unique_ptr<Mapper<K, V>>()> mapper_factory;
   std::function<std::unique_ptr<Reducer<K, V>>()> reducer_factory;
 

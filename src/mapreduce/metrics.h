@@ -91,13 +91,13 @@ struct TaskMetrics {
   /// performed by the contract checker for the COMMITTED attempt. Failed
   /// attempts' check time is already inside failed_attempt_seconds (checks
   /// run inline), so this stays deterministic across fault plans; priced by
-  /// ClusterConfig::contract_checks_per_second_per_node.
+  /// kContractChecksPerSecondPerNode.
   uint64_t contract_checks = 0;
 
   /// --- Binary record format (JobSpec::record_format) ---
   /// Pre-codec payload bytes of every run this task encoded (map spills)
   /// or decoded (reduce merge reads); the codec's CPU work is proportional
-  /// to these and priced by ClusterConfig::codec_bytes_per_second_per_node.
+  /// to these and priced by kCodecBytesPerSecondPerNode.
   uint64_t codec_logical_bytes = 0;
   /// Encoded (post-codec) bytes of the same runs. The ratio against
   /// codec_logical_bytes is the measured compression ratio; 1:1 under

@@ -40,12 +40,14 @@
 
 namespace fj::mr {
 
-/// Appends the partition-`partition` segment of `output` to `*encoded`.
-/// `verify` mirrors JobSpec::verify_integrity: when on, text runs get a
-/// fresh checksum over their block bytes (binary runs already carry one).
+/// Appends the partition-`partition` segment of `output` to `*encoded`
+/// and returns how many runs it carries (0: an empty slot). `verify`
+/// mirrors JobSpec::verify_integrity: when on, text runs get a fresh
+/// checksum over their block bytes (binary runs already carry one).
 template <typename K, typename V>
-void EncodeShuffleSegment(const MapTaskOutput<K, V>& output, size_t partition,
-                          bool verify, std::string* encoded) {
+uint64_t EncodeShuffleSegment(const MapTaskOutput<K, V>& output,
+                              size_t partition, bool verify,
+                              std::string* encoded) {
   uint64_t run_count = 0;
   for (const auto& spill : output.spills) {
     if (partition < spill.size() && spill[partition].HasRecords()) run_count++;
@@ -53,35 +55,33 @@ void EncodeShuffleSegment(const MapTaskOutput<K, V>& output, size_t partition,
   std::string body;
   AppendVarint(&body, run_count);
   CodecScratch scratch;
+  SortedRun<K, V> text_run;
   for (const auto& spill : output.spills) {
-    if (partition >= spill.size()) continue;
-    const SortedRun<K, V>& run = spill[partition];
-    if (!run.HasRecords()) continue;
-    std::string block;
-    uint64_t record_count = run.record_count;
-    uint64_t logical_bytes = run.logical_bytes;
-    uint64_t checksum = run.checksum;
-    if (!run.encoded.empty()) {
-      block = run.encoded;  // binary format: ship the committed block as is
-    } else {
-      EncodeRunBlock(BlockCodec::kNone, run.pairs, &scratch, &block,
-                     &logical_bytes);
-      record_count = run.pairs.size();
-      // The reduce side verifies runs with encoded payloads against
-      // HashString(encoded) — re-point the text run's checksum at the
-      // bytes that actually travel.
-      checksum = verify ? HashString(block) : 0;
+    if (partition >= spill.size() || !spill[partition].HasRecords()) continue;
+    const SortedRun<K, V>* run = &spill[partition];
+    if (run->encoded.empty()) {
+      // A text run travels as a codec-kNone block. The reduce side
+      // verifies runs by their ContentChecksum, which for an encoded run
+      // covers the block — so the carried checksum is the new block's.
+      EncodeRunBlock(BlockCodec::kNone, run->pairs, &scratch,
+                     &text_run.encoded, &text_run.logical_bytes);
+      text_run.record_count = run->pairs.size();
+      text_run.bytes = run->bytes;
+      text_run.on_disk = run->on_disk;
+      text_run.checksum = verify ? text_run.ContentChecksum() : 0;
+      run = &text_run;
     }
-    AppendVarint(&body, run.on_disk ? 1 : 0);
-    AppendVarint(&body, record_count);
-    AppendVarint(&body, run.bytes);
-    AppendVarint(&body, logical_bytes);
-    internal::AppendFixed64(&body, checksum);
-    AppendVarint(&body, block.size());
-    body.append(block);
+    AppendVarint(&body, run->on_disk ? 1 : 0);
+    AppendVarint(&body, run->record_count);
+    AppendVarint(&body, run->bytes);
+    AppendVarint(&body, run->logical_bytes);
+    internal::AppendFixed64(&body, run->checksum);
+    AppendVarint(&body, run->encoded.size());
+    body.append(run->encoded);
   }
   internal::AppendFixed64(&body, HashString(body));
   encoded->append(body);
+  return run_count;
 }
 
 /// Decodes a segment back into runs whose payload stays ENCODED (pairs

@@ -6,8 +6,8 @@
 // every "network" fault the engine survived was injected. This layer makes
 // the movement real and failure-prone:
 //
-//   - ShuffleTransport is the seam job.h programs against: Publish() one
-//     encoded segment per (map task x reduce partition) at map commit,
+//   - ShuffleTransport is the seam the engine programs against: Publish()
+//     one encoded segment per (map task x reduce partition) at map commit,
 //     Fetch() it back before the partition's reduce_inputs_pending
 //     countdown may fire. The reduce side consumes the FETCHED bytes, so
 //     a byte flipped in transit must be detected (frame + segment
@@ -24,7 +24,7 @@
 //     re-routed to the next live worker in the ring when the engine
 //     re-publishes them). Escalation beyond the transport — re-reading
 //     the locally committed spill, ultimately re-running the map attempt
-//     — lives in job.h, where the retry machinery is.
+//     — lives in job.cc (JobRun::Shuffle), next to the retry machinery.
 //   - NetFaultPlan is the deterministic network chaos injector: drop,
 //     delay, truncate, bit-flip, stall mid-stream, and refuse-connect
 //     faults, each seed-hashed per (job, map task, partition, attempt,

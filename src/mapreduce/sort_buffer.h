@@ -56,12 +56,9 @@ struct SortedRun {
   /// True when the run was spilled: its write was charged to the producing
   /// task's scratch and its read will be charged to the consuming task.
   bool on_disk = false;
-  /// Write-side content checksum, computed when the run is finalized and
+  /// Write-side ContentChecksum(), computed when the run is finalized and
   /// JobSpec::verify_integrity is on; re-verified at map-attempt commit
-  /// and at the reduce side's run-merge read. Text format: integrity.h
-  /// RunChecksum over `pairs`. Binary format: HashString over `encoded` —
-  /// the checksum covers the block bytes that actually sit in the
-  /// shuffle, compressed or not. 0 when verification is off.
+  /// and at the reduce side's run-merge read. 0 when verification is off.
   uint64_t checksum = 0;
   /// Binary format only: the framed (possibly compressed) run block
   /// produced by EncodeRunBlock. When non-empty, `pairs` is empty (the
@@ -76,6 +73,13 @@ struct SortedRun {
 
   /// True when the run carries any records, decoded or still encoded.
   bool HasRecords() const { return !pairs.empty() || record_count > 0; }
+
+  /// The run's content checksum: HashString over the encoded block when
+  /// there is one — the bytes that actually sit in the shuffle, compressed
+  /// or not — else integrity.h RunChecksum over the pairs.
+  uint64_t ContentChecksum() const {
+    return encoded.empty() ? RunChecksum(pairs) : HashString(encoded);
+  }
 };
 
 /// Everything one map task ships to the shuffle: spills in temporal order,
@@ -222,10 +226,8 @@ class SortBuffer : public Emitter<K, V> {
       metrics_->shuffle_records += run.pairs.size();
       if (binary && !run.pairs.empty()) {
         // Serialization is real in binary mode: the run's pairs become one
-        // encoded (optionally compressed) block, the shuffle meters count
-        // encoded bytes actually produced, and the write-side checksum
-        // covers the encoded bytes — the bytes in the shuffle are the
-        // bytes verified at the read boundaries.
+        // encoded (optionally compressed) block, and the shuffle meters
+        // count encoded bytes actually produced.
         run.record_count = run.pairs.size();
         EncodeRunBlock(spec_->block_codec, run.pairs, &codec_scratch_,
                        &run.encoded, &run.logical_bytes);
@@ -234,12 +236,10 @@ class SortBuffer : public Emitter<K, V> {
         run.bytes = run.encoded.size();
         metrics_->codec_logical_bytes += run.logical_bytes;
         metrics_->codec_encoded_bytes += run.encoded.size();
-        if (spec_->verify_integrity) run.checksum = HashString(run.encoded);
-      } else if (spec_->verify_integrity) {
-        // Write-side checksum, the HDFS "checksum on write" half; the read
-        // boundaries re-verify it.
-        run.checksum = RunChecksum(run.pairs);
       }
+      // Write-side checksum, the HDFS "checksum on write" half; the read
+      // boundaries re-verify it.
+      if (spec_->verify_integrity) run.checksum = run.ContentChecksum();
       metrics_->shuffle_bytes += run.bytes;
       run_bytes += run.bytes;
       run.on_disk = to_disk;

@@ -1,4 +1,4 @@
-// Per-task context: counters, simulated-cost charging, and local scratch
+// Per-task context: counters, fault hooks, quarantine, and local scratch
 // space (the analogue of a task's local disk, used by reduce-based block
 // processing in Section 5 of the paper).
 #pragma once
@@ -19,10 +19,8 @@ namespace fj::mr {
 /// charge for the extra I/O that reduce-based block processing performs.
 class LocalScratch {
  public:
-  /// seconds_per_byte: simulated cost of one byte of local I/O
-  /// (default ~100 MB/s).
-  explicit LocalScratch(double seconds_per_byte = 1e-8)
-      : seconds_per_byte_(seconds_per_byte) {}
+  /// Simulated cost of one byte of local I/O (~100 MB/s).
+  static constexpr double kSecondsPerByte = 1e-8;
 
   /// Stores `lines` under `key`, replacing any previous content.
   void Put(const std::string& key, std::vector<std::string> lines);
@@ -41,7 +39,7 @@ class LocalScratch {
   /// to the task that performed it. Kept separate from Put/Get traffic
   /// and NOT folded into io_seconds(): the cluster cost model prices
   /// spill bytes with its own local-disk bandwidth term
-  /// (ClusterConfig::local_disk_bytes_per_second_per_node).
+  /// (kLocalDiskBytesPerSecondPerNode, cluster_model.h).
   void ChargeSpillWrite(uint64_t bytes) { spill_bytes_written_ += bytes; }
   void ChargeSpillRead(uint64_t bytes) { spill_bytes_read_ += bytes; }
   uint64_t spill_bytes_written() const { return spill_bytes_written_; }
@@ -49,11 +47,10 @@ class LocalScratch {
 
   /// Simulated seconds spent on scratch I/O so far.
   double io_seconds() const {
-    return seconds_per_byte_ * static_cast<double>(bytes_written_ + bytes_read_);
+    return kSecondsPerByte * static_cast<double>(bytes_written_ + bytes_read_);
   }
 
  private:
-  double seconds_per_byte_;
   std::map<std::string, std::vector<std::string>> blocks_;
   uint64_t bytes_written_ = 0;
   mutable uint64_t bytes_read_ = 0;
@@ -67,9 +64,6 @@ class LocalScratch {
 /// scratch from a failed attempt never leak into the committed result.
 class TaskContext {
  public:
-  TaskContext(size_t task_id, CounterSet* counters)
-      : task_id_(task_id), counters_(counters) {}
-
   TaskContext(size_t task_id, uint32_t attempt, CounterSet* counters)
       : task_id_(task_id), attempt_(attempt), counters_(counters) {}
 
@@ -92,7 +86,6 @@ class TaskContext {
     return records_processed_ >= fault_.crash_after_records;
   }
   void NoteRecordProcessed() { records_processed_++; }
-  uint64_t records_processed() const { return records_processed_; }
 
   /// Malformed-input quarantine (map attempts only). Instead of aborting
   /// the job on an unparsable input line, a mapper hands the raw line here;
@@ -103,19 +96,7 @@ class TaskContext {
   void QuarantineRecord(std::string line) {
     quarantined_.push_back(std::move(line));
   }
-  const std::vector<std::string>& quarantined_records() const {
-    return quarantined_;
-  }
   std::vector<std::string> TakeQuarantined() { return std::move(quarantined_); }
-
-  /// Adds simulated seconds to this task's cost without actually sleeping.
-  /// Used to model work whose real cost the simulator cannot observe
-  /// (e.g. spinning disks, JVM startup).
-  void ChargeSeconds(double seconds) { charged_seconds_ += seconds; }
-
-  double charged_seconds() const {
-    return charged_seconds_ + scratch_.io_seconds();
-  }
 
   LocalScratch& scratch() { return scratch_; }
   const LocalScratch& scratch() const { return scratch_; }
@@ -124,7 +105,6 @@ class TaskContext {
   size_t task_id_;
   uint32_t attempt_ = 0;
   CounterSet* counters_;
-  double charged_seconds_ = 0;
   uint64_t records_processed_ = 0;
   AttemptFault fault_;
   LocalScratch scratch_;

@@ -341,22 +341,25 @@ Status WorkerServer::Start() {
     MutexLock lock(&mu_);
     stopping_ = false;
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });  // lint: allow-thread
+  // The accept thread gets the fd by value and never reads listen_fd_.
+  accept_thread_ = std::thread(  // lint: allow-thread
+      [this, fd = listen_fd_] { AcceptLoop(fd); });
   return Status::OK();
 }
 
 void WorkerServer::Stop() {
+  if (listen_fd_ < 0) return;  // never started, or already stopped
   {
     MutexLock lock(&mu_);
-    if (stopping_ && listen_fd_ < 0) return;
     stopping_ = true;
   }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    CloseFd(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Shutting the listener down wakes the accept thread. The fd is closed
+  // only after the join, so its number cannot be reused by another socket
+  // while the thread may still pass it to ::accept.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  CloseFd(listen_fd_);
+  listen_fd_ = -1;
   std::vector<std::thread> handlers;  // lint: allow-thread (joining the wire layer's own handlers)
   {
     MutexLock lock(&mu_);
@@ -383,12 +386,12 @@ uint64_t WorkerServer::segments_stored() const {
   return segments_.size();
 }
 
-void WorkerServer::AcceptLoop() {
+void WorkerServer::AcceptLoop(int listen_fd) {
   for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listen fd closed by Stop(), or fatal — either way, done
+      return;  // listener shut down by Stop(), or fatal — either way, done
     }
     MutexLock lock(&mu_);
     if (stopping_) {

@@ -149,6 +149,8 @@ class WorkerServer {
   WorkerServer& operator=(const WorkerServer&) = delete;
 
   /// Binds an ephemeral loopback port and starts the accept thread.
+  /// Start and Stop are called from one thread at a time; a stopped
+  /// server may be started again.
   Status Start();
   /// Stops accepting, joins every handler, drops stored segments.
   void Stop();
@@ -161,7 +163,7 @@ class WorkerServer {
   uint64_t segments_stored() const;
 
  private:
-  void AcceptLoop();
+  void AcceptLoop(int listen_fd);
   void HandleConnection(int fd);
   /// Builds the response for one decoded request (storage side effects
   /// included); wire faults are applied later, at send time.
@@ -172,7 +174,7 @@ class WorkerServer {
                       const Response& response);
 
   WorkerServerOptions options_;
-  int listen_fd_ = -1;
+  int listen_fd_ = -1;  ///< touched by Start and Stop only
   int port_ = 0;
   std::thread accept_thread_;  // lint: allow-thread (network layer, not task work)
 

@@ -48,15 +48,21 @@ TEST(SyncTest, StrictlyDecreasingRankOrderIsLegal) {
 
 TEST(SyncTest, UnrankedLeavesAreExemptInEitherPosition) {
   ScopedDeadlockChecksForTest checks(true);
-  Mutex ranked{"svc", lock_rank::kService};
-  Mutex leaf{"counters"};
+  // One ranked/unranked pair per order: locking one pair in both orders is
+  // a real lock-order inversion, which TSan reports. All four live in one
+  // scope, so no two share a stack address (std::mutex has a trivial
+  // destructor, and TSan would take a reused address for the same lock).
+  Mutex ranked_outer{"svc", lock_rank::kService};
+  Mutex leaf_inner{"counters"};
+  Mutex leaf_outer{"counters"};
+  Mutex ranked_inner{"svc", lock_rank::kService};
   {
-    MutexLock outer(&ranked);
-    MutexLock inner(&leaf);
+    MutexLock outer(&ranked_outer);
+    MutexLock inner(&leaf_inner);
   }
   {
-    MutexLock outer(&leaf);
-    MutexLock inner(&ranked);
+    MutexLock outer(&leaf_outer);
+    MutexLock inner(&ranked_inner);
   }
 }
 

@@ -62,15 +62,16 @@ TEST(SimulateJobTest, ComponentsAddUp) {
   cluster.nodes = 1;
   cluster.map_slots_per_node = 1;
   cluster.reduce_slots_per_node = 1;
-  cluster.shuffle_bytes_per_second_per_node = 100 * 1024 * 1024;
-  cluster.job_startup_seconds = 5.0;
 
   auto simulated = SimulateJob(metrics, cluster);
-  EXPECT_DOUBLE_EQ(simulated.startup_seconds, 5.0);
-  EXPECT_DOUBLE_EQ(simulated.map_seconds, 4.0);     // sequential on 1 slot
-  EXPECT_DOUBLE_EQ(simulated.shuffle_seconds, 1.0);  // 100MB over 100MB/s
+  // 100 MB over one node's shuffle bandwidth.
+  const double shuffle = 100 * 1024 * 1024 / kShuffleBytesPerSecondPerNode;
+  EXPECT_DOUBLE_EQ(simulated.startup_seconds, kJobStartupSeconds);
+  EXPECT_DOUBLE_EQ(simulated.map_seconds, 4.0);  // sequential on 1 slot
+  EXPECT_DOUBLE_EQ(simulated.shuffle_seconds, shuffle);
   EXPECT_DOUBLE_EQ(simulated.reduce_seconds, 3.0);
-  EXPECT_DOUBLE_EQ(simulated.total(), 13.0);
+  EXPECT_DOUBLE_EQ(simulated.total(),
+                   kJobStartupSeconds + 4.0 + shuffle + 3.0);
 }
 
 TEST(SimulateJobTest, ParallelPhasesScaleWithNodesButOverheadDoesNot) {
@@ -110,11 +111,12 @@ TEST(SimulateJobTest, ShuffleScalesWithAggregateBandwidth) {
   JobMetrics metrics;
   metrics.shuffle_bytes = 1000;
   ClusterConfig cluster;
-  cluster.shuffle_bytes_per_second_per_node = 100;
   cluster.nodes = 2;
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).shuffle_seconds, 5.0);
+  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).shuffle_seconds,
+                   1000 / (2 * kShuffleBytesPerSecondPerNode));
   cluster.nodes = 10;
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).shuffle_seconds, 1.0);
+  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).shuffle_seconds,
+                   1000 / (10 * kShuffleBytesPerSecondPerNode));
 }
 
 TEST(SimulateJobTest, SpillBytesPricedOnLocalDiskBandwidth) {
@@ -122,11 +124,12 @@ TEST(SimulateJobTest, SpillBytesPricedOnLocalDiskBandwidth) {
   metrics.spilled_bytes = 500;
   ClusterConfig cluster;
   cluster.nodes = 2;
-  cluster.local_disk_bytes_per_second_per_node = 100;
-  // Written once + read once: 2 * 500 bytes over 200 bytes/s.
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).spill_seconds, 5.0);
+  // Written once + read once: 2 * 500 bytes over two nodes' bandwidth.
+  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).spill_seconds,
+                   2 * 500 / (2 * kLocalDiskBytesPerSecondPerNode));
   cluster.nodes = 10;
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).spill_seconds, 1.0);
+  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).spill_seconds,
+                   2 * 500 / (10 * kLocalDiskBytesPerSecondPerNode));
 
   // Spill time is part of the total, and jobs that never spill pay zero.
   metrics.spilled_bytes = 0;
@@ -139,15 +142,17 @@ TEST(SimulateJobTest, IntegrityBytesPricedOnChecksumBandwidth) {
   metrics.integrity_bytes_verified = 1000;
   ClusterConfig cluster;
   cluster.nodes = 2;
-  cluster.integrity_bytes_per_second_per_node = 100;
-  // Each verified byte is hashed exactly once: 1000 bytes over 200 bytes/s.
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).integrity_seconds, 5.0);
+  // Each verified byte is hashed exactly once.
+  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).integrity_seconds,
+                   1000 / (2 * kIntegrityBytesPerSecondPerNode));
   cluster.nodes = 10;
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).integrity_seconds, 1.0);
+  const double integrity = 1000 / (10 * kIntegrityBytesPerSecondPerNode);
+  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).integrity_seconds,
+                   integrity);
 
   // Part of the total; jobs that never verify pay zero.
   EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).total(),
-                   cluster.job_startup_seconds + 1.0);
+                   kJobStartupSeconds + integrity);
   metrics.integrity_bytes_verified = 0;
   EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).integrity_seconds, 0.0);
 }
@@ -157,7 +162,6 @@ TEST(SimulateJobTest, IntegritySecondsScaleWithWorkScale) {
   metrics.integrity_bytes_verified = 1000;
   ClusterConfig cluster;
   cluster.nodes = 1;
-  cluster.integrity_bytes_per_second_per_node = 100;
   double base = SimulateJob(metrics, cluster).integrity_seconds;
   cluster.work_scale = 8.0;
   EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).integrity_seconds, 8 * base);
@@ -168,9 +172,9 @@ TEST(SimulateJobTest, SpillSecondsScaleWithWorkScale) {
   metrics.spilled_bytes = 1000;
   ClusterConfig cluster;
   cluster.nodes = 1;
-  cluster.local_disk_bytes_per_second_per_node = 1000;
   cluster.work_scale = 50.0;
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).spill_seconds, 100.0);
+  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).spill_seconds,
+                   2 * 1000 * 50.0 / kLocalDiskBytesPerSecondPerNode);
 }
 
 // --- fault-tolerance cost modeling ---
@@ -224,10 +228,10 @@ TEST(SimulateJobTest, WastedSecondsIsInformationalNotAdditive) {
   ClusterConfig cluster;
   cluster.nodes = 1;
   cluster.reduce_slots_per_node = 2;
-  cluster.job_startup_seconds = 0.0;
   auto simulated = SimulateJob(metrics, cluster);
   EXPECT_DOUBLE_EQ(simulated.wasted_seconds, 5.0);
-  EXPECT_DOUBLE_EQ(simulated.total(), simulated.reduce_seconds);
+  EXPECT_DOUBLE_EQ(simulated.total(),
+                   kJobStartupSeconds + simulated.reduce_seconds);
 }
 
 TEST(SimulateJobTest, WastedSecondsScalesWithWorkScale) {
@@ -283,13 +287,12 @@ TEST(SimulatePipelineTest, SumsJobs) {
   a.map_tasks = {TaskMetrics{1.0}};
   b.map_tasks = {TaskMetrics{2.0}};
   ClusterConfig cluster;
-  cluster.job_startup_seconds = 3.0;
   EXPECT_DOUBLE_EQ(SimulatePipelineSeconds({a, b}, cluster),
-                   (3.0 + 1.0) + (3.0 + 2.0));
+                   (kJobStartupSeconds + 1.0) + (kJobStartupSeconds + 2.0));
 }
 
 TEST(LocalScratchTest, MetersIO) {
-  LocalScratch scratch(1e-6);
+  LocalScratch scratch;
   scratch.Put("k", {"0123456789"});  // 11 bytes with newline
   EXPECT_EQ(scratch.bytes_written(), 11u);
   auto got = scratch.Get("k");
@@ -298,14 +301,14 @@ TEST(LocalScratchTest, MetersIO) {
   // Re-reading meters again (the reduce-based strategy re-reads blocks).
   ASSERT_TRUE(scratch.Get("k").ok());
   EXPECT_EQ(scratch.bytes_read(), 22u);
-  EXPECT_DOUBLE_EQ(scratch.io_seconds(), 33e-6);
+  EXPECT_DOUBLE_EQ(scratch.io_seconds(), 33 * LocalScratch::kSecondsPerByte);
   EXPECT_EQ(scratch.Get("missing").status().code(), StatusCode::kNotFound);
   scratch.Erase("k");
   EXPECT_FALSE(scratch.Get("k").ok());
 }
 
 TEST(LocalScratchTest, SpillChannelIsMeteredSeparately) {
-  LocalScratch scratch(1e-6);
+  LocalScratch scratch;
   scratch.ChargeSpillWrite(1000);
   scratch.ChargeSpillRead(400);
   scratch.ChargeSpillRead(600);
@@ -316,17 +319,6 @@ TEST(LocalScratchTest, SpillChannelIsMeteredSeparately) {
   EXPECT_DOUBLE_EQ(scratch.io_seconds(), 0.0);
   EXPECT_EQ(scratch.bytes_written(), 0u);
   EXPECT_EQ(scratch.bytes_read(), 0u);
-}
-
-TEST(TaskContextTest, ChargesAccumulate) {
-  CounterSet counters;
-  TaskContext ctx(3, &counters);
-  EXPECT_EQ(ctx.task_id(), 3u);
-  ctx.ChargeSeconds(1.5);
-  ctx.ChargeSeconds(0.5);
-  EXPECT_DOUBLE_EQ(ctx.charged_seconds(), 2.0);
-  ctx.counters().Add("c", 2);
-  EXPECT_EQ(counters.Get("c"), 2);
 }
 
 }  // namespace

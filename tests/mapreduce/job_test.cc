@@ -305,25 +305,6 @@ TEST(JobTest, InvalidSpecRejected) {
   EXPECT_EQ(job.Run().status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(JobTest, EmptyCharge) {
-  // ChargeSeconds adds simulated cost to a task's metered time.
-  Dfs dfs;
-  ASSERT_TRUE(dfs.WriteFile("in", {"x"}).ok());
-  auto spec = WordCountSpec("in", "out");
-  spec.num_map_tasks = 1;
-  spec.mapper_factory = [] {
-    return std::make_unique<LambdaMapper<K, V>>(
-        [](const InputRecord&, Emitter<K, V>*, TaskContext* ctx) {
-          ctx->ChargeSeconds(5.0);
-        });
-  };
-  Job<K, V> job(&dfs, std::move(spec));
-  auto metrics = job.Run();
-  ASSERT_TRUE(metrics.ok());
-  ASSERT_EQ(metrics->map_tasks.size(), 1u);
-  EXPECT_GE(metrics->map_tasks[0].seconds, 5.0);
-}
-
 // The checksum a plain Dfs write of `file`'s committed lines gives, the
 // Dfs hashing every line itself.
 uint64_t PlainWriteChecksum(const Dfs& dfs, const std::string& file) {

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -293,6 +294,32 @@ TEST(WorkerServerTest, ServesPutGetPingDropJob) {
   EXPECT_EQ(server.segments_stored(), 0u);
   EXPECT_GE(server.requests_served(), 5u);
   server.Stop();
+}
+
+// Stop must not race the accept thread: it shuts the listener down, joins
+// the thread, and only then closes the fd (a TSan build reports a race on
+// the listening fd otherwise). A client keeps dialing throughout.
+TEST(WorkerServerTest, RestartsWhileAClientConnects) {
+  WorkerServer server;
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_TRUE(server.Start().ok());
+    const int port = server.port();
+    std::atomic<bool> stopped{false};
+    std::atomic<int> dials{0};
+    // lint: allow-thread (a client racing the server's own threads)
+    std::thread client([port, &stopped, &dials] {
+      for (int i = 0; i < 20 && !stopped.load(); ++i) {
+        Result<int> fd = net::DialTcpLoopback(port, 200, 200);
+        if (fd.ok()) net::CloseFd(*fd);
+        dials.fetch_add(1);
+      }
+    });
+    while (dials.load() == 0) std::this_thread::yield();
+    server.Stop();
+    stopped.store(true);
+    client.join();
+  }
+  server.Stop();  // a second Stop is a no-op
 }
 
 // --- transports -----------------------------------------------------------

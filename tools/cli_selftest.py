@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end test of the shipped `fuzzyjoin` and `fuzzyjoin_serve` binaries.
 
-Four checks:
+Six checks:
 
 1. Transparent engine flags. `selfjoin` and `rsjoin` each run twice over
    small generated inputs: once with default flags, and once with every
@@ -15,11 +15,18 @@ Four checks:
    stages resume from their checkpoints, the two `.joined` files are
    byte-identical, and every file in the directory is newline-terminated
    UTF-8 text (binary records would carry bytes UTF-8 never uses).
-3. Refused flags. A negative or non-numeric count, a misspelled flag, a
-   malformed number, an out-of-range --tau_floor and a retired flag are
-   usage errors: exit status 2 with an InvalidArgument message naming the
-   flag, never a signal.
-4. A crafted snapshot whose record declares 2^62 tokens makes
+3. The paper's algorithm flags. `selfjoin` and `rsjoin` run with
+   --stage1=opto, --stage2=bk, --stage3=brj, and --routing=grouped
+   --groups=7. Each run names its stage in --stats and joins the same
+   set of lines as the default run.
+4. Refused flags. A negative or non-numeric count, a misspelled flag, a
+   malformed number, an unknown algorithm, an out-of-range --tau_floor, a
+   retired flag, and an index setting next to --snapshot_in are usage
+   errors: exit status 2 with an InvalidArgument message naming the flag,
+   never a signal.
+5. A snapshot saved with --tau_floor=0.7 reloads announcing its own floor
+   (tau_floor=0.70), not the flag default.
+6. A crafted snapshot whose record declares 2^62 tokens makes
    `fuzzyjoin_serve --snapshot_in` fail with DataLoss, never a signal.
 
 Usage: cli_selftest.py <path/to/fuzzyjoin> <path/to/fuzzyjoin_serve>
@@ -50,6 +57,14 @@ ENGINE_FLAGS = [
     "--max_skipped=0",
 ]
 
+# (flags, the stage its --stats must name or None)
+ALGORITHM_FLAGS = [
+    (["--stage1=opto"], "1-OPTO"),
+    (["--stage2=bk"], "2-BK"),
+    (["--stage3=brj"], "3-BRJ"),
+    (["--routing=grouped", "--groups=7"], None),
+]
+
 # (tool, arguments after the subcommand inputs, flag the message must name)
 BAD_FLAGS = [
     ("fuzzyjoin", ["--threads=-1"], "--threads"),
@@ -60,10 +75,19 @@ BAD_FLAGS = [
     ("fuzzyjoin", ["--fault_seed=xyz", "--fault_crash_p=0.2"],
      "--fault_seed"),
     ("fuzzyjoin", ["--check_contracts=yes"], "--check_contracts"),
+    ("fuzzyjoin", ["--stage1=xyz"], "--stage1"),
+    ("fuzzyjoin", ["--routing=xyz"], "--routing"),
     ("fuzzyjoin_serve", ["--threads=-1"], "--threads"),
     ("fuzzyjoin_serve", ["--tau_floor=abc"], "--tau_floor"),
     ("fuzzyjoin_serve", ["--tau_floor=0"], "--tau_floor"),
     ("fuzzyjoin_serve", ["--lsh"], "--lsh"),
+] + [
+    # A snapshot supplies these; the refusal precedes reading the file.
+    ("fuzzyjoin_serve", ["--snapshot_in=index.snapshot", flag],
+     flag.split("=")[0])
+    for flag in ["--tau_floor=0.6", "--function=cosine",
+                 "--compact_fraction=0.5", "--load=r.tsv",
+                 "--ordering=tokens.tsv"]
 ]
 
 
@@ -142,6 +166,24 @@ def main():
                 check(outputs[0] == outputs[1],
                       f"{command} output byte-identical under engine flags",
                       failures)
+            if not outputs:
+                continue
+            default_lines = set(outputs[0].splitlines())
+            for flags, stage in ALGORITHM_FLAGS:
+                out = path(f"{command}.algorithm.joined")
+                res = run([fuzzyjoin, command, *inputs, "--out=" + out,
+                           "--stats", *flags])
+                what = f"{command} {' '.join(flags)}"
+                check(res.returncode == 0, f"{what} run", failures)
+                if res.returncode != 0:
+                    print(res.stderr)
+                    continue
+                if stage:
+                    check(stage in res.stderr,
+                          f"{what} --stats names stage {stage}", failures)
+                with open(out, "rb") as f:
+                    check(set(f.read().splitlines()) == default_lines,
+                          f"{what} joins the default run's lines", failures)
 
         state = path("state")
         resume_flags = ["--r=" + path("r.tsv"), "--s=" + path("s.tsv"),
@@ -195,6 +237,16 @@ def main():
                   and flag in res.stderr,
                   f"{tool} {' '.join(flags)} -> exit 2 naming {flag} "
                   f"(got {res.returncode}: {res.stderr.strip()})", failures)
+
+        snapshot = path("floor.snapshot")
+        saved = run([serve, "--load=" + path("r.tsv"), "--tau_floor=0.7",
+                     "--snapshot_out=" + snapshot], stdin=subprocess.DEVNULL)
+        loaded = run([serve, "--snapshot_in=" + snapshot],
+                     stdin=subprocess.DEVNULL)
+        check(saved.returncode == 0 and loaded.returncode == 0
+              and "tau_floor=0.70" in loaded.stderr,
+              f"snapshot saved at tau_floor=0.7 reloads announcing it "
+              f"(got {loaded.returncode}: {loaded.stderr.strip()})", failures)
 
         snapshot = path("crafted.snapshot")
         with open(snapshot, "wb") as f:

@@ -6,6 +6,8 @@
 //   selfjoin  --input=FILE --out=FILE [--tau=0.8] [--function=jaccard]
 //             [--stage1=bto|opto] [--stage2=bk|pk] [--stage3=brj|oprj]
 //             [--routing=individual|grouped] [--groups=N] [--qgram=Q]
+//             (the algorithms default to JoinConfig's BTO-PK-OPRJ with
+//             individual-token routing)
 //             [--threads=N (0 = auto-detect)] [--sort_buffer=BYTES]
 //             [--merge_factor=N]
 //             [--max_attempts=4] [--speculate] [--speculation_factor=3]
@@ -39,8 +41,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/flags.h"
 #include "common/latency_histogram.h"
@@ -81,44 +86,48 @@ Status WriteLines(const std::string& path,
   return Status::OK();
 }
 
+// Reads the choice flag `key`, spelled as one of `names`, into `*value`,
+// which keeps its default when the flag is absent.
+template <typename Enum>
+Status GetChoice(const Flags& flags, const std::string& key,
+                 std::initializer_list<std::pair<const char*, Enum>> names,
+                 Enum* value) {
+  if (!flags.Has(key)) return Status::OK();
+  const std::string given = flags.GetString(key, "");
+  for (const auto& [name, choice] : names) {
+    if (given == name) {
+      *value = choice;
+      return Status::OK();
+    }
+  }
+  return Status::InvalidArgument("unknown --" + key + ": " + given);
+}
+
+// Every algorithm flag defaults to JoinConfig's own default.
 Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
-  fj::join::JoinConfig config;
-  config.tau = flags.GetDouble("tau", 0.8);
+  using namespace fj::join;  // the algorithm enums
+  JoinConfig config;
+  config.tau = flags.GetDouble("tau", config.tau);
   FJ_ASSIGN_OR_RETURN(config.function,
                       fj::sim::SimilarityFunctionFromName(
                           flags.GetString("function", "jaccard")));
-  std::string stage1 = flags.GetString("stage1", "bto");
-  if (stage1 == "bto") {
-    config.stage1 = fj::join::Stage1Algorithm::kBTO;
-  } else if (stage1 == "opto") {
-    config.stage1 = fj::join::Stage1Algorithm::kOPTO;
-  } else {
-    return Status::InvalidArgument("unknown --stage1: " + stage1);
-  }
-  std::string stage2 = flags.GetString("stage2", "pk");
-  if (stage2 == "bk") {
-    config.stage2 = fj::join::Stage2Algorithm::kBK;
-  } else if (stage2 == "pk") {
-    config.stage2 = fj::join::Stage2Algorithm::kPK;
-  } else {
-    return Status::InvalidArgument("unknown --stage2: " + stage2);
-  }
-  std::string stage3 = flags.GetString("stage3", "brj");
-  if (stage3 == "brj") {
-    config.stage3 = fj::join::Stage3Algorithm::kBRJ;
-  } else if (stage3 == "oprj") {
-    config.stage3 = fj::join::Stage3Algorithm::kOPRJ;
-  } else {
-    return Status::InvalidArgument("unknown --stage3: " + stage3);
-  }
-  std::string routing = flags.GetString("routing", "individual");
-  if (routing == "individual") {
-    config.routing = fj::join::TokenRouting::kIndividualTokens;
-  } else if (routing == "grouped") {
-    config.routing = fj::join::TokenRouting::kGroupedTokens;
-  } else {
-    return Status::InvalidArgument("unknown --routing: " + routing);
-  }
+  FJ_RETURN_IF_ERROR(GetChoice(flags, "stage1",
+                               {{"bto", Stage1Algorithm::kBTO},
+                                {"opto", Stage1Algorithm::kOPTO}},
+                               &config.stage1));
+  FJ_RETURN_IF_ERROR(GetChoice(
+      flags, "stage2",
+      {{"bk", Stage2Algorithm::kBK}, {"pk", Stage2Algorithm::kPK}},
+      &config.stage2));
+  FJ_RETURN_IF_ERROR(GetChoice(flags, "stage3",
+                               {{"brj", Stage3Algorithm::kBRJ},
+                                {"oprj", Stage3Algorithm::kOPRJ}},
+                               &config.stage3));
+  FJ_RETURN_IF_ERROR(
+      GetChoice(flags, "routing",
+                {{"individual", TokenRouting::kIndividualTokens},
+                 {"grouped", TokenRouting::kGroupedTokens}},
+                &config.routing));
   // Count flags keep JoinConfig's defaults when absent.
   FJ_RETURN_IF_ERROR(flags.GetCount("groups", &config.num_groups));
   FJ_RETURN_IF_ERROR(flags.GetCount("map_tasks", &config.num_map_tasks));

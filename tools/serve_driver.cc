@@ -27,12 +27,16 @@
 // --ordering supplies the stage-1 "token<TAB>count" ranking so online
 // tokenization matches the batch pipeline (derived from the corpus when
 // omitted). --snapshot_in/--snapshot_out round-trip the seeded index
-// through the binary snapshot format instead.
+// through the binary snapshot format instead. A snapshot carries the
+// index's function, floor and compaction fraction, so --snapshot_in
+// refuses --tau_floor, --function, --compact_fraction, --load and
+// --ordering (exit status 2, naming the flag).
 //
 // An unknown flag, a malformed number, a bad count or a --tau_floor
 // outside (0, 1] is a usage error: exit status 2, naming the flag.
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <iterator>
 #include <sstream>
@@ -220,6 +224,17 @@ int Run(const Flags& flags) {
                         fj::sim::SimilarityFunctionFromName(
                             flags.GetString("function", "jaccard")));
     FJ_RETURN_IF_ERROR(flags.Check());
+    // A snapshot carries the index's function, floor and compaction
+    // fraction, and the records and ordering it was built from.
+    for (const char* flag :
+         {"tau_floor", "function", "compact_fraction", "load", "ordering"}) {
+      if (!snapshot_in.empty() && flags.Has(flag)) {
+        return Status::InvalidArgument(
+            std::string("--") + flag +
+            " cannot be combined with --snapshot_in: the snapshot "
+            "supplies it");
+      }
+    }
     // The range LoadSnapshot accepts; SimilaritySpec requires it too.
     if (!(index_options.tau_floor > 0.0) || index_options.tau_floor > 1.0) {
       return Status::InvalidArgument("--tau_floor=" +
@@ -257,9 +272,10 @@ int Run(const Flags& flags) {
     if (!built.ok()) return Fail(built.status());
     seeded = std::move(built).value();
   }
+  const fj::serve::ServingIndexOptions& served = seeded.index->options();
   std::fprintf(stderr, "serving %zu records (tau_floor=%.2f, %s)\n",
-               seeded.index->live_records(), index_options.tau_floor,
-               fj::sim::SimilarityFunctionName(index_options.function));
+               seeded.index->live_records(), served.tau_floor,
+               fj::sim::SimilarityFunctionName(served.function));
 
   fj::Executor executor(threads);
   fj::serve::QueryService service(seeded.index.get(), &executor,
