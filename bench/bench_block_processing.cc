@@ -44,6 +44,10 @@ int main(int argc, char** argv) {
       {"reduce-based/8", join::BlockProcessing::kReduceBased, 8},
   };
 
+  // Every strategy must find the in-memory run's result count (the first
+  // row); an error or a different count fails the bench.
+  bool failed = false;
+  int64_t in_memory_results = -1;
   std::printf("%-15s %9s %13s %13s %13s %10s\n", "strategy", "stage2",
               "shuffle KB", "spill KB", "peak mem", "results");
   for (const auto& row : rows) {
@@ -55,6 +59,7 @@ int main(int argc, char** argv) {
     if (!run.ok()) {
       std::printf("%-15s FAILED: %s\n", row.label.c_str(),
                   run.status().ToString().c_str());
+      failed = true;
       continue;
     }
     const auto& kernel_job = run->last_run.stages[1].jobs[0];
@@ -64,16 +69,23 @@ int main(int argc, char** argv) {
         row.strategy == join::BlockProcessing::kNone
             ? kernel_job.counters.Get("stage2.peak_group_records")
             : kernel_job.counters.Get("stage2.block.peak_memory_records");
+    const int64_t results = kernel_job.counters.Get("stage2.bk.results");
     std::printf("%-15s %8.1fs %12.1f %12.1f %10lld %10lld\n",
                 row.label.c_str(), run->times.stage2,
                 kernel_job.shuffle_bytes / 1024.0, spilled / 1024.0,
-                static_cast<long long>(peak),
-                static_cast<long long>(
-                    kernel_job.counters.Get("stage2.bk.results")));
+                static_cast<long long>(peak), static_cast<long long>(results));
+    if (row.strategy == join::BlockProcessing::kNone) {
+      in_memory_results = results;
+    } else if (results != in_memory_results) {
+      std::printf("%-15s FAILED: %lld results, the in-memory run found %lld\n",
+                  row.label.c_str(), static_cast<long long>(results),
+                  static_cast<long long>(in_memory_results));
+      failed = true;
+    }
   }
 
   std::printf("\nexpected shape: more blocks -> lower peak memory; map-based "
               "pays in shuffle volume,\nreduce-based pays in local-disk "
               "traffic; all strategies produce the same result count.\n");
-  return 0;
+  return failed ? 1 : 0;
 }

@@ -107,9 +107,10 @@ struct JoinConfig : mr::EngineOptions {
 
   /// Section 5, first paragraph: "we can exploit the length filter even in
   /// the BK algorithm, by using the length filter as a secondary
-  /// record-routing criterion". When enabled (BK self-join), records are
-  /// additionally routed by length class — partitioning each token group
-  /// further and shrinking reducer memory at the cost of extra replicas.
+  /// record-routing criterion". When enabled (BK self-join; an R-S join
+  /// refuses it), records are additionally routed by length class —
+  /// partitioning each token group further and shrinking reducer memory
+  /// at the cost of extra replicas.
   bool bk_length_routing = false;
   /// Lengths l in [k*width, (k+1)*width) share length class k.
   uint32_t length_class_width = 4;

@@ -97,9 +97,6 @@ class FullRecordReducer : public mr::Reducer<Stage2Key, std::string> {
       ctx->counters().Add("onestage.pairs_emitted", 1);
     }
     internal::MergePPJoinStats(stream_.stats(), ctx);
-    ctx->counters().Max(
-        "stage2.pk.peak_resident_tokens",
-        static_cast<int64_t>(stream_.stats().peak_resident_tokens));
   }
 
  private:

@@ -14,6 +14,8 @@
 //        joins a length-*class* ordering that interleaves R before the S
 //        records they may join (Section 4, Figure 6).
 //
+// Every variant, self or R-S, is one key layout (the Stage2Key table
+// below) run by one mapper and one of three reducers (stage2.cc).
 // The same pair may be produced by several reducers (records can share
 // more than one prefix token); stage 3 deduplicates.
 #pragma once
@@ -36,19 +38,38 @@
 namespace fj::join {
 
 /// The composite routing key of stage 2. The partitioner hashes `group`
-/// only; the sort comparator orders lexicographically on
-/// (group, s1, s2, s3) — the paper's "custom partitioning function"
-/// technique. Field meaning by variant:
+/// only, except under length classes, where it hashes (group, s1); the
+/// sort orders lexicographically on (group, s1, s2, s3) — the paper's
+/// "custom partitioning function" technique. Reduce groups share `group`
+/// (and s1 under length classes).
 ///
-///   self-join kernel:            s1 = projection length
-///   R-S kernel:                  s1 = length class (R: lower bound of its
-///                                length; S: its length), s2 = relation
-///                                (0 = R, 1 = S), s3 = length
-///   map-based block processing:  s1 = round, s2 = block (self) /
-///                                relation then block (R-S: s2 = relation,
-///                                s3 = block)
-///   reduce-based blocks:         s1 = block (self); s1 = relation,
-///                                s2 = block (R-S)
+/// A variant's key layout is the keys the mapper emits for a projection
+/// in each of its prefix groups g. Here l is the projection's length,
+/// lb(l) the length filter's lower bound, w = length_class_width, b =
+/// hash(rid) % num_blocks its block, B = num_blocks, and the relation is
+/// 0 for R and 1 for S:
+///
+///   layout              runs                   keys per prefix group g
+///   self kernel         BK, PK                 (g, l, 0, 0)
+///   self length classes BK + bk_length_routing (g, c, l/w, 0) for each
+///                       or length signatures   class c in [lb(l)/w, l/w]
+///                       (g = 0)
+///   self map blocks     BK + map blocks        (g, r, b, 0), r in [0, b]
+///   self reduce blocks  BK + reduce blocks     (g, b, 0, 0)
+///   R-S length classes  PK                     R: (g, lb(l), 0, l)
+///                                              S: (g, l, 1, l)
+///   R-S relation        BK                     R: (g, 0, l, 0)
+///                                              S: (g, 1, l, 0)
+///   R-S map blocks      BK + map blocks        R: (g, b, 0, 0)
+///                                              S: (g, r, 1, 0), r in [0, B)
+///   R-S reduce blocks   BK + reduce blocks     R: (g, 0, b, 0)
+///                                              S: (g, 1, 0, 0)
+///
+/// A value's role in its group follows from its key: a self-join record
+/// probes the records held so far and is then held (under length classes
+/// only in its own class, under map blocks only in the round of its own
+/// block); an R record is only held and an S record only probes. Rounds
+/// (map blocks) and blocks (reduce blocks) each start with nothing held.
 struct Stage2Key {
   uint32_t group = 0;
   uint32_t s1 = 0;

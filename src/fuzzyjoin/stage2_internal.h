@@ -1,7 +1,6 @@
-// Shared machinery of the stage-2 kernels (self-join and R-S variants):
-// the projection mapper base, BK pair verification, and projection
-// (de)serialization for local-disk spills. Internal to the fuzzyjoin
-// library; not part of the public API.
+// The projection mapper base that the stage-2 kernel (stage2.cc) and the
+// one-stage join (one_stage.cc) share, and the PPJoin+ counters both
+// report. Internal to the fuzzyjoin library; not part of the public API.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +31,6 @@ struct Stage2Context {
   TokenRouting routing = TokenRouting::kIndividualTokens;
   uint32_t num_groups = 1;
   GroupAssignment group_assignment = GroupAssignment::kRoundRobin;
-  uint32_t num_blocks = 1;
 };
 
 /// The Stage2Context fields a JoinConfig fixes.
@@ -124,10 +122,6 @@ class ProjectionMapperBase : public mr::Mapper<Stage2Key, V> {
     return groups;
   }
 
-  uint32_t BlockOf(uint64_t rid) const {
-    return static_cast<uint32_t>(HashInt64(rid) % ctx_.num_blocks);
-  }
-
   Stage2Context ctx_;
   text::TokenOrdering ordering_;
 
@@ -138,45 +132,8 @@ class ProjectionMapperBase : public mr::Mapper<Stage2Key, V> {
   text::TokenList tokens_;
 };
 
-/// BK verification of one candidate pair: length filter, then the
-/// early-terminating overlap merge. Emits a rid-pair line when it
-/// qualifies. `self_canonical` orders the RIDs (min, max) for self-joins;
-/// for R-S the caller passes x = R record, y = S record. `line_buf` is a
-/// scratch string the caller reuses across pairs so the emit path does not
-/// construct a fresh std::string per verification.
-inline void BkVerifyPair(const sim::SimilaritySpec& spec,
-                         const TokenSetRecord& x, const TokenSetRecord& y,
-                         bool self_canonical,
-                         std::string* line_buf, mr::OutputEmitter* out,
-                         mr::TaskContext* ctx) {
-  ctx->counters().Add("stage2.bk.pairs_considered", 1);
-  size_t lx = x.tokens.size();
-  size_t ly = y.tokens.size();
-  if (lx == 0 || ly == 0) return;
-  if (ly < spec.LengthLowerBound(lx) || ly > spec.LengthUpperBound(lx)) {
-    ctx->counters().Add("stage2.bk.length_filtered", 1);
-    return;
-  }
-  size_t alpha = spec.MinOverlap(lx, ly);
-  ctx->counters().Add("stage2.bk.verified", 1);
-  size_t overlap = sim::VerifyOverlap(x.tokens, y.tokens, 0, 0, 0, alpha);
-  if (overlap == sim::kOverlapFailed) return;
-  double similarity =
-      sim::SimilarityFromOverlap(spec.function(), overlap, lx, ly);
-  ctx->counters().Add("stage2.bk.results", 1);
-  uint64_t rid1 = x.rid;
-  uint64_t rid2 = y.rid;
-  if (self_canonical && rid1 > rid2) std::swap(rid1, rid2);
-  FormatRidPairLine(rid1, rid2, similarity, line_buf);
-  out->Emit(*line_buf);
-}
-
-/// Serialization for block spills to a reducer's local disk
-/// (reduce-based block processing, Section 5).
-std::string SerializeProjection(const TokenSetRecord& projection);
-Result<TokenSetRecord> ParseProjection(const std::string& line);
-
-/// Merges PPJoin kernel statistics into job counters.
+/// Merges PPJoin kernel statistics, and the peak resident tokens, into
+/// job counters.
 void MergePPJoinStats(const ppjoin::PPJoinStats& stats, mr::TaskContext* ctx);
 
 }  // namespace fj::join::internal

@@ -12,9 +12,11 @@
 //     countdown may fire. The reduce side consumes the FETCHED bytes, so
 //     a byte flipped in transit must be detected (frame + segment
 //     checksums) or it would poison the join output.
-//   - InprocTransport is the graceful-degradation default: a mutex-guarded
-//     in-memory segment store with the same observable semantics, used by
-//     `--transport=inproc` and by single-process tests.
+//   - InprocTransport is a mutex-guarded in-memory segment store with the
+//     same observable semantics, used by single-process tests. It is not
+//     what `--transport=inproc` runs: there MakeRunTransport
+//     (fuzzyjoin/driver.cc) installs no transport, and the engine hands
+//     each segment to the reduce side directly.
 //   - SocketTransport (MakeSocketTransport) moves segments over
 //     length-framed loopback TCP to a set of shuffle-worker endpoints
 //     (worker_net.h): segment (m, r) lives on worker m % N. Robustness
@@ -166,7 +168,9 @@ class ShuffleTransport {
   virtual uint64_t worker_losses() const { return 0; }
 };
 
-/// The in-process default: a mutex-guarded segment map.
+/// A mutex-guarded in-process segment map, for tests. A job without a
+/// transport (the `--transport=inproc` default) skips it and hands its
+/// segments off directly.
 class InprocTransport : public ShuffleTransport {
  public:
   const char* name() const override { return "inproc"; }

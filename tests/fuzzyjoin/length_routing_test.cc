@@ -106,5 +106,21 @@ TEST(LengthRoutingTest, ValidationRules) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
+TEST(LengthRoutingTest, RejectedForRSJoins) {
+  // Length classes are a self-join layout. An R-S join refuses the option
+  // by name rather than run plain BK without it.
+  mr::Dfs dfs;
+  ASSERT_TRUE(dfs.WriteFile("r", {"1\tt a b\tx\tp"}).ok());
+  ASSERT_TRUE(dfs.WriteFile("s", {"2\tt a b\ty\tp"}).ok());
+  JoinConfig config;
+  config.bk_length_routing = true;
+  config.stage2 = Stage2Algorithm::kBK;
+  auto result = RunRSJoin(&dfs, "r", "s", "out", config);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("bk_length_routing"),
+            std::string::npos)
+      << result.status().message();
+}
+
 }  // namespace
 }  // namespace fj::join

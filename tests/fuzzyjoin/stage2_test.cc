@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <map>
@@ -15,6 +17,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "data/generator.h"
@@ -358,6 +361,197 @@ TEST(Stage2EdgeTest, PairLineParserMatchesSplitReference) {
                            "1\t\t0.5", "1\t2\t0.5\t", "1\t2\t0.5\t\t"}) {
     SCOPED_TRACE(fj::ErrorExcerpt(edge));
     ExpectPairParserMatchesReference(edge);
+  }
+}
+
+// ---- Golden pins: all ten stage-2 variants on one seeded corpus.
+// For each variant: a hash of the sorted RID-pair lines, the job's
+// shuffle_records and shuffle_bytes, and its whole counter snapshot
+// (scratch and peak counters included). Grouped routing with three
+// groups makes every block and length class hold several records.
+// The values were captured when each variant still had its own mapper
+// and reducer. Since one BK loop runs the length classes, their
+// stage2.peak_group_records counts the native records a reducer holds,
+// no longer natives plus visitors: 425 -> 188 under bk_length_routing,
+// 259 -> 127 under length signatures. Nothing else moved.
+
+struct GoldenVariant {
+  const char* name;
+  bool rs;
+  void (*configure)(JoinConfig*);
+  uint64_t pairs_hash;
+  uint64_t shuffle_records;
+  uint64_t shuffle_bytes;
+  const char* counters;  // "name=value " per counter, in name order
+};
+
+/// Every counter but the contract checker's own count, which depends on
+/// whether the build checks contracts (debug builds and
+/// FJ_CHECK_CONTRACTS=1 do).
+std::string CounterLine(const fj::CounterSet& counters) {
+  std::string line;
+  for (const auto& [name, value] : counters.Snapshot()) {
+    if (name.rfind("contract.", 0) == 0) continue;
+    line += name + "=" + std::to_string(value) + " ";
+  }
+  return line;
+}
+
+TEST(Stage2GoldenTest, EveryVariantIsPinned) {
+  constexpr BlockProcessing kMapBlocks = BlockProcessing::kMapBased;
+  constexpr BlockProcessing kReduceBlocks = BlockProcessing::kReduceBased;
+  const std::vector<GoldenVariant> variants = {
+      {"self BK", false,
+       [](JoinConfig*) {},
+       0x0b10ad2bcfbbb496ULL, 510, 36612,
+       "stage2.bk.length_filtered=28722 "
+       "stage2.bk.pairs_considered=43174 "
+       "stage2.bk.results=104 "
+       "stage2.bk.verified=14452 "
+       "stage2.peak_group_records=510 "
+       "stage2.projections=240 "},
+      {"self PK", false,
+       [](JoinConfig* c) { c->stage2 = Stage2Algorithm::kPK; },
+       0x0b10ad2bcfbbb496ULL, 510, 36612,
+       "stage2.pk.arena_bytes=58576 "
+       "stage2.pk.bitmap_pruned=11 "
+       "stage2.pk.candidates=115 "
+       "stage2.pk.evicted_records=425 "
+       "stage2.pk.hash_lookups_avoided=2754 "
+       "stage2.pk.peak_resident_tokens=2507 "
+       "stage2.pk.positional_pruned=4 "
+       "stage2.pk.probes=510 "
+       "stage2.pk.results=104 "
+       "stage2.pk.suffix_pruned=0 "
+       "stage2.pk.verified=104 "
+       "stage2.projections=240 "},
+      {"self BK map blocks", false,
+       [](JoinConfig* c) { c->block_processing = kMapBlocks; },
+       0x0b10ad2bcfbbb496ULL, 1042, 74904,
+       "stage2.bk.length_filtered=28722 "
+       "stage2.bk.pairs_considered=43174 "
+       "stage2.bk.results=104 "
+       "stage2.bk.verified=14452 "
+       "stage2.block.peak_memory_records=198 "
+       "stage2.projections=240 "},
+      {"self BK reduce blocks", false,
+       [](JoinConfig* c) { c->block_processing = kReduceBlocks; },
+       0x0b10ad2bcfbbb496ULL, 510, 36612,
+       "scratch.bytes_read=32695 "
+       "scratch.bytes_written=20263 "
+       "stage2.bk.length_filtered=28722 "
+       "stage2.bk.pairs_considered=43174 "
+       "stage2.bk.results=104 "
+       "stage2.bk.verified=14452 "
+       "stage2.block.peak_memory_records=198 "
+       "stage2.projections=240 "},
+      {"self BK length routing", false,
+       [](JoinConfig* c) { c->bk_length_routing = true; },
+       0x0b10ad2bcfbbb496ULL, 1069, 81574,
+       "stage2.bk.length_filtered=1645 "
+       "stage2.bk.pairs_considered=16097 "
+       "stage2.bk.results=104 "
+       "stage2.bk.verified=14452 "
+       "stage2.peak_group_records=188 "
+       "stage2.projections=240 "},
+      {"self BK length signatures", false,
+       [](JoinConfig* c) { c->routing = TokenRouting::kLengthSignatures; },
+       0xbe1357df5321796aULL, 483, 35694,
+       "stage2.bk.length_filtered=1124 "
+       "stage2.bk.pairs_considered=10132 "
+       "stage2.bk.results=52 "
+       "stage2.bk.verified=9008 "
+       "stage2.peak_group_records=127 "
+       "stage2.projections=240 "},
+      {"R-S BK", true,
+       [](JoinConfig*) {},
+       0x0fa635eac00a1ea6ULL, 907, 62710,
+       "stage2.bk.length_filtered=45754 "
+       "stage2.bk.pairs_considered=67652 "
+       "stage2.bk.results=148 "
+       "stage2.bk.verified=21898 "
+       "stage2.peak_group_records=510 "
+       "stage2.projections=440 "},
+      {"R-S PK", true,
+       [](JoinConfig* c) { c->stage2 = Stage2Algorithm::kPK; },
+       0x0fa635eac00a1ea6ULL, 907, 62710,
+       "stage2.pk.arena_bytes=58576 "
+       "stage2.pk.bitmap_pruned=46 "
+       "stage2.pk.candidates=194 "
+       "stage2.pk.evicted_records=399 "
+       "stage2.pk.hash_lookups_avoided=2879 "
+       "stage2.pk.peak_resident_tokens=4557 "
+       "stage2.pk.positional_pruned=102 "
+       "stage2.pk.probes=397 "
+       "stage2.pk.results=148 "
+       "stage2.pk.suffix_pruned=0 "
+       "stage2.pk.verified=148 "
+       "stage2.projections=440 "},
+      {"R-S BK map blocks", true,
+       [](JoinConfig* c) { c->block_processing = kMapBlocks; },
+       0x0fa635eac00a1ea6ULL, 1701, 114906,
+       "stage2.bk.length_filtered=45754 "
+       "stage2.bk.pairs_considered=67652 "
+       "stage2.bk.results=148 "
+       "stage2.bk.verified=21898 "
+       "stage2.block.peak_memory_records=198 "
+       "stage2.projections=440 "},
+      {"R-S BK reduce blocks", true,
+       [](JoinConfig* c) { c->block_processing = kReduceBlocks; },
+       0x0fa635eac00a1ea6ULL, 907, 62710,
+       "scratch.bytes_read=88515 "
+       "scratch.bytes_written=54389 "
+       "stage2.bk.length_filtered=45754 "
+       "stage2.bk.pairs_considered=67652 "
+       "stage2.bk.results=148 "
+       "stage2.bk.verified=21898 "
+       "stage2.block.peak_memory_records=198 "
+       "stage2.projections=440 "},
+  };
+
+  auto r_config = data::DblpLikeConfig(240, 91);
+  r_config.payload_bytes = 8;
+  r_config.title_tokens_min = 3;
+  r_config.title_tokens_max = 20;
+  const std::vector<data::Record> r = data::GenerateRecords(r_config);
+  auto s_config = data::DblpLikeConfig(200, 92);
+  s_config.payload_bytes = 8;
+  s_config.first_rid = 100001;
+  std::vector<data::Record> s = data::GenerateRecords(s_config);
+  data::InjectOverlap(r, 0.3, /*max_edits=*/2, 93, &s);
+
+  mr::Dfs dfs;
+  ASSERT_TRUE(dfs.WriteFile("r", data::RecordsToLines(r)).ok());
+  ASSERT_TRUE(dfs.WriteFile("s", data::RecordsToLines(s)).ok());
+  ASSERT_TRUE(RunStage1(&dfs, "r", "ordering", JoinConfig{}).ok());
+
+  for (const GoldenVariant& v : variants) {
+    SCOPED_TRACE(v.name);
+    JoinConfig config;
+    config.stage2 = Stage2Algorithm::kBK;
+    config.routing = TokenRouting::kGroupedTokens;
+    config.num_groups = 3;
+    config.num_blocks = 3;
+    config.length_class_width = 2;
+    v.configure(&config);
+    const std::string out = std::string("golden ") + v.name;
+    auto result =
+        v.rs ? RunStage2RSJoin(&dfs, "r", "s", "ordering", out, config)
+             : RunStage2SelfJoin(&dfs, "r", "ordering", out, config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->jobs.size(), 1u);
+    const mr::JobMetrics& job = result->jobs[0];
+    std::vector<std::string> lines = *dfs.ReadFile(out).value();
+    std::sort(lines.begin(), lines.end());
+    std::string joined;
+    for (const std::string& line : lines) joined += line + "\n";
+    char hash[24];
+    std::snprintf(hash, sizeof(hash), "0x%016llxULL",
+                  static_cast<unsigned long long>(HashString(joined)));
+    EXPECT_EQ(HashString(joined), v.pairs_hash) << hash;
+    EXPECT_EQ(job.shuffle_records, v.shuffle_records);
+    EXPECT_EQ(job.shuffle_bytes, v.shuffle_bytes);
+    EXPECT_EQ(CounterLine(job.counters), v.counters);
   }
 }
 

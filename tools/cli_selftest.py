@@ -65,7 +65,8 @@ ALGORITHM_FLAGS = [
     (["--routing=grouped", "--groups=7"], None),
 ]
 
-# (tool, arguments after the subcommand inputs, flag the message must name)
+# (tool, arguments after the subcommand inputs, text naming the flag that
+# the message must contain)
 BAD_FLAGS = [
     ("fuzzyjoin", ["--threads=-1"], "--threads"),
     ("fuzzyjoin", ["--reduce_tasks=-1"], "--reduce_tasks"),
@@ -77,10 +78,12 @@ BAD_FLAGS = [
     ("fuzzyjoin", ["--check_contracts=yes"], "--check_contracts"),
     ("fuzzyjoin", ["--stage1=xyz"], "--stage1"),
     ("fuzzyjoin", ["--routing=xyz"], "--routing"),
+    ("fuzzyjoin", ["--function=xyz"], "unknown --function: xyz"),
     ("fuzzyjoin_serve", ["--threads=-1"], "--threads"),
     ("fuzzyjoin_serve", ["--tau_floor=abc"], "--tau_floor"),
     ("fuzzyjoin_serve", ["--tau_floor=0"], "--tau_floor"),
     ("fuzzyjoin_serve", ["--lsh"], "--lsh"),
+    ("fuzzyjoin_serve", ["--function=xyz"], "unknown --function: xyz"),
 ] + [
     # A snapshot supplies these; the refusal precedes reading the file.
     ("fuzzyjoin_serve", ["--snapshot_in=index.snapshot", flag],

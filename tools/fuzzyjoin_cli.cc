@@ -108,9 +108,12 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
   using namespace fj::join;  // the algorithm enums
   JoinConfig config;
   config.tau = flags.GetDouble("tau", config.tau);
-  FJ_ASSIGN_OR_RETURN(config.function,
-                      fj::sim::SimilarityFunctionFromName(
-                          flags.GetString("function", "jaccard")));
+  const std::string function = flags.GetString("function", "jaccard");
+  auto parsed_function = fj::sim::SimilarityFunctionFromName(function);
+  if (!parsed_function.ok()) {
+    return Status::InvalidArgument("unknown --function: " + function);
+  }
+  config.function = *parsed_function;
   FJ_RETURN_IF_ERROR(GetChoice(flags, "stage1",
                                {{"bto", Stage1Algorithm::kBTO},
                                 {"opto", Stage1Algorithm::kOPTO}},

@@ -220,9 +220,12 @@ int Run(const Flags& flags) {
           "--threads=" + std::to_string(threads) + ": at most " +
           std::to_string(fj::Executor::kMaxWorkers));
     }
-    FJ_ASSIGN_OR_RETURN(index_options.function,
-                        fj::sim::SimilarityFunctionFromName(
-                            flags.GetString("function", "jaccard")));
+    const std::string function = flags.GetString("function", "jaccard");
+    auto parsed_function = fj::sim::SimilarityFunctionFromName(function);
+    if (!parsed_function.ok()) {
+      return Status::InvalidArgument("unknown --function: " + function);
+    }
+    index_options.function = *parsed_function;
     FJ_RETURN_IF_ERROR(flags.Check());
     // A snapshot carries the index's function, floor and compaction
     // fraction, and the records and ordering it was built from.
