@@ -1,35 +1,54 @@
 #include "common/counters.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace fj {
 
 void CounterSet::Add(const std::string& name, int64_t delta) {
   MutexLock lock(&mu_);
-  counters_[name] += delta;
+  counters_[name].value += delta;
 }
 
 void CounterSet::Max(const std::string& name, int64_t value) {
   MutexLock lock(&mu_);
-  auto [it, inserted] = counters_.try_emplace(name, value);
-  if (!inserted && it->second < value) it->second = value;
+  auto [it, inserted] = counters_.try_emplace(name, Counter{value, true});
+  it->second.peak = true;
+  if (!inserted && it->second.value < value) it->second.value = value;
 }
 
 int64_t CounterSet::Get(const std::string& name) const {
   MutexLock lock(&mu_);
   auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+  return it == counters_.end() ? 0 : it->second.value;
 }
 
 void CounterSet::MergeFrom(const CounterSet& other) {
-  auto snapshot = other.Snapshot();
+  auto entries = other.Entries();
   MutexLock lock(&mu_);
-  for (const auto& [name, value] : snapshot) counters_[name] += value;
+  for (const auto& [name, theirs] : entries) {
+    auto [it, inserted] = counters_.try_emplace(name, theirs);
+    if (inserted) continue;
+    Counter& mine = it->second;
+    if (mine.peak || theirs.peak) {
+      mine.peak = true;
+      mine.value = std::max(mine.value, theirs.value);
+    } else {
+      mine.value += theirs.value;
+    }
+  }
+}
+
+std::map<std::string, CounterSet::Counter> CounterSet::Entries() const {
+  MutexLock lock(&mu_);
+  return counters_;
 }
 
 std::map<std::string, int64_t> CounterSet::Snapshot() const {
   MutexLock lock(&mu_);
-  return counters_;
+  std::map<std::string, int64_t> values;
+  for (const auto& [name, counter] : counters_) values[name] = counter.value;
+  return values;
 }
 
 std::string CounterSet::ToString() const {

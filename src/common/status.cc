@@ -28,8 +28,6 @@ const char* StatusCodeName(StatusCode code) {
       return "FailedPrecondition";
     case StatusCode::kUnavailable:
       return "Unavailable";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
   }
   return "Unknown";
 }

@@ -25,7 +25,6 @@ enum class StatusCode {
   kFailedPrecondition,  ///< system state rejects the operation (e.g. resuming
                         ///< a checkpoint written by a different pipeline)
   kUnavailable,         ///< a peer is unreachable / lost (retryable elsewhere)
-  kDeadlineExceeded,    ///< an I/O deadline expired (retryable)
 };
 
 /// Returns a short human-readable name for a StatusCode (e.g. "NotFound").
@@ -78,9 +77,6 @@ class [[nodiscard]] Status {
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

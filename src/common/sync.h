@@ -28,7 +28,7 @@
 //      overrides either way at process start.
 //
 // Lock hierarchy (see DESIGN.md "Concurrency discipline"): executor
-// deques < TaskGroup < DFS < job state < transport < service. A thread
+// deques < TaskGroup < DFS < job state < service. A thread
 // holding a service lock may take any lock below it; the reverse
 // aborts. Unranked mutexes (the default) are exempt from rank checking
 // and MUST be leaves: never acquire another lock while holding one.
@@ -112,10 +112,8 @@ inline constexpr int kExecutorQueue = 10;
 inline constexpr int kTaskGroup = 20;
 /// Dfs file map (storage layer; leaf-like but ranked for visibility).
 inline constexpr int kStorage = 25;
-/// Per-job engine state (failure latch, net metrics accumulators).
+/// Per-job engine state (the failure latch).
 inline constexpr int kJobState = 30;
-/// Shuffle transports and worker servers (the wire layer).
-inline constexpr int kTransport = 40;
 /// Serving tier (QueryService queue + cache).
 inline constexpr int kService = 50;
 }  // namespace lock_rank

@@ -101,20 +101,6 @@ Status JoinConfig::Validate() const {
         "a block codec compresses binary run blocks; set record_format = "
         "binary to use one");
   }
-  if (transport == mr::TransportKind::kSocket && num_shuffle_workers < 1) {
-    return Status::InvalidArgument(
-        "the socket transport needs num_shuffle_workers >= 1");
-  }
-  if (num_shuffle_workers > kMaxShuffleWorkers) {
-    return Status::InvalidArgument("num_shuffle_workers must be <= " +
-                                   std::to_string(kMaxShuffleWorkers));
-  }
-  if (net_fault_plan != nullptr &&
-      transport != mr::TransportKind::kSocket && !shuffle_transport) {
-    return Status::InvalidArgument(
-        "a network fault plan needs the socket transport (--transport="
-        "socket); the in-process hand-off has no wire to fault");
-  }
   return Status::OK();
 }
 

@@ -15,7 +15,6 @@
 
 #include "common/result.h"
 #include "mapreduce/job_spec.h"
-#include "mapreduce/shuffle_transport.h"
 #include "similarity/similarity.h"
 #include "text/tokenizer.h"
 
@@ -71,13 +70,12 @@ const char* Stage3Name(Stage3Algorithm a);
 
 /// The paper's algorithm choices and the job shape, plus the engine
 /// settings every job of the pipeline runs under. record_format and
-/// block_codec choose only how spill runs and shuffle segments are
-/// encoded: every stage file is text lines either way.
+/// block_codec choose only how spill runs are encoded: every stage file
+/// is text lines either way.
 struct JoinConfig : mr::EngineOptions {
-  /// Bounds on the counts below, so a mistyped count fails Validate
-  /// instead of allocating tasks or starting workers without bound.
+  /// Bound on the task counts below, so a mistyped count fails Validate
+  /// instead of allocating tasks without bound.
   static constexpr size_t kMaxTasks = 65536;
-  static constexpr size_t kMaxShuffleWorkers = 1024;
 
   // --- similarity predicate (paper default: Jaccard, tau = 0.80) ---
   sim::SimilarityFunction function = sim::SimilarityFunction::kJaccard;
@@ -129,37 +127,6 @@ struct JoinConfig : mr::EngineOptions {
   /// is refused with FailedPrecondition — resuming it would splice
   /// incompatible intermediate files into the pipeline.
   bool resume = false;
-
-  // --- shuffle transport (see shuffle_transport.h) ---
-  /// How committed map-output segments reach the reduce side. Inproc (the
-  /// default) is the classic in-process hand-off. Socket moves every
-  /// segment over length-framed loopback TCP through num_shuffle_workers
-  /// shuffle-worker endpoints, with per-fetch deadlines, bounded retries
-  /// with backoff + jitter, heartbeat liveness, and the escalation ladder
-  /// (local committed spill, then deterministic map re-run). The ".joined"
-  /// output is byte-identical across transports, worker counts, and
-  /// recoverable fault plans. The driver resolves this into the inherited
-  /// `shuffle_transport` instance at pipeline entry — unless the caller
-  /// already set one (tests, multi-process runs where the worker
-  /// endpoints exist): then `transport`, num_shuffle_workers, and
-  /// net_fault_plan are ignored and every job uses that instance.
-  mr::TransportKind transport = mr::TransportKind::kInproc;
-
-  /// Shuffle-worker endpoints under the socket transport, in
-  /// [1, kMaxShuffleWorkers].
-  size_t num_shuffle_workers = 2;
-
-  /// Deterministic network fault plan under the socket transport
-  /// (drop/delay/truncate/bit-flip/stall/refuse-connect per RPC);
-  /// nullptr = clean wire. Applied server-side by the workers the driver
-  /// spawns, plus the client-side refuse-connect draw.
-  std::shared_ptr<const mr::NetFaultPlan> net_fault_plan;
-
-  /// Socket transport only: run the shuffle workers as real forked
-  /// subprocesses of this binary (the coordinator re-execs itself in
-  /// worker mode, see worker_net.h) instead of in-process server threads.
-  /// The host binary's main() must call net::MaybeRunShuffleWorker first.
-  bool spawn_worker_processes = false;
 
   /// OPRJ loads the whole RID-pair list in every mapper. If the estimated
   /// in-memory size exceeds this budget, stage 3 fails with

@@ -9,45 +9,9 @@
 #include "fuzzyjoin/manifest.h"
 #include "fuzzyjoin/stage1.h"
 #include "fuzzyjoin/stage2.h"
-#include "mapreduce/shuffle_transport.h"
-#include "mapreduce/worker_net.h"
 
 namespace fj::join {
 namespace {
-
-// Resolves the shuffle transport for one pipeline run, mirroring the
-// executor policy: one instance serves every job of the pipeline. Inproc
-// (the default) resolves to nullptr — the engine's classic direct
-// hand-off, zero transport overhead. Socket starts a worker pool and a
-// client transport whose lifetimes are tied together: the returned
-// shared_ptr aliases a holder that destroys the transport (and its
-// heartbeat thread) before tearing the workers down.
-Result<std::shared_ptr<mr::ShuffleTransport>> MakeRunTransport(
-    const JoinConfig& cfg) {
-  if (cfg.shuffle_transport || cfg.transport == mr::TransportKind::kInproc) {
-    return cfg.shuffle_transport;
-  }
-  struct SocketShuffle {
-    // Declaration order is the teardown contract: members destroy in
-    // reverse order, so the transport goes first, then the pool.
-    std::unique_ptr<mr::net::WorkerPool> pool;
-    std::unique_ptr<mr::ShuffleTransport> transport;
-  };
-  auto holder = std::make_shared<SocketShuffle>();
-  const mr::NetFaultPlan faults =
-      cfg.net_fault_plan ? *cfg.net_fault_plan : mr::NetFaultPlan{};
-  FJ_ASSIGN_OR_RETURN(
-      holder->pool,
-      cfg.spawn_worker_processes
-          ? mr::net::WorkerPool::SpawnProcesses(cfg.num_shuffle_workers,
-                                                faults)
-          : mr::net::WorkerPool::StartInProcess(cfg.num_shuffle_workers,
-                                                faults));
-  holder->transport =
-      mr::MakeSocketTransport(holder->pool->ports(), cfg.net_fault_plan);
-  return std::shared_ptr<mr::ShuffleTransport>(holder,
-                                               holder->transport.get());
-}
 
 // Stage-level checkpoint bookkeeping for one pipeline run.
 //
@@ -212,11 +176,6 @@ Result<JoinRunResult> RunPipeline(mr::Dfs* dfs,
   if (!cfg.executor) {
     cfg.executor = std::make_shared<Executor>(cfg.local_threads);
   }
-  // Same policy for the shuffle transport: the socket worker pool (when
-  // any) persists across stage boundaries instead of being respawned per
-  // job. Like local_threads, the transport is a how-it-runs knob — it is
-  // excluded from the resume fingerprint.
-  FJ_ASSIGN_OR_RETURN(cfg.shuffle_transport, MakeRunTransport(cfg));
   JoinRunResult result;
   result.ordering_file = output_prefix + ".ordering";
   result.rid_pairs_file = output_prefix + ".ridpairs";

@@ -46,9 +46,7 @@ struct Manifest {
 /// Of the engine settings only record_format and block_codec are folded:
 /// they leave every stage file byte-identical, but folding them keeps a
 /// resumed run's metered byte counts equal to the original's. The
-/// other mr::EngineOptions fields and the socket-transport knobs
-/// (transport, num_shuffle_workers, net_fault_plan,
-/// spawn_worker_processes) leave the join output byte-identical.
+/// other mr::EngineOptions fields leave the join output byte-identical.
 Result<uint64_t> PipelineFingerprint(const JoinConfig& config,
                                      const mr::Dfs& dfs,
                                      const std::vector<std::string>& inputs);

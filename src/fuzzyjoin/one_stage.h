@@ -36,13 +36,10 @@ namespace fj::join {
 ///   - every mr::EngineOptions field, which both jobs inherit from the
 ///     config (threads and executor, sort buffer and merge factor, fault
 ///     tolerance and speculation, integrity and contract checks,
-///     skipped-record cap, record format and block codec,
-///     net_fetch_local_fallback, and a caller-supplied shuffle_transport).
+///     skipped-record cap, record format and block codec).
 /// Ignored: stage2 (the kernel is always PPJoin+), stage3, block
 /// processing, bk_length_routing, length_class_width,
-/// oprj_memory_limit_bytes, resume (no manifest is written), and
-/// transport / num_shuffle_workers / net_fault_plan /
-/// spawn_worker_processes (no socket worker pool is started). The whole
+/// oprj_memory_limit_bytes and resume (no manifest is written). The whole
 /// point is that there is no stage 2/3 split.
 Result<JoinRunResult> RunOneStageSelfJoin(mr::Dfs* dfs,
                                           const std::string& input_file,

@@ -64,11 +64,6 @@ SimulatedJobTime SimulateJob(const JobMetrics& metrics,
                cluster.map_slots());
   out.shuffle_seconds = priced(static_cast<double>(metrics.shuffle_bytes),
                                kShuffleBytesPerSecondPerNode);
-  // Socket-transport segment traffic: pushes and fetches both cross the
-  // wire (recovery traffic included in the counters). Zero under inproc.
-  out.network_seconds = priced(
-      static_cast<double>(metrics.net_bytes_pushed + metrics.net_bytes_fetched),
-      kNetworkBytesPerSecondPerNode);
   // Sort-spill-merge disk traffic: each spilled byte is written once and
   // re-read once per consuming merge pass (spilled_bytes already counts
   // intermediate merge re-spills as fresh writes), so the disk moves

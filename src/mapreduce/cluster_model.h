@@ -43,17 +43,6 @@ namespace fj::mr {
 /// Aggregate shuffle bandwidth contributed by each node, bytes/second.
 inline constexpr double kShuffleBytesPerSecondPerNode = 50.0 * 1024 * 1024;
 
-/// Aggregate network bandwidth contributed by each node for the socket
-/// shuffle transport's segment traffic (JobSpec::shuffle_transport),
-/// bytes/second. Priced against JobMetrics::net_bytes_pushed +
-/// net_bytes_fetched — every segment crosses the wire twice (map side
-/// pushes it to its worker, reduce side fetches it back), and redundant
-/// fetches / re-publishes after faults are in the counters, so recovery
-/// traffic is priced too. Distinct from kShuffleBytesPerSecondPerNode,
-/// which prices the logical map->reduce volume: under `--transport=inproc`
-/// the segment counters are zero and this charge vanishes.
-inline constexpr double kNetworkBytesPerSecondPerNode = 100.0 * 1024 * 1024;
-
 /// Aggregate local-disk bandwidth contributed by each node for
 /// sort-spill-merge I/O (map-side spill files, reduce-side merge passes),
 /// bytes/second. Every spilled byte is written once and re-read once per
@@ -117,10 +106,6 @@ struct SimulatedJobTime {
   double startup_seconds = 0;
   double map_seconds = 0;
   double shuffle_seconds = 0;
-  /// Wire time of the socket shuffle transport's segment traffic (zero
-  /// under the in-process transport) — pushes plus fetches, recovery
-  /// traffic included.
-  double network_seconds = 0;
   /// Local-disk time of the sort-spill-merge shuffle (spill writes plus
   /// merge re-reads). Zero for jobs that never spill.
   double spill_seconds = 0;
@@ -146,9 +131,9 @@ struct SimulatedJobTime {
   double wasted_seconds = 0;
 
   double total() const {
-    return startup_seconds + map_seconds + shuffle_seconds +
-           network_seconds + spill_seconds + reduce_seconds +
-           integrity_seconds + contract_seconds + codec_seconds;
+    return startup_seconds + map_seconds + shuffle_seconds + spill_seconds +
+           reduce_seconds + integrity_seconds + contract_seconds +
+           codec_seconds;
   }
 };
 

@@ -1,11 +1,10 @@
 // The type-independent half of the engine (job.h), compiled once for every
 // (K, V): validation, the integrity boundaries that read no typed pairs
 // (inputs, reduce output), escalation (the failure latch, the quarantine
-// cap, the attempt ladder, the transport's recovery ladder) and commit.
+// cap, the attempt ladder) and commit.
 #include "mapreduce/job.h"
 
 #include <algorithm>
-#include <functional>
 #include <iterator>
 #include <string>
 
@@ -223,8 +222,7 @@ void LineCollector::Seal(const AttemptFault& fault) {
   }
 }
 
-JobRun::JobRun(Dfs* dfs, const JobSpecBase& spec)
-    : dfs_(dfs), spec_(spec), transport_(spec.shuffle_transport.get()) {
+JobRun::JobRun(Dfs* dfs, const JobSpecBase& spec) : dfs_(dfs), spec_(spec) {
   metrics_.job_name = spec.name;
 }
 
@@ -269,7 +267,6 @@ Status JobRun::Open(const Hooks& hooks) {
   metrics_.reduce_tasks.resize(spec_.num_reduce_tasks);
   quarantined_.resize(splits_.size());
   outputs_.resize(spec_.num_reduce_tasks);
-  if (transport_) net_losses_before_ = transport_->worker_losses();
   // The host executor: normally the pipeline's shared one (one set of
   // persistent workers serving every job of every stage); a standalone
   // job gets a private executor sized by local_threads.
@@ -360,99 +357,11 @@ void JobRun::SpawnBackups(TaskPhase phase, TaskGroup* group,
   }
 }
 
-// Rung 1 of the recovery ladder lives inside the transport (per-fetch
-// deadlines, exponential backoff + jitter, bounded retry budgets); each
-// round here climbs the rest: a failed fetch falls back to the map task's
-// locally committed output (rung 2, the DFS spill analogue), and past that
-// the committed map attempt is deterministically re-executed and
-// re-published so the transport can re-route the segment to a surviving
-// worker (rung 3). Only after every rung fails does the job latch a
-// structured Unavailable.
-void JobRun::Shuffle(size_t m, size_t r, std::string segment,
-                     const std::function<Status(std::string_view)>& decode,
-                     const std::function<bool(std::string*)>& rerun) {
-  WallTimer fetch_timer;
-  const ShuffleSegmentKey key{spec_.name, m, r};
-  NetCallStats stats;
-  uint64_t published_count = 0, redundant = 0, reruns = 0,
-           decode_corruptions = 0;
-  Status shuffled = Status::Unavailable("shuffle hand-off never ran");
-  for (int round = 0; round < 3; ++round) {
-    Status published = transport_->Publish(key, segment, &stats);
-    if (published.ok()) {
-      published_count++;
-      Result<std::string> fetched = transport_->Fetch(key, &stats);
-      if (fetched.ok()) {
-        Status decoded = decode(*fetched);
-        if (decoded.ok()) {
-          shuffled = Status::OK();
-          break;
-        }
-        // The stored bytes rotted past the frame checksums; re-fetching
-        // the same bytes cannot help — escalate.
-        decode_corruptions++;
-        shuffled = decoded;
-      } else {
-        shuffled = fetched.status();
-      }
-    } else {
-      shuffled = published;
-    }
-    if (spec_.net_fetch_local_fallback) {
-      // Rung 2: the encoded segment in hand IS the committed spill.
-      Status decoded = decode(segment);
-      if (decoded.ok()) {
-        redundant++;
-        shuffled = Status::OK();
-        break;
-      }
-      shuffled = decoded;
-    }
-    // Rung 3: re-run the committed map attempt.
-    if (!rerun(&segment)) {
-      shuffled = Status::Internal(
-          "job '" + spec_.name + "': map task " + std::to_string(m) +
-          " re-run for shuffle recovery did not commit");
-      break;
-    }
-    reruns++;
-  }
-  const double latency = fetch_timer.ElapsedSeconds();
-  {
-    MutexLock lock(&net_mu_);
-    metrics_.net_segments += published_count;
-    metrics_.net_fetches++;
-    metrics_.net_fetch_retries += stats.retries;
-    metrics_.net_redundant_fetches += redundant;
-    metrics_.net_map_reruns += reruns;
-    metrics_.net_bytes_pushed += stats.bytes_sent;
-    metrics_.net_bytes_fetched += stats.bytes_received;
-    metrics_.net_corruption_detected +=
-        stats.corrupt_frames + decode_corruptions;
-    metrics_.net_fetch_latency.Record(latency);
-  }
-  if (!shuffled.ok()) {
-    Fail(Status::Unavailable(
-        "job '" + spec_.name + "': shuffle segment m" + std::to_string(m) +
-        " r" + std::to_string(r) +
-        " unrecoverable after transport retries, local fallback, and map "
-        "re-run: " +
-        shuffled.ToString()));
-  }
-}
-
 Result<JobMetrics> JobRun::Finish(const Status& tasks) {
-  // This job's segments are dead weight from here, success or failure
-  // (pipelines run jobs sequentially, so the drop cannot race a reader).
-  if (transport_) transport_->DropJob(spec_.name);
   FJ_RETURN_IF_ERROR(tasks);
   {
     MutexLock lock(&failure_mu_);
     FJ_RETURN_IF_ERROR(status_);
-  }
-  if (transport_) {
-    metrics_.net_worker_losses =
-        transport_->worker_losses() - net_losses_before_;
   }
   SumJobTotals(spec_, input_integrity_bytes_, &metrics_);
   FJ_RETURN_IF_ERROR(CommitOutput());

@@ -24,13 +24,12 @@
 //
 // The engine has two halves (DESIGN.md, "Engine layering"). This header
 // holds the typed work: the map and reduce attempt bodies, the task-graph
-// countdown that releases each reduce task, and the typed callbacks the
-// ladders call (run an attempt and keep its output; decode a segment,
-// re-run a map attempt). job.cc holds the engine's policy, compiled once
-// for every (K, V): the job-spec checks, opening and verifying the
-// inputs, the first-failure latch, the quarantine cap, the attempt ladder
-// (retries and speculative backups), sealing a reduce attempt's output,
-// the byte-level transport ladder, and the atomic output commit.
+// countdown that releases each reduce task, and the typed callback the
+// attempt ladder calls (run an attempt and keep its output). job.cc holds
+// the engine's policy, compiled once for every (K, V): the job-spec
+// checks, opening and verifying the inputs, the first-failure latch, the
+// quarantine cap, the attempt ladder (retries and speculative backups),
+// sealing a reduce attempt's output, and the atomic output commit.
 //
 // Fault tolerance (fault.h; DESIGN.md, "Fault tolerance and speculative
 // execution"): every task runs as a sequence of attempts, each with its
@@ -74,7 +73,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -92,8 +90,6 @@
 #include "mapreduce/job_spec.h"
 #include "mapreduce/metrics.h"
 #include "mapreduce/run_merger.h"
-#include "mapreduce/shuffle_segment.h"
-#include "mapreduce/shuffle_transport.h"
 #include "mapreduce/sort_buffer.h"
 #include "mapreduce/task_context.h"
 
@@ -214,15 +210,6 @@ class JobRun {
   void MapsDone(TaskGroup* group, const AttemptFn& attempt);
   void ReducesDone(TaskGroup* group, const AttemptFn& attempt);
 
-  /// Moves one committed segment (map m x partition r) through the
-  /// transport, climbing the recovery ladder until `decode` accepts a copy
-  /// (it parses segment bytes into the reduce side's slot); Unavailable is
-  /// latched when every rung failed. `rerun` re-executes the committed map
-  /// attempt and re-encodes the segment, false when that did not commit.
-  void Shuffle(size_t m, size_t r, std::string segment,
-               const std::function<Status(std::string_view)>& decode,
-               const std::function<bool(std::string*)>& rerun);
-
   /// Ends the run once the task graph drained (`tasks` is its Wait status):
   /// the first failure, else the totals after the atomic output commit.
   Result<JobMetrics> Finish(const Status& tasks);
@@ -248,17 +235,12 @@ class JobRun {
   uint64_t input_integrity_bytes_ = 0;
   std::shared_ptr<Executor> executor_;
   ExecutorStats runtime_before_;
-  ShuffleTransport* const transport_;
-  uint64_t net_losses_before_ = 0;
 
   // Held across nothing but the status write, always acquired from task
   // bodies that hold no lock.
   Mutex failure_mu_{"job.failure", lock_rank::kJobState};
   Status status_ FJ_GUARDED_BY(failure_mu_);
   std::atomic<bool> failed_{false};
-  // Guards the net_* fields of metrics_, which concurrent segment
-  // hand-offs add to; every other field has one writer at a time.
-  Mutex net_mu_{"job.net", lock_rank::kJobState};
 
   std::vector<std::vector<std::string>> quarantined_;
   std::vector<ReduceOutput> outputs_;
@@ -457,12 +439,11 @@ internal::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
     // next attempt. The copies land in the worker's reusable scratch
     // (every field overwritten from the pristine run, so nothing of a
     // previous attempt survives, but pair-vector capacity is recycled).
-    // Fault-free text jobs keep the zero-copy path; encoded runs (binary
-    // format, or anything fetched through a shuffle transport, where text
-    // runs cross the wire as blocks too) always copy, because decoding the
-    // encoded block IS the attempt-isolation copy: the copy takes the
-    // run's metadata, and its pairs are decoded below straight from the
-    // published block, which is only ever read.
+    // Fault-free text jobs keep the zero-copy path; encoded (binary-format)
+    // runs always copy, because decoding the encoded block IS the
+    // attempt-isolation copy: the copy takes the run's metadata, and its
+    // pairs are decoded below straight from the published block, which is
+    // only ever read.
     const bool encoded = std::any_of(
         partition_runs.begin(), partition_runs.end(),
         [](const SortedRun<K, V>* run) { return !run->encoded.empty(); });
@@ -495,10 +476,7 @@ internal::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
     // private copies. A block that fails to decode (truncated varint, bad
     // codec frame) crashes the attempt with a counted detection — a
     // transient failure under the retry budget, never UB and never
-    // silently-wrong pairs. Codec CPU is only metered in binary format:
-    // transport-encoded text runs keep the text job's committed counters
-    // identical to the in-process run.
-    const bool binary = spec_.record_format == RecordFormat::kBinary;
+    // silently-wrong pairs.
     CodecScratch codec_scratch;
     for (size_t i = 0; i < partition_runs.size(); ++i) {
       const SortedRun<K, V>& published = *partition_runs[i];
@@ -509,10 +487,8 @@ internal::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
         res.crashed = true;
         return;
       }
-      if (binary) {
-        res.metrics.codec_encoded_bytes += published.encoded.size();
-        res.metrics.codec_logical_bytes += published.logical_bytes;
-      }
+      res.metrics.codec_encoded_bytes += published.encoded.size();
+      res.metrics.codec_logical_bytes += published.logical_bytes;
     }
     for (const SortedRun<K, V>* run : runs) {
       res.metrics.input_records += run->pairs.size();
@@ -580,8 +556,6 @@ Result<JobMetrics> Job<K, V>::Run() {
   // Reduce attempts must not consume the shuffle when a retry or backup
   // might need it again.
   const bool preserve_runs = injector.active() || spec_.speculative_execution;
-  // With a shuffle transport the reduce side merges the FETCHED segments.
-  ShuffleTransport* const transport = spec_.shuffle_transport.get();
   std::vector<MapTaskOutput<K, V>> map_outputs(num_map_tasks);
 
   // Unbounded runs are plain in-memory vectors; a single merge pass over
@@ -605,14 +579,6 @@ Result<JobMetrics> Job<K, V>::Run() {
   // Built by each reduce task from the committed slot board, reused by
   // its speculative backup (which runs strictly after it).
   std::vector<std::vector<SortedRun<K, V>*>> partition_runs(num_reduce_tasks);
-  // Transport runs only: the fetched-and-verified segments, decoded back
-  // into runs (payloads still encoded) at [map task][partition]. Written
-  // by the map commit hand-off strictly BEFORE the countdown decrement
-  // that can release partition r, read by reduce tasks after it — the
-  // countdown is the synchronization edge.
-  std::vector<std::vector<std::vector<SortedRun<K, V>>>> fetched_slots(
-      transport ? num_map_tasks : 0,
-      std::vector<std::vector<SortedRun<K, V>>>(num_reduce_tasks));
   std::atomic<size_t> maps_remaining{num_map_tasks};
   std::atomic<size_t> reduces_remaining{num_reduce_tasks};
 
@@ -635,15 +601,12 @@ Result<JobMetrics> Job<K, V>::Run() {
   // One attempt of each phase's task t, as numbered by the attempt ladder
   // (job.cc), which reads the result through `sink`; a committing attempt's
   // typed output becomes the task's. Backups never commit output.
-  auto run_map_attempt = [this, &run, &ordering, &injector](size_t m,
-                                                            uint32_t attempt) {
-    return RunMapAttempt(run.split(m), run.lines(m), ordering, m, attempt,
-                         injector.FaultFor(TaskPhase::kMap, m, attempt));
-  };
   const internal::AttemptFn map_attempt =
-      [&run_map_attempt, &map_outputs, &run](
+      [this, &ordering, &injector, &map_outputs, &run](
           size_t m, uint32_t attempt, const internal::AttemptSink& sink) {
-        MapAttemptResult res = run_map_attempt(m, attempt);
+        MapAttemptResult res = RunMapAttempt(
+            run.split(m), run.lines(m), ordering, m, attempt,
+            injector.FaultFor(TaskPhase::kMap, m, attempt));
         if (!sink(res)) return;
         map_outputs[m] = std::move(res.output);
         run.quarantined(m) = std::move(res.quarantined);
@@ -661,22 +624,16 @@ Result<JobMetrics> Job<K, V>::Run() {
 
   // One reduce task: a streaming k-way merge over the partition's
   // committed runs, under the retry chain.
-  auto run_reduce_task = [&reduce_attempt, transport, &map_outputs,
-                          &fetched_slots, &partition_runs, &run, &group,
-                          &reduces_remaining, num_map_tasks](size_t r) {
+  auto run_reduce_task = [&reduce_attempt, &map_outputs, &partition_runs,
+                          &run, &group, &reduces_remaining,
+                          num_map_tasks](size_t r) {
     if (!run.failed()) {
       // This partition's runs from every map task, in map-task-then-spill
       // order — the rank order the merger's tie-break relies on. The slot
       // board is indexed by map task, so commit ARRIVAL order cannot
-      // perturb it. Under a transport the board is the FETCHED segments
-      // (decoded back in spill order): the reduce side consumes what
-      // crossed the wire, never the local map output.
+      // perturb it.
       std::vector<SortedRun<K, V>*>& runs = partition_runs[r];
       for (size_t m = 0; m < num_map_tasks; ++m) {
-        if (transport) {
-          for (auto& fetched : fetched_slots[m][r]) runs.push_back(&fetched);
-          continue;
-        }
         for (auto& spill : map_outputs[m].spills) {
           if (spill[r].HasRecords()) runs.push_back(&spill[r]);
         }
@@ -688,60 +645,18 @@ Result<JobMetrics> Job<K, V>::Run() {
     }
   };
 
-  // Transport hand-off for one committed segment (map m x partition r):
-  // encode it, then let the run climb the recovery ladder (job.cc) with
-  // the two typed steps it needs — decoding fetched bytes into
-  // fetched_slots[m][r], and re-running the committed map attempt. That
-  // attempt's fault draw was clean (it committed), so the re-run
-  // reproduces the identical output.
-  auto transport_shuffle = [this, &run, &map_outputs, &fetched_slots,
-                            &run_map_attempt](size_t m, size_t r,
-                                              uint32_t committed_attempt) {
-    std::string segment;
-    if (EncodeShuffleSegment(map_outputs[m], r, spec_.verify_integrity,
-                             &segment) == 0) {
-      return;  // empty slot: nothing crosses the wire
-    }
-    run.Shuffle(
-        m, r, std::move(segment),
-        [&fetched_slots, m, r](std::string_view bytes) {
-          return DecodeShuffleSegment(bytes, &fetched_slots[m][r]);
-        },
-        [this, &map_outputs, &run_map_attempt, m, r,
-         committed_attempt](std::string* segment) {
-          MapAttemptResult redo = run_map_attempt(m, committed_attempt);
-          if (redo.crashed || !redo.contract.ok()) return false;
-          map_outputs[m] = std::move(redo.output);
-          segment->clear();
-          EncodeShuffleSegment(map_outputs[m], r, spec_.verify_integrity,
-                               segment);
-          return true;
-        });
-  };
-
   // Map-task completion: run the phase continuation when this was the
   // last map task (BEFORE the final release, so quarantine accounting and
   // backup spawning precede the reduces it unblocks), then decrement
   // every partition's countdown, spawning each reduce task the moment its
-  // inputs are complete. Under a transport the decrement fires on the
-  // RECEIVED-AND-VERIFIED segment, not the local commit: the hand-off
-  // (and its whole recovery ladder) completes before the release.
+  // inputs are complete.
   auto finish_map_task = [&group, &maps_remaining, &map_attempt,
-                          &reduce_inputs_pending, &run_reduce_task,
-                          &transport_shuffle, transport, &run,
-                          num_reduce_tasks](size_t m) {
-    // The committed attempt index, read BEFORE the phase continuation can
-    // spawn a speculative backup that bumps this task's attempt
-    // bookkeeping (rung 3 must re-run exactly the attempt that committed).
-    const uint32_t committed_attempt =
-        transport ? run.metrics().map_tasks[m].failed_attempts : 0;
+                          &reduce_inputs_pending, &run_reduce_task, &run,
+                          num_reduce_tasks] {
     if (maps_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       run.MapsDone(&group, map_attempt);
     }
     for (size_t r = 0; r < num_reduce_tasks; ++r) {
-      if (transport && !run.failed()) {
-        transport_shuffle(m, r, committed_attempt);
-      }
       if (reduce_inputs_pending[r].fetch_sub(1, std::memory_order_acq_rel) ==
           1) {
         group.Spawn([&run_reduce_task, r] { run_reduce_task(r); });
@@ -754,7 +669,7 @@ Result<JobMetrics> Job<K, V>::Run() {
   for (size_t m = 0; m < num_map_tasks; ++m) {
     group.Spawn([&run, &map_attempt, &finish_map_task, m] {
       run.RunChain(TaskPhase::kMap, m, map_attempt);
-      finish_map_task(m);
+      finish_map_task();
     });
   }
   if (num_map_tasks == 0) {

@@ -3,7 +3,7 @@
 // This header holds everything a job author touches — the Emitter /
 // Mapper / Reducer hooks, the functional adapters, EngineOptions (how the
 // engine runs a job: threads, shuffle budget, fault tolerance, integrity,
-// format, transport), and JobSpec, the full declarative description of one
+// format), and JobSpec, the full declarative description of one
 // job (inputs, task counts, comparators, combiner, plus its
 // EngineOptions). The execution machinery lives
 // in separate layers: sort_buffer.h (map-side buffering and spilling),
@@ -28,8 +28,6 @@
 #include "mapreduce/task_context.h"
 
 namespace fj::mr {
-
-class ShuffleTransport;  // shuffle_transport.h; kept light here
 
 /// Default for EngineOptions::check_contracts: the FJ_CHECK_CONTRACTS env
 /// var if set, else on in debug builds and off under NDEBUG (defined in
@@ -218,36 +216,18 @@ struct EngineOptions {
   /// (1 = every key). Must be >= 1 when check_contracts is on.
   uint32_t contract_sample_every = 16;
 
-  /// Representation of spill runs and shuffle segments (record_format.h).
-  /// Text (the default) keeps pairs in memory and meters ByteSizeOf
-  /// estimates; binary really serializes every run at spill time (varint
-  /// record format, optional block codec), meters actual encoded bytes,
-  /// and defines run checksums over the encoded blocks. Job output is
-  /// byte-identical across formats and codecs.
+  /// Representation of spill runs (record_format.h). Text (the default)
+  /// keeps pairs in memory and meters ByteSizeOf estimates; binary really
+  /// serializes every run at spill time (varint record format, optional
+  /// block codec), meters actual encoded bytes, and defines run checksums
+  /// over the encoded blocks. Job output is byte-identical across formats
+  /// and codecs.
   RecordFormat record_format = RecordFormat::kText;
 
-  /// Block codec applied per spill-run/shuffle block in binary format
+  /// Block codec applied per spill-run block in binary format
   /// (ignored under text). Codec CPU bytes are metered per task and
   /// priced by the cluster model.
   BlockCodec block_codec = BlockCodec::kNone;
-
-  /// Shuffle transport moving committed map-output partition segments to
-  /// the reduce side (shuffle_transport.h). nullptr = the classic direct
-  /// hand-off (map output consumed in place, no segment encoding). When
-  /// set, every non-empty (map task x partition) slot is encoded,
-  /// Publish()ed at map commit, and Fetch()ed back — checksum-verified —
-  /// before the partition's reduce countdown fires; the reduce side
-  /// merges the FETCHED bytes. Output is byte-identical either way.
-  /// Shared across a pipeline's jobs like `executor`.
-  std::shared_ptr<ShuffleTransport> shuffle_transport;
-
-  /// Escalation rung 2 (transport runs only): when a fetch exhausts the
-  /// transport's retry budget, answer it from the map task's locally
-  /// committed output (the DFS-spill analogue) instead of immediately
-  /// re-running the map attempt. Metered as net_redundant_fetches. Off
-  /// forces the ladder straight to rung 3 (deterministic map re-run) —
-  /// useful for exercising it in tests.
-  bool net_fetch_local_fallback = true;
 
   const EngineOptions& engine() const { return *this; }
 

@@ -13,7 +13,6 @@
 
 #include "common/counters.h"
 #include "common/executor.h"
-#include "common/latency_histogram.h"
 
 namespace fj::mr {
 
@@ -151,36 +150,6 @@ struct JobMetrics {
   /// Malformed input records quarantined to `<output_file>.bad` instead of
   /// aborting (see JobSpec::max_skipped_records).
   uint64_t records_skipped = 0;
-
-  /// --- Shuffle transport (JobSpec::shuffle_transport; all 0 when the hand-off
-  /// is the in-process default) ---
-  /// Segments published at map commit (one per non-empty map x partition
-  /// slot, plus re-publishes after worker losses and map re-runs).
-  uint64_t net_segments = 0;
-  /// Segment fetches the reduce countdown waited on.
-  uint64_t net_fetches = 0;
-  /// Retried transport round trips (attempts after the first, across
-  /// publishes and fetches) — the injected-fault recovery work.
-  uint64_t net_fetch_retries = 0;
-  /// Fetches answered from the map task's locally committed spill after
-  /// the transport exhausted its retry budget (escalation rung 2).
-  uint64_t net_redundant_fetches = 0;
-  /// Map attempts deterministically re-executed because their published
-  /// segments were unfetchable (escalation rung 3 — worker loss).
-  uint64_t net_map_reruns = 0;
-  /// Workers declared lost by the transport (heartbeat or retry budget).
-  uint64_t net_worker_losses = 0;
-  /// Wire traffic: segment bytes pushed to and fetched from workers.
-  uint64_t net_bytes_pushed = 0;
-  uint64_t net_bytes_fetched = 0;
-  /// Frame/segment checksum mismatches caught on the wire. Every injected
-  /// corruption must land here (or in a task's corruption_detected) —
-  /// never in the join output.
-  uint64_t net_corruption_detected = 0;
-  /// Latency of each completed publish+fetch round per segment,
-  /// fault-injection delays and retries included. Wall-derived, so NOT
-  /// covered by the determinism contract.
-  LatencyHistogram net_fetch_latency;
 
   /// Real wall time of the whole (local) execution.
   double wall_seconds = 0;

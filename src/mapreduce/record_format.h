@@ -1,6 +1,6 @@
-// The binary record format for spill runs and shuffle segments, plus the
-// pluggable block codec applied on top. DFS stage files are always text
-// lines, whatever the format.
+// The binary record format for spill runs, plus the pluggable block codec
+// applied on top. DFS stage files are always text lines, whatever the
+// format.
 //
 // Two layers, bottom up:
 //
@@ -39,17 +39,17 @@
 
 namespace fj::mr {
 
-/// How records are represented in spill runs and shuffle segments. Text
-/// is the compatibility default: every record is a std::string line and
-/// shuffle bytes are ByteSizeOf estimates. Binary makes serialization
-/// real: runs hold encoded blocks and the byte meters count actual
-/// encoded sizes. Neither changes a byte of a job's committed output.
+/// How records are represented in spill runs. Text is the compatibility
+/// default: every record is a std::string line and shuffle bytes are
+/// ByteSizeOf estimates. Binary makes serialization real: runs hold
+/// encoded blocks and the byte meters count actual encoded sizes. Neither
+/// changes a byte of a job's committed output.
 enum class RecordFormat : uint8_t {
   kText = 0,
   kBinary = 1,
 };
 
-/// Block codec applied per spill-run/shuffle block (binary format only).
+/// Block codec applied per spill-run block (binary format only).
 enum class BlockCodec : uint8_t {
   kNone = 0,
   kFjlz = 1,  ///< self-contained LZ77 (LZ4-block-style token stream)

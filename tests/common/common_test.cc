@@ -6,6 +6,7 @@
 #include <cstring>
 #include <iterator>
 #include <string>
+#include <utility>
 
 #include "common/counters.h"
 #include "common/flags.h"
@@ -200,6 +201,44 @@ TEST(CounterTest, AddGetMergeMax) {
   EXPECT_EQ(snapshot.size(), 3u);
   a.Clear();
   EXPECT_EQ(a.Get("x"), 0);
+}
+
+// A job's counters are its tasks' counters merged: a peak set with Max is
+// the largest task peak, not the sum of them, however the set was copied
+// or moved on the way.
+TEST(CounterTest, MergeKeepsThePeakOfMaxCounters) {
+  CounterSet task1;
+  task1.Max("peak", 7);
+  task1.Add("sum", 7);
+  CounterSet task2;
+  task2.Max("peak", 5);
+  task2.Add("sum", 5);
+
+  CounterSet job;
+  job.MergeFrom(task1);
+  job.MergeFrom(task2);
+  EXPECT_EQ(job.Get("peak"), 7);
+  EXPECT_EQ(job.Get("sum"), 12);
+
+  CounterSet copied(job);
+  copied.MergeFrom(task1);
+  EXPECT_EQ(copied.Get("peak"), 7);
+  CounterSet moved(std::move(copied));
+  moved.MergeFrom(task2);
+  EXPECT_EQ(moved.Get("peak"), 7);
+  CounterSet assigned;
+  assigned = moved;
+  assigned.MergeFrom(task1);
+  EXPECT_EQ(assigned.Get("peak"), 7);
+  EXPECT_EQ(assigned.Get("sum"), 12 + 7 + 5 + 7);  // sums still add
+
+  // A larger peak from either side wins.
+  CounterSet bigger;
+  bigger.Max("peak", 9);
+  assigned.MergeFrom(bigger);
+  EXPECT_EQ(assigned.Get("peak"), 9);
+  bigger.MergeFrom(task1);
+  EXPECT_EQ(bigger.Get("peak"), 9);
 }
 
 TEST(CounterTest, CopyGetsIndependentState) {

@@ -20,9 +20,9 @@ using sync_internal::ScopedDeadlockChecksForTest;
 using sync_internal::SetDeadlockChecksForTest;
 
 TEST(SyncTest, MutexCarriesNameAndRank) {
-  Mutex ranked{"transport.socket", lock_rank::kTransport};
-  EXPECT_STREQ(ranked.name(), "transport.socket");
-  EXPECT_EQ(ranked.rank(), lock_rank::kTransport);
+  Mutex ranked{"job.failure", lock_rank::kJobState};
+  EXPECT_STREQ(ranked.name(), "job.failure");
+  EXPECT_EQ(ranked.rank(), lock_rank::kJobState);
   Mutex leaf{"counters"};
   EXPECT_EQ(leaf.rank(), kNoMutexRank);
 }
@@ -39,10 +39,10 @@ TEST(SyncTest, ScopedToggleRestoresPreviousState) {
 TEST(SyncTest, StrictlyDecreasingRankOrderIsLegal) {
   ScopedDeadlockChecksForTest checks(true);
   Mutex service{"svc", lock_rank::kService};
-  Mutex transport{"xport", lock_rank::kTransport};
+  Mutex job{"job", lock_rank::kJobState};
   Mutex queue{"deque", lock_rank::kExecutorQueue};
   MutexLock outer(&service);
-  MutexLock mid(&transport);
+  MutexLock mid(&job);
   MutexLock inner(&queue);
 }
 
@@ -142,15 +142,15 @@ TEST(SyncDeathTest, OutOfOrderAcquireAbortsWithBothNames) {
 
 TEST(SyncDeathTest, EqualRankIsAViolationToo) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex a{"transport.a", lock_rank::kTransport};
-  Mutex b{"transport.b", lock_rank::kTransport};
+  Mutex a{"job.a", lock_rank::kJobState};
+  Mutex b{"job.b", lock_rank::kJobState};
   EXPECT_DEATH(
       {
         ScopedDeadlockChecksForTest checks(true);
         MutexLock hold(&a);
         MutexLock violate(&b);
       },
-      "lock-rank violation.*\"transport\\.b\".*\"transport\\.a\"");
+      "lock-rank violation.*\"job\\.b\".*\"job\\.a\"");
 }
 
 TEST(SyncDeathTest, SuccessfulTryLockArmsLaterBlockingAcquires) {

@@ -212,8 +212,8 @@ TEST(ConcurrencyDeterminismTest, RSJoinThreadCountInvariant) {
   }
 }
 
-// The record format changes HOW spill runs and shuffle segments are
-// represented, never WHAT the join produces: the final .joined output
+// The record format changes HOW spill runs are represented, never WHAT
+// the join produces: the final .joined output
 // must be byte-identical across every format x codec combination,
 // threaded or not, faulted or not.
 TEST(ConcurrencyDeterminismTest, OutputInvariantAcrossFormatsAndCodecs) {
@@ -260,8 +260,8 @@ std::map<std::string, uint64_t> StageFileChecksums(const mr::Dfs& dfs,
 }
 
 // Every stage file is text lines: record_format and block_codec choose
-// only how spill runs and shuffle segments are encoded, so each committed
-// file of a join has the same checksum under text and under binary+fjlz.
+// only how spill runs are encoded, so each committed file of a join has
+// the same checksum under text and under binary+fjlz.
 TEST(ConcurrencyDeterminismTest, StageFilesInvariantAcrossFormatsAndCodecs) {
   struct Case {
     const char* name;

@@ -128,20 +128,13 @@ TEST_F(DriverTest, RSJoinStageOneRunsOnROnly) {
 
 // Count limits. SIZE_MAX is what a "-1" flag used to become; each count
 // must fail validation on its own, before anything allocates per task or
-// starts a worker — so this test builds no executor and no worker pool.
+// starts a worker — so this test builds no executor.
 TEST(ConfigLimitsTest, ValidateRefusesUnboundedCounts) {
   const std::vector<std::pair<std::string, void (*)(JoinConfig*)>> cases = {
       {"local_threads", [](JoinConfig* c) { c->local_threads = SIZE_MAX; }},
       {"num_map_tasks", [](JoinConfig* c) { c->num_map_tasks = SIZE_MAX; }},
       {"num_reduce_tasks",
        [](JoinConfig* c) { c->num_reduce_tasks = SIZE_MAX; }},
-      {"num_shuffle_workers",
-       [](JoinConfig* c) { c->num_shuffle_workers = SIZE_MAX; }},
-      {"num_shuffle_workers",
-       [](JoinConfig* c) {
-         c->transport = mr::TransportKind::kSocket;
-         c->num_shuffle_workers = SIZE_MAX;
-       }},
   };
   for (const auto& [field, set] : cases) {
     JoinConfig config;
@@ -157,7 +150,6 @@ TEST(ConfigLimitsTest, ValidateRefusesUnboundedCounts) {
   at_limit.local_threads = Executor::kMaxWorkers;
   at_limit.num_map_tasks = JoinConfig::kMaxTasks;
   at_limit.num_reduce_tasks = JoinConfig::kMaxTasks;
-  at_limit.num_shuffle_workers = JoinConfig::kMaxShuffleWorkers;
   EXPECT_TRUE(at_limit.Validate().ok()) << at_limit.Validate().ToString();
 
   // The thread limit is an engine check, shared with every JobSpec.

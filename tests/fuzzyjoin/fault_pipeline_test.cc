@@ -184,7 +184,7 @@ TEST(FaultPipelineTest, RSOptoBkOprjSpilling) {
 }
 
 // Binary format axis: the same chaos plan against compressed binary spill
-// runs and shuffle segments.
+// runs.
 TEST(FaultPipelineTest, SelfBinaryFjlzChaosSpilling) {
   RunSelfGoldenCase(Stage1Algorithm::kBTO, Stage2Algorithm::kPK,
                     Stage3Algorithm::kBRJ, 256, mr::RecordFormat::kBinary,

@@ -374,6 +374,17 @@ TEST(Stage2EdgeTest, PairLineParserMatchesSplitReference) {
 // stage2.peak_group_records counts the native records a reducer holds,
 // no longer natives plus visitors: 425 -> 188 under bk_length_routing,
 // 259 -> 127 under length signatures. Nothing else moved.
+//
+// Since CounterSet::MergeFrom keeps the maximum of a counter set with Max,
+// the four peak counters are the largest reduce task's peak, no longer the
+// sum over the job's reduce tasks:
+//   stage2.peak_group_records        self BK and R-S BK 510 -> 180,
+//                                    length routing 188 -> 30,
+//                                    length signatures 127 -> 38;
+//   stage2.pk.arena_bytes            self PK and R-S PK 58576 -> 21232;
+//   stage2.pk.peak_resident_tokens   self PK 2507 -> 852,
+//                                    R-S PK 4557 -> 1525;
+//   stage2.block.peak_memory_records all four block variants 198 -> 67.
 
 struct GoldenVariant {
   const char* name;
@@ -408,17 +419,17 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.bk.pairs_considered=43174 "
        "stage2.bk.results=104 "
        "stage2.bk.verified=14452 "
-       "stage2.peak_group_records=510 "
+       "stage2.peak_group_records=180 "
        "stage2.projections=240 "},
       {"self PK", false,
        [](JoinConfig* c) { c->stage2 = Stage2Algorithm::kPK; },
        0x0b10ad2bcfbbb496ULL, 510, 36612,
-       "stage2.pk.arena_bytes=58576 "
+       "stage2.pk.arena_bytes=21232 "
        "stage2.pk.bitmap_pruned=11 "
        "stage2.pk.candidates=115 "
        "stage2.pk.evicted_records=425 "
        "stage2.pk.hash_lookups_avoided=2754 "
-       "stage2.pk.peak_resident_tokens=2507 "
+       "stage2.pk.peak_resident_tokens=852 "
        "stage2.pk.positional_pruned=4 "
        "stage2.pk.probes=510 "
        "stage2.pk.results=104 "
@@ -432,7 +443,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.bk.pairs_considered=43174 "
        "stage2.bk.results=104 "
        "stage2.bk.verified=14452 "
-       "stage2.block.peak_memory_records=198 "
+       "stage2.block.peak_memory_records=67 "
        "stage2.projections=240 "},
       {"self BK reduce blocks", false,
        [](JoinConfig* c) { c->block_processing = kReduceBlocks; },
@@ -443,7 +454,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.bk.pairs_considered=43174 "
        "stage2.bk.results=104 "
        "stage2.bk.verified=14452 "
-       "stage2.block.peak_memory_records=198 "
+       "stage2.block.peak_memory_records=67 "
        "stage2.projections=240 "},
       {"self BK length routing", false,
        [](JoinConfig* c) { c->bk_length_routing = true; },
@@ -452,7 +463,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.bk.pairs_considered=16097 "
        "stage2.bk.results=104 "
        "stage2.bk.verified=14452 "
-       "stage2.peak_group_records=188 "
+       "stage2.peak_group_records=30 "
        "stage2.projections=240 "},
       {"self BK length signatures", false,
        [](JoinConfig* c) { c->routing = TokenRouting::kLengthSignatures; },
@@ -461,7 +472,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.bk.pairs_considered=10132 "
        "stage2.bk.results=52 "
        "stage2.bk.verified=9008 "
-       "stage2.peak_group_records=127 "
+       "stage2.peak_group_records=38 "
        "stage2.projections=240 "},
       {"R-S BK", true,
        [](JoinConfig*) {},
@@ -470,17 +481,17 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.bk.pairs_considered=67652 "
        "stage2.bk.results=148 "
        "stage2.bk.verified=21898 "
-       "stage2.peak_group_records=510 "
+       "stage2.peak_group_records=180 "
        "stage2.projections=440 "},
       {"R-S PK", true,
        [](JoinConfig* c) { c->stage2 = Stage2Algorithm::kPK; },
        0x0fa635eac00a1ea6ULL, 907, 62710,
-       "stage2.pk.arena_bytes=58576 "
+       "stage2.pk.arena_bytes=21232 "
        "stage2.pk.bitmap_pruned=46 "
        "stage2.pk.candidates=194 "
        "stage2.pk.evicted_records=399 "
        "stage2.pk.hash_lookups_avoided=2879 "
-       "stage2.pk.peak_resident_tokens=4557 "
+       "stage2.pk.peak_resident_tokens=1525 "
        "stage2.pk.positional_pruned=102 "
        "stage2.pk.probes=397 "
        "stage2.pk.results=148 "
@@ -494,7 +505,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.bk.pairs_considered=67652 "
        "stage2.bk.results=148 "
        "stage2.bk.verified=21898 "
-       "stage2.block.peak_memory_records=198 "
+       "stage2.block.peak_memory_records=67 "
        "stage2.projections=440 "},
       {"R-S BK reduce blocks", true,
        [](JoinConfig* c) { c->block_processing = kReduceBlocks; },
@@ -505,7 +516,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.bk.pairs_considered=67652 "
        "stage2.bk.results=148 "
        "stage2.bk.verified=21898 "
-       "stage2.block.peak_memory_records=198 "
+       "stage2.block.peak_memory_records=67 "
        "stage2.projections=440 "},
   };
 
@@ -552,6 +563,14 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
     EXPECT_EQ(job.shuffle_records, v.shuffle_records);
     EXPECT_EQ(job.shuffle_bytes, v.shuffle_bytes);
     EXPECT_EQ(CounterLine(job.counters), v.counters);
+    // A peak group is held by one reducer, so it is never larger than the
+    // largest reduce task's input.
+    uint64_t largest_task = 0;
+    for (const mr::TaskMetrics& task : job.reduce_tasks) {
+      largest_task = std::max(largest_task, task.input_records);
+    }
+    EXPECT_LE(job.counters.Get("stage2.peak_group_records"),
+              static_cast<int64_t>(largest_task));
   }
 }
 

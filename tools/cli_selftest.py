@@ -79,6 +79,13 @@ BAD_FLAGS = [
     ("fuzzyjoin", ["--stage1=xyz"], "--stage1"),
     ("fuzzyjoin", ["--routing=xyz"], "--routing"),
     ("fuzzyjoin", ["--function=xyz"], "unknown --function: xyz"),
+    # Options the tool does not have: the shuffle is the engine's
+    # in-process hand-off, with no transport or wire faults to configure.
+    ("fuzzyjoin", ["--transport=socket"], "unknown flag --transport"),
+    ("fuzzyjoin", ["--shuffle_workers=2"], "unknown flag --shuffle_workers"),
+    ("fuzzyjoin", ["--spawn_worker_processes"],
+     "unknown flag --spawn_worker_processes"),
+    ("fuzzyjoin", ["--net_drop_p=0.1"], "unknown flag --net_drop_p"),
     ("fuzzyjoin_serve", ["--threads=-1"], "--threads"),
     ("fuzzyjoin_serve", ["--tau_floor=abc"], "--tau_floor"),
     ("fuzzyjoin_serve", ["--tau_floor=0"], "--tau_floor"),

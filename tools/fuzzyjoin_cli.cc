@@ -17,12 +17,6 @@
 //             [--verify_integrity] [--max_skipped=N]
 //             [--check_contracts[=0|1]] [--contract_sample_every=N]
 //             [--record_format=text|binary] [--codec=none|fjlz]
-//             [--transport=inproc|socket] [--shuffle_workers=N]
-//             [--spawn_worker_processes]
-//             [--net_fault_seed=S] [--net_drop_p=P] [--net_truncate_p=P]
-//             [--net_corrupt_p=P] [--net_stall_p=P] [--net_delay_p=P]
-//             [--net_refuse_p=P] [--net_delay_ms=MS] [--net_stall_ms=MS]
-//             [--net_fault_attempts=N] [--net_local_fallback=0|1]
 //             [--resume] [--dfs_dir=PATH]
 //             [--stats]                      set-similarity self-join
 //   rsjoin    --r=FILE --s=FILE --out=FILE [same tuning flags]
@@ -30,9 +24,9 @@
 //             edit-distance join over the join attribute strings
 //
 // Count flags take non-negative integers (else exit status 2); --threads
-// and --shuffle_workers are at most 1024, --map_tasks and --reduce_tasks
-// at most 65536. An unknown flag, or a malformed number in any flag, is a
-// usage error too (exit status 2, naming the flag).
+// is at most 1024, --map_tasks and --reduce_tasks at most 65536. An
+// unknown flag, or a malformed number in any flag, is a usage error too
+// (exit status 2, naming the flag).
 //
 // Record files are tab-separated "rid<TAB>title<TAB>authors<TAB>payload"
 // lines (see data/record.h); join output files are JoinedPair lines (see
@@ -52,7 +46,6 @@
 #include "data/generator.h"
 #include "data/increase.h"
 #include "fuzzyjoin/fuzzyjoin.h"
-#include "mapreduce/worker_net.h"
 #include "similarity/edit_distance.h"
 #include "text/tokenizer.h"
 
@@ -189,36 +182,6 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
                     std::to_string(config.max_task_attempts));
     }
     config.fault_plan = std::move(plan);
-  }
-  // Shuffle transport: --transport=socket moves every map-output segment
-  // over loopback TCP through N shuffle workers; the --net_* flags build a
-  // deterministic wire-fault plan applied by those workers.
-  std::string transport = flags.GetString("transport", "inproc");
-  if (!fj::mr::ParseTransportKind(transport, &config.transport)) {
-    return Status::InvalidArgument("unknown --transport: " + transport);
-  }
-  FJ_RETURN_IF_ERROR(
-      flags.GetCount("shuffle_workers", &config.num_shuffle_workers));
-  config.spawn_worker_processes = flags.Has("spawn_worker_processes");
-  config.net_fetch_local_fallback =
-      flags.GetInt("net_local_fallback", 1) != 0;
-  {
-    fj::mr::NetFaultPlan plan;
-    plan.seed = static_cast<uint64_t>(flags.GetInt("net_fault_seed", 1));
-    plan.drop_probability = flags.GetDouble("net_drop_p", 0.0);
-    plan.truncate_probability = flags.GetDouble("net_truncate_p", 0.0);
-    plan.corrupt_probability = flags.GetDouble("net_corrupt_p", 0.0);
-    plan.stall_probability = flags.GetDouble("net_stall_p", 0.0);
-    plan.delay_probability = flags.GetDouble("net_delay_p", 0.0);
-    plan.refuse_connect_probability = flags.GetDouble("net_refuse_p", 0.0);
-    FJ_RETURN_IF_ERROR(flags.GetCount("net_delay_ms", &plan.delay_ms));
-    FJ_RETURN_IF_ERROR(flags.GetCount("net_stall_ms", &plan.stall_ms));
-    FJ_RETURN_IF_ERROR(
-        flags.GetCount("net_fault_attempts", &plan.fault_attempts));
-    if (!plan.Empty()) {
-      config.net_fault_plan =
-          std::make_shared<const fj::mr::NetFaultPlan>(plan);
-    }
   }
   if (flags.Has("qgram")) {
     size_t q = 3;
@@ -365,45 +328,6 @@ void PrintStats(const fj::join::JoinRunResult& result) {
                    static_cast<double>(codec_logical) /
                        static_cast<double>(codec_encoded),
                    sim_codec, sim_spill);
-    }
-    // Shuffle-transport wire activity (socket transport only: the inproc
-    // hand-off never touches these counters).
-    {
-      uint64_t fetches = 0, retries = 0, redundant = 0, reruns = 0;
-      uint64_t losses = 0, pushed = 0, fetched = 0, wire_corrupt = 0;
-      double sim_net = 0;
-      fj::LatencyHistogram fetch_latency;
-      for (const auto& job : stage.jobs) {
-        fetches += job.net_fetches;
-        retries += job.net_fetch_retries;
-        redundant += job.net_redundant_fetches;
-        reruns += job.net_map_reruns;
-        losses += job.net_worker_losses;
-        pushed += job.net_bytes_pushed;
-        fetched += job.net_bytes_fetched;
-        wire_corrupt += job.net_corruption_detected;
-        fetch_latency.Merge(job.net_fetch_latency);
-        sim_net += fj::mr::SimulateJob(job, cluster).network_seconds;
-      }
-      if (fetches > 0) {
-        std::fprintf(
-            stderr,
-            "    network: %llu fetches (%llu retries, %llu redundant), "
-            "%llu wire corruption%s detected, %llu map re-run%s, "
-            "%llu worker loss%s, %.1f KB pushed / %.1f KB fetched "
-            "(%.3fs simulated on the cluster)\n",
-            static_cast<unsigned long long>(fetches),
-            static_cast<unsigned long long>(retries),
-            static_cast<unsigned long long>(redundant),
-            static_cast<unsigned long long>(wire_corrupt),
-            wire_corrupt == 1 ? "" : "s",
-            static_cast<unsigned long long>(reruns), reruns == 1 ? "" : "s",
-            static_cast<unsigned long long>(losses),
-            losses == 1 ? "" : "es", pushed / 1024.0, fetched / 1024.0,
-            sim_net);
-        std::fprintf(stderr, "    fetch latency: %s\n",
-                     fetch_latency.Summary().c_str());
-      }
     }
     for (const auto& job : stage.jobs) {
       for (const auto& [name, value] : job.counters.Snapshot()) {
@@ -632,10 +556,6 @@ void Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Shuffle-worker mode: under --spawn_worker_processes the coordinator
-  // re-execs this binary with the worker sentinel as argv[1]; the process
-  // then serves shuffle segments until the coordinator goes away.
-  if (auto rc = fj::mr::net::MaybeRunShuffleWorker(argc, argv)) return *rc;
   Flags flags(argc, argv);
   if (flags.positional().empty()) {
     Usage();

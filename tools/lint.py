@@ -42,14 +42,13 @@ Rules:
                    Waive deliberate uses with a trailing or preceding
                    `lint: allow-file-io (<reason>)` comment.
   no-raw-socket    raw POSIX socket calls (socket/connect/bind/listen/
-                   accept/recv/send/setsockopt/...) are banned outside
-                   src/mapreduce/worker_net.cc: the shuffle's wire layer
-                   owns framing, deadlines, EINTR loops, and the payload
-                   hash, and a second ad-hoc socket path would bypass all
-                   of them (plus the NetFaultPlan chaos hooks CI relies
-                   on). Talk to mapreduce/worker_net.h's helpers instead.
-                   Waive deliberate uses with a trailing or preceding
-                   `lint: allow-socket (<reason>)` comment.
+                   accept/recv/send/setsockopt/...) are banned everywhere:
+                   the engine's shuffle is an in-process hand-off whose
+                   bytes are counted and priced by the cluster model, and
+                   an ad-hoc socket path would move data past the
+                   engine's byte meters, checksums and determinism
+                   contract. Waive a deliberate use with a trailing or
+                   preceding `lint: allow-socket (<reason>)` comment.
   no-naked-mutex   std::mutex / std::condition_variable / std::lock_guard
                    (and friends) are banned outside src/common/sync.h:
                    fj::Mutex carries the Clang thread-safety capability
@@ -115,17 +114,14 @@ EXECUTOR_FILES = (
     os.path.join("src", "common", "executor.cc"),
 )
 
-# no-raw-socket: raw POSIX socket syscalls. Only the shuffle's wire layer
-# may dial, listen, or push bytes directly — everything else goes through
-# worker_net.h so deadlines, EINTR handling, frame hashing, and fault
-# injection stay in one place. The pattern requires a call (trailing "(")
-# and rejects qualified/member names (transport->send, net::connect).
+# no-raw-socket: raw POSIX socket syscalls, banned in every file. The
+# pattern requires a call (trailing "(") and rejects qualified/member names
+# (channel->send, net::connect).
 RAW_SOCKET_RE = re.compile(
     r"(?<![\w.:>])(?:socket|socketpair|connect|bind|listen|accept4?|"
     r"recv(?:from|msg)?|send(?:to|msg)?|[gs]etsockopt|getsockname|"
     r"getpeername|shutdown)\s*\(")
 SOCKET_WAIVER = "lint: allow-socket"
-SOCKET_EXEMPT_FILES = (os.path.join("src", "mapreduce", "worker_net.cc"),)
 
 # no-raw-file-io: direct file streams / FILE* opens. Only the Dfs (and the
 # host-side bench/ and tools/ trees) may touch real files.
@@ -221,13 +217,11 @@ def main():
 
             if RAW_SOCKET_RE.search(code):
                 activity["no-raw-socket"] += 1
-                if not path.endswith(SOCKET_EXEMPT_FILES) and \
-                        SOCKET_WAIVER not in raw and SOCKET_WAIVER not in prev:
+                if SOCKET_WAIVER not in raw and SOCKET_WAIVER not in prev:
                     report(path, lineno, "no-raw-socket",
-                           "raw sockets bypass the shuffle wire layer "
-                           "(framing, deadlines, payload hashes, fault "
-                           "injection); use mapreduce/worker_net.h or "
-                           "waive with '// %s (<reason>)'" % SOCKET_WAIVER)
+                           "raw sockets move bytes past the engine's "
+                           "meters and checksums; waive a deliberate use "
+                           "with '// %s (<reason>)'" % SOCKET_WAIVER)
 
             if RAW_FILE_IO_RE.search(code):
                 activity["no-raw-file-io"] += 1

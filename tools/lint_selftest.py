@@ -92,11 +92,11 @@ CASES = [
      {"src/x.cc":
       "int fd = socket(2, 1, 0);  // lint: allow-socket (probe)\n"},
      None),
-    ("raw_socket_worker_net_exempt",
+    ("raw_socket_no_file_exempt",
      {"src/mapreduce/worker_net.cc": "int fd = socket(2, 1, 0);\n"},
-     None),
+     "no-raw-socket"),
     ("raw_socket_member_call_good",
-     {"src/x.cc": "transport->send(frame);\n"},
+     {"src/x.cc": "channel->send(frame);\n"},
      None),
 
     # no-naked-mutex

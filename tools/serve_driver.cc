@@ -34,19 +34,25 @@
 //
 // An unknown flag, a malformed number, a bad count or a --tau_floor
 // outside (0, 1] is a usage error: exit status 2, naming the flag.
+#include <poll.h>
+#include <signal.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/executor.h"
 #include "common/flags.h"
 #include "common/varint.h"
-#include "mapreduce/worker_net.h"
 #include "serve/query_service.h"
 #include "serve/serving_index.h"
 #include "text/tokenizer.h"
@@ -64,6 +70,43 @@ int Fail(const Status& status, int exit_code = 1) {
   return exit_code;
 }
 
+/// Ignores SIGPIPE process-wide so a peer closing mid-write surfaces as
+/// EPIPE from the write, never a process kill. Idempotent.
+void IgnoreSigpipe() {
+  static const bool done = [] {
+    ::signal(SIGPIPE, SIG_IGN);
+    return true;
+  }();
+  (void)done;
+}
+
+/// Writes all of `data` to `fd`, looping on EINTR and short writes and
+/// polling through EAGAIN. EPIPE (peer gone) returns Unavailable; other
+/// errors IOError.
+Status WriteAllFd(int fd, std::string_view data) {
+  size_t done = 0;
+  while (done < data.size()) {
+    ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    if (n > 0) {
+      done += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // Non-blocking fd (the serve driver's stdout can be): wait for
+      // writability rather than spinning.
+      pollfd pfd{fd, POLLOUT, 0};
+      (void)::poll(&pfd, 1, 1000);
+      continue;
+    }
+    if (n < 0 && errno == EPIPE) {
+      return Status::Unavailable("peer closed the pipe (EPIPE)");
+    }
+    return Status::IOError(std::string("write: ") + std::strerror(errno));
+  }
+  return Status::OK();
+}
+
 // Responses go to stdout through the EINTR/EAGAIN-safe fd writer rather
 // than std::cout: when the client is a pipe that closes mid-probe (head,
 // a killed client), a buffered stream would either die on SIGPIPE or
@@ -71,7 +114,7 @@ int Fail(const Status& status, int exit_code = 1) {
 // a normal way for a serving session to end, not an error.
 bool EmitLine(std::string line) {
   line.push_back('\n');
-  return fj::mr::net::WriteAllFd(1, line).ok();
+  return WriteAllFd(1, line).ok();
 }
 
 // Probes carry a rid no real record uses so self-exclusion never triggers.
@@ -369,7 +412,7 @@ int main(int argc, char** argv) {
   // A client that disconnects mid-response (closed pipe, killed reader)
   // must not kill the server with SIGPIPE; the write path reports the
   // broken pipe as a status and the session winds down normally.
-  fj::mr::net::IgnoreSigpipe();
+  IgnoreSigpipe();
   Flags flags(argc, argv);
   return Run(flags);
 }
