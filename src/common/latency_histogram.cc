@@ -69,15 +69,6 @@ void LatencyHistogram::RecordNanos(uint64_t nanos) {
   sum_nanos_ += nanos;
 }
 
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) return;
-  for (size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  if (count_ == 0 || other.min_nanos_ < min_nanos_) min_nanos_ = other.min_nanos_;
-  if (count_ == 0 || other.max_nanos_ > max_nanos_) max_nanos_ = other.max_nanos_;
-  count_ += other.count_;
-  sum_nanos_ += other.sum_nanos_;
-}
-
 void LatencyHistogram::Reset() {
   std::memset(buckets_, 0, sizeof(buckets_));
   count_ = 0;

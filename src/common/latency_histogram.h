@@ -6,12 +6,9 @@
 // latency and per-task phase-wall reporting, at 252 * 8 bytes of state
 // and O(1) record cost (a bit-scan plus an increment).
 //
-// The layout is static (no configuration), so any two histograms are
-// mergeable: the serving layer merges per-batch histograms into the
-// service totals, and the bench harness merges per-point histograms
-// across repetitions. Exact count / sum / min / max are tracked beside
-// the buckets, so Quantile(0) and Quantile(1) are exact and the mean is
-// not quantized.
+// The layout is static (no configuration). Exact count / sum / min / max
+// are tracked beside the buckets, so Quantile(0) and Quantile(1) are
+// exact and the mean is not quantized.
 #pragma once
 
 #include <cstddef>
@@ -32,9 +29,6 @@ class LatencyHistogram {
   /// arise from clock adjustments; losing them beats corrupting buckets).
   void Record(double seconds);
   void RecordNanos(uint64_t nanos);
-
-  /// Adds every sample of `other` into this histogram.
-  void Merge(const LatencyHistogram& other);
 
   /// Forgets all samples.
   void Reset();

@@ -34,7 +34,6 @@
 // and MUST be leaves: never acquire another lock while holding one.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -346,14 +345,6 @@ class CondVar {
   /// Atomically releases `*mu`, blocks until notified (or a spurious
   /// wakeup), and reacquires `*mu` before returning. Callers loop.
   void Wait(Mutex* mu) FJ_REQUIRES(mu) { cv_.wait(*mu); }
-
-  /// Wait bounded by `timeout`; returns false on timeout, true when
-  /// notified. Either way `*mu` is held again on return.
-  template <typename Rep, typename Period>
-  bool WaitFor(Mutex* mu, std::chrono::duration<Rep, Period> timeout)
-      FJ_REQUIRES(mu) {
-    return cv_.wait_for(*mu, timeout) == std::cv_status::no_timeout;
-  }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

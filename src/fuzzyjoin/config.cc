@@ -95,12 +95,6 @@ Status JoinConfig::Validate() const {
   if (tokenizer == nullptr) {
     return Status::InvalidArgument("tokenizer must be set");
   }
-  if (block_codec != mr::BlockCodec::kNone &&
-      record_format != mr::RecordFormat::kBinary) {
-    return Status::InvalidArgument(
-        "a block codec compresses binary run blocks; set record_format = "
-        "binary to use one");
-  }
   return Status::OK();
 }
 

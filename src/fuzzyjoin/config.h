@@ -69,9 +69,9 @@ const char* Stage2Name(Stage2Algorithm a);
 const char* Stage3Name(Stage3Algorithm a);
 
 /// The paper's algorithm choices and the job shape, plus the engine
-/// settings every job of the pipeline runs under. record_format and
-/// block_codec choose only how spill runs are encoded: every stage file
-/// is text lines either way.
+/// settings every job of the pipeline runs under. block_codec chooses only
+/// how spill runs are compressed: every stage file is text lines either
+/// way.
 struct JoinConfig : mr::EngineOptions {
   /// Bound on the task counts below, so a mistyped count fails Validate
   /// instead of allocating tasks without bound.
@@ -143,9 +143,8 @@ struct JoinConfig : mr::EngineOptions {
     return sim::SimilaritySpec(function, tau);
   }
 
-  /// Validates knob combinations (e.g. block processing requires BK, a
-  /// block codec the binary format), the count limits, and the engine
-  /// settings (EngineOptions::Validate).
+  /// Validates knob combinations (e.g. block processing requires BK), the
+  /// count limits, and the engine settings (EngineOptions::Validate).
   Status Validate() const;
 };
 

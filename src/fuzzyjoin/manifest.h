@@ -43,10 +43,10 @@ struct Manifest {
 
 /// Fingerprint of (result-affecting configuration) x (input contents).
 /// Reads each input's checksum from the Dfs; fails if an input is missing.
-/// Of the engine settings only record_format and block_codec are folded:
-/// they leave every stage file byte-identical, but folding them keeps a
-/// resumed run's metered byte counts equal to the original's. The
-/// other mr::EngineOptions fields leave the join output byte-identical.
+/// Of the engine settings only block_codec is folded: it leaves every
+/// stage file byte-identical, but folding it keeps a resumed run's metered
+/// byte counts equal to the original's. The other mr::EngineOptions fields
+/// leave the join output byte-identical.
 Result<uint64_t> PipelineFingerprint(const JoinConfig& config,
                                      const mr::Dfs& dfs,
                                      const std::vector<std::string>& inputs);

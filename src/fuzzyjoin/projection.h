@@ -17,36 +17,27 @@
 
 namespace fj::ppjoin {
 
-/// Shuffle-size estimate: RID + varint-ish token encoding. Lives in
+/// Sort-buffer charge: RID + varint-ish token encoding. Lives in
 /// fj::ppjoin so the engine's ByteSizeOf finds it via ADL on
 /// TokenSetRecord.
 inline size_t FjByteSize(const TokenSetRecord& p) {
   return 8 + 4 * p.tokens.size();
 }
 
-/// Integrity hash over RID and every token (see mapreduce/integrity.h).
+/// Content hash over RID and every token (mapreduce/integrity.h), which
+/// the contract checker's combiner fingerprints need for every value type.
 inline uint64_t FjContentHash(const TokenSetRecord& p) {
   uint64_t h = HashInt64(p.rid);
   for (TokenId t : p.tokens) h = HashCombine(h, HashInt64(t));
   return h;
 }
 
-/// CorruptRecord hook: flips one bit of the RID. The token array is left
-/// alone on purpose — the kernels rely on tokens being ascending and
-/// duplicate-free, so a token flip would violate a *structural* invariant
-/// rather than model silent bit rot in record data; a flipped RID flows
-/// through every kernel and simply joins the wrong records.
-inline bool FjCorruptContent(TokenSetRecord& p, uint64_t salt) {
-  p.rid ^= uint64_t{1} << (salt % 64);
-  return true;
-}
-
-/// Binary wire encoding (mapreduce/record_format.h): varint RID, varint
-/// token count, then delta-varint token ids. Every kernel keeps tokens
+/// Run encoding (mapreduce/record_format.h): varint RID, varint token
+/// count, then delta-varint token ids. Every kernel keeps tokens
 /// ascending, so deltas are small and most encode in one byte — the
-/// projection shrinks from the 8 + 4n text estimate to roughly 2 + n
-/// bytes. Deltas use wrapping uint64 subtraction, which stays bijective
-/// even on non-ascending inputs.
+/// projection takes roughly 2 + n bytes against the 8 + 4n estimate.
+/// Deltas use wrapping uint64 subtraction, which stays bijective even on
+/// non-ascending inputs.
 inline void FjEncodeContent(const TokenSetRecord& p, std::string* out) {
   AppendVarint(out, p.rid);
   AppendVarint(out, p.tokens.size());

@@ -12,8 +12,8 @@
 //        than the data.
 //
 // Output: a Dfs file of "token<TAB>count" lines in rank order, parseable by
-// text::TokenOrdering::FromLines, whatever JoinConfig::record_format the
-// jobs shuffle in.
+// text::TokenOrdering::FromLines, whatever JoinConfig::block_codec the
+// jobs shuffle with.
 #pragma once
 
 #include <string>

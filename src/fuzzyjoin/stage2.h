@@ -100,7 +100,7 @@ inline uint64_t FjContentHash(const Stage2Key& k) {
   return HashCombine(HashCombine(HashInt64(k.group), HashInt64(k.s1)),
                      HashCombine(HashInt64(k.s2), HashInt64(k.s3)));
 }
-/// Binary run encoding (mapreduce/record_format.h): four varints. The
+/// Run encoding (mapreduce/record_format.h): four varints. The
 /// secondary-sort fields are small (lengths, rounds, 0/1 relation flags),
 /// so most keys encode in 4-6 bytes against 16 raw.
 inline void FjEncodeContent(const Stage2Key& k, std::string* out) {

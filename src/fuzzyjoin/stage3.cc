@@ -63,13 +63,7 @@ inline size_t FjByteSize(const TaggedLine& v) { return 5 + v.line.size(); }
 inline uint64_t FjContentHash(const TaggedLine& v) {
   return HashCombine(HashInt64(v.kind), HashString(v.line));
 }
-// CorruptRecord hook: flip a byte of the carried line — a corrupted record
-// line either reaches the join output or trips the bad-line counters, a
-// corrupted RID-pair line stops matching; either way, real bit rot.
-inline bool FjCorruptContent(TaggedLine& v, uint64_t salt) {
-  return mr::CorruptInPlace(v.line, salt);
-}
-// Binary run encoding (mapreduce/record_format.h): kind byte + varint-
+// Run encoding (mapreduce/record_format.h): kind byte + varint-
 // length-prefixed line.
 inline void FjEncodeContent(const TaggedLine& v, std::string* out) {
   mr::EncodeContent(v.kind, out);
@@ -103,10 +97,7 @@ inline uint64_t FjContentHash(const HalfPair& v) {
   return HashCombine(HashCombine(HashInt64(v.side), HashInt64(sim_bits)),
                      HashString(v.record_line));
 }
-inline bool FjCorruptContent(HalfPair& v, uint64_t salt) {
-  return mr::CorruptInPlace(v.record_line, salt);
-}
-// Binary run encoding: side byte + similarity as raw fixed64 bits (exact
+// Run encoding: side byte + similarity as raw fixed64 bits (exact
 // double roundtrip) + varint-length-prefixed record line.
 inline void FjEncodeContent(const HalfPair& v, std::string* out) {
   mr::EncodeContent(v.side, out);

@@ -1,8 +1,9 @@
 // Serialized-size estimation for shuffled (key, value) pairs.
 //
-// The engine charges shuffle traffic by summing ByteSizeOf over every pair
-// that crosses the map->reduce boundary (after the combiner). The cluster
-// cost model converts those bytes into simulated network time. Custom key
+// The map-side sort buffer charges ByteSizeOf of every emitted pair
+// against JobSpec::sort_buffer_bytes, so spill points depend on these
+// estimates alone, never on the run encoding or the codec; the shuffle
+// meters count the encoded run blocks instead (record_format.h). Custom
 // types participate by being composed of the types handled here, or by
 // providing their own `size_t FjByteSize(const T&)` found via ADL.
 #pragma once

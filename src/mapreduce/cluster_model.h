@@ -59,12 +59,12 @@ inline constexpr double kLocalDiskBytesPerSecondPerNode = 80.0 * 1024 * 1024;
 /// hashing streams at several hundred MB/s per core.
 inline constexpr double kIntegrityBytesPerSecondPerNode = 400.0 * 1024 * 1024;
 
-/// Aggregate block-codec throughput contributed by each node for the
-/// binary record format (JobSpec::record_format): varint encode at spill
-/// time plus decode at the reduce side's merge read, and the optional
-/// block codec on top. Priced against JobMetrics::codec_logical_bytes —
-/// the pre-codec payload size, which both sides of the codec touch.
-/// LZ4-class codecs stream at a few hundred MB/s per core.
+/// Aggregate run-encoding throughput contributed by each node: varint
+/// encode at spill time plus decode at the reduce side's merge read, and
+/// the optional block codec (JobSpec::block_codec) on top. Priced against
+/// JobMetrics::codec_logical_bytes — the pre-codec payload size, which
+/// both sides of the codec touch. LZ4-class codecs stream at a few
+/// hundred MB/s per core.
 inline constexpr double kCodecBytesPerSecondPerNode = 200.0 * 1024 * 1024;
 
 /// Aggregate contract-check throughput contributed by each node
@@ -118,10 +118,9 @@ struct SimulatedJobTime {
   /// the price of proving the comparator/partitioner/combiner contract,
   /// reported separately so benchmarks can quote the overhead.
   double contract_seconds = 0;
-  /// Block-codec CPU time of the binary record format (zero under text) —
-  /// the encode/decode price paid to shrink shuffle_seconds and
-  /// spill_seconds, reported separately so benchmarks can quote the
-  /// trade-off.
+  /// Run-encoding CPU time — the encode/decode price paid to shrink
+  /// shuffle_seconds and spill_seconds, reported separately so benchmarks
+  /// can quote the trade-off.
   double codec_seconds = 0;
 
   /// Slot time consumed by attempts that did not commit: crashed attempts

@@ -146,7 +146,7 @@ Status Dfs::CorruptByteForTest(const std::string& name, uint64_t seed) {
   for (size_t probe = 0; probe < lines.size(); ++probe) {
     auto& line = lines[(h + probe) % lines.size()];
     if (line.empty()) continue;
-    line[HashInt64(h) % line.size()] ^= static_cast<char>(1u << (1 + h % 7));
+    FlipByte(line, h);
     return Status::OK();
   }
   return Status::InvalidArgument("cannot corrupt file of empty lines: " +

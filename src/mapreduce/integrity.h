@@ -1,18 +1,16 @@
-// Content hashing and deterministic corruption of shuffled (key, value)
-// pairs — the typed analogue of HDFS block checksums.
+// Content hashing of shuffled (key, value) pairs, the Dfs line checksum,
+// and the byte flip that models bit rot.
 //
-// The engine checksums every sorted run at spill time (ContentHashOf folded
-// over the run's pairs) and re-verifies the fold at the two read boundaries:
-// map-attempt commit and reduce-side run-merge reads. The fault injector's
-// CorruptRecord fault mutates one value in one run through CorruptInPlace —
-// a real mutation, so undetected corruption genuinely changes downstream
-// bytes rather than only tripping a flag.
+// Sorted runs are checksummed over their encoded blocks (sort_buffer.h),
+// the analogue of HDFS block checksums, so the pair hashes here serve the
+// contract checker: it fingerprints keys and combiner output with them.
+// The fault injector's CorruptRecord fault flips one bit of the bytes it
+// hits through FlipByte — a real mutation, so undetected corruption
+// genuinely changes downstream bytes rather than only tripping a flag.
 //
 // Custom shuffle types participate by being composed of the types handled
-// here, or by providing `uint64_t FjContentHash(const T&)` and (for value
-// types that can be corrupted) `bool FjCorruptContent(T&, uint64_t salt)`
-// found via ADL — the same customization-point idiom as key_traits.h and
-// byte_size.h.
+// here, or by providing `uint64_t FjContentHash(const T&)` found via ADL —
+// the same customization-point idiom as key_traits.h and byte_size.h.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +27,6 @@ namespace fj::mr {
 template <typename T>
 uint64_t ContentHashOf(const T& value);
 
-template <typename T>
-bool CorruptInPlace(T& value, uint64_t salt);
-
 namespace internal {
 
 template <typename T, typename = void>
@@ -40,14 +35,6 @@ struct HasAdlContentHash : std::false_type {};
 template <typename T>
 struct HasAdlContentHash<
     T, std::void_t<decltype(FjContentHash(std::declval<const T&>()))>>
-    : std::true_type {};
-
-template <typename T, typename = void>
-struct HasAdlCorrupt : std::false_type {};
-
-template <typename T>
-struct HasAdlCorrupt<T, std::void_t<decltype(FjCorruptContent(
-                            std::declval<T&>(), uint64_t{0}))>>
     : std::true_type {};
 
 template <typename T>
@@ -94,48 +81,6 @@ struct ContentHash {
   }
 };
 
-template <typename T>
-struct Corrupt;
-
-template <>
-struct Corrupt<std::string> {
-  static bool In(std::string& s, uint64_t salt) {
-    if (s.empty()) return false;
-    // XOR with a non-zero mask always changes the byte.
-    s[salt % s.size()] ^= static_cast<char>(1u << (1 + salt % 7));
-    return true;
-  }
-};
-
-template <typename A, typename B>
-struct Corrupt<std::pair<A, B>> {
-  static bool In(std::pair<A, B>& p, uint64_t salt) {
-    if (salt & 1 ? CorruptInPlace(p.second, salt >> 1)
-                 : CorruptInPlace(p.first, salt >> 1)) {
-      return true;
-    }
-    return salt & 1 ? CorruptInPlace(p.first, salt >> 1)
-                    : CorruptInPlace(p.second, salt >> 1);
-  }
-};
-
-template <typename T>
-struct Corrupt<std::vector<T>> {
-  static bool In(std::vector<T>& v, uint64_t salt) {
-    if (v.empty()) return false;
-    return CorruptInPlace(v[salt % v.size()], HashInt64(salt));
-  }
-};
-
-template <typename T>
-struct Corrupt {
-  static bool In(T& value, uint64_t salt) {
-    static_assert(HasAdlCorrupt<T>::value,
-                  "provide FjCorruptContent(T&, uint64_t) for this type");
-    return FjCorruptContent(value, salt);
-  }
-};
-
 }  // namespace internal
 
 /// Order-sensitive content hash of `value` (FNV-1a based).
@@ -144,31 +89,20 @@ uint64_t ContentHashOf(const T& value) {
   return internal::ContentHash<T>::Of(value);
 }
 
-/// Flips one deterministic, salt-chosen bit/byte inside `value`. Returns
-/// false when the value holds nothing corruptible (e.g. an empty string).
-template <typename T>
-bool CorruptInPlace(T& value, uint64_t salt) {
-  if constexpr (std::is_integral_v<T>) {
-    value = static_cast<T>(static_cast<uint64_t>(value) ^
-                           (uint64_t{1} << (salt % (8 * sizeof(T)))));
-    return true;
-  } else {
-    return internal::Corrupt<T>::In(value, salt);
-  }
-}
-
 /// Checksum of one shuffled pair.
 template <typename K, typename V>
 uint64_t ShufflePairChecksum(const std::pair<K, V>& pair) {
   return HashCombine(ContentHashOf(pair.first), ContentHashOf(pair.second));
 }
 
-/// Order-sensitive checksum of a whole sorted run.
-template <typename K, typename V>
-uint64_t RunChecksum(const std::vector<std::pair<K, V>>& pairs) {
-  uint64_t h = kFnvOffsetBasis;
-  for (const auto& pair : pairs) h = HashCombine(h, ShufflePairChecksum(pair));
-  return h;
+/// Flips one bit of one byte of `bytes`, both picked by `salt`: the
+/// CorruptRecord fault's bit rot in a run block, a reduce output line or
+/// a Dfs line. XOR with a non-zero mask always changes the byte. Leaves
+/// an empty string alone.
+inline void FlipByte(std::string& bytes, uint64_t salt) {
+  if (bytes.empty()) return;
+  bytes[HashInt64(salt) % bytes.size()] ^=
+      static_cast<char>(1u << (1 + salt % 7));
 }
 
 /// Per-line checksum used by the Dfs (whole-file hash is the ordered fold

@@ -1,12 +1,14 @@
 // The type-independent half of the engine (job.h), compiled once for every
-// (K, V): validation, the integrity boundaries that read no typed pairs
-// (inputs, reduce output), escalation (the failure latch, the quarantine
-// cap, the attempt ladder) and commit.
+// (K, V): validation, the integrity boundaries and fault injection that
+// read no typed pairs (inputs, run blocks, reduce output), escalation (the
+// failure latch, the quarantine cap, the attempt ladder) and commit.
 #include "mapreduce/job.h"
 
 #include <algorithm>
 #include <iterator>
 #include <string>
+
+#include "mapreduce/integrity.h"
 
 namespace fj::mr {
 
@@ -188,6 +190,34 @@ double AttemptSeconds(const WallTimer& timer, const TaskContext& ctx,
          fault.extra_seconds;
 }
 
+void CorruptMapOutput(MapTaskOutput* out, const AttemptFault& fault) {
+  std::vector<SortedRun*> any, preferred;
+  const bool want_disk = fault.corrupt_target == CorruptTarget::kSpill;
+  for (auto& spill : out->spills) {
+    for (SortedRun& run : spill) {
+      if (!run.HasRecords()) continue;
+      any.push_back(&run);
+      if (run.on_disk == want_disk) preferred.push_back(&run);
+    }
+  }
+  auto& pool = preferred.empty() ? any : preferred;
+  if (pool.empty()) return;  // nothing to corrupt: the attempt stays clean
+  FlipByte(pool[fault.corrupt_salt % pool.size()]->encoded,
+           fault.corrupt_salt);
+}
+
+void VerifyRuns(const std::vector<const SortedRun*>& runs,
+                AttemptResult* res) {
+  for (const SortedRun* run : runs) {
+    if (!run->HasRecords()) continue;
+    res->metrics.integrity_bytes_verified += run->bytes;
+    if (HashString(run->encoded) != run->checksum) {
+      res->metrics.corruption_detected++;
+      res->crashed = true;
+    }
+  }
+}
+
 void LineCollector::Emit(std::string line) {
   res_->metrics.output_records++;
   res_->metrics.output_bytes += line.size() + 1;
@@ -204,8 +234,8 @@ void LineCollector::Seal(const AttemptFault& fault) {
   // hashes: exactly the bytes that would get committed.
   if (fault.corrupt_target == CorruptTarget::kReduceOutput &&
       !lines.empty()) {
-    CorruptInPlace(lines[fault.corrupt_salt % lines.size()],
-                   HashInt64(fault.corrupt_salt ^ 0x07));
+    FlipByte(lines[fault.corrupt_salt % lines.size()],
+             fault.corrupt_salt ^ 0x07);
   }
   std::vector<uint64_t>& hashes = res_->output.line_checksums;
   hashes.reserve(lines.size());

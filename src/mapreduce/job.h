@@ -33,7 +33,7 @@
 //
 // Fault tolerance (fault.h; DESIGN.md, "Fault tolerance and speculative
 // execution"): every task runs as a sequence of attempts, each with its
-// own TaskContext, counters, sort buffer or run copies, and output, so a
+// own TaskContext, counters, sort buffer or decoded runs, and output, so a
 // crashed attempt is dropped wholesale. Crashed attempts are retried up
 // to max_task_attempts; stragglers get one speculative backup whose first
 // finisher wins the COST commit only — attempts are deterministic, so the
@@ -41,12 +41,12 @@
 // shuffle while map backups still run. Committed metrics and counters
 // describe exactly one clean attempt.
 //
-// Data integrity (integrity.h, JobSpec::verify_integrity): sorted runs
+// Data integrity (integrity.h, JobSpec::verify_integrity): run blocks
 // carry write-side checksums that VerifyRuns re-checks at map-attempt
 // commit and at the reduce side's run-merge read; job.cc verifies the
 // inputs and the reduce output. A mismatch — e.g. an injected
-// CorruptRecord fault, which really mutates a record — crashes the
-// DETECTING attempt, so the retry loop re-runs the producer and a
+// CorruptRecord fault, which really flips a byte of a run block — crashes
+// the DETECTING attempt, so the retry loop re-runs the producer and a
 // recoverable corruption plan still yields byte-identical output.
 //
 // Execution (common/executor.h; DESIGN.md, "Parallel runtime") is a task
@@ -86,7 +86,6 @@
 #include "mapreduce/dfs.h"
 #include "mapreduce/fault.h"
 #include "mapreduce/input.h"
-#include "mapreduce/integrity.h"
 #include "mapreduce/job_spec.h"
 #include "mapreduce/metrics.h"
 #include "mapreduce/run_merger.h"
@@ -135,6 +134,23 @@ struct ReduceOutput {
 struct ReduceAttemptResult : AttemptResult {
   ReduceOutput output;
 };
+
+/// Injected CorruptRecord fault: really flips one byte of one of the
+/// attempt's run blocks, AFTER the write-side checksums were computed —
+/// exactly the window HDFS block checksums guard. Prefers a run matching
+/// the fault's target (on-disk spill vs. in-memory map output), falling
+/// back to any run with records so a kSpill fault still bites when the job
+/// never spilled. Bit rot hits the stored representation, compressed or
+/// not, and must still be caught at the read boundaries.
+void CorruptMapOutput(MapTaskOutput* out, const AttemptFault& fault);
+
+/// The integrity read boundary, at map-attempt commit and at the reduce
+/// side's run-merge read (HDFS clients verify every block read): each run
+/// carrying records is re-checksummed against its write-side checksum. A
+/// mismatch converts the corruption into a transient failure: the attempt
+/// crashes and the retry loop re-runs the producer.
+void VerifyRuns(const std::vector<const SortedRun*>& runs,
+                AttemptResult* res);
 
 /// The OutputEmitter of one reduce attempt: meters and collects its lines
 /// into `res->output`, hashing the stream for Seal under verification.
@@ -269,61 +285,10 @@ class Job {
   /// Everything one attempt produces, scoped to the attempt so a crash
   /// discards it wholesale.
   struct MapAttemptResult : internal::AttemptResult {
-    MapTaskOutput<K, V> output;
+    MapTaskOutput output;
     /// Malformed input lines the attempt quarantined (committed with it).
     std::vector<std::string> quarantined;
   };
-
-  /// Injected CorruptRecord fault: really mutates the attempt's shuffle
-  /// output, AFTER the write-side checksums were computed — exactly the
-  /// window HDFS block checksums guard. Prefers a run matching the fault's
-  /// target (on-disk spill vs. in-memory map output), falling back to any
-  /// non-empty run so a kSpill fault still bites when the job never
-  /// spilled. Text runs get one value mutated; binary runs get one byte of
-  /// the ENCODED block flipped — bit rot hits the stored representation,
-  /// compressed or not, and must still be caught at the read boundaries.
-  static void CorruptMapOutput(MapTaskOutput<K, V>* out,
-                               const AttemptFault& fault) {
-    std::vector<SortedRun<K, V>*> any, preferred;
-    const bool want_disk = fault.corrupt_target == CorruptTarget::kSpill;
-    for (auto& spill : out->spills) {
-      for (SortedRun<K, V>& run : spill) {
-        if (!run.HasRecords()) continue;
-        any.push_back(&run);
-        if (run.on_disk == want_disk) preferred.push_back(&run);
-      }
-    }
-    auto& pool = preferred.empty() ? any : preferred;
-    if (pool.empty()) return;  // nothing to corrupt: the attempt stays clean
-    SortedRun<K, V>* run = pool[fault.corrupt_salt % pool.size()];
-    if (!run->encoded.empty()) {
-      std::string& block = run->encoded;
-      block[HashInt64(fault.corrupt_salt) % block.size()] ^=
-          static_cast<char>(1u << (1 + fault.corrupt_salt % 7));
-      return;
-    }
-    auto& pair = run->pairs[HashInt64(fault.corrupt_salt) % run->pairs.size()];
-    // Corrupt the value side: record data, not routing metadata — flipping
-    // a key could silently re-partition instead of modelling bit rot.
-    CorruptInPlace(pair.second, HashInt64(fault.corrupt_salt ^ 0x5eed));
-  }
-
-  /// The integrity read boundary, at map-attempt commit and at the reduce
-  /// side's run-merge read (HDFS clients verify every block read): each
-  /// run carrying records is re-checksummed against its write-side
-  /// checksum. A mismatch converts the corruption into a transient
-  /// failure: the attempt crashes and the retry loop re-runs the producer.
-  template <typename Runs>
-  static void VerifyRuns(const Runs& runs, internal::AttemptResult* res) {
-    for (const SortedRun<K, V>* run : runs) {
-      if (!run->HasRecords()) continue;
-      res->metrics.integrity_bytes_verified += run->bytes;
-      if (run->ContentChecksum() != run->checksum) {
-        res->metrics.corruption_detected++;
-        res->crashed = true;
-      }
-    }
-  }
 
   MapAttemptResult RunMapAttempt(const InputSplit& split,
                                  const std::vector<std::string>& lines,
@@ -331,15 +296,15 @@ class Job {
                                  size_t task_id, uint32_t attempt,
                                  const AttemptFault& fault);
 
-  /// `copy_scratch` is the executing worker's reusable run-copy buffer for
-  /// the preserve_runs path; every attempt overwrites it in full, so reuse
+  /// `decode_scratch` is the executing worker's reusable buffer for the
+  /// attempt's decoded runs; every attempt overwrites it in full, so reuse
   /// across attempts (and across tasks on the same worker) cannot leak
   /// state between them.
   internal::ReduceAttemptResult RunReduceAttempt(
-      const std::vector<SortedRun<K, V>*>& partition_runs, bool preserve_runs,
+      const std::vector<const SortedRun*>& partition_runs,
       const SpecOrdering<K, V>& ordering, size_t merge_factor, size_t task_id,
       uint32_t attempt, const AttemptFault& fault,
-      std::vector<SortedRun<K, V>>* copy_scratch);
+      std::vector<MergeRun<K, V>>* decode_scratch);
 
   Dfs* dfs_;
   JobSpec<K, V> spec_;
@@ -399,14 +364,14 @@ typename Job<K, V>::MapAttemptResult Job<K, V>::RunMapAttempt(
   if (!res.crashed && res.contract.ok()) {
     if (fault.corrupt_target == CorruptTarget::kMapOutput ||
         fault.corrupt_target == CorruptTarget::kSpill) {
-      CorruptMapOutput(&res.output, fault);
+      internal::CorruptMapOutput(&res.output, fault);
     }
     if (spec_.verify_integrity) {
-      std::vector<const SortedRun<K, V>*> runs;
+      std::vector<const SortedRun*> runs;
       for (const auto& spill : res.output.spills) {
-        for (const SortedRun<K, V>& run : spill) runs.push_back(&run);
+        for (const SortedRun& run : spill) runs.push_back(&run);
       }
-      VerifyRuns(runs, &res);
+      internal::VerifyRuns(runs, &res);
     }
   }
   res.metrics.seconds = internal::AttemptSeconds(timer, ctx, fault);
@@ -415,84 +380,52 @@ typename Job<K, V>::MapAttemptResult Job<K, V>::RunMapAttempt(
 
 template <typename K, typename V>
 internal::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
-    const std::vector<SortedRun<K, V>*>& partition_runs, bool preserve_runs,
+    const std::vector<const SortedRun*>& partition_runs,
     const SpecOrdering<K, V>& ordering, size_t merge_factor, size_t task_id,
     uint32_t attempt, const AttemptFault& fault,
-    std::vector<SortedRun<K, V>>* copy_scratch) {
+    std::vector<MergeRun<K, V>>* decode_scratch) {
   internal::ReduceAttemptResult res;
   WallTimer timer;
   TaskContext ctx(task_id, attempt, &res.counters);
   ctx.set_fault(fault);
   // The attempt body; its early returns all end at the one exit below.
   [&] {
-    // Every check reads the published runs before anything touches them:
-    // an encoded run's block is verified BEFORE any decode, like an HDFS
-    // client checksumming a compressed block on read.
+    // Every check reads the published blocks before anything decodes
+    // them, like an HDFS client checksumming a compressed block on read.
     if (spec_.verify_integrity) {
-      VerifyRuns(partition_runs, &res);
+      internal::VerifyRuns(partition_runs, &res);
       if (res.crashed) return;
     }
 
-    // The merge consumes its input runs, so when this task may run more
-    // than once (faults or speculation active) each attempt merges an
-    // attempt-scoped copy and the shuffle data stays pristine for the
-    // next attempt. The copies land in the worker's reusable scratch
-    // (every field overwritten from the pristine run, so nothing of a
-    // previous attempt survives, but pair-vector capacity is recycled).
-    // Fault-free text jobs keep the zero-copy path; encoded (binary-format)
-    // runs always copy, because decoding the encoded block IS the
-    // attempt-isolation copy: the copy takes the run's metadata, and its
-    // pairs are decoded below straight from the published block, which is
-    // only ever read.
-    const bool encoded = std::any_of(
-        partition_runs.begin(), partition_runs.end(),
-        [](const SortedRun<K, V>* run) { return !run->encoded.empty(); });
-    std::vector<SortedRun<K, V>>& copies = *copy_scratch;
-    std::vector<SortedRun<K, V>*> runs;
-    if (preserve_runs || encoded) {
-      copies.resize(partition_runs.size());
-      runs.reserve(partition_runs.size());
-      for (size_t i = 0; i < partition_runs.size(); ++i) {
-        const SortedRun<K, V>& published = *partition_runs[i];
-        SortedRun<K, V>& copy = copies[i];
-        if (published.encoded.empty()) {
-          copy = published;
-        } else {
-          copy.pairs.clear();
-          copy.encoded.clear();
-          copy.bytes = published.bytes;
-          copy.on_disk = published.on_disk;
-          copy.checksum = published.checksum;
-          copy.record_count = published.record_count;
-          copy.logical_bytes = published.logical_bytes;
-        }
-        runs.push_back(&copy);
-      }
-    } else {
-      runs = partition_runs;
-    }
-
-    // Decode encoded runs from their published blocks into the attempt's
-    // private copies. A block that fails to decode (truncated varint, bad
-    // codec frame) crashes the attempt with a counted detection — a
-    // transient failure under the retry budget, never UB and never
-    // silently-wrong pairs.
+    // The attempt decodes its own pairs from the published blocks, which
+    // are only ever read, so a retry or a backup finds them pristine. The
+    // decoded runs land in the worker's reusable scratch (every field is
+    // overwritten, so nothing of a previous attempt survives, but pair
+    // vector capacity is recycled). A block that fails to decode
+    // (truncated varint, bad codec frame) crashes the attempt with a
+    // counted detection — a transient failure under the retry budget,
+    // never UB and never silently-wrong pairs.
+    std::vector<MergeRun<K, V>>& decoded = *decode_scratch;
+    decoded.resize(partition_runs.size());
+    std::vector<MergeRun<K, V>*> runs;
+    runs.reserve(partition_runs.size());
     CodecScratch codec_scratch;
     for (size_t i = 0; i < partition_runs.size(); ++i) {
-      const SortedRun<K, V>& published = *partition_runs[i];
-      if (published.encoded.empty()) continue;
-      if (!DecodeRunBlock(published.encoded, &codec_scratch, &runs[i]->pairs)
+      const SortedRun& published = *partition_runs[i];
+      MergeRun<K, V>& run = decoded[i];
+      if (!DecodeRunBlock(published.encoded, &codec_scratch, &run.pairs)
                .ok()) {
         res.metrics.corruption_detected++;
         res.crashed = true;
         return;
       }
-      res.metrics.codec_encoded_bytes += published.encoded.size();
+      run.bytes = published.bytes;
+      run.on_disk = published.on_disk;
+      res.metrics.codec_encoded_bytes += published.bytes;
       res.metrics.codec_logical_bytes += published.logical_bytes;
-    }
-    for (const SortedRun<K, V>* run : runs) {
-      res.metrics.input_records += run->pairs.size();
-      res.metrics.input_bytes += run->bytes;
+      res.metrics.input_records += run.pairs.size();
+      res.metrics.input_bytes += run.bytes;
+      runs.push_back(&run);
     }
 
     // Reduce-side contract checker: verifies group contiguity, merge
@@ -553,10 +486,7 @@ Result<JobMetrics> Job<K, V>::Run() {
   const size_t num_reduce_tasks = spec_.num_reduce_tasks;
   const SpecOrdering<K, V> ordering(&spec_);
   const FaultInjector injector(spec_.fault_plan.get(), spec_.name);
-  // Reduce attempts must not consume the shuffle when a retry or backup
-  // might need it again.
-  const bool preserve_runs = injector.active() || spec_.speculative_execution;
-  std::vector<MapTaskOutput<K, V>> map_outputs(num_map_tasks);
+  std::vector<MapTaskOutput> map_outputs(num_map_tasks);
 
   // Unbounded runs are plain in-memory vectors; a single merge pass over
   // any number of them is free, so the multi-pass collapse (and its disk
@@ -578,15 +508,15 @@ Result<JobMetrics> Job<K, V>::Run() {
   }
   // Built by each reduce task from the committed slot board, reused by
   // its speculative backup (which runs strictly after it).
-  std::vector<std::vector<SortedRun<K, V>*>> partition_runs(num_reduce_tasks);
+  std::vector<std::vector<const SortedRun*>> partition_runs(num_reduce_tasks);
   std::atomic<size_t> maps_remaining{num_map_tasks};
   std::atomic<size_t> reduces_remaining{num_reduce_tasks};
 
-  // Per-worker reduce-side run-copy scratch (see RunReduceAttempt). The
+  // Per-worker reduce-side decode scratch (see RunReduceAttempt). The
   // extra slot serves a non-worker caller — impossible today, but it
   // keeps the indexing total.
   Executor& executor = run.executor();
-  std::vector<std::vector<SortedRun<K, V>>> reduce_scratch(
+  std::vector<std::vector<MergeRun<K, V>>> reduce_scratch(
       executor.num_workers() + 1);
   auto worker_scratch = [&reduce_scratch, &executor] {
     const size_t w = executor.CurrentWorkerIndex();
@@ -612,12 +542,12 @@ Result<JobMetrics> Job<K, V>::Run() {
         run.quarantined(m) = std::move(res.quarantined);
       };
   const internal::AttemptFn reduce_attempt =
-      [this, preserve_runs, merge_factor, &partition_runs, &ordering,
-       &injector, &worker_scratch,
+      [this, merge_factor, &partition_runs, &ordering, &injector,
+       &worker_scratch,
        &run](size_t r, uint32_t attempt, const internal::AttemptSink& sink) {
         internal::ReduceAttemptResult res = RunReduceAttempt(
-            partition_runs[r], preserve_runs, ordering, merge_factor, r,
-            attempt, injector.FaultFor(TaskPhase::kReduce, r, attempt),
+            partition_runs[r], ordering, merge_factor, r, attempt,
+            injector.FaultFor(TaskPhase::kReduce, r, attempt),
             worker_scratch());
         if (sink(res)) run.output(r) = std::move(res.output);
       };
@@ -632,7 +562,7 @@ Result<JobMetrics> Job<K, V>::Run() {
       // order — the rank order the merger's tie-break relies on. The slot
       // board is indexed by map task, so commit ARRIVAL order cannot
       // perturb it.
-      std::vector<SortedRun<K, V>*>& runs = partition_runs[r];
+      std::vector<const SortedRun*>& runs = partition_runs[r];
       for (size_t m = 0; m < num_map_tasks; ++m) {
         for (auto& spill : map_outputs[m].spills) {
           if (spill[r].HasRecords()) runs.push_back(&spill[r]);

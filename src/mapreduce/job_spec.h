@@ -216,17 +216,15 @@ struct EngineOptions {
   /// (1 = every key). Must be >= 1 when check_contracts is on.
   uint32_t contract_sample_every = 16;
 
-  /// Representation of spill runs (record_format.h). Text (the default)
-  /// keeps pairs in memory and meters ByteSizeOf estimates; binary really
-  /// serializes every run at spill time (varint record format, optional
-  /// block codec), meters actual encoded bytes, and defines run checksums
-  /// over the encoded blocks. Job output is byte-identical across formats
-  /// and codecs.
-  RecordFormat record_format = RecordFormat::kText;
+  /// Inert: every spill run is a run block (record_format.h), and nothing
+  /// reads this field. It remains only because the end-to-end benchmark
+  /// (perfbench/batch.cc) still assigns it.
+  RecordFormat record_format = RecordFormat::kBinary;
 
-  /// Block codec applied per spill-run block in binary format
-  /// (ignored under text). Codec CPU bytes are metered per task and
-  /// priced by the cluster model.
+  /// Block codec applied per spill-run block. Off by default: spilled runs
+  /// stay in memory, so compression saves memory, not I/O, and costs codec
+  /// CPU. Codec bytes are metered per task and priced by the cluster
+  /// model. Job output is byte-identical across codecs.
   BlockCodec block_codec = BlockCodec::kNone;
 
   const EngineOptions& engine() const { return *this; }

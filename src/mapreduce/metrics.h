@@ -21,14 +21,16 @@ struct TaskMetrics {
   double seconds = 0;          ///< measured wall time + charged seconds
   uint64_t input_records = 0;
   /// Map tasks: split bytes read (lines + terminators). Reduce tasks:
-  /// serialized bytes of the partition's merged runs.
+  /// encoded bytes of the partition's merged run blocks.
   uint64_t input_bytes = 0;
-  /// Map tasks: records emitted by Map/Teardown, BEFORE the combiner.
-  /// Reduce tasks: output lines.
+  /// Map tasks: records emitted by Map/Teardown, BEFORE the combiner, and
+  /// their ByteSizeOf estimate (what the sort buffer charges). Reduce
+  /// tasks: output lines and their bytes.
   uint64_t output_records = 0;
   uint64_t output_bytes = 0;
-  /// Map tasks only: records/bytes actually crossing the shuffle, AFTER
-  /// the combiner ran (equal to output_* when no combiner is configured).
+  /// Map tasks only: records actually crossing the shuffle, AFTER the
+  /// combiner ran (equal to output_records when no combiner is
+  /// configured), and the encoded bytes of the run blocks holding them.
   uint64_t shuffle_records = 0;
   uint64_t shuffle_bytes = 0;
   /// Sort-spill-merge accounting. Map tasks: budget-triggered buffer
@@ -93,14 +95,15 @@ struct TaskMetrics {
   /// kContractChecksPerSecondPerNode.
   uint64_t contract_checks = 0;
 
-  /// --- Binary record format (JobSpec::record_format) ---
+  /// --- Run encoding (record_format.h, JobSpec::block_codec) ---
   /// Pre-codec payload bytes of every run this task encoded (map spills)
   /// or decoded (reduce merge reads); the codec's CPU work is proportional
   /// to these and priced by kCodecBytesPerSecondPerNode.
   uint64_t codec_logical_bytes = 0;
-  /// Encoded (post-codec) bytes of the same runs. The ratio against
-  /// codec_logical_bytes is the measured compression ratio; 1:1 under
-  /// BlockCodec::kNone. Zero in text format.
+  /// Encoded (post-codec) bytes of the same runs, block framing included.
+  /// The ratio against codec_logical_bytes is the measured compression
+  /// ratio; just under 1 under BlockCodec::kNone, where only the framing
+  /// differs.
   uint64_t codec_encoded_bytes = 0;
 
   /// Work thrown away by failures and lost speculation races.
@@ -115,10 +118,11 @@ struct JobMetrics {
   std::vector<TaskMetrics> map_tasks;
   std::vector<TaskMetrics> reduce_tasks;
 
-  /// Bytes crossing the map->reduce boundary after the combiner ran.
+  /// Encoded bytes of the run blocks crossing the map->reduce boundary,
+  /// after the combiner ran.
   uint64_t shuffle_bytes = 0;
-  /// Bytes emitted by mappers before the combiner (equal to shuffle_bytes
-  /// when no combiner is configured). The gap is the combiner's savings.
+  /// ByteSizeOf estimate of the pairs mappers emitted, before the combiner
+  /// (what the sort buffers charged).
   uint64_t map_output_bytes = 0;
   uint64_t map_output_records = 0;
   uint64_t shuffle_records = 0;
@@ -143,8 +147,7 @@ struct JobMetrics {
   uint64_t corruption_detected = 0;
   /// Contract-checker work over all tasks (see TaskMetrics).
   uint64_t contract_checks = 0;
-  /// Binary-format codec totals over all tasks (see TaskMetrics); both 0
-  /// in text format.
+  /// Run-encoding totals over all tasks (see TaskMetrics).
   uint64_t codec_logical_bytes = 0;
   uint64_t codec_encoded_bytes = 0;
   /// Malformed input records quarantined to `<output_file>.bad` instead of

@@ -308,48 +308,4 @@ Status DecodeBlock(std::string_view block, CodecScratch* scratch,
   return Status::OK();
 }
 
-const char* RecordFormatName(RecordFormat format) {
-  switch (format) {
-    case RecordFormat::kText:
-      return "text";
-    case RecordFormat::kBinary:
-      return "binary";
-  }
-  return "unknown";
-}
-
-const char* BlockCodecName(BlockCodec codec) {
-  switch (codec) {
-    case BlockCodec::kNone:
-      return "none";
-    case BlockCodec::kFjlz:
-      return "fjlz";
-  }
-  return "unknown";
-}
-
-bool ParseRecordFormat(std::string_view name, RecordFormat* format) {
-  if (name == "text") {
-    *format = RecordFormat::kText;
-    return true;
-  }
-  if (name == "binary") {
-    *format = RecordFormat::kBinary;
-    return true;
-  }
-  return false;
-}
-
-bool ParseBlockCodec(std::string_view name, BlockCodec* codec) {
-  if (name == "none") {
-    *codec = BlockCodec::kNone;
-    return true;
-  }
-  if (name == "fjlz") {
-    *codec = BlockCodec::kFjlz;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace fj::mr

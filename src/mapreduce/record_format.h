@@ -1,6 +1,5 @@
-// The binary record format for spill runs, plus the pluggable block codec
-// applied on top. DFS stage files are always text lines, whatever the
-// format.
+// The one encoding of spill runs and shuffle segments, plus the pluggable
+// block codec applied on top. DFS stage files are always text lines.
 //
 // Two layers, bottom up:
 //
@@ -17,9 +16,9 @@
 //     optionally compressed by the block codec. Decoding returns Status:
 //     a truncated or corrupted block is an error, never UB.
 //
-// Checksums over binary runs are defined over the *encoded* block bytes
-// (see job.h): the bytes that sit in the shuffle are the bytes verified,
-// exactly like HDFS checksumming compressed blocks at rest.
+// Run checksums are defined over the *encoded* block bytes (see job.h):
+// the bytes that sit in the shuffle are the bytes verified, exactly like
+// HDFS checksumming compressed blocks at rest.
 #pragma once
 
 #include <cstddef>
@@ -39,28 +38,19 @@
 
 namespace fj::mr {
 
-/// How records are represented in spill runs. Text is the compatibility
-/// default: every record is a std::string line and shuffle bytes are
-/// ByteSizeOf estimates. Binary makes serialization real: runs hold
-/// encoded blocks and the byte meters count actual encoded sizes. Neither
-/// changes a byte of a job's committed output.
+/// Every spill run is a run block (layer 2), so there is no format to
+/// choose. The enum and EngineOptions::record_format remain only because
+/// the end-to-end benchmark (perfbench/batch.cc) still assigns the field;
+/// nothing reads it.
 enum class RecordFormat : uint8_t {
-  kText = 0,
   kBinary = 1,
 };
 
-/// Block codec applied per spill-run block (binary format only).
+/// Block codec applied per spill-run block.
 enum class BlockCodec : uint8_t {
   kNone = 0,
   kFjlz = 1,  ///< self-contained LZ77 (LZ4-block-style token stream)
 };
-
-const char* RecordFormatName(RecordFormat format);
-const char* BlockCodecName(BlockCodec codec);
-
-/// Parses "text"/"binary" ("none"/"fjlz"). Returns false on unknown names.
-bool ParseRecordFormat(std::string_view name, RecordFormat* format);
-bool ParseBlockCodec(std::string_view name, BlockCodec* codec);
 
 // ---------------------------------------------------------------------------
 // Layer 1: typed content codec.

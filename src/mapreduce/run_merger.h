@@ -20,12 +20,17 @@
 // re-reads its inputs and re-writes the merged run; that I/O is charged to
 // the reduce task's scratch and counted in its metrics.
 //
+// The merger reads decoded runs that belong to one reduce attempt: the
+// attempt decodes each published SortedRun's block (sort_buffer.h) into a
+// MergeRun of its own, so the merge may consume the pairs while a retry or
+// a backup still finds the published blocks pristine.
+//
 // Integrity: with JobSpec::verify_integrity the engine re-verifies every
-// input run's write-side checksum (SortedRun::checksum, see integrity.h)
-// at the run-merge read boundary — in RunReduceAttempt, immediately before
-// the merger consumes the runs. The merger itself therefore only ever sees
-// verified data, and intermediate collapsed runs never leave the attempt,
-// so they need no fresh checksum of their own.
+// published block's write-side checksum (SortedRun::checksum) at the
+// run-merge read boundary — in RunReduceAttempt, before it decodes the
+// blocks. The merger itself therefore only ever sees verified data, and
+// intermediate collapsed runs never leave the attempt, so they need no
+// checksum of their own.
 #pragma once
 
 #include <algorithm>
@@ -38,10 +43,19 @@
 
 #include "mapreduce/job_spec.h"
 #include "mapreduce/metrics.h"
-#include "mapreduce/sort_buffer.h"
 #include "mapreduce/task_context.h"
 
 namespace fj::mr {
+
+/// One run as a reduce attempt merges it: pairs decoded from a published
+/// run block, or merged by an intermediate pass, and owned by the attempt.
+/// `bytes` and `on_disk` price reading the run back.
+template <typename K, typename V>
+struct MergeRun {
+  std::vector<std::pair<K, V>> pairs;
+  uint64_t bytes = 0;
+  bool on_disk = false;
+};
 
 template <typename K, typename V>
 class RunMerger {
@@ -52,11 +66,11 @@ class RunMerger {
   /// empty runs may be included and are skipped. The merger consumes the
   /// runs' pairs (they are moved out as groups stream).
   RunMerger(const SpecOrdering<K, V>* ordering,
-            std::vector<SortedRun<K, V>*> runs, size_t merge_factor,
+            std::vector<MergeRun<K, V>*> runs, size_t merge_factor,
             TaskContext* ctx, TaskMetrics* metrics)
       : ordering_(ordering), merge_factor_(std::max<size_t>(2, merge_factor)),
         ctx_(ctx), metrics_(metrics) {
-    for (SortedRun<K, V>* run : runs) {
+    for (MergeRun<K, V>* run : runs) {
       if (run != nullptr && !run->pairs.empty()) runs_.push_back(run);
     }
   }
@@ -82,7 +96,7 @@ class RunMerger {
     if (runs_.empty()) return;
 
     // Reading the surviving runs is the final merge pass.
-    for (SortedRun<K, V>* run : runs_) {
+    for (MergeRun<K, V>* run : runs_) {
       if (run->on_disk) ctx_->scratch().ChargeSpillRead(run->bytes);
     }
     if (runs_.size() > 1) metrics_->merge_passes++;
@@ -104,7 +118,7 @@ class RunMerger {
 
  private:
   struct Cursor {
-    SortedRun<K, V>* run;
+    MergeRun<K, V>* run;
     size_t pos;
     size_t rank;
     const Pair& Current() const { return run->pairs[pos]; }
@@ -115,11 +129,11 @@ class RunMerger {
   // into one on-disk run that inherits the lowest rank.
   void CollapseToSinglePass() {
     while (runs_.size() > merge_factor_) {
-      auto merged = std::make_unique<SortedRun<K, V>>();
-      std::vector<SortedRun<K, V>*> inputs(
+      auto merged = std::make_unique<MergeRun<K, V>>();
+      std::vector<MergeRun<K, V>*> inputs(
           runs_.begin(), runs_.begin() + merge_factor_);
       size_t total = 0;
-      for (SortedRun<K, V>* run : inputs) {
+      for (MergeRun<K, V>* run : inputs) {
         total += run->pairs.size();
         merged->bytes += run->bytes;
         if (run->on_disk) ctx_->scratch().ChargeSpillRead(run->bytes);
@@ -189,8 +203,8 @@ class RunMerger {
   TaskContext* ctx_;
   TaskMetrics* metrics_;
 
-  std::vector<SortedRun<K, V>*> runs_;
-  std::vector<std::unique_ptr<SortedRun<K, V>>> owned_;
+  std::vector<MergeRun<K, V>*> runs_;
+  std::vector<std::unique_ptr<MergeRun<K, V>>> owned_;
   std::vector<Cursor> heap_;
 };
 

@@ -9,8 +9,9 @@
 // whole map output becomes a single in-memory run at Flush() and nothing
 // is charged — the legacy unbounded behaviour.
 //
-// Without a combiner, pairs are buffered as emitted and each spill
-// stable-sorts them by (partition, sort comparator). With a combiner they
+// Without a combiner, pairs are buffered per reduce partition as emitted
+// and each spill stable-sorts every partition by the sort comparator. With
+// a combiner they
 // are combined on insert: each emitted value joins its key's group in a
 // hash table (values in emit order), and a spill sorts only the distinct
 // keys by (partition, sort comparator) and calls the combiner once per
@@ -20,6 +21,11 @@
 // custom sort_less or group_equal), under which group-equal keys are
 // equal keys. Either way the byte budget charges every emitted pair, so
 // spill points and peak_buffer_bytes do not depend on the combiner.
+//
+// A spill serializes each partition's sorted pairs as one run block
+// (record_format.h), compressed when JobSpec::block_codec asks for it.
+// The budget charges ByteSizeOf estimates, so spill points do not depend
+// on the codec either; the shuffle and spill meters count encoded bytes.
 //
 // Determinism: pairs with equal keys stay in emit order within a run, and
 // spills are numbered in temporal order. The reduce-side RunMerger breaks
@@ -31,6 +37,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -38,7 +45,6 @@
 #include "common/hash.h"
 #include "mapreduce/byte_size.h"
 #include "mapreduce/contract.h"
-#include "mapreduce/integrity.h"
 #include "mapreduce/job_spec.h"
 #include "mapreduce/metrics.h"
 #include "mapreduce/record_format.h"
@@ -46,47 +52,35 @@
 
 namespace fj::mr {
 
-/// One sorted run of shuffle pairs for a single reduce partition. Runs are
-/// the unit the reduce side merges; `bytes` is the estimated serialized
-/// size (computed while the run was built, so nothing re-walks the data).
-template <typename K, typename V>
+/// One sorted run of shuffle pairs for a single reduce partition, as the
+/// map side publishes it: the pairs serialized as one framed, possibly
+/// compressed run block (record_format.h), and the run's meters. Runs are
+/// the unit the reduce side merges. A published block is only ever read:
+/// every reduce attempt decodes its own pairs from it.
 struct SortedRun {
-  std::vector<std::pair<K, V>> pairs;
+  /// The run block (EncodeRunBlock); empty when the run holds no records.
+  std::string encoded;
+  uint64_t record_count = 0;
+  /// Pre-codec payload size, for compression-ratio metering.
+  uint64_t logical_bytes = 0;
+  /// The run's shuffle size: the size of the encoded block.
   uint64_t bytes = 0;
   /// True when the run was spilled: its write was charged to the producing
   /// task's scratch and its read will be charged to the consuming task.
   bool on_disk = false;
-  /// Write-side ContentChecksum(), computed when the run is finalized and
+  /// Write-side HashString of the block — the bytes that actually sit in
+  /// the shuffle, compressed or not — computed when
   /// JobSpec::verify_integrity is on; re-verified at map-attempt commit
   /// and at the reduce side's run-merge read. 0 when verification is off.
   uint64_t checksum = 0;
-  /// Binary format only: the framed (possibly compressed) run block
-  /// produced by EncodeRunBlock. When non-empty, `pairs` is empty (the
-  /// encoded block is authoritative; the reduce side decodes a private
-  /// copy), `bytes` is the encoded size, and `record_count` remembers how
-  /// many pairs the block holds.
-  std::string encoded;
-  uint64_t record_count = 0;
-  /// Binary format only: pre-codec payload size, for compression-ratio
-  /// metering.
-  uint64_t logical_bytes = 0;
 
-  /// True when the run carries any records, decoded or still encoded.
-  bool HasRecords() const { return !pairs.empty() || record_count > 0; }
-
-  /// The run's content checksum: HashString over the encoded block when
-  /// there is one — the bytes that actually sit in the shuffle, compressed
-  /// or not — else integrity.h RunChecksum over the pairs.
-  uint64_t ContentChecksum() const {
-    return encoded.empty() ? RunChecksum(pairs) : HashString(encoded);
-  }
+  bool HasRecords() const { return record_count > 0; }
 };
 
 /// Everything one map task ships to the shuffle: spills in temporal order,
 /// each holding one sorted run per reduce partition.
-template <typename K, typename V>
 struct MapTaskOutput {
-  std::vector<std::vector<SortedRun<K, V>>> spills;
+  std::vector<std::vector<SortedRun>> spills;
 };
 
 /// The Emitter handed to mappers. Buffers, sorts, combines, and spills.
@@ -96,10 +90,10 @@ class SortBuffer : public Emitter<K, V> {
   using Pair = std::pair<K, V>;
 
   SortBuffer(const JobSpec<K, V>* spec, const SpecOrdering<K, V>* ordering,
-             TaskContext* ctx, TaskMetrics* metrics, MapTaskOutput<K, V>* out,
+             TaskContext* ctx, TaskMetrics* metrics, MapTaskOutput* out,
              KeyContractChecker<K, SpecOrdering<K, V>>* checker = nullptr)
       : spec_(spec), ordering_(ordering), ctx_(ctx), metrics_(metrics),
-        out_(out), checker_(checker) {}
+        out_(out), checker_(checker), partitions_(spec->num_reduce_tasks) {}
 
   void Emit(K key, V value) override {
     // Once the checker latched a violation the job is failing anyway;
@@ -133,8 +127,7 @@ class SortBuffer : public Emitter<K, V> {
       if (inserted) it->second.partition = partition;
       it->second.values.push_back(std::move(value));
     } else {
-      entries_.push_back(
-          Entry{partition, pair_bytes, Pair(std::move(key), std::move(value))});
+      partitions_[partition].emplace_back(std::move(key), std::move(value));
     }
     ++buffered_pairs_;
     buffered_bytes_ += pair_bytes;
@@ -150,12 +143,6 @@ class SortBuffer : public Emitter<K, V> {
   }
 
  private:
-  struct Entry {
-    size_t partition;
-    uint64_t bytes;
-    Pair pair;
-  };
-
   /// One key's buffered values, in emit order (combining jobs only).
   struct Group {
     size_t partition = 0;
@@ -173,76 +160,58 @@ class SortBuffer : public Emitter<K, V> {
   };
   using GroupMap = std::unordered_map<K, Group, KeyHasher, KeyEqual>;
 
-  // Routes combiner output into per-partition accumulators. The combiner
-  // may emit any key, so the partition is recomputed per emitted pair, and
-  // the combined output is metered here — this is where post-combine
-  // records/bytes are accounted (they become the run totals below).
+  // Routes combiner output into the per-partition buffers. The combiner
+  // may emit any key, so the partition is recomputed per emitted pair.
   class CombineCollector : public Emitter<K, V> {
    public:
-    CombineCollector(const SpecOrdering<K, V>* ordering, size_t num_partitions)
-        : ordering_(ordering), pairs_(num_partitions), bytes_(num_partitions) {}
+    CombineCollector(const SpecOrdering<K, V>* ordering,
+                     std::vector<std::vector<Pair>>* partitions)
+        : ordering_(ordering), partitions_(partitions) {}
 
     void Emit(K key, V value) override {
       const size_t partition = ordering_->PartitionOf(key);
-      assert(partition < pairs_.size());
-      bytes_[partition] += ByteSizeOf(key) + ByteSizeOf(value);
-      pairs_[partition].emplace_back(std::move(key), std::move(value));
+      assert(partition < partitions_->size());
+      (*partitions_)[partition].emplace_back(std::move(key), std::move(value));
     }
-
-    std::vector<std::vector<Pair>>& pairs() { return pairs_; }
-    const std::vector<uint64_t>& bytes() const { return bytes_; }
 
    private:
     const SpecOrdering<K, V>* ordering_;
-    std::vector<std::vector<Pair>> pairs_;
-    std::vector<uint64_t> bytes_;
+    std::vector<std::vector<Pair>>* partitions_;
   };
 
+  // Writes the buffered pairs out as one sorted run per partition. Every
+  // run is serialized: its pairs become one encoded (optionally
+  // compressed) block, and the shuffle meters count the encoded bytes.
   void Spill(bool to_disk) {
-    std::vector<SortedRun<K, V>> runs(spec_->num_reduce_tasks);
-    if (spec_->combiner) {
-      CombineGroups(&runs);
-    } else {
-      // Stable sort by (partition, key): equal keys keep emit order, which
-      // the merge layer relies on for deterministic output.
-      std::stable_sort(entries_.begin(), entries_.end(),
-                       [this](const Entry& a, const Entry& b) {
-                         if (a.partition != b.partition) {
-                           return a.partition < b.partition;
-                         }
-                         return ordering_->SortLess(a.pair.first,
-                                                    b.pair.first);
-                       });
-      for (Entry& e : entries_) {
-        runs[e.partition].pairs.push_back(std::move(e.pair));
-        runs[e.partition].bytes += e.bytes;
-      }
-      entries_.clear();
-    }
+    if (spec_->combiner) CombineGroups();
 
+    std::vector<SortedRun> runs(partitions_.size());
     uint64_t run_bytes = 0;
-    const bool binary = spec_->record_format == RecordFormat::kBinary;
-    for (SortedRun<K, V>& run : runs) {
-      metrics_->shuffle_records += run.pairs.size();
-      if (binary && !run.pairs.empty()) {
-        // Serialization is real in binary mode: the run's pairs become one
-        // encoded (optionally compressed) block, and the shuffle meters
-        // count encoded bytes actually produced.
-        run.record_count = run.pairs.size();
-        EncodeRunBlock(spec_->block_codec, run.pairs, &codec_scratch_,
-                       &run.encoded, &run.logical_bytes);
-        run.pairs.clear();
-        run.pairs.shrink_to_fit();
-        run.bytes = run.encoded.size();
-        metrics_->codec_logical_bytes += run.logical_bytes;
-        metrics_->codec_encoded_bytes += run.encoded.size();
-      }
+    for (size_t p = 0; p < partitions_.size(); ++p) {
+      std::vector<Pair>& pairs = partitions_[p];
+      SortedRun& run = runs[p];
+      run.on_disk = to_disk;
+      if (pairs.empty()) continue;
+      // Stable sort: equal keys keep emit order (the combiner's emit order
+      // in a combining job), which the merge layer relies on for
+      // deterministic output.
+      std::stable_sort(pairs.begin(), pairs.end(),
+                       [this](const Pair& a, const Pair& b) {
+                         return ordering_->SortLess(a.first, b.first);
+                       });
+      run.record_count = pairs.size();
+      EncodeRunBlock(spec_->block_codec, pairs, &codec_scratch_,
+                     &run.encoded, &run.logical_bytes);
+      pairs.clear();
+      run.bytes = run.encoded.size();
       // Write-side checksum, the HDFS "checksum on write" half; the read
       // boundaries re-verify it.
-      if (spec_->verify_integrity) run.checksum = run.ContentChecksum();
+      if (spec_->verify_integrity) run.checksum = HashString(run.encoded);
+      metrics_->shuffle_records += run.record_count;
       metrics_->shuffle_bytes += run.bytes;
+      metrics_->codec_logical_bytes += run.logical_bytes;
+      metrics_->codec_encoded_bytes += run.bytes;
       run_bytes += run.bytes;
-      run.on_disk = to_disk;
     }
     if (to_disk) {
       metrics_->spill_count++;
@@ -257,9 +226,9 @@ class SortBuffer : public Emitter<K, V> {
 
   // Runs the combiner once per buffered key group, partition by partition
   // and in sort order within a partition (the order a sort of every pair
-  // would have grouped them in), then rebuilds sorted runs from its
-  // output. Empties the group table.
-  void CombineGroups(std::vector<SortedRun<K, V>>* runs) {
+  // would have grouped them in); its output lands in the per-partition
+  // buffers. Empties the group table.
+  void CombineGroups() {
     std::vector<typename GroupMap::value_type*> order;
     order.reserve(groups_.size());
     for (auto& entry : groups_) order.push_back(&entry);
@@ -273,7 +242,7 @@ class SortBuffer : public Emitter<K, V> {
                 return ordering_->SortLess(a->first, b->first);
               });
 
-    CombineCollector collector(ordering_, spec_->num_reduce_tasks);
+    CombineCollector collector(ordering_, &partitions_);
     size_t groups_checked = 0;
     size_t groups_seen = 0;
     for (auto* entry : order) {
@@ -291,17 +260,6 @@ class SortBuffer : public Emitter<K, V> {
       }
       spec_->combiner(key, std::move(group.values), &collector);
     }
-    for (size_t p = 0; p < runs->size(); ++p) {
-      SortedRun<K, V>& run = (*runs)[p];
-      run.pairs = std::move(collector.pairs()[p]);
-      run.bytes = collector.bytes()[p];
-      // The combiner usually emits in key order already; stable sort keeps
-      // its emit order on ties either way.
-      std::stable_sort(run.pairs.begin(), run.pairs.end(),
-                       [this](const Pair& a, const Pair& b) {
-                         return ordering_->SortLess(a.first, b.first);
-                       });
-    }
     groups_.clear();
   }
 
@@ -309,16 +267,18 @@ class SortBuffer : public Emitter<K, V> {
   const SpecOrdering<K, V>* ordering_;
   TaskContext* ctx_;
   TaskMetrics* metrics_;
-  MapTaskOutput<K, V>* out_;
+  MapTaskOutput* out_;
   /// Optional contract checker for this attempt; nullptr when
   /// JobSpec::check_contracts is off.
   KeyContractChecker<K, SpecOrdering<K, V>>* checker_;
 
-  std::vector<Entry> entries_;    ///< jobs without a combiner
+  /// Buffered pairs per reduce partition, in emit order: the mapper's
+  /// (jobs without a combiner) or the combiner's, at spill time.
+  std::vector<std::vector<Pair>> partitions_;
   GroupMap groups_{0, KeyHasher{}, KeyEqual{ordering_}};  ///< combining jobs
   size_t buffered_pairs_ = 0;
   uint64_t buffered_bytes_ = 0;
-  /// Binary format: reused by every run block this attempt encodes.
+  /// Reused by every run block this attempt encodes.
   CodecScratch codec_scratch_;
 };
 

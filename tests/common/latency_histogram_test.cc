@@ -100,86 +100,6 @@ TEST(LatencyHistogramTest, NegativeAndNonFiniteClampToZero) {
   EXPECT_DOUBLE_EQ(h.max_seconds(), 0.0);
 }
 
-TEST(LatencyHistogramTest, MergeEqualsRecordingEverythingIntoOne) {
-  Rng rng(7);
-  LatencyHistogram a, b, combined;
-  for (int i = 0; i < 500; ++i) {
-    uint64_t nanos = 10 + rng.NextBelow(1000000);
-    if (i % 2 == 0) {
-      a.RecordNanos(nanos);
-    } else {
-      b.RecordNanos(nanos);
-    }
-    combined.RecordNanos(nanos);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_DOUBLE_EQ(a.total_seconds(), combined.total_seconds());
-  EXPECT_DOUBLE_EQ(a.min_seconds(), combined.min_seconds());
-  EXPECT_DOUBLE_EQ(a.max_seconds(), combined.max_seconds());
-  for (double q : {0.1, 0.5, 0.9, 0.99}) {
-    EXPECT_DOUBLE_EQ(a.Quantile(q), combined.Quantile(q)) << q;
-  }
-}
-
-TEST(LatencyHistogramTest, MergeDisjointRangesSpansBoth) {
-  // Fast microsecond-scale fetches merged with slow hundreds-of-ms
-  // retries (the shapes the per-fetch latency histograms actually merge):
-  // the ranges share no bucket, so the merged view must keep both modes
-  // distinguishable instead of smearing them together.
-  LatencyHistogram fast, slow;
-  for (int i = 0; i < 1000; ++i) {
-    fast.RecordNanos(1000 + static_cast<uint64_t>(i));        // ~1 us
-    slow.RecordNanos(200000000 + static_cast<uint64_t>(i));   // ~200 ms
-  }
-  LatencyHistogram merged = fast;
-  merged.Merge(slow);
-  EXPECT_EQ(merged.count(), 2000u);
-  EXPECT_DOUBLE_EQ(merged.min_seconds(), fast.min_seconds());
-  EXPECT_DOUBLE_EQ(merged.max_seconds(), slow.max_seconds());
-  // Below the gap every sample is fast; above it, slow. The median sits
-  // in the gap boundary: p25 must read as fast, p75 as slow.
-  EXPECT_LT(merged.Quantile(0.25), 1e-5);
-  EXPECT_GT(merged.Quantile(0.75), 0.1);
-  // The exact totals add, no quantization loss.
-  EXPECT_DOUBLE_EQ(merged.total_seconds(),
-                   fast.total_seconds() + slow.total_seconds());
-}
-
-TEST(LatencyHistogramTest, MergeOverlappingRangesMatchesUnionRecording) {
-  // Overlapping distributions (shifted but interleaved ranges) merged
-  // pairwise must be indistinguishable from recording the union directly
-  // — bucket counts add exactly, so this holds for every quantile, not
-  // just the tracked extremes.
-  Rng rng(13);
-  LatencyHistogram a, b, unioned;
-  for (int i = 0; i < 400; ++i) {
-    uint64_t lo = 500 + rng.NextBelow(5000);    // [0.5us, 5.5us)
-    uint64_t hi = 3000 + rng.NextBelow(5000);   // [3us, 8us) — overlaps
-    a.RecordNanos(lo);
-    b.RecordNanos(hi);
-    unioned.RecordNanos(lo);
-    unioned.RecordNanos(hi);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), unioned.count());
-  for (double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(a.Quantile(q), unioned.Quantile(q)) << q;
-  }
-  EXPECT_DOUBLE_EQ(a.mean_seconds(), unioned.mean_seconds());
-}
-
-TEST(LatencyHistogramTest, MergeWithEmptyIsIdentity) {
-  LatencyHistogram a, empty;
-  a.Record(0.5);
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.max_seconds(), 0.5);
-  empty.Merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.min_seconds(), 0.5);
-}
-
 TEST(LatencyHistogramTest, ResetForgetsEverything) {
   LatencyHistogram h;
   for (int i = 1; i <= 100; ++i) h.RecordNanos(static_cast<uint64_t>(i));

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 #include "common/executor.h"
 
 namespace fj {
@@ -92,13 +90,6 @@ TEST(SyncTest, DisabledDetectorIgnoresOutOfOrderAcquire) {
   // Out of order, but the detector is off: must not abort.
   MutexLock hold(&inner);
   MutexLock violate(&outer);
-}
-
-TEST(SyncTest, CondVarWaitForTimesOut) {
-  Mutex mu{"cv.mu"};
-  CondVar cv;
-  MutexLock lock(&mu);
-  EXPECT_FALSE(cv.WaitFor(&mu, std::chrono::milliseconds(5)));
 }
 
 TEST(SyncTest, CondVarCrossThreadNotifyWithRankedMutex) {

@@ -41,7 +41,6 @@ struct Variant {
   bool faults = false;
   bool spill = false;
   bool contracts = false;
-  mr::RecordFormat format = mr::RecordFormat::kText;
   mr::BlockCodec codec = mr::BlockCodec::kNone;
 
   std::string Name() const {
@@ -49,7 +48,6 @@ struct Variant {
     name += faults ? "faults" : "clean";
     name += spill ? "+spill" : "";
     name += contracts ? "+contracts" : "";
-    if (format == mr::RecordFormat::kBinary) name += "+binary";
     if (codec == mr::BlockCodec::kFjlz) name += "+fjlz";
     return name;
   }
@@ -65,7 +63,6 @@ JoinConfig MakeConfig(size_t threads, const Variant& variant) {
   config.local_threads = threads;
   config.sort_buffer_bytes = variant.spill ? 512 : 0;
   config.check_contracts = variant.contracts;
-  config.record_format = variant.format;
   config.block_codec = variant.codec;
   if (variant.faults) {
     auto plan = std::make_shared<mr::FaultPlan>();
@@ -143,9 +140,8 @@ TEST(ConcurrencyDeterminismTest, SelfJoinThreadCountInvariant) {
       {false, true, false},
       {false, false, true},
       {true, true, true},
-      {false, false, false, mr::RecordFormat::kBinary},
-      {false, true, false, mr::RecordFormat::kBinary, mr::BlockCodec::kFjlz},
-      {true, true, true, mr::RecordFormat::kBinary, mr::BlockCodec::kFjlz},
+      {false, true, false, mr::BlockCodec::kFjlz},
+      {true, true, true, mr::BlockCodec::kFjlz},
   };
   for (const Variant& variant : variants) {
     mr::Dfs dfs;
@@ -182,7 +178,7 @@ TEST(ConcurrencyDeterminismTest, RSJoinThreadCountInvariant) {
   const Variant variants[] = {
       {false, false, false},
       {true, true, false},
-      {true, true, false, mr::RecordFormat::kBinary, mr::BlockCodec::kFjlz},
+      {true, true, false, mr::BlockCodec::kFjlz},
   };
   for (const Variant& variant : variants) {
     mr::Dfs dfs;
@@ -212,23 +208,23 @@ TEST(ConcurrencyDeterminismTest, RSJoinThreadCountInvariant) {
   }
 }
 
-// The record format changes HOW spill runs are represented, never WHAT
-// the join produces: the final .joined output
-// must be byte-identical across every format x codec combination,
-// threaded or not, faulted or not.
+// The codec changes HOW spill runs are stored, never WHAT the join
+// produces: the final .joined output must be byte-identical under either
+// codec, threaded or not, faulted or not.
 TEST(ConcurrencyDeterminismTest, OutputInvariantAcrossFormatsAndCodecs) {
   mr::Dfs dfs;
   ASSERT_TRUE(dfs.WriteFile("records", SelfInputLines()).ok());
   const Variant baseline{false, false, false};
-  auto text = RunSelfJoin(&dfs, "records", "text", MakeConfig(1, baseline));
-  ASSERT_TRUE(text.ok()) << text.status().ToString();
-  const std::vector<std::string> expected = Lines(dfs, text->output_file);
+  auto serial =
+      RunSelfJoin(&dfs, "records", "baseline", MakeConfig(1, baseline));
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const std::vector<std::string> expected = Lines(dfs, serial->output_file);
   ASSERT_FALSE(expected.empty());
 
   const Variant variants[] = {
-      {false, false, false, mr::RecordFormat::kBinary},
-      {false, false, false, mr::RecordFormat::kBinary, mr::BlockCodec::kFjlz},
-      {true, true, false, mr::RecordFormat::kBinary, mr::BlockCodec::kFjlz},
+      {false, false, false},
+      {false, false, false, mr::BlockCodec::kFjlz},
+      {true, true, false, mr::BlockCodec::kFjlz},
   };
   size_t run = 0;
   for (const Variant& variant : variants) {
@@ -246,7 +242,7 @@ TEST(ConcurrencyDeterminismTest, OutputInvariantAcrossFormatsAndCodecs) {
 
 // Every committed Dfs file of the run named `prefix`, keyed by its name
 // without the prefix, with its whole-file checksum. The manifest is left
-// out: its fingerprint folds the format and codec on purpose.
+// out: its fingerprint folds the codec on purpose.
 std::map<std::string, uint64_t> StageFileChecksums(const mr::Dfs& dfs,
                                                    const std::string& prefix) {
   std::map<std::string, uint64_t> files;
@@ -259,9 +255,9 @@ std::map<std::string, uint64_t> StageFileChecksums(const mr::Dfs& dfs,
   return files;
 }
 
-// Every stage file is text lines: record_format and block_codec choose
-// only how spill runs are encoded, so each committed file of a join has
-// the same checksum under text and under binary+fjlz.
+// Every stage file is text lines: block_codec chooses only how spill runs
+// are compressed, so each committed file of a join has the same checksum
+// under either codec.
 TEST(ConcurrencyDeterminismTest, StageFilesInvariantAcrossFormatsAndCodecs) {
   struct Case {
     const char* name;
@@ -289,14 +285,12 @@ TEST(ConcurrencyDeterminismTest, StageFilesInvariantAcrossFormatsAndCodecs) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     std::vector<std::map<std::string, uint64_t>> files;
-    for (const auto& [format, codec] :
-         {std::pair{mr::RecordFormat::kText, mr::BlockCodec::kNone},
-          std::pair{mr::RecordFormat::kBinary, mr::BlockCodec::kFjlz}}) {
+    for (const mr::BlockCodec codec :
+         {mr::BlockCodec::kNone, mr::BlockCodec::kFjlz}) {
       mr::Dfs dfs;
       ASSERT_TRUE(dfs.WriteFile("r", data::RecordsToLines(r)).ok());
       ASSERT_TRUE(dfs.WriteFile("s", data::RecordsToLines(s)).ok());
       JoinConfig config = c.config;
-      config.record_format = format;
       config.block_codec = codec;
       auto result = c.rs ? RunRSJoin(&dfs, "r", "s", "out", config)
                          : RunSelfJoin(&dfs, "r", "out", config);
@@ -305,8 +299,8 @@ TEST(ConcurrencyDeterminismTest, StageFilesInvariantAcrossFormatsAndCodecs) {
       for (const auto& stage : result->stages) {
         for (const auto& job : stage.jobs) encoded += job.codec_encoded_bytes;
       }
-      // Binary runs really were encoded; text runs never are.
-      EXPECT_EQ(encoded > 0, format == mr::RecordFormat::kBinary);
+      // Every run is encoded, whatever the codec.
+      EXPECT_GT(encoded, 0u);
       EXPECT_GT(Lines(dfs, result->output_file).size(), 10u);
       files.push_back(StageFileChecksums(dfs, "out"));
     }

@@ -30,7 +30,6 @@ std::vector<std::string> OuterInputLines() {
 
 JoinConfig BaseConfig(Stage1Algorithm s1, Stage2Algorithm s2,
                       Stage3Algorithm s3, uint64_t sort_buffer,
-                      mr::RecordFormat format = mr::RecordFormat::kText,
                       mr::BlockCodec codec = mr::BlockCodec::kNone) {
   JoinConfig config;
   config.stage1 = s1;
@@ -39,7 +38,6 @@ JoinConfig BaseConfig(Stage1Algorithm s1, Stage2Algorithm s2,
   config.num_map_tasks = 4;
   config.num_reduce_tasks = 3;
   config.sort_buffer_bytes = sort_buffer;
-  config.record_format = format;
   config.block_codec = codec;
   return config;
 }
@@ -100,16 +98,15 @@ std::shared_ptr<const mr::FaultPlan> CorruptionPlan(mr::CorruptTarget target) {
 
 void RunSelfGoldenCase(Stage1Algorithm s1, Stage2Algorithm s2,
                        Stage3Algorithm s3, uint64_t sort_buffer,
-                       mr::RecordFormat format = mr::RecordFormat::kText,
                        mr::BlockCodec codec = mr::BlockCodec::kNone) {
   mr::Dfs dfs;
   ASSERT_TRUE(dfs.WriteFile("records", SelfInputLines()).ok());
 
-  auto clean_config = BaseConfig(s1, s2, s3, sort_buffer, format, codec);
+  auto clean_config = BaseConfig(s1, s2, s3, sort_buffer, codec);
   auto clean = RunSelfJoin(&dfs, "records", "clean", clean_config);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
-  auto faulted_config = BaseConfig(s1, s2, s3, sort_buffer, format, codec);
+  auto faulted_config = BaseConfig(s1, s2, s3, sort_buffer, codec);
   faulted_config.fault_plan = ChaosPlan();
   faulted_config.speculative_execution = true;
   ASSERT_TRUE(
@@ -129,17 +126,16 @@ void RunSelfGoldenCase(Stage1Algorithm s1, Stage2Algorithm s2,
 
 void RunRSGoldenCase(Stage1Algorithm s1, Stage2Algorithm s2,
                      Stage3Algorithm s3, uint64_t sort_buffer,
-                     mr::RecordFormat format = mr::RecordFormat::kText,
                      mr::BlockCodec codec = mr::BlockCodec::kNone) {
   mr::Dfs dfs;
   ASSERT_TRUE(dfs.WriteFile("r", SelfInputLines()).ok());
   ASSERT_TRUE(dfs.WriteFile("s", OuterInputLines()).ok());
 
-  auto clean_config = BaseConfig(s1, s2, s3, sort_buffer, format, codec);
+  auto clean_config = BaseConfig(s1, s2, s3, sort_buffer, codec);
   auto clean = RunRSJoin(&dfs, "r", "s", "clean", clean_config);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
-  auto faulted_config = BaseConfig(s1, s2, s3, sort_buffer, format, codec);
+  auto faulted_config = BaseConfig(s1, s2, s3, sort_buffer, codec);
   faulted_config.fault_plan = ChaosPlan();
   faulted_config.speculative_execution = true;
   auto faulted = RunRSJoin(&dfs, "r", "s", "faulted", faulted_config);
@@ -183,17 +179,15 @@ TEST(FaultPipelineTest, RSOptoBkOprjSpilling) {
                   Stage3Algorithm::kOPRJ, 256);
 }
 
-// Binary format axis: the same chaos plan against compressed binary spill
-// runs.
+// Codec axis: the same chaos plan against fjlz-compressed run blocks.
 TEST(FaultPipelineTest, SelfBinaryFjlzChaosSpilling) {
   RunSelfGoldenCase(Stage1Algorithm::kBTO, Stage2Algorithm::kPK,
-                    Stage3Algorithm::kBRJ, 256, mr::RecordFormat::kBinary,
-                    mr::BlockCodec::kFjlz);
+                    Stage3Algorithm::kBRJ, 256, mr::BlockCodec::kFjlz);
 }
 
 TEST(FaultPipelineTest, RSBinaryChaosUnbounded) {
   RunRSGoldenCase(Stage1Algorithm::kBTO, Stage2Algorithm::kPK,
-                  Stage3Algorithm::kBRJ, 0, mr::RecordFormat::kBinary);
+                  Stage3Algorithm::kBRJ, 0, mr::BlockCodec::kFjlz);
 }
 
 // --- CorruptRecord matrix: self/R-S x spill on/off x corruption target.
@@ -201,19 +195,17 @@ TEST(FaultPipelineTest, RSBinaryChaosUnbounded) {
 // retry and the join stays byte-identical to the clean run.
 
 void RunSelfCorruptionCase(mr::CorruptTarget target, uint64_t sort_buffer,
-                           mr::RecordFormat format = mr::RecordFormat::kText,
                            mr::BlockCodec codec = mr::BlockCodec::kNone) {
   mr::Dfs dfs;
   ASSERT_TRUE(dfs.WriteFile("records", SelfInputLines()).ok());
 
   auto clean_config = BaseConfig(Stage1Algorithm::kBTO, Stage2Algorithm::kPK,
-                                 Stage3Algorithm::kBRJ, sort_buffer, format,
-                                 codec);
+                                 Stage3Algorithm::kBRJ, sort_buffer, codec);
   auto clean = RunSelfJoin(&dfs, "records", "clean", clean_config);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
   auto config = BaseConfig(Stage1Algorithm::kBTO, Stage2Algorithm::kPK,
-                           Stage3Algorithm::kBRJ, sort_buffer, format, codec);
+                           Stage3Algorithm::kBRJ, sort_buffer, codec);
   config.verify_integrity = true;
   auto plan = CorruptionPlan(target);
   // Corruption is only recoverable when something detects it.
@@ -232,20 +224,18 @@ void RunSelfCorruptionCase(mr::CorruptTarget target, uint64_t sort_buffer,
 }
 
 void RunRSCorruptionCase(mr::CorruptTarget target, uint64_t sort_buffer,
-                         mr::RecordFormat format = mr::RecordFormat::kText,
                          mr::BlockCodec codec = mr::BlockCodec::kNone) {
   mr::Dfs dfs;
   ASSERT_TRUE(dfs.WriteFile("r", SelfInputLines()).ok());
   ASSERT_TRUE(dfs.WriteFile("s", OuterInputLines()).ok());
 
   auto clean_config = BaseConfig(Stage1Algorithm::kBTO, Stage2Algorithm::kPK,
-                                 Stage3Algorithm::kBRJ, sort_buffer, format,
-                                 codec);
+                                 Stage3Algorithm::kBRJ, sort_buffer, codec);
   auto clean = RunRSJoin(&dfs, "r", "s", "clean", clean_config);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
   auto config = BaseConfig(Stage1Algorithm::kBTO, Stage2Algorithm::kPK,
-                           Stage3Algorithm::kBRJ, sort_buffer, format, codec);
+                           Stage3Algorithm::kBRJ, sort_buffer, codec);
   config.verify_integrity = true;
   config.fault_plan = CorruptionPlan(target);
 
@@ -276,22 +266,22 @@ TEST(FaultPipelineTest, RSCorruptSpillSpilling) {
   RunRSCorruptionCase(mr::CorruptTarget::kSpill, 256);
 }
 
-// Binary axis: the injector flips a byte inside the *encoded* (and with
-// fjlz, compressed) spill block — the checksum is defined over exactly
-// those bytes, so detection must still fire and the join still match.
+// Codec axis: the injector flips a byte inside the fjlz-compressed run
+// block — the checksum is defined over exactly those bytes, so detection
+// must still fire and the join still match.
 TEST(FaultPipelineTest, SelfBinaryCorruptEncodedSpillSpilling) {
   RunSelfCorruptionCase(mr::CorruptTarget::kSpill, 256,
-                        mr::RecordFormat::kBinary, mr::BlockCodec::kFjlz);
+                        mr::BlockCodec::kFjlz);
 }
 
 TEST(FaultPipelineTest, SelfBinaryCorruptMapOutputUnbounded) {
   RunSelfCorruptionCase(mr::CorruptTarget::kMapOutput, 0,
-                        mr::RecordFormat::kBinary);
+                        mr::BlockCodec::kFjlz);
 }
 
 TEST(FaultPipelineTest, RSBinaryCorruptReduceOutputSpilling) {
   RunRSCorruptionCase(mr::CorruptTarget::kReduceOutput, 256,
-                      mr::RecordFormat::kBinary, mr::BlockCodec::kFjlz);
+                      mr::BlockCodec::kFjlz);
 }
 
 TEST(FaultPipelineTest, RSCorruptReduceOutputUnbounded) {

@@ -74,28 +74,31 @@ TEST(ResumeTest, ManifestChecksumsArePinned) {
   //    a 4 KiB sort buffer (so every stage spills and merges encoded
   //    runs), captured before the codec and the output-commit hashing
   //    were rewritten;
-  //  - the default self-join (BTO-PK-OPRJ, text intermediates, word
-  //    tokens) and an OPRJ R-S join with q-gram tokens, captured before
-  //    records, tokens and RID pairs were parsed in place.
+  //  - the default self-join (BTO-PK-OPRJ, word tokens) and an OPRJ R-S
+  //    join with q-gram tokens, captured before records, tokens and RID
+  //    pairs were parsed in place, and while the default shuffle still
+  //    held typed pairs instead of run blocks.
   // Any change to a committed byte, or to how the Dfs folds line
-  // checksums, moves them.
+  // checksums, moves them. The fingerprints moved when the record format
+  // left the fold (0x709225853bfac271 -> 0xc98df1fb1e9165b1,
+  // 0x00f39605e793b4e6 -> 0x955f467cfb2150cd, 0xc8103e4c441c17c2 ->
+  // 0xa10e5410600c2340); no output checksum did.
   const std::vector<PinnedManifest> cases = {
       {"binary fjlz BRJ R-S join", true,
        [](JoinConfig* config) {
          config->stage3 = Stage3Algorithm::kBRJ;
-         config->record_format = mr::RecordFormat::kBinary;
          config->block_codec = mr::BlockCodec::kFjlz;
          config->sort_buffer_bytes = 4096;
        },
        {{"out.ordering", 0x11c9e09893895d91ULL},
         {"out.ridpairs", 0x505483c55ea73a71ULL},
         {"out.joined", 0xebfccf4a707588ffULL}},
-       0x709225853bfac271ULL},
+       0xc98df1fb1e9165b1ULL},
       {"default self-join", false, [](JoinConfig*) {},
        {{"out.ordering", 0x11c9e09893895d91ULL},
         {"out.ridpairs", 0xd5b618c815c8bd57ULL},
         {"out.joined", 0x472994821ad4fc44ULL}},
-       0x00f39605e793b4e6ULL},
+       0x955f467cfb2150cdULL},
       {"q-gram OPRJ R-S join", true,
        [](JoinConfig* config) {
          config->stage3 = Stage3Algorithm::kOPRJ;
@@ -104,7 +107,7 @@ TEST(ResumeTest, ManifestChecksumsArePinned) {
        {{"out.ordering", 0x5425fa8ec43010b3ULL},
         {"out.ridpairs", 0x306058fbdd46ffbeULL},
         {"out.joined", 0x54ac4b1318e4e2d1ULL}},
-       0xc8103e4c441c17c2ULL},
+       0xa10e5410600c2340ULL},
   };
 
   auto r_config = data::DblpLikeConfig(220, 17);
@@ -403,16 +406,11 @@ TEST(ResumeTest, FingerprintTracksResultAffectingKnobsOnly) {
   tasks.num_reduce_tasks = 5;  // changes output line order
   EXPECT_NE(PipelineFingerprint(tasks, dfs, {"in"}).value(), fp);
 
-  // The record format changes checkpointed intermediate bytes, so a run
-  // started as text must not resume as binary (and vice versa) — and the
-  // codec changes the encoded run blocks a resumed attempt would re-read.
-  JoinConfig binary = base;
-  binary.record_format = mr::RecordFormat::kBinary;
-  uint64_t binary_fp = PipelineFingerprint(binary, dfs, {"in"}).value();
-  EXPECT_NE(binary_fp, fp);
-  JoinConfig packed = binary;
+  // The codec changes the encoded run blocks a resumed attempt would
+  // re-read, and so the metered bytes.
+  JoinConfig packed = base;
   packed.block_codec = mr::BlockCodec::kFjlz;
-  EXPECT_NE(PipelineFingerprint(packed, dfs, {"in"}).value(), binary_fp);
+  EXPECT_NE(PipelineFingerprint(packed, dfs, {"in"}).value(), fp);
 
   // Byte-transparent knobs leave the fingerprint alone.
   JoinConfig transparent = base;

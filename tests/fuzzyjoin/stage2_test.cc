@@ -385,6 +385,17 @@ TEST(Stage2EdgeTest, PairLineParserMatchesSplitReference) {
 //   stage2.pk.peak_resident_tokens   self PK 2507 -> 852,
 //                                    R-S PK 4557 -> 1525;
 //   stage2.block.peak_memory_records all four block variants 198 -> 67.
+//
+// Since every spill run is an encoded run block, shuffle_bytes is the
+// blocks' encoded size, no longer the ByteSizeOf estimate of typed pairs:
+//   self BK, PK and BK reduce blocks 36612 -> 11439,
+//   self BK map blocks 74904 -> 23360,
+//   self BK length routing 81574 -> 25248,
+//   self BK length signatures 35694 -> 11151,
+//   R-S BK, PK and BK reduce blocks 62710 -> 25781,
+//   R-S BK map blocks 114906 -> 54465;
+// and every variant gains the codec meters format.encoded_bytes and
+// format.logical_bytes (map encode plus reduce decode).
 
 struct GoldenVariant {
   const char* name;
@@ -414,7 +425,9 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
   const std::vector<GoldenVariant> variants = {
       {"self BK", false,
        [](JoinConfig*) {},
-       0x0b10ad2bcfbbb496ULL, 510, 36612,
+       0x0b10ad2bcfbbb496ULL, 510, 11439,
+       "format.encoded_bytes=22878 "
+       "format.logical_bytes=22686 "
        "stage2.bk.length_filtered=28722 "
        "stage2.bk.pairs_considered=43174 "
        "stage2.bk.results=104 "
@@ -423,7 +436,9 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=240 "},
       {"self PK", false,
        [](JoinConfig* c) { c->stage2 = Stage2Algorithm::kPK; },
-       0x0b10ad2bcfbbb496ULL, 510, 36612,
+       0x0b10ad2bcfbbb496ULL, 510, 11439,
+       "format.encoded_bytes=22878 "
+       "format.logical_bytes=22686 "
        "stage2.pk.arena_bytes=21232 "
        "stage2.pk.bitmap_pruned=11 "
        "stage2.pk.candidates=115 "
@@ -438,7 +453,9 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=240 "},
       {"self BK map blocks", false,
        [](JoinConfig* c) { c->block_processing = kMapBlocks; },
-       0x0b10ad2bcfbbb496ULL, 1042, 74904,
+       0x0b10ad2bcfbbb496ULL, 1042, 23360,
+       "format.encoded_bytes=46720 "
+       "format.logical_bytes=46528 "
        "stage2.bk.length_filtered=28722 "
        "stage2.bk.pairs_considered=43174 "
        "stage2.bk.results=104 "
@@ -447,7 +464,9 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=240 "},
       {"self BK reduce blocks", false,
        [](JoinConfig* c) { c->block_processing = kReduceBlocks; },
-       0x0b10ad2bcfbbb496ULL, 510, 36612,
+       0x0b10ad2bcfbbb496ULL, 510, 11439,
+       "format.encoded_bytes=22878 "
+       "format.logical_bytes=22686 "
        "scratch.bytes_read=32695 "
        "scratch.bytes_written=20263 "
        "stage2.bk.length_filtered=28722 "
@@ -458,7 +477,9 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=240 "},
       {"self BK length routing", false,
        [](JoinConfig* c) { c->bk_length_routing = true; },
-       0x0b10ad2bcfbbb496ULL, 1069, 81574,
+       0x0b10ad2bcfbbb496ULL, 1069, 25248,
+       "format.encoded_bytes=50496 "
+       "format.logical_bytes=50002 "
        "stage2.bk.length_filtered=1645 "
        "stage2.bk.pairs_considered=16097 "
        "stage2.bk.results=104 "
@@ -467,7 +488,9 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=240 "},
       {"self BK length signatures", false,
        [](JoinConfig* c) { c->routing = TokenRouting::kLengthSignatures; },
-       0xbe1357df5321796aULL, 483, 35694,
+       0xbe1357df5321796aULL, 483, 11151,
+       "format.encoded_bytes=22302 "
+       "format.logical_bytes=22032 "
        "stage2.bk.length_filtered=1124 "
        "stage2.bk.pairs_considered=10132 "
        "stage2.bk.results=52 "
@@ -476,7 +499,9 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=240 "},
       {"R-S BK", true,
        [](JoinConfig*) {},
-       0x0fa635eac00a1ea6ULL, 907, 62710,
+       0x0fa635eac00a1ea6ULL, 907, 25781,
+       "format.encoded_bytes=51562 "
+       "format.logical_bytes=51370 "
        "stage2.bk.length_filtered=45754 "
        "stage2.bk.pairs_considered=67652 "
        "stage2.bk.results=148 "
@@ -485,7 +510,9 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=440 "},
       {"R-S PK", true,
        [](JoinConfig* c) { c->stage2 = Stage2Algorithm::kPK; },
-       0x0fa635eac00a1ea6ULL, 907, 62710,
+       0x0fa635eac00a1ea6ULL, 907, 25781,
+       "format.encoded_bytes=51562 "
+       "format.logical_bytes=51370 "
        "stage2.pk.arena_bytes=21232 "
        "stage2.pk.bitmap_pruned=46 "
        "stage2.pk.candidates=194 "
@@ -500,7 +527,9 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=440 "},
       {"R-S BK map blocks", true,
        [](JoinConfig* c) { c->block_processing = kMapBlocks; },
-       0x0fa635eac00a1ea6ULL, 1701, 114906,
+       0x0fa635eac00a1ea6ULL, 1701, 54465,
+       "format.encoded_bytes=108930 "
+       "format.logical_bytes=108738 "
        "stage2.bk.length_filtered=45754 "
        "stage2.bk.pairs_considered=67652 "
        "stage2.bk.results=148 "
@@ -509,7 +538,9 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=440 "},
       {"R-S BK reduce blocks", true,
        [](JoinConfig* c) { c->block_processing = kReduceBlocks; },
-       0x0fa635eac00a1ea6ULL, 907, 62710,
+       0x0fa635eac00a1ea6ULL, 907, 25781,
+       "format.encoded_bytes=51562 "
+       "format.logical_bytes=51370 "
        "scratch.bytes_read=88515 "
        "scratch.bytes_written=54389 "
        "stage2.bk.length_filtered=45754 "

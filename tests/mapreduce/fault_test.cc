@@ -736,6 +736,14 @@ INSTANTIATE_TEST_SUITE_P(BothPhases, FaultPhaseTest,
 // captured before the map and reduce phases shared one attempt ladder;
 // they pin that the shared ladder tallies exactly as the two per-phase
 // copies did. Wall-derived seconds are left out.
+//
+// The "none" case ran on typed (text) runs until every spill run became
+// an encoded run block. Only its byte meters moved, to the blocks'
+// encoded sizes: the per-task iv values (m0 1180 -> 398, m1 590 -> 199,
+// m2 1180 -> 398, m3 1770 -> 597, r0 722 -> 294, r1 2868 -> 1104,
+// r2 2566 -> 922), integrity.bytes_verified 15382 -> 8418, and the new
+// format.encoded_bytes / format.logical_bytes counters. Attempts,
+// failures, detections and contract checks did not move.
 
 // 240 lines of words drawn from a 40-word vocabulary by a fixed LCG.
 std::vector<std::string> GoldenInput() {
@@ -779,7 +787,6 @@ std::string TaskLedger(const JobMetrics& metrics) {
 
 struct GoldenCase {
   const char* name;
-  RecordFormat format;
   BlockCodec codec;
   uint64_t sort_buffer_bytes;
   const char* ledger;
@@ -816,7 +823,6 @@ TEST_P(AttemptLedgerGoldenTest, CrashAndCorruptPlanMatchesPinnedLedger) {
     spec.verify_integrity = true;
     spec.check_contracts = true;
     spec.contract_sample_every = 4;
-    spec.record_format = c.format;
     spec.block_codec = c.codec;
     spec.sort_buffer_bytes = c.sort_buffer_bytes;
     spec.merge_factor = 2;
@@ -838,25 +844,26 @@ TEST_P(AttemptLedgerGoldenTest, CrashAndCorruptPlanMatchesPinnedLedger) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    TextAndBinary, AttemptLedgerGoldenTest,
+    Codecs, AttemptLedgerGoldenTest,
     ::testing::Values(
-        GoldenCase{"text", RecordFormat::kText, BlockCodec::kNone, 0,
-                   R"(m0 a=3 f=2 iv=1180 cd=1 cc=15497
-m1 a=3 f=2 iv=590 cd=0 cc=15482
-m2 a=2 f=1 iv=1180 cd=1 cc=15501
-m3 a=3 f=2 iv=1770 cd=2 cc=15507
-r0 a=1 f=0 iv=722 cd=0 cc=44
-r1 a=3 f=2 iv=2868 cd=1 cc=60
-r2 a=3 f=2 iv=2566 cd=0 cc=56
+        GoldenCase{"none", BlockCodec::kNone, 0,
+                   R"(m0 a=3 f=2 iv=398 cd=1 cc=15497
+m1 a=3 f=2 iv=199 cd=0 cc=15482
+m2 a=2 f=1 iv=398 cd=1 cc=15501
+m3 a=3 f=2 iv=597 cd=2 cc=15507
+r0 a=1 f=0 iv=294 cd=0 cc=44
+r1 a=3 f=2 iv=1104 cd=1 cc=60
+r2 a=3 f=2 iv=922 cd=0 cc=56
 job f=11
 contract.checks=62147
-integrity.bytes_verified=15382
+format.encoded_bytes=1592
+format.logical_bytes=1520
+integrity.bytes_verified=8418
 integrity.corruption_detected=5
 mapper.lines=240
 reducer.groups=40
 )"},
-        GoldenCase{"binary_fjlz_spill", RecordFormat::kBinary,
-                   BlockCodec::kFjlz, 256,
+        GoldenCase{"binary_fjlz_spill", BlockCodec::kFjlz, 256,
                    R"(m0 a=3 f=2 iv=2662 cd=1 cc=15857
 m1 a=3 f=2 iv=1387 cd=0 cc=15842
 m2 a=2 f=1 iv=2628 cd=1 cc=15846

@@ -183,9 +183,18 @@ TEST(IntegrityTest, VerificationOffLetsCorruptionThroughSilently) {
   auto metrics = job.Run();
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
 
-  // The job "succeeds" — one attempt each, nothing detected — but the
-  // output is WRONG. This is exactly what verify_integrity prevents.
-  EXPECT_NE(OutputLines(dfs, "out"), baseline.output);
+  // The flip lands in a payload byte of one run block, a count varint
+  // (1 becomes 17), which decodes cleanly; a flip in a block's framing
+  // would fail to decode instead, a counted detection. So the job
+  // "succeeds" — one attempt each, nothing detected — but one output line
+  // is WRONG. This is exactly what verify_integrity prevents.
+  const std::vector<std::string> output = OutputLines(dfs, "out");
+  ASSERT_EQ(output.size(), baseline.output.size());
+  size_t wrong_lines = 0;
+  for (size_t i = 0; i < output.size(); ++i) {
+    if (output[i] != baseline.output[i]) ++wrong_lines;
+  }
+  EXPECT_EQ(wrong_lines, 1u);
   EXPECT_EQ(metrics->map_tasks[1].attempts, 1u);
   EXPECT_EQ(metrics->corruption_detected, 0u);
 }

@@ -329,15 +329,14 @@ TEST(JobTest, CommittedOutputChecksumsMatchAPlainDfsWrite) {
   // them: the committed file must be the one a plain write produces.
   struct Case {
     const char* name;
-    RecordFormat format;
     BlockCodec codec;
     bool speculative;
   };
   const Case cases[] = {
-      {"text", RecordFormat::kText, BlockCodec::kNone, false},
-      {"fjlz", RecordFormat::kBinary, BlockCodec::kFjlz, false},
-      {"text+speculation", RecordFormat::kText, BlockCodec::kNone, true},
-      {"fjlz+speculation", RecordFormat::kBinary, BlockCodec::kFjlz, true},
+      {"none", BlockCodec::kNone, false},
+      {"fjlz", BlockCodec::kFjlz, false},
+      {"none+speculation", BlockCodec::kNone, true},
+      {"fjlz+speculation", BlockCodec::kFjlz, true},
   };
   for (const Case& c : cases) {
     Dfs dfs;
@@ -345,7 +344,6 @@ TEST(JobTest, CommittedOutputChecksumsMatchAPlainDfsWrite) {
     auto spec = WordCountSpec("in", "out");
     spec.num_reduce_tasks = 4;
     spec.sort_buffer_bytes = 256;
-    spec.record_format = c.format;
     spec.block_codec = c.codec;
     if (c.speculative) {
       // Reduce task 1 straggles, so it gets a speculative backup.

@@ -1,10 +1,10 @@
-// The binary record format, bottom up: varint primitives, the typed
-// content codec, the fjlz block codec and run-block framing — plus an
-// end-to-end job proving the binary path produces byte-identical output
-// to text. The decode-side
-// tests are deliberately hostile: every truncation prefix and random
-// byte-flip must come back as `false`/Status, never UB (the job layer
-// relies on that to turn corrupted shuffle blocks into failed attempts).
+// The run encoding, bottom up: varint primitives, the typed content
+// codec, the fjlz block codec and run-block framing — plus an end-to-end
+// job whose output, under either codec, matches word counts computed
+// without the engine. The decode-side tests are deliberately hostile:
+// every truncation prefix and random byte-flip must come back as
+// `false`/Status, never UB (the job layer relies on that to turn
+// corrupted shuffle blocks into failed attempts).
 #include "mapreduce/record_format.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -667,7 +668,7 @@ TEST(RunBlockTest, EveryTruncationPrefixIsStatusNotUB) {
       EXPECT_FALSE(DecodeRunBlock(std::string_view(encoded.data(), cut),
                                   &scratch, &decoded)
                        .ok())
-          << "codec=" << BlockCodecName(codec) << " cut=" << cut;
+          << "codec=" << static_cast<int>(codec) << " cut=" << cut;
     }
   }
 }
@@ -720,23 +721,7 @@ TEST(RunBlockTest, IncompressiblePayloadFallsBackToStored) {
   EXPECT_EQ(decoded, pairs);
 }
 
-TEST(RecordFormatTest, NamesAndParsersAgree) {
-  RecordFormat format = RecordFormat::kText;
-  EXPECT_TRUE(ParseRecordFormat("binary", &format));
-  EXPECT_EQ(format, RecordFormat::kBinary);
-  EXPECT_TRUE(ParseRecordFormat("text", &format));
-  EXPECT_EQ(format, RecordFormat::kText);
-  EXPECT_FALSE(ParseRecordFormat("avro", &format));
-  BlockCodec codec = BlockCodec::kNone;
-  EXPECT_TRUE(ParseBlockCodec("fjlz", &codec));
-  EXPECT_EQ(codec, BlockCodec::kFjlz);
-  EXPECT_TRUE(ParseBlockCodec("none", &codec));
-  EXPECT_FALSE(ParseBlockCodec("zstd", &codec));
-  EXPECT_STREQ(RecordFormatName(RecordFormat::kBinary), "binary");
-  EXPECT_STREQ(BlockCodecName(BlockCodec::kFjlz), "fjlz");
-}
-
-// --- end to end: a binary job matches the text job byte for byte ---------
+// --- end to end: an encoded job matches the plain-text answer byte for byte
 
 using K = std::string;
 using V = uint64_t;
@@ -776,12 +761,26 @@ TEST(RecordFormatTest, BinaryJobOutputIsByteIdenticalToText) {
     lines.push_back("w" + std::to_string(i % 31) + " w" +
                     std::to_string(i % 11) + " w" + std::to_string(i % 5));
   }
-  ASSERT_TRUE(dfs.WriteFile("in", std::move(lines)).ok());
+  ASSERT_TRUE(dfs.WriteFile("in", lines).ok());
 
-  auto RunWith = [&](const std::string& out, RecordFormat format,
-                     BlockCodec codec) {
+  // The reference is computed without the engine: the word counts, in
+  // reduce-task order under the default partitioner, keys ascending
+  // within a task.
+  std::map<std::string, uint64_t> counts;
+  for (const std::string& line : lines) {
+    for (const auto& w : Split(line, ' ')) counts[w]++;
+  }
+  std::vector<std::string> expected;
+  for (size_t r = 0; r < 3; ++r) {
+    for (const auto& [word, count] : counts) {
+      if (KeyHashOf(word) % 3 == r) {
+        expected.push_back(word + "\t" + std::to_string(count));
+      }
+    }
+  }
+
+  auto RunWith = [&](const std::string& out, BlockCodec codec) {
     auto spec = WordCountSpec("in", out);
-    spec.record_format = format;
     spec.block_codec = codec;
     Job<K, V> job(&dfs, std::move(spec));
     auto metrics = job.Run();
@@ -789,21 +788,16 @@ TEST(RecordFormatTest, BinaryJobOutputIsByteIdenticalToText) {
     return *metrics;
   };
 
-  auto text = RunWith("out_text", RecordFormat::kText, BlockCodec::kNone);
-  auto binary = RunWith("out_bin", RecordFormat::kBinary, BlockCodec::kNone);
-  auto packed = RunWith("out_fjlz", RecordFormat::kBinary, BlockCodec::kFjlz);
+  auto binary = RunWith("out_bin", BlockCodec::kNone);
+  auto packed = RunWith("out_fjlz", BlockCodec::kFjlz);
 
-  auto text_out = dfs.ReadFile("out_text");
   auto bin_out = dfs.ReadFile("out_bin");
   auto packed_out = dfs.ReadFile("out_fjlz");
-  ASSERT_TRUE(text_out.ok() && bin_out.ok() && packed_out.ok());
-  EXPECT_EQ(*text_out.value(), *bin_out.value());
-  EXPECT_EQ(*text_out.value(), *packed_out.value());
+  ASSERT_TRUE(bin_out.ok() && packed_out.ok());
+  EXPECT_EQ(*bin_out.value(), expected);
+  EXPECT_EQ(*packed_out.value(), expected);
 
-  // Text meters estimates and never exercises the codec.
-  EXPECT_EQ(text.codec_logical_bytes, 0u);
-  EXPECT_EQ(text.codec_encoded_bytes, 0u);
-  // Binary meters real encoded bytes across spill + reduce boundaries.
+  // Both meter real encoded bytes across spill + reduce boundaries.
   EXPECT_GT(binary.codec_logical_bytes, 0u);
   EXPECT_GT(binary.codec_encoded_bytes, 0u);
   EXPECT_GT(binary.spill_count, 0u);
@@ -822,7 +816,6 @@ TEST(RecordFormatTest, CorruptedEncodedBlockIsDetectedAndRetried) {
   ASSERT_TRUE(dfs.WriteFile("in", std::move(lines)).ok());
 
   auto spec = WordCountSpec("in", "out");
-  spec.record_format = RecordFormat::kBinary;
   spec.block_codec = BlockCodec::kFjlz;
   spec.verify_integrity = true;
   spec.max_task_attempts = 4;
@@ -846,7 +839,6 @@ TEST(RecordFormatTest, CorruptedEncodedBlockIsDetectedAndRetried) {
   }
   ASSERT_TRUE(clean_dfs.WriteFile("in", std::move(clean_lines)).ok());
   auto clean_spec = WordCountSpec("in", "out");
-  clean_spec.record_format = RecordFormat::kBinary;
   clean_spec.block_codec = BlockCodec::kFjlz;
   Job<K, V> clean_job(&clean_dfs, std::move(clean_spec));
   ASSERT_TRUE(clean_job.Run().ok());

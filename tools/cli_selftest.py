@@ -7,23 +7,22 @@ Six checks:
    small generated inputs: once with default flags, and once with every
    transparent engine flag away from its default (threads, sort buffer,
    merge factor, speculation, a recoverable crash-and-corrupt fault plan
-   with --verify_integrity, binary records with the fjlz codec, contract
-   checks, the skipped-record cap). The two `.joined` files must be
-   byte-identical.
-2. Resume from a state directory. `rsjoin` with binary records and the
-   fjlz codec runs into --dfs_dir, then again with --resume: all three
-   stages resume from their checkpoints, the two `.joined` files are
-   byte-identical, and every file in the directory is newline-terminated
-   UTF-8 text (binary records would carry bytes UTF-8 never uses).
-3. The paper's algorithm flags. `selfjoin` and `rsjoin` run with
-   --stage1=opto, --stage2=bk, --stage3=brj, and --routing=grouped
-   --groups=7. Each run names its stage in --stats and joins the same
-   set of lines as the default run.
+   with --verify_integrity, the fjlz codec, contract checks, the
+   skipped-record cap). The two `.joined` files must be byte-identical.
+2. Resume from a state directory. `rsjoin` with the fjlz codec runs into
+   --dfs_dir, then again with --resume: all three stages resume from
+   their checkpoints, the two `.joined` files are byte-identical, and
+   every file in the directory is newline-terminated UTF-8 text (a run
+   block would carry bytes UTF-8 never uses).
+3. The paper's algorithm flags, and the codec on its own. `selfjoin` and
+   `rsjoin` run with --stage1=opto, --stage2=bk, --stage3=brj,
+   --routing=grouped --groups=7, and --codec=fjlz. Each run names its
+   stage in --stats and joins the same set of lines as the default run.
 4. Refused flags. A negative or non-numeric count, a misspelled flag, a
-   malformed number, an unknown algorithm, an out-of-range --tau_floor, a
-   retired flag, and an index setting next to --snapshot_in are usage
-   errors: exit status 2 with an InvalidArgument message naming the flag,
-   never a signal.
+   malformed number, an unknown algorithm or codec, an out-of-range
+   --tau_floor, a retired flag, and an index setting next to --snapshot_in
+   are usage errors: exit status 2 with an InvalidArgument message naming
+   the flag, never a signal.
 5. A snapshot saved with --tau_floor=0.7 reloads announcing its own floor
    (tau_floor=0.70), not the flag default.
 6. A crafted snapshot whose record declares 2^62 tokens makes
@@ -50,7 +49,6 @@ ENGINE_FLAGS = [
     "--fault_crash_p=0.3",
     "--fault_corrupt_p=0.3",
     "--verify_integrity",
-    "--record_format=binary",
     "--codec=fjlz",
     "--check_contracts=1",
     "--contract_sample_every=3",
@@ -63,6 +61,7 @@ ALGORITHM_FLAGS = [
     (["--stage2=bk"], "2-BK"),
     (["--stage3=brj"], "3-BRJ"),
     (["--routing=grouped", "--groups=7"], None),
+    (["--codec=fjlz"], None),
 ]
 
 # (tool, arguments after the subcommand inputs, text naming the flag that
@@ -78,6 +77,7 @@ BAD_FLAGS = [
     ("fuzzyjoin", ["--check_contracts=yes"], "--check_contracts"),
     ("fuzzyjoin", ["--stage1=xyz"], "--stage1"),
     ("fuzzyjoin", ["--routing=xyz"], "--routing"),
+    ("fuzzyjoin", ["--codec=zstd"], "--codec"),
     ("fuzzyjoin", ["--function=xyz"], "unknown --function: xyz"),
     # Options the tool does not have: the shuffle is the engine's
     # in-process hand-off, with no transport or wire faults to configure.
@@ -86,6 +86,9 @@ BAD_FLAGS = [
     ("fuzzyjoin", ["--spawn_worker_processes"],
      "unknown flag --spawn_worker_processes"),
     ("fuzzyjoin", ["--net_drop_p=0.1"], "unknown flag --net_drop_p"),
+    # Every spill run is a run block: there is no record format to pick.
+    ("fuzzyjoin", ["--record_format=binary"],
+     "unknown flag --record_format"),
     ("fuzzyjoin_serve", ["--threads=-1"], "--threads"),
     ("fuzzyjoin_serve", ["--tau_floor=abc"], "--tau_floor"),
     ("fuzzyjoin_serve", ["--tau_floor=0"], "--tau_floor"),
@@ -197,8 +200,7 @@ def main():
 
         state = path("state")
         resume_flags = ["--r=" + path("r.tsv"), "--s=" + path("s.tsv"),
-                        "--record_format=binary", "--codec=fjlz",
-                        "--dfs_dir=" + state]
+                        "--codec=fjlz", "--dfs_dir=" + state]
         outputs = []
         for label, extra in [("first", []), ("resumed", ["--resume",
                                                          "--stats"])]:

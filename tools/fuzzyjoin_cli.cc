@@ -16,7 +16,7 @@
 //             [--fault_corrupt_attempts=N]
 //             [--verify_integrity] [--max_skipped=N]
 //             [--check_contracts[=0|1]] [--contract_sample_every=N]
-//             [--record_format=text|binary] [--codec=none|fjlz]
+//             [--codec=none|fjlz]
 //             [--resume] [--dfs_dir=PATH]
 //             [--stats]                      set-similarity self-join
 //   rsjoin    --r=FILE --s=FILE --out=FILE [same tuning flags]
@@ -144,15 +144,10 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
   }
   FJ_RETURN_IF_ERROR(flags.GetCount("contract_sample_every",
                                     &config.contract_sample_every));
-  std::string record_format = flags.GetString("record_format", "text");
-  if (!fj::mr::ParseRecordFormat(record_format, &config.record_format)) {
-    return Status::InvalidArgument("unknown --record_format: " +
-                                   record_format);
-  }
-  std::string codec = flags.GetString("codec", "none");
-  if (!fj::mr::ParseBlockCodec(codec, &config.block_codec)) {
-    return Status::InvalidArgument("unknown --codec: " + codec);
-  }
+  FJ_RETURN_IF_ERROR(GetChoice(flags, "codec",
+                               {{"none", fj::mr::BlockCodec::kNone},
+                                {"fjlz", fj::mr::BlockCodec::kFjlz}},
+                               &config.block_codec));
   config.resume = flags.Has("resume");
   FJ_RETURN_IF_ERROR(
       flags.GetCount("max_skipped", &config.max_skipped_records));
