@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   size_t nodes = flags.GetInt("nodes", 10);
   size_t reps = flags.GetInt("reps", 5);
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Section 5 ablation", "block processing strategies (BK kernel)",

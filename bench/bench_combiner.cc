@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   size_t factor = flags.GetInt("factor", 2);
   size_t reps = flags.GetInt("reps", 5);
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Section 3.1.1 ablation", "stage-1 token counting with/without combiner",

@@ -161,6 +161,7 @@ int main(int argc, char** argv) {
   size_t nodes = flags.GetInt("nodes", 10);
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
   std::string json_path = flags.GetString("bench_json", "");
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "contract-check sweep",

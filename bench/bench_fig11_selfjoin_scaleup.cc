@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   size_t base = flags.GetInt("base", 2000);
   size_t reps = flags.GetInt("reps", 5);
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Figure 11", "self-join scaleup (data and cluster grown together)",

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   size_t reps = flags.GetInt("reps", 3);
   uint64_t oprj_limit = flags.GetInt("oprj_limit", 0);  // 0 = auto
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Figure 12", "R-S join running time vs dataset size",

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   size_t factor = flags.GetInt("factor", 2);
   size_t reps = flags.GetInt("reps", 5);
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Figure 13", "R-S join speedup",

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   size_t reps = flags.GetInt("reps", 5);
   uint64_t oprj_limit = flags.GetInt("oprj_limit", 0);  // 0 = auto
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Figure 14", "R-S join scaleup (data and cluster grown together)",

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   size_t nodes = flags.GetInt("nodes", 10);
   size_t reps = flags.GetInt("reps", 5);
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Section 6.1.1", "effect of the number of token groups (PK kernel)",

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   size_t nodes = flags.GetInt("nodes", 10);
   size_t reps = flags.GetInt("reps", 5);
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Footnote 2 ablation", "prefix-token vs length-range signatures (BK)",

@@ -73,6 +73,7 @@ int main(int argc, char** argv) {
   size_t factor = flags.GetInt("factor", 2);
   double tau = flags.GetDouble("tau", 0.8);
   std::string json_path = flags.GetString("bench_json", "");
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Related work [12]", "exact prefix filtering vs MinHash-LSH",

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   size_t nodes = flags.GetInt("nodes", 10);
   size_t reps = flags.GetInt("reps", 3);
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Section 2.2 ablation", "three-stage projections vs one-stage full records",

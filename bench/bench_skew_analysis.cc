@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
   size_t base = flags.GetInt("base", 2000);
   size_t factor = flags.GetInt("factor", 2);
   size_t nodes = flags.GetInt("nodes", 10);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Section 6.1.1 (stage-3 skew)",

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   size_t reps = flags.GetInt("reps", 3);
   size_t nodes = flags.GetInt("nodes", 10);
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "sort-spill-merge sweep",

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   size_t factor = flags.GetInt("factor", 2);
   size_t reps = flags.GetInt("reps", 5);
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Table 1", "running time of each stage on different cluster sizes",

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   size_t base = flags.GetInt("base", 2000);
   size_t reps = flags.GetInt("reps", 5);
   double work_scale = flags.GetDouble("work_scale", bench::kDefaultWorkScale);
+  bench::CheckFlagsOrExit(flags);
 
   bench::PrintExperimentHeader(
       "Table 2", "per-stage scaleup (data and cluster grown together)",

@@ -5,6 +5,13 @@
 
 namespace fj::bench {
 
+void CheckFlagsOrExit(const Flags& flags) {
+  if (Status checked = flags.Check(); !checked.ok()) {
+    std::fprintf(stderr, "%s\n", checked.ToString().c_str());
+    std::exit(2);
+  }
+}
+
 const std::vector<Combo>& PaperCombos() {
   static const std::vector<Combo> combos = {
       {join::Stage1Algorithm::kBTO, join::Stage2Algorithm::kBK,

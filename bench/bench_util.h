@@ -21,6 +21,11 @@ namespace fj::bench {
 /// --key=value command-line flags (see common/flags.h).
 using Flags = ::fj::Flags;
 
+/// Exits with status 2, naming the flag, when the command line holds a
+/// flag that no getter read or a malformed number (Flags::Check). Every
+/// bench calls it once it has read all its flags, before any work.
+void CheckFlagsOrExit(const Flags& flags);
+
 /// The three end-to-end combinations the paper evaluates.
 struct Combo {
   join::Stage1Algorithm stage1;

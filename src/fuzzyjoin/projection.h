@@ -10,7 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/varint.h"
 #include "ppjoin/token_set.h"
 #include "text/token_ordering.h"
@@ -22,14 +21,6 @@ namespace fj::ppjoin {
 /// TokenSetRecord.
 inline size_t FjByteSize(const TokenSetRecord& p) {
   return 8 + 4 * p.tokens.size();
-}
-
-/// Content hash over RID and every token (mapreduce/integrity.h), which
-/// the contract checker's combiner fingerprints need for every value type.
-inline uint64_t FjContentHash(const TokenSetRecord& p) {
-  uint64_t h = HashInt64(p.rid);
-  for (TokenId t : p.tokens) h = HashCombine(h, HashInt64(t));
-  return h;
 }
 
 /// Run encoding (mapreduce/record_format.h): varint RID, varint token

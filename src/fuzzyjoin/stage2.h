@@ -94,12 +94,6 @@ inline std::string FjDebugString(const Stage2Key& k) {
          ", s1=" + std::to_string(k.s1) + ", s2=" + std::to_string(k.s2) +
          ", s3=" + std::to_string(k.s3) + "}";
 }
-/// Integrity hash (integrity.h): unlike the partition hash above this
-/// covers every field, so a flipped secondary-sort field is detected too.
-inline uint64_t FjContentHash(const Stage2Key& k) {
-  return HashCombine(HashCombine(HashInt64(k.group), HashInt64(k.s1)),
-                     HashCombine(HashInt64(k.s2), HashInt64(k.s3)));
-}
 /// Run encoding (mapreduce/record_format.h): four varints. The
 /// secondary-sort fields are small (lengths, rounds, 0/1 relation flags),
 /// so most keys encode in 4-6 bytes against 16 raw.

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string_view>
 #include <tuple>
@@ -60,9 +59,6 @@ struct TaggedLine {
 };
 
 inline size_t FjByteSize(const TaggedLine& v) { return 5 + v.line.size(); }
-inline uint64_t FjContentHash(const TaggedLine& v) {
-  return HashCombine(HashInt64(v.kind), HashString(v.line));
-}
 // Run encoding (mapreduce/record_format.h): kind byte + varint-
 // length-prefixed line.
 inline void FjEncodeContent(const TaggedLine& v, std::string* out) {
@@ -90,13 +86,6 @@ struct HalfPair {
 };
 
 inline size_t FjByteSize(const HalfPair& v) { return 13 + v.record_line.size(); }
-inline uint64_t FjContentHash(const HalfPair& v) {
-  uint64_t sim_bits = 0;
-  static_assert(sizeof(sim_bits) == sizeof(v.similarity));
-  std::memcpy(&sim_bits, &v.similarity, sizeof(sim_bits));
-  return HashCombine(HashCombine(HashInt64(v.side), HashInt64(sim_bits)),
-                     HashString(v.record_line));
-}
 // Run encoding: side byte + similarity as raw fixed64 bits (exact
 // double roundtrip) + varint-length-prefixed record line.
 inline void FjEncodeContent(const HalfPair& v, std::string* out) {

@@ -412,7 +412,7 @@ std::vector<uint64_t> PairFingerprints(
     const std::vector<std::pair<K, V>>& pairs) {
   std::vector<uint64_t> hashes;
   hashes.reserve(pairs.size());
-  for (const auto& pair : pairs) hashes.push_back(ShufflePairChecksum(pair));
+  for (const auto& pair : pairs) hashes.push_back(ContentHashOf(pair));
   std::sort(hashes.begin(), hashes.end());
   return hashes;
 }

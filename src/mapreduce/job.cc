@@ -210,7 +210,7 @@ void VerifyRuns(const std::vector<const SortedRun*>& runs,
                 AttemptResult* res) {
   for (const SortedRun* run : runs) {
     if (!run->HasRecords()) continue;
-    res->metrics.integrity_bytes_verified += run->bytes;
+    res->metrics.integrity_bytes_verified += run->encoded.size();
     if (HashString(run->encoded) != run->checksum) {
       res->metrics.corruption_detected++;
       res->crashed = true;

@@ -419,9 +419,9 @@ internal::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
         res.crashed = true;
         return;
       }
-      run.bytes = published.bytes;
+      run.bytes = published.encoded.size();
       run.on_disk = published.on_disk;
-      res.metrics.codec_encoded_bytes += published.bytes;
+      res.metrics.codec_encoded_bytes += run.bytes;
       res.metrics.codec_logical_bytes += published.logical_bytes;
       res.metrics.input_records += run.pairs.size();
       res.metrics.input_bytes += run.bytes;

@@ -10,7 +10,8 @@
 //     and composition over pair/tuple/vector. Custom types participate
 //     via ADL — `void FjEncodeContent(const T&, std::string*)` and
 //     `bool FjDecodeContent(std::string_view, size_t*, T*)` — the same
-//     customization-point idiom as byte_size.h and integrity.h.
+//     customization-point idiom as byte_size.h. The contract checker's
+//     content hash (integrity.h) hashes these bytes too.
 //  2. Run blocks: EncodeRunBlock frames one sorted run's encoded pairs
 //     as [codec byte | varint record count | varint raw size | payload],
 //     optionally compressed by the block codec. Decoding returns Status:

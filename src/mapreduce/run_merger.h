@@ -3,10 +3,13 @@
 //
 // A reduce task collects every run of its partition (from all map tasks,
 // in map-task-then-spill order) and feeds them to a RunMerger instead of
-// materializing and re-sorting the whole partition. The merger holds a
-// min-heap over one cursor per run and hands the reducer one contiguous
-// key group at a time, so peak memory is the largest single group, not the
-// partition.
+// re-sorting the whole partition. The merger holds a min-heap over one
+// cursor per run and hands the reducer one contiguous key group at a time.
+// It does not bound memory to a group: RunReduceAttempt (job.h) decodes
+// every run block of the partition into MergeRuns before the merge starts,
+// so an attempt holds all of its partition's typed pairs at once, beside
+// the published blocks. Decoding each run lazily behind its cursor is
+// ROADMAP direction 2's reduce-side memory work.
 //
 // Ties (keys equal under the sort comparator) are broken toward the run
 // with the lower rank — runs are ranked in map-task-then-spill order, and

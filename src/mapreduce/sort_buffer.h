@@ -59,12 +59,11 @@ namespace fj::mr {
 /// every reduce attempt decodes its own pairs from it.
 struct SortedRun {
   /// The run block (EncodeRunBlock); empty when the run holds no records.
+  /// Its size is the run's shuffle size.
   std::string encoded;
   uint64_t record_count = 0;
   /// Pre-codec payload size, for compression-ratio metering.
   uint64_t logical_bytes = 0;
-  /// The run's shuffle size: the size of the encoded block.
-  uint64_t bytes = 0;
   /// True when the run was spilled: its write was charged to the producing
   /// task's scratch and its read will be charged to the consuming task.
   bool on_disk = false;
@@ -203,15 +202,14 @@ class SortBuffer : public Emitter<K, V> {
       EncodeRunBlock(spec_->block_codec, pairs, &codec_scratch_,
                      &run.encoded, &run.logical_bytes);
       pairs.clear();
-      run.bytes = run.encoded.size();
       // Write-side checksum, the HDFS "checksum on write" half; the read
       // boundaries re-verify it.
       if (spec_->verify_integrity) run.checksum = HashString(run.encoded);
       metrics_->shuffle_records += run.record_count;
-      metrics_->shuffle_bytes += run.bytes;
+      metrics_->shuffle_bytes += run.encoded.size();
       metrics_->codec_logical_bytes += run.logical_bytes;
-      metrics_->codec_encoded_bytes += run.bytes;
-      run_bytes += run.bytes;
+      metrics_->codec_encoded_bytes += run.encoded.size();
+      run_bytes += run.encoded.size();
     }
     if (to_disk) {
       metrics_->spill_count++;

@@ -1,12 +1,13 @@
 // Pipeline-level fault-recovery golden tests: the full three-stage join —
 // self and R-S, every algorithm name, with and without spilling — must
 // produce byte-identical output under any recoverable fault plan
-// (crashes retried, stragglers speculated) as in the fault-free run. A
-// permanent fault scoped to one stage's job must fail the whole pipeline
-// with a clean Status and write no join output.
+// (crashes retried, stragglers speculated, the sweeps' plans too) as in
+// the fault-free run. A permanent fault scoped to one stage's job must
+// fail the whole pipeline with a clean Status and write no join output.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -62,21 +63,46 @@ const std::vector<std::string>& Lines(const mr::Dfs& dfs,
   return *lines.value();
 }
 
-uint64_t TotalFailedAttempts(const JoinRunResult& result) {
-  uint64_t failed = 0;
+// One job counter summed over the pipeline.
+uint64_t Total(const JoinRunResult& result, uint64_t mr::JobMetrics::*field) {
+  uint64_t total = 0;
   for (const auto& stage : result.stages) {
-    for (const auto& job : stage.jobs) failed += job.failed_attempts;
+    for (const auto& job : stage.jobs) total += job.*field;
   }
-  return failed;
+  return total;
 }
 
-uint64_t TotalCorruptionDetected(const JoinRunResult& result) {
-  uint64_t detected = 0;
+// Tasks of the run whose first attempt `plan` slows. The draw is a pure
+// function of (plan, job, phase, task), as in the engine's injector.
+size_t StraggledTasks(const JoinRunResult& result, const mr::FaultPlan& plan) {
+  size_t straggled = 0;
   for (const auto& stage : result.stages) {
-    for (const auto& job : stage.jobs) detected += job.corruption_detected;
+    for (const auto& job : stage.jobs) {
+      const mr::FaultInjector injector(&plan, job.job_name);
+      for (auto phase : {mr::TaskPhase::kMap, mr::TaskPhase::kReduce}) {
+        const size_t tasks = phase == mr::TaskPhase::kMap
+                                 ? job.map_tasks.size()
+                                 : job.reduce_tasks.size();
+        for (size_t t = 0; t < tasks; ++t) {
+          straggled += injector.FaultFor(phase, t, 0).slowdown > 1;
+        }
+      }
+    }
   }
-  return detected;
+  return straggled;
 }
+
+// The golden case's faulted run; by default the chaos plan on 4 x 3 tasks.
+struct FaultCase {
+  std::string name = "chaos";
+  std::shared_ptr<const mr::FaultPlan> plan = ChaosPlan();
+  bool speculate = true;
+  bool verify_integrity = false;
+  size_t map_tasks = 4;
+  size_t reduce_tasks = 3;
+};
+
+void PrintTo(const FaultCase& fault, std::ostream* os) { *os << fault.name; }
 
 // A transient CorruptRecord plan aimed at one target kind in every job of
 // the pipeline: map-phase targets hit map task 1, reduce output hits
@@ -98,24 +124,38 @@ std::shared_ptr<const mr::FaultPlan> CorruptionPlan(mr::CorruptTarget target) {
 
 void RunSelfGoldenCase(Stage1Algorithm s1, Stage2Algorithm s2,
                        Stage3Algorithm s3, uint64_t sort_buffer,
-                       mr::BlockCodec codec = mr::BlockCodec::kNone) {
+                       mr::BlockCodec codec = mr::BlockCodec::kNone,
+                       const FaultCase& fault = {}) {
   mr::Dfs dfs;
   ASSERT_TRUE(dfs.WriteFile("records", SelfInputLines()).ok());
 
   auto clean_config = BaseConfig(s1, s2, s3, sort_buffer, codec);
+  clean_config.num_map_tasks = fault.map_tasks;
+  clean_config.num_reduce_tasks = fault.reduce_tasks;
   auto clean = RunSelfJoin(&dfs, "records", "clean", clean_config);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
-  auto faulted_config = BaseConfig(s1, s2, s3, sort_buffer, codec);
-  faulted_config.fault_plan = ChaosPlan();
-  faulted_config.speculative_execution = true;
-  ASSERT_TRUE(
-      faulted_config.fault_plan->RecoverableWith(faulted_config.max_task_attempts));
+  auto faulted_config = clean_config;
+  faulted_config.fault_plan = fault.plan;
+  faulted_config.speculative_execution = fault.speculate;
+  faulted_config.verify_integrity = fault.verify_integrity;
+  const mr::FaultPlan& plan = *fault.plan;
+  ASSERT_TRUE(plan.RecoverableWith(faulted_config.max_task_attempts,
+                                   fault.verify_integrity));
   auto faulted = RunSelfJoin(&dfs, "records", "faulted", faulted_config);
   ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
 
-  // The plan actually hurt: tasks crashed and were retried...
-  EXPECT_GT(TotalFailedAttempts(*faulted), 0u);
+  // The plan bit: tasks crashed and were retried, stragglers were drawn
+  // among the tasks that ran, corruption was caught...
+  if (plan.crash_probability > 0) {
+    EXPECT_GT(Total(*faulted, &mr::JobMetrics::failed_attempts), 0u);
+  }
+  if (plan.straggler_probability > 0) {
+    EXPECT_GT(StraggledTasks(*faulted, plan), 0u);
+  }
+  if (plan.corrupt_probability > 0) {
+    EXPECT_GT(Total(*faulted, &mr::JobMetrics::corruption_detected), 0u);
+  }
   // ...and the join plus every kept intermediate is still byte-identical.
   EXPECT_EQ(Lines(dfs, clean->output_file), Lines(dfs, faulted->output_file));
   EXPECT_EQ(Lines(dfs, clean->ordering_file),
@@ -141,7 +181,7 @@ void RunRSGoldenCase(Stage1Algorithm s1, Stage2Algorithm s2,
   auto faulted = RunRSJoin(&dfs, "r", "s", "faulted", faulted_config);
   ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
 
-  EXPECT_GT(TotalFailedAttempts(*faulted), 0u);
+  EXPECT_GT(Total(*faulted, &mr::JobMetrics::failed_attempts), 0u);
   EXPECT_EQ(Lines(dfs, clean->output_file), Lines(dfs, faulted->output_file));
   EXPECT_EQ(Lines(dfs, clean->rid_pairs_file),
             Lines(dfs, faulted->rid_pairs_file));
@@ -168,6 +208,51 @@ TEST(FaultPipelineTest, SelfOptoBkOprjUnbounded) {
   RunSelfGoldenCase(Stage1Algorithm::kOPTO, Stage2Algorithm::kBK,
                     Stage3Algorithm::kOPRJ, 0);
 }
+
+// The fault and integrity sweeps' plans on a 10-node cluster's task shape;
+// the plan's defaults (crashes after up to 8 records, 2 failing attempts)
+// are theirs.
+FaultCase SweepCase(std::string name, double crash_p, double slowdown,
+                    bool speculate, double corrupt_p = 0) {
+  auto plan = std::make_shared<mr::FaultPlan>();
+  plan->seed = corrupt_p > 0 ? 11 : 7;
+  plan->crash_probability = crash_p;
+  if (slowdown > 1) {
+    plan->straggler_probability = 0.15;
+    plan->straggler_slowdown = slowdown;
+    plan->straggler_extra_seconds = 0.002 * slowdown;
+  }
+  plan->corrupt_probability = corrupt_p;
+  return FaultCase{.name = std::move(name), .plan = std::move(plan),
+                   .speculate = speculate, .verify_integrity = corrupt_p > 0,
+                   .map_tasks = 80, .reduce_tasks = 40};
+}
+
+class SweepPlanTest : public ::testing::TestWithParam<FaultCase> {};
+
+TEST_P(SweepPlanTest, SelfBtoPkBrjStaysByteIdentical) {
+  RunSelfGoldenCase(Stage1Algorithm::kBTO, Stage2Algorithm::kPK,
+                    Stage3Algorithm::kBRJ, 0, mr::BlockCodec::kNone,
+                    GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultPipelineTest, SweepPlanTest,
+    ::testing::Values(SweepCase("crash_p_05", 0.05, 1, false),
+                      SweepCase("crash_p_15", 0.15, 1, false),
+                      SweepCase("crash_p_30", 0.30, 1, false),
+                      SweepCase("crash_p_50", 0.50, 1, false),
+                      SweepCase("straggle_x2", 0, 2, false),
+                      SweepCase("straggle_x2_spec", 0, 2, true),
+                      SweepCase("straggle_x4", 0, 4, false),
+                      SweepCase("straggle_x4_spec", 0, 4, true),
+                      SweepCase("straggle_x8", 0, 8, false),
+                      SweepCase("straggle_x8_spec", 0, 8, true),
+                      SweepCase("combined_spec", 0.15, 4, true),
+                      SweepCase("corrupt_p_05", 0, 1, false, 0.05),
+                      SweepCase("corrupt_p_15", 0, 1, false, 0.15),
+                      SweepCase("corrupt_p_30", 0, 1, false, 0.30)),
+    ::testing::PrintToStringParamName());
 
 TEST(FaultPipelineTest, RSBtoPkBrjUnbounded) {
   RunRSGoldenCase(Stage1Algorithm::kBTO, Stage2Algorithm::kPK,
@@ -215,8 +300,8 @@ void RunSelfCorruptionCase(mr::CorruptTarget target, uint64_t sort_buffer,
 
   auto corrupted = RunSelfJoin(&dfs, "records", "corrupted", config);
   ASSERT_TRUE(corrupted.ok()) << corrupted.status().ToString();
-  EXPECT_GT(TotalCorruptionDetected(*corrupted), 0u);
-  EXPECT_GT(TotalFailedAttempts(*corrupted), 0u);
+  EXPECT_GT(Total(*corrupted, &mr::JobMetrics::corruption_detected), 0u);
+  EXPECT_GT(Total(*corrupted, &mr::JobMetrics::failed_attempts), 0u);
   EXPECT_EQ(Lines(dfs, clean->output_file),
             Lines(dfs, corrupted->output_file));
   EXPECT_EQ(Lines(dfs, clean->rid_pairs_file),
@@ -241,7 +326,7 @@ void RunRSCorruptionCase(mr::CorruptTarget target, uint64_t sort_buffer,
 
   auto corrupted = RunRSJoin(&dfs, "r", "s", "corrupted", config);
   ASSERT_TRUE(corrupted.ok()) << corrupted.status().ToString();
-  EXPECT_GT(TotalCorruptionDetected(*corrupted), 0u);
+  EXPECT_GT(Total(*corrupted, &mr::JobMetrics::corruption_detected), 0u);
   EXPECT_EQ(Lines(dfs, clean->output_file),
             Lines(dfs, corrupted->output_file));
 }
@@ -317,7 +402,7 @@ TEST(FaultPipelineTest, CorruptionWithoutVerificationIsSilentlyWrong) {
 
   auto corrupted = RunSelfJoin(&dfs, "records", "silent", config);
   ASSERT_TRUE(corrupted.ok()) << corrupted.status().ToString();
-  EXPECT_EQ(TotalCorruptionDetected(*corrupted), 0u);
+  EXPECT_EQ(Total(*corrupted, &mr::JobMetrics::corruption_detected), 0u);
   EXPECT_NE(Lines(dfs, clean->rid_pairs_file),
             Lines(dfs, corrupted->rid_pairs_file));
 }
@@ -367,11 +452,7 @@ TEST(FaultPipelineTest, MalformedInputLinesQuarantinedAcrossThePipeline) {
   auto result = RunSelfJoin(&dfs, "records", "out", config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  uint64_t skipped = 0;
-  for (const auto& stage : result->stages) {
-    for (const auto& job : stage.jobs) skipped += job.records_skipped;
-  }
-  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(Total(*result, &mr::JobMetrics::records_skipped), 0u);
   bool bad_file_found = false;
   for (const std::string& name : dfs.ListFiles()) {
     if (name.size() > 4 && name.substr(name.size() - 4) == ".bad") {

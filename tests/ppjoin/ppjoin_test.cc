@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "ppjoin/allpairs.h"
 #include "ppjoin/naive.h"
 #include "text/token_ordering.h"
 
@@ -348,8 +347,12 @@ TEST(PPJoinStreamTest, StatsCountFilterActivity) {
   EXPECT_EQ(ppjoin_stats.suffix_pruned, 0u);
   EXPECT_LE(plus_stats.verified, ppjoin_stats.verified);
 
+  // All-Pairs: prefix and length filtering only.
   PPJoinStats allpairs_stats;
-  auto allpairs = AllPairsSelfJoin(records, spec, &allpairs_stats);
+  auto allpairs = PPJoinSelfJoin(
+      records, spec,
+      PPJoinOptions{.use_positional_filter = false, .use_suffix_filter = false},
+      &allpairs_stats);
   EXPECT_EQ(allpairs, with_plus);
   // All-Pairs verifies at least as many candidates as PPJoin.
   EXPECT_GE(allpairs_stats.verified, ppjoin_stats.verified);
