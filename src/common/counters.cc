@@ -6,27 +6,22 @@
 namespace fj {
 
 void CounterSet::Add(const std::string& name, int64_t delta) {
-  MutexLock lock(&mu_);
   counters_[name].value += delta;
 }
 
 void CounterSet::Max(const std::string& name, int64_t value) {
-  MutexLock lock(&mu_);
   auto [it, inserted] = counters_.try_emplace(name, Counter{value, true});
   it->second.peak = true;
   if (!inserted && it->second.value < value) it->second.value = value;
 }
 
 int64_t CounterSet::Get(const std::string& name) const {
-  MutexLock lock(&mu_);
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second.value;
 }
 
 void CounterSet::MergeFrom(const CounterSet& other) {
-  auto entries = other.Entries();
-  MutexLock lock(&mu_);
-  for (const auto& [name, theirs] : entries) {
+  for (const auto& [name, theirs] : other.counters_) {
     auto [it, inserted] = counters_.try_emplace(name, theirs);
     if (inserted) continue;
     Counter& mine = it->second;
@@ -39,13 +34,7 @@ void CounterSet::MergeFrom(const CounterSet& other) {
   }
 }
 
-std::map<std::string, CounterSet::Counter> CounterSet::Entries() const {
-  MutexLock lock(&mu_);
-  return counters_;
-}
-
 std::map<std::string, int64_t> CounterSet::Snapshot() const {
-  MutexLock lock(&mu_);
   std::map<std::string, int64_t> values;
   for (const auto& [name, counter] : counters_) values[name] = counter.value;
   return values;
@@ -59,9 +48,6 @@ std::string CounterSet::ToString() const {
   return out.str();
 }
 
-void CounterSet::Clear() {
-  MutexLock lock(&mu_);
-  counters_.clear();
-}
+void CounterSet::Clear() { counters_.clear(); }
 
 }  // namespace fj

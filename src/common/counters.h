@@ -7,33 +7,15 @@
 #include <map>
 #include <string>
 
-#include "common/sync.h"
-
 namespace fj {
 
-/// A thread-safe bag of int64 counters keyed by name. A counter is a sum
-/// (set with Add) or a peak (set with Max); the kind travels with the
-/// counter through copies, moves and MergeFrom.
+/// A bag of int64 counters keyed by name. A counter is a sum (set with
+/// Add) or a peak (set with Max); the kind travels with the counter
+/// through copies, moves and MergeFrom. Not synchronized: each task
+/// attempt owns its set, and the engine merges the committed ones on one
+/// thread when the job finishes.
 class CounterSet {
  public:
-  CounterSet() = default;
-
-  // Copy/move synchronize on the source's mutex; the new set gets a fresh
-  // mutex. (Needed so JobMetrics stays movable.)
-  CounterSet(const CounterSet& other) : counters_(other.Entries()) {}
-  CounterSet(CounterSet&& other) noexcept : counters_(other.Entries()) {}
-  CounterSet& operator=(const CounterSet& other) {
-    if (this != &other) {
-      auto entries = other.Entries();
-      MutexLock lock(&mu_);
-      counters_ = std::move(entries);
-    }
-    return *this;
-  }
-  CounterSet& operator=(CounterSet&& other) noexcept {
-    return *this = other;
-  }
-
   /// Adds `delta` to counter `name` (creating it at zero).
   void Add(const std::string& name, int64_t delta);
 
@@ -63,12 +45,7 @@ class CounterSet {
     bool peak = false;  ///< set by Max; MergeFrom keeps the maximum
   };
 
-  std::map<std::string, Counter> Entries() const;
-
-  // Unranked leaf: Add() is on the record hot path and never acquires
-  // another lock, so it skips the debug rank detector's bookkeeping.
-  mutable Mutex mu_{"counters"};
-  std::map<std::string, Counter> counters_ FJ_GUARDED_BY(mu_);
+  std::map<std::string, Counter> counters_;
 };
 
 }  // namespace fj

@@ -40,8 +40,7 @@ SimulatedJobTime SimulateJob(const JobMetrics& metrics,
   // attempt runs to its crash point before the committed attempt starts
   // over. Speculative losers ran in parallel on other slots, so they are
   // scheduled as independent entries rather than extending the chain.
-  auto phase_costs = [scale](const std::vector<TaskMetrics>& tasks,
-                             double* wasted) {
+  auto phase_costs = [scale](const std::vector<TaskMetrics>& tasks) {
     std::vector<double> costs;
     costs.reserve(tasks.size());
     for (const TaskMetrics& t : tasks) {
@@ -49,19 +48,17 @@ SimulatedJobTime SimulateJob(const JobMetrics& metrics,
       if (t.speculative_loser_seconds > 0) {
         costs.push_back(t.speculative_loser_seconds * scale);
       }
-      *wasted += t.wasted_seconds() * scale;
     }
     return costs;
   };
-  // Seconds to move `volume` at the cluster's aggregate rate.
-  auto priced = [scale, &cluster](double volume, double per_node_rate) {
+  // Seconds to move `bytes` at the cluster's aggregate rate.
+  auto priced = [scale, &cluster](double bytes, double per_node_rate) {
     const double rate = per_node_rate * static_cast<double>(cluster.nodes);
-    return volume > 0 && rate > 0 ? volume * scale / rate : 0.0;
+    return bytes > 0 && rate > 0 ? bytes * scale / rate : 0.0;
   };
 
   out.map_seconds =
-      Makespan(phase_costs(metrics.map_tasks, &out.wasted_seconds),
-               cluster.map_slots());
+      Makespan(phase_costs(metrics.map_tasks), cluster.map_slots());
   out.shuffle_seconds = priced(static_cast<double>(metrics.shuffle_bytes),
                                kShuffleBytesPerSecondPerNode);
   // Sort-spill-merge disk traffic: each spilled byte is written once and
@@ -71,20 +68,7 @@ SimulatedJobTime SimulateJob(const JobMetrics& metrics,
   out.spill_seconds = priced(2.0 * static_cast<double>(metrics.spilled_bytes),
                              kLocalDiskBytesPerSecondPerNode);
   out.reduce_seconds =
-      Makespan(phase_costs(metrics.reduce_tasks, &out.wasted_seconds),
-               cluster.reduce_slots());
-  // Integrity verification, block-codec CPU and contract checking: each
-  // counter already counts every boundary that did the work separately
-  // (input read, run commit/merge-read, output commit; encode at spill and
-  // decode at merge read; checks across failed attempts too), so each is
-  // priced exactly once here.
-  out.integrity_seconds =
-      priced(static_cast<double>(metrics.integrity_bytes_verified),
-             kIntegrityBytesPerSecondPerNode);
-  out.codec_seconds = priced(static_cast<double>(metrics.codec_logical_bytes),
-                             kCodecBytesPerSecondPerNode);
-  out.contract_seconds = priced(static_cast<double>(metrics.contract_checks),
-                                kContractChecksPerSecondPerNode);
+      Makespan(phase_costs(metrics.reduce_tasks), cluster.reduce_slots());
   return out;
 }
 

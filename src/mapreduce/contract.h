@@ -28,8 +28,8 @@
 // mid-group. The first violation latches a structured FailedPrecondition
 // Status naming the offending key pair; the job fails with it instead of
 // committing a wrong answer. Checks are metered (ContractStats /
-// TaskMetrics::contract_checks) and priced by the cluster model like
-// integrity verification.
+// TaskMetrics::contract_checks); they run inline, so their time is inside
+// the attempt's measured seconds, which is all the cluster model prices.
 //
 // Sampling bounds: every kth emitted key (JobSpec::contract_sample_every)
 // enters a pool of kContractPoolCap keys; each sampled key is checked
@@ -66,8 +66,7 @@ inline constexpr size_t kContractCombinerGroupsPerSpill = 4;
 Status ContractViolation(const std::string& job_name, const std::string& rule,
                          const std::string& detail);
 
-/// Work performed by the checker, folded into TaskMetrics::contract_checks
-/// and priced by kContractChecksPerSecondPerNode (cluster_model.h).
+/// Work performed by the checker, folded into TaskMetrics::contract_checks.
 struct ContractStats {
   uint64_t keys_observed = 0;   ///< emitted keys seen (range check each)
   uint64_t keys_sampled = 0;    ///< keys that entered the axiom pool

@@ -175,12 +175,6 @@ void AccountScratch(const TaskContext& ctx, CounterSet* counters) {
     counters->Add("scratch.bytes_read",
                   static_cast<int64_t>(scratch.bytes_read()));
   }
-  if (scratch.spill_bytes_written() > 0 || scratch.spill_bytes_read() > 0) {
-    counters->Add("scratch.spill_bytes_written",
-                  static_cast<int64_t>(scratch.spill_bytes_written()));
-    counters->Add("scratch.spill_bytes_read",
-                  static_cast<int64_t>(scratch.spill_bytes_read()));
-  }
 }
 
 double AttemptSeconds(const WallTimer& timer, const TaskContext& ctx,
@@ -295,6 +289,7 @@ Status JobRun::Open(const Hooks& hooks) {
 
   metrics_.map_tasks.resize(splits_.size());
   metrics_.reduce_tasks.resize(spec_.num_reduce_tasks);
+  task_counters_.resize(splits_.size() + spec_.num_reduce_tasks);
   quarantined_.resize(splits_.size());
   outputs_.resize(spec_.num_reduce_tasks);
   // The host executor: normally the pipeline's shared one (one set of
@@ -328,7 +323,8 @@ void JobRun::RunChain(TaskPhase phase, size_t t, const AttemptFn& attempt) {
       }
       if (res.crashed) return false;
       task = CommitAttempt(std::move(res.metrics), chain);
-      metrics_.counters.MergeFrom(res.counters);
+      task_counters_[phase == TaskPhase::kMap ? t : splits_.size() + t] =
+          std::move(res.counters);
       done = true;
       return true;
     });
@@ -392,6 +388,9 @@ Result<JobMetrics> JobRun::Finish(const Status& tasks) {
   {
     MutexLock lock(&failure_mu_);
     FJ_RETURN_IF_ERROR(status_);
+  }
+  for (const CounterSet& counters : task_counters_) {
+    metrics_.counters.MergeFrom(counters);
   }
   SumJobTotals(spec_, input_integrity_bytes_, &metrics_);
   FJ_RETURN_IF_ERROR(CommitOutput());

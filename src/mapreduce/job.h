@@ -258,6 +258,9 @@ class JobRun {
   Status status_ FJ_GUARDED_BY(failure_mu_);
   std::atomic<bool> failed_{false};
 
+  // Each committed attempt's counters: map tasks, then reduce tasks, in
+  // task order. Every task writes only its own slot; Finish merges them.
+  std::vector<CounterSet> task_counters_;
   std::vector<std::vector<std::string>> quarantined_;
   std::vector<ReduceOutput> outputs_;
   // Stamped by whichever worker completed the phase; read in Finish,
@@ -326,7 +329,7 @@ typename Job<K, V>::MapAttemptResult Job<K, V>::RunMapAttempt(
     checker.emplace(&ordering, spec_.num_reduce_tasks,
                     spec_.contract_sample_every, spec_.name);
   }
-  SortBuffer<K, V> buffer(&spec_, &ordering, &ctx, &res.metrics, &res.output,
+  SortBuffer<K, V> buffer(&spec_, &ordering, &res.metrics, &res.output,
                           checker ? &*checker : nullptr);
 
   auto mapper = spec_.mapper_factory();
@@ -420,7 +423,6 @@ internal::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
         return;
       }
       run.bytes = published.encoded.size();
-      run.on_disk = published.on_disk;
       res.metrics.codec_encoded_bytes += run.bytes;
       res.metrics.codec_logical_bytes += published.logical_bytes;
       res.metrics.input_records += run.pairs.size();
@@ -436,7 +438,7 @@ internal::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
     internal::LineCollector out(&res, spec_.verify_integrity);
     auto reducer = spec_.reducer_factory();
     reducer->Setup(&ctx);
-    RunMerger<K, V> merger(&ordering, std::move(runs), merge_factor, &ctx,
+    RunMerger<K, V> merger(&ordering, std::move(runs), merge_factor,
                            &res.metrics);
     merger.ForEachGroup(
         [&reducer, &out, &ctx, &res, &checker](std::span<const Pair> group)

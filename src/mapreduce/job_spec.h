@@ -187,8 +187,9 @@ struct EngineOptions {
   /// attempt's commit. Any mismatch crashes the detecting attempt — a
   /// transient failure retried under max_task_attempts — so a recoverable
   /// CorruptRecord fault plan still yields byte-identical output.
-  /// Verified bytes are metered (TaskMetrics::integrity_bytes_verified)
-  /// and priced by the cluster model (SimulatedJobTime::integrity_seconds).
+  /// Verified bytes are metered (TaskMetrics::integrity_bytes_verified);
+  /// the hashing runs inside the timed attempts (input verification
+  /// excepted), so the cluster model prices it through the task makespans.
   bool verify_integrity = false;
 
   static constexpr uint64_t kUnlimitedSkippedRecords = ~0ULL;
@@ -208,8 +209,9 @@ struct EngineOptions {
   /// the job with a structured FailedPrecondition Status naming the
   /// offending key pair — never a wrong answer. Checks are sampled (see
   /// contract_sample_every), metered as TaskMetrics::contract_checks, and
-  /// priced by the cluster model. Default: on in debug builds and CI, off
-  /// under NDEBUG (overridable via the FJ_CHECK_CONTRACTS env var).
+  /// run inline, so their time is inside the attempts' measured seconds.
+  /// Default: on in debug builds and CI, off under NDEBUG (overridable via
+  /// the FJ_CHECK_CONTRACTS env var).
   bool check_contracts = ContractChecksDefaultOn();
 
   /// Every kth emitted key enters the contract checker's axiom pool
@@ -223,8 +225,8 @@ struct EngineOptions {
 
   /// Block codec applied per spill-run block. Off by default: spilled runs
   /// stay in memory, so compression saves memory, not I/O, and costs codec
-  /// CPU. Codec bytes are metered per task and priced by the cluster
-  /// model. Job output is byte-identical across codecs.
+  /// CPU inside the attempts' measured seconds. Codec bytes are metered
+  /// per task. Job output is byte-identical across codecs.
   BlockCodec block_codec = BlockCodec::kNone;
 
   const EngineOptions& engine() const { return *this; }

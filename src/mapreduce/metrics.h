@@ -1,6 +1,8 @@
 // Cost metering for executed jobs. Every map/reduce task records its
 // measured wall time plus any simulated charges; the cluster cost model
-// (cluster_model.h) turns these into simulated cluster running times.
+// (cluster_model.h) turns the task seconds, shuffle bytes and spilled
+// bytes into simulated cluster running times. The other meters are counts
+// of work already inside the task seconds, reported but not priced.
 //
 // All byte/record totals are metered on the emit, spill, and merge paths
 // as the data flows — nothing re-walks the intermediate dataset to count
@@ -81,7 +83,8 @@ struct TaskMetrics {
   /// commit, runs again at the reduce side's merge read, and reduce output
   /// lines at commit. Unlike the committed-attempt fields above these
   /// accumulate across FAILED attempts too — the verification work was
-  /// really performed, and the cluster model prices it.
+  /// really performed. The hashing runs inside the attempts, so its time
+  /// is in their seconds; this count is reported, not priced.
   uint64_t integrity_bytes_verified = 0;
   /// Checksum mismatches detected; each one crashed the detecting attempt
   /// (converted into a transient failure and retried).
@@ -89,16 +92,16 @@ struct TaskMetrics {
 
   /// --- Contract checking (JobSpec::check_contracts) ---
   /// Comparator/partitioner/combiner predicate evaluations and key hashes
-  /// performed by the contract checker for the COMMITTED attempt. Failed
-  /// attempts' check time is already inside failed_attempt_seconds (checks
-  /// run inline), so this stays deterministic across fault plans; priced by
-  /// kContractChecksPerSecondPerNode.
+  /// performed by the contract checker for the COMMITTED attempt. Checks
+  /// run inline, so their time is inside seconds (and a failed attempt's
+  /// inside failed_attempt_seconds); counting the committed attempt only
+  /// keeps this deterministic across fault plans. Reported, not priced.
   uint64_t contract_checks = 0;
 
   /// --- Run encoding (record_format.h, JobSpec::block_codec) ---
   /// Pre-codec payload bytes of every run this task encoded (map spills)
   /// or decoded (reduce merge reads); the codec's CPU work is proportional
-  /// to these and priced by kCodecBytesPerSecondPerNode.
+  /// to these and runs inside the attempt's seconds. Reported, not priced.
   uint64_t codec_logical_bytes = 0;
   /// Encoded (post-codec) bytes of the same runs, block framing included.
   /// The ratio against codec_logical_bytes is the measured compression

@@ -20,8 +20,9 @@
 // When a partition has more runs than JobSpec::merge_factor, contiguous
 // rank ranges are first collapsed into intermediate runs (Hadoop's
 // multi-pass merge under a small io.sort.factor). Every intermediate pass
-// re-reads its inputs and re-writes the merged run; that I/O is charged to
-// the reduce task's scratch and counted in its metrics.
+// re-writes the merged run, which the reduce task counts in its
+// spilled_bytes; the cost model prices each spilled byte's write and its
+// re-read from that one meter.
 //
 // The merger reads decoded runs that belong to one reduce attempt: the
 // attempt decodes each published SortedRun's block (sort_buffer.h) into a
@@ -46,18 +47,17 @@
 
 #include "mapreduce/job_spec.h"
 #include "mapreduce/metrics.h"
-#include "mapreduce/task_context.h"
 
 namespace fj::mr {
 
 /// One run as a reduce attempt merges it: pairs decoded from a published
 /// run block, or merged by an intermediate pass, and owned by the attempt.
-/// `bytes` and `on_disk` price reading the run back.
+/// `bytes` is the run's encoded size, which an intermediate pass that
+/// re-spills it adds to spilled_bytes.
 template <typename K, typename V>
 struct MergeRun {
   std::vector<std::pair<K, V>> pairs;
   uint64_t bytes = 0;
-  bool on_disk = false;
 };
 
 template <typename K, typename V>
@@ -70,9 +70,9 @@ class RunMerger {
   /// runs' pairs (they are moved out as groups stream).
   RunMerger(const SpecOrdering<K, V>* ordering,
             std::vector<MergeRun<K, V>*> runs, size_t merge_factor,
-            TaskContext* ctx, TaskMetrics* metrics)
+            TaskMetrics* metrics)
       : ordering_(ordering), merge_factor_(std::max<size_t>(2, merge_factor)),
-        ctx_(ctx), metrics_(metrics) {
+        metrics_(metrics) {
     for (MergeRun<K, V>* run : runs) {
       if (run != nullptr && !run->pairs.empty()) runs_.push_back(run);
     }
@@ -99,9 +99,6 @@ class RunMerger {
     if (runs_.empty()) return;
 
     // Reading the surviving runs is the final merge pass.
-    for (MergeRun<K, V>* run : runs_) {
-      if (run->on_disk) ctx_->scratch().ChargeSpillRead(run->bytes);
-    }
     if (runs_.size() > 1) metrics_->merge_passes++;
 
     InitHeap();
@@ -129,7 +126,7 @@ class RunMerger {
 
   // Intermediate passes: while too many runs remain, merge the
   // `merge_factor` lowest-ranked (contiguous, so stability is preserved)
-  // into one on-disk run that inherits the lowest rank.
+  // into one re-spilled run that inherits the lowest rank.
   void CollapseToSinglePass() {
     while (runs_.size() > merge_factor_) {
       auto merged = std::make_unique<MergeRun<K, V>>();
@@ -139,17 +136,13 @@ class RunMerger {
       for (MergeRun<K, V>* run : inputs) {
         total += run->pairs.size();
         merged->bytes += run->bytes;
-        if (run->on_disk) ctx_->scratch().ChargeSpillRead(run->bytes);
       }
       merged->pairs.reserve(total);
 
-      RunMerger sub(ordering_, std::move(inputs), merge_factor_, ctx_,
-                    metrics_);
+      RunMerger sub(ordering_, std::move(inputs), merge_factor_, metrics_);
       sub.InitHeap();
       while (!sub.heap_.empty()) merged->pairs.push_back(sub.PopMin());
 
-      merged->on_disk = true;
-      ctx_->scratch().ChargeSpillWrite(merged->bytes);
       metrics_->spill_count++;
       metrics_->spilled_bytes += merged->bytes;
       metrics_->merge_passes++;
@@ -203,7 +196,6 @@ class RunMerger {
 
   const SpecOrdering<K, V>* ordering_;
   size_t merge_factor_;
-  TaskContext* ctx_;
   TaskMetrics* metrics_;
 
   std::vector<MergeRun<K, V>*> runs_;

@@ -4,10 +4,10 @@
 // Every map task owns one SortBuffer. Emitted pairs accumulate against the
 // job's byte budget (JobSpec::sort_buffer_bytes); when the next pair would
 // overflow it, the buffer is written out as one sorted run per reduce
-// partition — a "spill". Spill bytes are charged through the task's
-// LocalScratch so the cost model sees the I/O. With a zero budget the
-// whole map output becomes a single in-memory run at Flush() and nothing
-// is charged — the legacy unbounded behaviour.
+// partition — a "spill". Spill bytes are metered in the task's
+// spilled_bytes, which the cost model prices as local-disk traffic. With a
+// zero budget the whole map output becomes a single in-memory run at
+// Flush() and nothing is spilled — the legacy unbounded behaviour.
 //
 // Without a combiner, pairs are buffered per reduce partition as emitted
 // and each spill stable-sorts every partition by the sort comparator. With
@@ -48,7 +48,6 @@
 #include "mapreduce/job_spec.h"
 #include "mapreduce/metrics.h"
 #include "mapreduce/record_format.h"
-#include "mapreduce/task_context.h"
 
 namespace fj::mr {
 
@@ -64,8 +63,8 @@ struct SortedRun {
   uint64_t record_count = 0;
   /// Pre-codec payload size, for compression-ratio metering.
   uint64_t logical_bytes = 0;
-  /// True when the run was spilled: its write was charged to the producing
-  /// task's scratch and its read will be charged to the consuming task.
+  /// True when the run was spilled (counted in the producing task's
+  /// spilled_bytes) rather than kept as the unbounded in-memory run.
   bool on_disk = false;
   /// Write-side HashString of the block — the bytes that actually sit in
   /// the shuffle, compressed or not — computed when
@@ -89,10 +88,10 @@ class SortBuffer : public Emitter<K, V> {
   using Pair = std::pair<K, V>;
 
   SortBuffer(const JobSpec<K, V>* spec, const SpecOrdering<K, V>* ordering,
-             TaskContext* ctx, TaskMetrics* metrics, MapTaskOutput* out,
+             TaskMetrics* metrics, MapTaskOutput* out,
              KeyContractChecker<K, SpecOrdering<K, V>>* checker = nullptr)
-      : spec_(spec), ordering_(ordering), ctx_(ctx), metrics_(metrics),
-        out_(out), checker_(checker), partitions_(spec->num_reduce_tasks) {}
+      : spec_(spec), ordering_(ordering), metrics_(metrics), out_(out),
+        checker_(checker), partitions_(spec->num_reduce_tasks) {}
 
   void Emit(K key, V value) override {
     // Once the checker latched a violation the job is failing anyway;
@@ -214,7 +213,6 @@ class SortBuffer : public Emitter<K, V> {
     if (to_disk) {
       metrics_->spill_count++;
       metrics_->spilled_bytes += run_bytes;
-      ctx_->scratch().ChargeSpillWrite(run_bytes);
     }
 
     out_->spills.push_back(std::move(runs));
@@ -263,7 +261,6 @@ class SortBuffer : public Emitter<K, V> {
 
   const JobSpec<K, V>* spec_;
   const SpecOrdering<K, V>* ordering_;
-  TaskContext* ctx_;
   TaskMetrics* metrics_;
   MapTaskOutput* out_;
   /// Optional contract checker for this attempt; nullptr when

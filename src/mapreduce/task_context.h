@@ -15,8 +15,11 @@
 namespace fj::mr {
 
 /// Models a task's local disk. Data lives in memory, but reads and writes
-/// are metered (bytes + simulated seconds) so the cluster cost model can
-/// charge for the extra I/O that reduce-based block processing performs.
+/// are metered (bytes + simulated seconds); the engine adds io_seconds()
+/// to the attempt's cost, so the cluster model's makespans include the
+/// extra I/O that reduce-based block processing performs. Sort-spill-merge
+/// runs never pass through here: their bytes are TaskMetrics::spilled_bytes,
+/// priced by the model's local-disk term.
 class LocalScratch {
  public:
   /// Simulated cost of one byte of local I/O (~100 MB/s).
@@ -33,18 +36,6 @@ class LocalScratch {
   uint64_t bytes_written() const { return bytes_written_; }
   uint64_t bytes_read() const { return bytes_read_; }
 
-  /// Spill-run channel: the engine's sort-spill-merge shuffle keeps its
-  /// runs typed (in memory, like every block here) but routes their
-  /// serialized size through the scratch so spill traffic is attributed
-  /// to the task that performed it. Kept separate from Put/Get traffic
-  /// and NOT folded into io_seconds(): the cluster cost model prices
-  /// spill bytes with its own local-disk bandwidth term
-  /// (kLocalDiskBytesPerSecondPerNode, cluster_model.h).
-  void ChargeSpillWrite(uint64_t bytes) { spill_bytes_written_ += bytes; }
-  void ChargeSpillRead(uint64_t bytes) { spill_bytes_read_ += bytes; }
-  uint64_t spill_bytes_written() const { return spill_bytes_written_; }
-  uint64_t spill_bytes_read() const { return spill_bytes_read_; }
-
   /// Simulated seconds spent on scratch I/O so far.
   double io_seconds() const {
     return kSecondsPerByte * static_cast<double>(bytes_written_ + bytes_read_);
@@ -54,8 +45,6 @@ class LocalScratch {
   std::map<std::string, std::vector<std::string>> blocks_;
   uint64_t bytes_written_ = 0;
   mutable uint64_t bytes_read_ = 0;
-  uint64_t spill_bytes_written_ = 0;
-  uint64_t spill_bytes_read_ = 0;
 };
 
 /// Handed to mapper/reducer Setup(); identifies the task *attempt* and

@@ -6,10 +6,12 @@
 // detect broken jobs" guarantee.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "data/generator.h"
+#include "data/increase.h"
 #include "fuzzyjoin/fuzzyjoin.h"
 
 namespace fj::join {
@@ -118,6 +120,56 @@ TEST(ContractPipelineTest, RSJoinVariantsPassChecksByteIdentically) {
     EXPECT_GT(TotalContractChecks(*on), 0u) << v.name;
     EXPECT_EQ(TotalContractChecks(*off), 0u) << v.name;
   }
+}
+
+// The sampling interval's gates, on BTO-PK-BRJ over 1,000 DBLP-like
+// records (base 500 x 2, seed 42) with the 10-node cluster's 80 map and
+// 40 reduce tasks: every interval leaves the output byte-identical to the
+// checks-off run, the check count falls strictly as the interval grows,
+// and the default interval does at most a tenth of every-key checking's
+// work.
+TEST(ContractPipelineTest, SamplingIntervalBoundsCheckWork) {
+  mr::Dfs dfs;
+  auto records = data::IncreaseDataset(
+      data::GenerateRecords(data::DblpLikeConfig(500, 42)), 2);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 1000u);
+  ASSERT_TRUE(dfs.WriteFile("dblp", data::RecordsToLines(*records)).ok());
+
+  auto make_config = [](bool check, uint32_t every) {
+    JoinConfig config;
+    config.stage1 = Stage1Algorithm::kBTO;
+    config.stage2 = Stage2Algorithm::kPK;
+    config.stage3 = Stage3Algorithm::kBRJ;
+    config.num_map_tasks = 80;
+    config.num_reduce_tasks = 40;
+    config.check_contracts = check;
+    config.contract_sample_every = every;
+    return config;
+  };
+  auto off = RunSelfJoin(&dfs, "dblp", "off", make_config(false, 1));
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  const auto* lines_off = ReadLines(dfs, off->output_file);
+  ASSERT_NE(lines_off, nullptr);
+  EXPECT_FALSE(lines_off->empty());
+
+  std::map<uint32_t, uint64_t> checks;
+  for (uint32_t every : {64u, 16u, 4u, 1u}) {
+    auto on = RunSelfJoin(&dfs, "dblp", "every-" + std::to_string(every),
+                          make_config(true, every));
+    ASSERT_TRUE(on.ok()) << every << ": " << on.status().ToString();
+    const auto* lines_on = ReadLines(dfs, on->output_file);
+    ASSERT_NE(lines_on, nullptr);
+    EXPECT_EQ(*lines_on, *lines_off) << "every " << every;
+    checks[every] = TotalContractChecks(*on);
+  }
+  EXPECT_GT(checks[64], 0u);
+  EXPECT_GT(checks[16], checks[64]);
+  EXPECT_GT(checks[4], checks[16]);
+  EXPECT_GT(checks[1], checks[4]);
+  const uint32_t default_every = JoinConfig{}.contract_sample_every;
+  ASSERT_EQ(default_every, 16u);
+  EXPECT_LE(10 * checks[default_every], checks[1]);
 }
 
 }  // namespace

@@ -137,36 +137,6 @@ TEST(SimulateJobTest, SpillBytesPricedOnLocalDiskBandwidth) {
   EXPECT_DOUBLE_EQ(clean.spill_seconds, 0.0);
 }
 
-TEST(SimulateJobTest, IntegrityBytesPricedOnChecksumBandwidth) {
-  JobMetrics metrics;
-  metrics.integrity_bytes_verified = 1000;
-  ClusterConfig cluster;
-  cluster.nodes = 2;
-  // Each verified byte is hashed exactly once.
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).integrity_seconds,
-                   1000 / (2 * kIntegrityBytesPerSecondPerNode));
-  cluster.nodes = 10;
-  const double integrity = 1000 / (10 * kIntegrityBytesPerSecondPerNode);
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).integrity_seconds,
-                   integrity);
-
-  // Part of the total; jobs that never verify pay zero.
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).total(),
-                   kJobStartupSeconds + integrity);
-  metrics.integrity_bytes_verified = 0;
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).integrity_seconds, 0.0);
-}
-
-TEST(SimulateJobTest, IntegritySecondsScaleWithWorkScale) {
-  JobMetrics metrics;
-  metrics.integrity_bytes_verified = 1000;
-  ClusterConfig cluster;
-  cluster.nodes = 1;
-  double base = SimulateJob(metrics, cluster).integrity_seconds;
-  cluster.work_scale = 8.0;
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).integrity_seconds, 8 * base);
-}
-
 TEST(SimulateJobTest, SpillSecondsScaleWithWorkScale) {
   JobMetrics metrics;
   metrics.spilled_bytes = 1000;
@@ -198,9 +168,7 @@ TEST(SimulateJobTest, RetryChainSerializesIntoTheTaskSlot) {
   ClusterConfig cluster;
   cluster.nodes = 1;
   cluster.map_slots_per_node = 1;
-  auto simulated = SimulateJob(metrics, cluster);
-  EXPECT_DOUBLE_EQ(simulated.map_seconds, 5.0);
-  EXPECT_DOUBLE_EQ(simulated.wasted_seconds, 3.0);
+  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).map_seconds, 5.0);
 }
 
 TEST(SimulateJobTest, SpeculativeLoserOccupiesAParallelSlot) {
@@ -217,7 +185,6 @@ TEST(SimulateJobTest, SpeculativeLoserOccupiesAParallelSlot) {
   one_slot.nodes = 1;
   one_slot.map_slots_per_node = 1;
   EXPECT_DOUBLE_EQ(SimulateJob(metrics, one_slot).map_seconds, 6.0);
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, one_slot).wasted_seconds, 4.0);
 }
 
 TEST(SimulateJobTest, WastedSecondsIsInformationalNotAdditive) {
@@ -229,17 +196,39 @@ TEST(SimulateJobTest, WastedSecondsIsInformationalNotAdditive) {
   cluster.nodes = 1;
   cluster.reduce_slots_per_node = 2;
   auto simulated = SimulateJob(metrics, cluster);
-  EXPECT_DOUBLE_EQ(simulated.wasted_seconds, 5.0);
-  EXPECT_DOUBLE_EQ(simulated.total(),
-                   kJobStartupSeconds + simulated.reduce_seconds);
+  // The 3s chain (2s crashed + 1s committed) and the 3s loser share the
+  // two slots.
+  EXPECT_DOUBLE_EQ(simulated.reduce_seconds, 3.0);
+  EXPECT_DOUBLE_EQ(simulated.total(), kJobStartupSeconds + 3.0);
 }
 
-TEST(SimulateJobTest, WastedSecondsScalesWithWorkScale) {
+TEST(SimulateJobTest, WorkInsideTasksIsNotPricedAgain) {
+  // Codec, checksum and contract work runs inside the timed attempts, so
+  // its counts must not add to the header formula's five terms.
   JobMetrics metrics;
-  metrics.map_tasks = {TaskWithChain(1.0, 2.0)};
+  metrics.map_tasks = {TaskWithChain(2.0, 1.0), TaskWithChain(1.0, 0.0, 2.0)};
+  metrics.reduce_tasks = {TaskWithChain(4.0, 1.0), TaskMetrics{1.0}};
+  metrics.shuffle_bytes = 10 * 1024 * 1024;
+  metrics.spilled_bytes = 4 * 1024 * 1024;
   ClusterConfig cluster;
-  cluster.work_scale = 10.0;
-  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).wasted_seconds, 20.0);
+  cluster.nodes = 1;
+  cluster.map_slots_per_node = 2;
+  cluster.reduce_slots_per_node = 1;
+  cluster.work_scale = 2.0;
+
+  JobMetrics counted = metrics;
+  counted.codec_logical_bytes = counted.codec_encoded_bytes = 1 << 30;
+  counted.integrity_bytes_verified = 1 << 30;
+  counted.contract_checks = 1 << 30;
+  // Map: the 3s chain alone, the 1s winner and 2s loser on the other
+  // slot; reduce: 5s + 1s on one slot; everything x2 work_scale.
+  const double by_hand =
+      kJobStartupSeconds + 2 * 3.0 + 2 * 6.0 +
+      2 * 10.0 * 1024 * 1024 / kShuffleBytesPerSecondPerNode +
+      2 * 2 * 4.0 * 1024 * 1024 / kLocalDiskBytesPerSecondPerNode;
+  EXPECT_DOUBLE_EQ(SimulateJob(counted, cluster).total(), by_hand);
+  EXPECT_DOUBLE_EQ(SimulateJob(counted, cluster).total(),
+                   SimulateJob(metrics, cluster).total());
 }
 
 TEST(SimulateJobTest, ZeroTasksHaveNoWaste) {
@@ -248,7 +237,6 @@ TEST(SimulateJobTest, ZeroTasksHaveNoWaste) {
   auto simulated = SimulateJob(metrics, cluster);
   EXPECT_DOUBLE_EQ(simulated.map_seconds, 0.0);
   EXPECT_DOUBLE_EQ(simulated.reduce_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(simulated.wasted_seconds, 0.0);
 }
 
 TEST(SimulateJobTest, MoreBackupsThanSlotsQueue) {
@@ -277,9 +265,7 @@ TEST(SimulateJobTest, StragglerSlowerThanBackupStillCharged) {
   ClusterConfig cluster;
   cluster.nodes = 1;
   cluster.map_slots_per_node = 2;
-  auto simulated = SimulateJob(metrics, cluster);
-  EXPECT_DOUBLE_EQ(simulated.map_seconds, 9.0);
-  EXPECT_DOUBLE_EQ(simulated.wasted_seconds, 9.0);
+  EXPECT_DOUBLE_EQ(SimulateJob(metrics, cluster).map_seconds, 9.0);
 }
 
 TEST(SimulatePipelineTest, SumsJobs) {
@@ -305,20 +291,6 @@ TEST(LocalScratchTest, MetersIO) {
   EXPECT_EQ(scratch.Get("missing").status().code(), StatusCode::kNotFound);
   scratch.Erase("k");
   EXPECT_FALSE(scratch.Get("k").ok());
-}
-
-TEST(LocalScratchTest, SpillChannelIsMeteredSeparately) {
-  LocalScratch scratch;
-  scratch.ChargeSpillWrite(1000);
-  scratch.ChargeSpillRead(400);
-  scratch.ChargeSpillRead(600);
-  EXPECT_EQ(scratch.spill_bytes_written(), 1000u);
-  EXPECT_EQ(scratch.spill_bytes_read(), 1000u);
-  // Spill traffic is priced by the cluster model's local-disk term, not by
-  // the scratch's own io_seconds — no double charging.
-  EXPECT_DOUBLE_EQ(scratch.io_seconds(), 0.0);
-  EXPECT_EQ(scratch.bytes_written(), 0u);
-  EXPECT_EQ(scratch.bytes_read(), 0u);
 }
 
 }  // namespace

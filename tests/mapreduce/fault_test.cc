@@ -879,8 +879,6 @@ integrity.bytes_verified=28729
 integrity.corruption_detected=5
 mapper.lines=240
 reducer.groups=40
-scratch.spill_bytes_read=197532
-scratch.spill_bytes_written=197532
 )"}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.name);

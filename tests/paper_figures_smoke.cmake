@@ -1,0 +1,25 @@
+# cmake -DBIN_DIR=<bench binary dir> -P paper_figures_smoke.cmake: every
+# paper figure and table bench runs at tiny flags, exits 0 and prints its
+# `paper-shape checks` block.
+function(expect_paper_shape bench)
+  execute_process(COMMAND "${BIN_DIR}/${bench}" ${ARGN}
+    RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR "${bench} ${ARGN}: exit status ${status}\n${err}")
+  endif()
+  string(FIND "${out}" "paper-shape checks" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${bench} ${ARGN}: no paper-shape checks\n${out}")
+  endif()
+endfunction()
+
+set(self --base=200 --reps=1)
+set(rs --r_base=200 --s_base=160 --reps=1)
+expect_paper_shape(bench_fig08_selfjoin_size ${self} --max_factor=2)
+expect_paper_shape(bench_fig09_selfjoin_speedup ${self})
+expect_paper_shape(bench_table1_selfjoin_stages ${self})
+expect_paper_shape(bench_fig11_selfjoin_scaleup ${self})
+expect_paper_shape(bench_table2_selfjoin_scaleup_stages ${self})
+expect_paper_shape(bench_fig12_rsjoin_size ${rs} --max_factor=2)
+expect_paper_shape(bench_fig13_rsjoin_speedup ${rs})
+expect_paper_shape(bench_fig14_rsjoin_scaleup ${rs})

@@ -343,7 +343,9 @@ TEST(QueryServiceTest, ConcurrentEnqueueFromManyThreadsCompletes) {
 
 TEST(QueryServiceTest, AdmissionRacingCompactionKeepsCacheEpochStable) {
   // Producers keep enqueuing probes while the owner thread runs repeated
-  // flush+compact cycles — the serving tier's steady state. Compaction
+  // drain+compact cycles — the serving tier's steady state. The index is
+  // single-threaded, so the owner thread makes every index call (no
+  // auto-drainer), as fuzzyjoin_serve's command thread does. Compaction
   // rewrites the index arena but MUST NOT advance the write epoch: every
   // cached result stays valid across the race (cache_stale == 0), repeat
   // probes keep hitting, and no accepted request is lost or answered
@@ -352,6 +354,7 @@ TEST(QueryServiceTest, AdmissionRacingCompactionKeepsCacheEpochStable) {
   Executor executor(4);
   QueryServiceOptions options;
   options.max_queue_depth = 100000;
+  options.auto_drain = false;
   QueryService service(&index, &executor, options);
   for (uint64_t i = 0; i < 40; ++i) {
     ASSERT_TRUE(
@@ -387,12 +390,12 @@ TEST(QueryServiceTest, AdmissionRacingCompactionKeepsCacheEpochStable) {
     // The compaction loop races the producers: each cycle drains what was
     // admitted so far, then compacts.
     while (!stop.load()) {
-      service.Flush();
+      service.DrainAll();
       index.CompactNow();
     }
     ASSERT_TRUE(group.Wait().ok());
   }
-  service.Flush();
+  service.DrainAll();
   index.CompactNow();
 
   EXPECT_EQ(done.load(), accepted.load());

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end test of the shipped `fuzzyjoin` and `fuzzyjoin_serve` binaries.
 
-Six checks:
+Seven checks:
 
 1. Transparent engine flags. `selfjoin` and `rsjoin` each run twice over
    small generated inputs: once with default flags, and once with every
@@ -27,6 +27,10 @@ Six checks:
    (tau_floor=0.70), not the flag default.
 6. A crafted snapshot whose record declares 2^62 tokens makes
    `fuzzyjoin_serve --snapshot_in` fail with DataLoss, never a signal.
+7. --stats prints measurements and counts, never a cluster-model price:
+   a default `selfjoin` and one with the fjlz codec, contract checks and
+   a crash plan both print no "simulated", and the second prints its
+   format, contracts and fault-tolerance lines.
 
 Usage: cli_selftest.py <path/to/fuzzyjoin> <path/to/fuzzyjoin_serve>
 Stdlib only; registered as the cli_selftest ctest target.
@@ -62,6 +66,14 @@ ALGORITHM_FLAGS = [
     (["--stage3=brj"], "3-BRJ"),
     (["--routing=grouped", "--groups=7"], None),
     (["--codec=fjlz"], None),
+]
+
+# (flags, lines its --stats must print)
+STATS_RUNS = [
+    ([], []),
+    (["--codec=fjlz", "--check_contracts=1", "--max_attempts=4",
+      "--fault_seed=7", "--fault_crash_p=0.3"],
+     ["format:", "contracts:", "fault tolerance:"]),
 ]
 
 # (tool, arguments after the subcommand inputs, text naming the flag that
@@ -237,6 +249,17 @@ def main():
             check(not not_text,
                   f"every state file is text lines (not: {not_text})",
                   failures)
+
+        for flags, lines in STATS_RUNS:
+            res = run([fuzzyjoin, "selfjoin", "--input=" + path("r.tsv"),
+                       "--out=" + path("stats.joined"), "--stats", *flags])
+            what = f"selfjoin --stats {' '.join(flags)}".rstrip()
+            check(res.returncode == 0
+                  and all(line in res.stderr for line in lines)
+                  and "simulated" not in res.stderr,
+                  f"{what} prints {lines} and no simulated price", failures)
+            if res.returncode != 0:
+                print(res.stderr)
 
         for tool, flags, flag in BAD_FLAGS:
             if tool == "fuzzyjoin":

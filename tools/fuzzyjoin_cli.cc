@@ -187,10 +187,8 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
   return config;
 }
 
+// Prints measurements and counts only: no cluster-model price.
 void PrintStats(const fj::join::JoinRunResult& result) {
-  // Simulated seconds (incl. wasted slot time) use the paper's default
-  // 10-node cluster shape.
-  const fj::mr::ClusterConfig cluster;
   std::fprintf(stderr, "stages:\n");
   for (const auto& stage : result.stages) {
     if (stage.resumed_from_checkpoint) {
@@ -207,8 +205,7 @@ void PrintStats(const fj::join::JoinRunResult& result) {
     std::fprintf(stderr, "  %-12s %7.3fs  %9.1f KB shuffled  (%zu job%s)\n",
                  stage.stage_name.c_str(), seconds, shuffle / 1024.0,
                  stage.jobs.size(), stage.jobs.size() == 1 ? "" : "s");
-    // Measured host-executor activity (the simulated cluster charges are
-    // reported separately below).
+    // Measured host-executor activity.
     {
       fj::ExecutorStats rt;
       double map_wall = 0, reduce_wall = 0;
@@ -256,7 +253,8 @@ void PrintStats(const fj::join::JoinRunResult& result) {
     uint64_t attempts = 0, tasks = 0;
     uint64_t failed = 0, spec_launched = 0, spec_wins = 0;
     uint64_t corrupt = 0, skipped = 0, contract_checks = 0;
-    double wasted = 0, sim_wasted = 0, sim_contract = 0;
+    uint64_t codec_logical = 0, codec_encoded = 0, spilled = 0;
+    double wasted = 0;
     for (const auto& job : stage.jobs) {
       for (const auto& task : job.map_tasks) attempts += task.attempts;
       for (const auto& task : job.reduce_tasks) attempts += task.attempts;
@@ -267,23 +265,21 @@ void PrintStats(const fj::join::JoinRunResult& result) {
       corrupt += job.corruption_detected;
       skipped += job.records_skipped;
       contract_checks += job.contract_checks;
+      codec_logical += job.codec_logical_bytes;
+      codec_encoded += job.codec_encoded_bytes;
+      spilled += job.spilled_bytes;
       wasted += job.wasted_task_seconds;
-      const auto sim = fj::mr::SimulateJob(job, cluster);
-      sim_wasted += sim.wasted_seconds;
-      sim_contract += sim.contract_seconds;
     }
     if (attempts > tasks || spec_launched > 0) {
       std::fprintf(stderr,
                    "    fault tolerance: %llu attempts for %llu tasks "
-                   "(%llu failed), %llu backup%s (%llu won), %.3fs wasted "
-                   "(%.1fs simulated on the cluster)\n",
+                   "(%llu failed), %llu backup%s (%llu won), %.3fs wasted\n",
                    static_cast<unsigned long long>(attempts),
                    static_cast<unsigned long long>(tasks),
                    static_cast<unsigned long long>(failed),
                    static_cast<unsigned long long>(spec_launched),
                    spec_launched == 1 ? "" : "s",
-                   static_cast<unsigned long long>(spec_wins), wasted,
-                   sim_wasted);
+                   static_cast<unsigned long long>(spec_wins), wasted);
     }
     if (corrupt > 0) {
       std::fprintf(stderr,
@@ -300,29 +296,17 @@ void PrintStats(const fj::join::JoinRunResult& result) {
                    skipped == 1 ? "" : "s");
     }
     if (contract_checks > 0) {
-      std::fprintf(stderr,
-                   "    contracts: %llu checks, clean (%.3fs simulated on "
-                   "the cluster)\n",
-                   static_cast<unsigned long long>(contract_checks),
-                   sim_contract);
-    }
-    uint64_t codec_logical = 0, codec_encoded = 0;
-    double sim_codec = 0, sim_spill = 0;
-    for (const auto& job : stage.jobs) {
-      codec_logical += job.codec_logical_bytes;
-      codec_encoded += job.codec_encoded_bytes;
-      const auto sim = fj::mr::SimulateJob(job, cluster);
-      sim_codec += sim.codec_seconds;
-      sim_spill += sim.spill_seconds;
+      std::fprintf(stderr, "    contracts: %llu checks, clean\n",
+                   static_cast<unsigned long long>(contract_checks));
     }
     if (codec_encoded > 0) {
       std::fprintf(stderr,
                    "    format: %.1f KB logical -> %.1f KB encoded (%.2fx), "
-                   "%.3fs codec / %.3fs spill simulated on the cluster\n",
+                   "%.1f KB spilled\n",
                    codec_logical / 1024.0, codec_encoded / 1024.0,
                    static_cast<double>(codec_logical) /
                        static_cast<double>(codec_encoded),
-                   sim_codec, sim_spill);
+                   spilled / 1024.0);
     }
     for (const auto& job : stage.jobs) {
       for (const auto& [name, value] : job.counters.Snapshot()) {
