@@ -36,10 +36,9 @@ namespace internal {
 namespace {
 
 /// Sums the committed task metrics (plus the inputs' verified bytes) into
-/// the job totals and the job counters they feed — O(tasks), never a walk
-/// over the intermediate data.
-void SumJobTotals(const EngineOptions& options,
-                  uint64_t input_integrity_bytes, JobMetrics* metrics) {
+/// the job totals — O(tasks), never a walk over the intermediate data.
+/// The totals are typed fields only: no counter repeats one.
+void SumJobTotals(uint64_t input_integrity_bytes, JobMetrics* metrics) {
   for (const TaskMetrics& t : metrics->map_tasks) {
     metrics->map_output_records += t.output_records;
     metrics->map_output_bytes += t.output_bytes;
@@ -64,30 +63,7 @@ void SumJobTotals(const EngineOptions& options,
       metrics->codec_encoded_bytes += t.codec_encoded_bytes;
     }
   }
-  CounterSet& counters = metrics->counters;
-  if (metrics->codec_encoded_bytes > 0) {
-    counters.Add("format.logical_bytes",
-                 static_cast<int64_t>(metrics->codec_logical_bytes));
-    counters.Add("format.encoded_bytes",
-                 static_cast<int64_t>(metrics->codec_encoded_bytes));
-  }
-  if (options.check_contracts && metrics->contract_checks > 0) {
-    counters.Add("contract.checks",
-                 static_cast<int64_t>(metrics->contract_checks));
-  }
   metrics->integrity_bytes_verified += input_integrity_bytes;
-  if (options.verify_integrity) {
-    counters.Add("integrity.bytes_verified",
-                 static_cast<int64_t>(metrics->integrity_bytes_verified));
-    if (metrics->corruption_detected > 0) {
-      counters.Add("integrity.corruption_detected",
-                   static_cast<int64_t>(metrics->corruption_detected));
-    }
-  }
-  if (metrics->records_skipped > 0) {
-    counters.Add("records_skipped",
-                 static_cast<int64_t>(metrics->records_skipped));
-  }
 }
 
 // Retry-chain bookkeeping. TallyAttempt folds a finished attempt into
@@ -392,7 +368,7 @@ Result<JobMetrics> JobRun::Finish(const Status& tasks) {
   for (const CounterSet& counters : task_counters_) {
     metrics_.counters.MergeFrom(counters);
   }
-  SumJobTotals(spec_, input_integrity_bytes_, &metrics_);
+  SumJobTotals(input_integrity_bytes_, &metrics_);
   FJ_RETURN_IF_ERROR(CommitOutput());
   metrics_.wall_seconds = timer_.ElapsedSeconds();
   metrics_.map_phase_wall_seconds = map_done_wall_;

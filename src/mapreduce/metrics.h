@@ -177,6 +177,8 @@ struct JobMetrics {
   /// contract (unlike every committed counter above).
   ExecutorStats runtime;
 
+  /// The counters the committed tasks' code added (the stages' own and
+  /// LocalScratch's `scratch.bytes_*`). None repeats a typed field above.
   CounterSet counters;
 
   double TotalMapSeconds() const {

@@ -1,8 +1,8 @@
 // Pipeline-level golden test for the sort-spill-merge shuffle: the full
 // three-stage self-join must produce byte-identical output whether every
-// job runs with an unbounded sort buffer (legacy) or a budget small enough
-// to force spilling in every stage — and the cluster model must charge the
-// spill traffic it caused.
+// job runs with an unbounded sort buffer (legacy) or under any of a sweep
+// of budgets small enough to force spilling — and the cluster model must
+// charge the spill traffic it caused.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -70,21 +70,31 @@ void RunGoldenCase(Stage1Algorithm s1, Stage2Algorithm s2,
   EXPECT_EQ(legacy_totals.spill_count, 0u);
   EXPECT_DOUBLE_EQ(legacy_totals.spill_seconds, 0.0);
 
-  auto spill_config = BaseConfig(s1, s2, s3);
-  spill_config.sort_buffer_bytes = 256;  // far below any stage's volume
-  auto spilled = RunSelfJoin(&dfs, "records", "spilled", spill_config);
-  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-  auto spilled_totals = Totals(*spilled, cluster);
-  EXPECT_GT(spilled_totals.spill_count, 0u);
-  EXPECT_GT(spilled_totals.spilled_bytes, 0u);
-  EXPECT_GT(spilled_totals.spill_seconds, 0.0);
+  // Every budget is far below some stage's volume, from a few spills per
+  // task down to a few pairs per run; a smaller budget spills more.
+  uint64_t larger_budget_spills = 0;
+  for (uint64_t budget : {2048, 512, 256, 128}) {
+    SCOPED_TRACE("sort_buffer_bytes=" + std::to_string(budget));
+    auto spill_config = BaseConfig(s1, s2, s3);
+    spill_config.sort_buffer_bytes = budget;
+    auto spilled = RunSelfJoin(&dfs, "records",
+                               "spilled" + std::to_string(budget),
+                               spill_config);
+    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+    auto spilled_totals = Totals(*spilled, cluster);
+    EXPECT_GT(spilled_totals.spill_count, larger_budget_spills);
+    EXPECT_GT(spilled_totals.spilled_bytes, 0u);
+    EXPECT_GT(spilled_totals.spill_seconds, 0.0);
+    larger_budget_spills = spilled_totals.spill_count;
 
-  // The join itself and every kept intermediate are byte-identical.
-  EXPECT_EQ(Lines(dfs, legacy->output_file), Lines(dfs, spilled->output_file));
-  EXPECT_EQ(Lines(dfs, legacy->ordering_file),
-            Lines(dfs, spilled->ordering_file));
-  EXPECT_EQ(Lines(dfs, legacy->rid_pairs_file),
-            Lines(dfs, spilled->rid_pairs_file));
+    // The join itself and every kept intermediate are byte-identical.
+    EXPECT_EQ(Lines(dfs, legacy->output_file),
+              Lines(dfs, spilled->output_file));
+    EXPECT_EQ(Lines(dfs, legacy->ordering_file),
+              Lines(dfs, spilled->ordering_file));
+    EXPECT_EQ(Lines(dfs, legacy->rid_pairs_file),
+              Lines(dfs, spilled->rid_pairs_file));
+  }
 }
 
 TEST(SpillPipelineTest, BtoPkBrjGolden) {

@@ -366,9 +366,10 @@ TEST(Stage2EdgeTest, PairLineParserMatchesSplitReference) {
 
 // ---- Golden pins: all ten stage-2 variants on one seeded corpus.
 // For each variant: a hash of the sorted RID-pair lines, the job's
-// shuffle_records and shuffle_bytes, and its whole counter snapshot
-// (scratch and peak counters included). Grouped routing with three
-// groups makes every block and length class hold several records.
+// shuffle_records, shuffle_bytes and codec byte meters, and its whole
+// counter snapshot (scratch and peak counters included). Grouped routing
+// with three groups makes every block and length class hold several
+// records.
 // The values were captured when each variant still had its own mapper
 // and reducer. Since one BK loop runs the length classes, their
 // stage2.peak_group_records counts the native records a reducer holds,
@@ -394,8 +395,8 @@ TEST(Stage2EdgeTest, PairLineParserMatchesSplitReference) {
 //   self BK length signatures 35694 -> 11151,
 //   R-S BK, PK and BK reduce blocks 62710 -> 25781,
 //   R-S BK map blocks 114906 -> 54465;
-// and every variant gains the codec meters format.encoded_bytes and
-// format.logical_bytes (map encode plus reduce decode).
+// and every variant gains the codec meters codec_encoded_bytes and
+// codec_logical_bytes (map encode plus reduce decode).
 
 struct GoldenVariant {
   const char* name;
@@ -404,16 +405,14 @@ struct GoldenVariant {
   uint64_t pairs_hash;
   uint64_t shuffle_records;
   uint64_t shuffle_bytes;
+  uint64_t codec_encoded_bytes;
+  uint64_t codec_logical_bytes;
   const char* counters;  // "name=value " per counter, in name order
 };
 
-/// Every counter but the contract checker's own count, which depends on
-/// whether the build checks contracts (debug builds and
-/// FJ_CHECK_CONTRACTS=1 do).
 std::string CounterLine(const fj::CounterSet& counters) {
   std::string line;
   for (const auto& [name, value] : counters.Snapshot()) {
-    if (name.rfind("contract.", 0) == 0) continue;
     line += name + "=" + std::to_string(value) + " ";
   }
   return line;
@@ -425,9 +424,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
   const std::vector<GoldenVariant> variants = {
       {"self BK", false,
        [](JoinConfig*) {},
-       0x0b10ad2bcfbbb496ULL, 510, 11439,
-       "format.encoded_bytes=22878 "
-       "format.logical_bytes=22686 "
+       0x0b10ad2bcfbbb496ULL, 510, 11439, 22878, 22686,
        "stage2.bk.length_filtered=28722 "
        "stage2.bk.pairs_considered=43174 "
        "stage2.bk.results=104 "
@@ -436,9 +433,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=240 "},
       {"self PK", false,
        [](JoinConfig* c) { c->stage2 = Stage2Algorithm::kPK; },
-       0x0b10ad2bcfbbb496ULL, 510, 11439,
-       "format.encoded_bytes=22878 "
-       "format.logical_bytes=22686 "
+       0x0b10ad2bcfbbb496ULL, 510, 11439, 22878, 22686,
        "stage2.pk.arena_bytes=21232 "
        "stage2.pk.bitmap_pruned=11 "
        "stage2.pk.candidates=115 "
@@ -453,9 +448,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=240 "},
       {"self BK map blocks", false,
        [](JoinConfig* c) { c->block_processing = kMapBlocks; },
-       0x0b10ad2bcfbbb496ULL, 1042, 23360,
-       "format.encoded_bytes=46720 "
-       "format.logical_bytes=46528 "
+       0x0b10ad2bcfbbb496ULL, 1042, 23360, 46720, 46528,
        "stage2.bk.length_filtered=28722 "
        "stage2.bk.pairs_considered=43174 "
        "stage2.bk.results=104 "
@@ -464,9 +457,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=240 "},
       {"self BK reduce blocks", false,
        [](JoinConfig* c) { c->block_processing = kReduceBlocks; },
-       0x0b10ad2bcfbbb496ULL, 510, 11439,
-       "format.encoded_bytes=22878 "
-       "format.logical_bytes=22686 "
+       0x0b10ad2bcfbbb496ULL, 510, 11439, 22878, 22686,
        "scratch.bytes_read=32695 "
        "scratch.bytes_written=20263 "
        "stage2.bk.length_filtered=28722 "
@@ -477,9 +468,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=240 "},
       {"self BK length routing", false,
        [](JoinConfig* c) { c->bk_length_routing = true; },
-       0x0b10ad2bcfbbb496ULL, 1069, 25248,
-       "format.encoded_bytes=50496 "
-       "format.logical_bytes=50002 "
+       0x0b10ad2bcfbbb496ULL, 1069, 25248, 50496, 50002,
        "stage2.bk.length_filtered=1645 "
        "stage2.bk.pairs_considered=16097 "
        "stage2.bk.results=104 "
@@ -488,9 +477,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=240 "},
       {"self BK length signatures", false,
        [](JoinConfig* c) { c->routing = TokenRouting::kLengthSignatures; },
-       0xbe1357df5321796aULL, 483, 11151,
-       "format.encoded_bytes=22302 "
-       "format.logical_bytes=22032 "
+       0xbe1357df5321796aULL, 483, 11151, 22302, 22032,
        "stage2.bk.length_filtered=1124 "
        "stage2.bk.pairs_considered=10132 "
        "stage2.bk.results=52 "
@@ -499,9 +486,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=240 "},
       {"R-S BK", true,
        [](JoinConfig*) {},
-       0x0fa635eac00a1ea6ULL, 907, 25781,
-       "format.encoded_bytes=51562 "
-       "format.logical_bytes=51370 "
+       0x0fa635eac00a1ea6ULL, 907, 25781, 51562, 51370,
        "stage2.bk.length_filtered=45754 "
        "stage2.bk.pairs_considered=67652 "
        "stage2.bk.results=148 "
@@ -510,9 +495,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=440 "},
       {"R-S PK", true,
        [](JoinConfig* c) { c->stage2 = Stage2Algorithm::kPK; },
-       0x0fa635eac00a1ea6ULL, 907, 25781,
-       "format.encoded_bytes=51562 "
-       "format.logical_bytes=51370 "
+       0x0fa635eac00a1ea6ULL, 907, 25781, 51562, 51370,
        "stage2.pk.arena_bytes=21232 "
        "stage2.pk.bitmap_pruned=46 "
        "stage2.pk.candidates=194 "
@@ -527,9 +510,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=440 "},
       {"R-S BK map blocks", true,
        [](JoinConfig* c) { c->block_processing = kMapBlocks; },
-       0x0fa635eac00a1ea6ULL, 1701, 54465,
-       "format.encoded_bytes=108930 "
-       "format.logical_bytes=108738 "
+       0x0fa635eac00a1ea6ULL, 1701, 54465, 108930, 108738,
        "stage2.bk.length_filtered=45754 "
        "stage2.bk.pairs_considered=67652 "
        "stage2.bk.results=148 "
@@ -538,9 +519,7 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
        "stage2.projections=440 "},
       {"R-S BK reduce blocks", true,
        [](JoinConfig* c) { c->block_processing = kReduceBlocks; },
-       0x0fa635eac00a1ea6ULL, 907, 25781,
-       "format.encoded_bytes=51562 "
-       "format.logical_bytes=51370 "
+       0x0fa635eac00a1ea6ULL, 907, 25781, 51562, 51370,
        "scratch.bytes_read=88515 "
        "scratch.bytes_written=54389 "
        "stage2.bk.length_filtered=45754 "
@@ -593,6 +572,8 @@ TEST(Stage2GoldenTest, EveryVariantIsPinned) {
     EXPECT_EQ(HashString(joined), v.pairs_hash) << hash;
     EXPECT_EQ(job.shuffle_records, v.shuffle_records);
     EXPECT_EQ(job.shuffle_bytes, v.shuffle_bytes);
+    EXPECT_EQ(job.codec_encoded_bytes, v.codec_encoded_bytes);
+    EXPECT_EQ(job.codec_logical_bytes, v.codec_logical_bytes);
     EXPECT_EQ(CounterLine(job.counters), v.counters);
     // A peak group is held by one reducer, so it is never larger than the
     // largest reduce task's input.

@@ -731,19 +731,19 @@ INSTANTIATE_TEST_SUITE_P(BothPhases, FaultPhaseTest,
 // ---- Pinned attempt bookkeeping under a seeded crash-and-corrupt plan ----
 //
 // The committed per-task bookkeeping (attempts, failed attempts, verified
-// bytes, detections, contract checks) and the job counters of a faulted
-// run are a deterministic function of the plan. These goldens were
-// captured before the map and reduce phases shared one attempt ladder;
-// they pin that the shared ladder tallies exactly as the two per-phase
-// copies did. Wall-derived seconds are left out.
+// bytes, detections, contract checks), the job totals and the job
+// counters of a faulted run are a deterministic function of the plan.
+// These goldens were captured before the map and reduce phases shared one
+// attempt ladder; they pin that the shared ladder tallies exactly as the
+// two per-phase copies did. Wall-derived seconds are left out.
 //
 // The "none" case ran on typed (text) runs until every spill run became
 // an encoded run block. Only its byte meters moved, to the blocks'
 // encoded sizes: the per-task iv values (m0 1180 -> 398, m1 590 -> 199,
 // m2 1180 -> 398, m3 1770 -> 597, r0 722 -> 294, r1 2868 -> 1104,
-// r2 2566 -> 922), integrity.bytes_verified 15382 -> 8418, and the new
-// format.encoded_bytes / format.logical_bytes counters. Attempts,
-// failures, detections and contract checks did not move.
+// r2 2566 -> 922), the job's verified bytes 15382 -> 8418, and the new
+// codec byte meters. Attempts, failures, detections and contract checks
+// did not move.
 
 // 240 lines of words drawn from a 40-word vocabulary by a fixed LCG.
 std::vector<std::string> GoldenInput() {
@@ -778,7 +778,12 @@ std::string TaskLedger(const JobMetrics& metrics) {
   for (size_t i = 0; i < metrics.reduce_tasks.size(); ++i) {
     add("r", i, metrics.reduce_tasks[i]);
   }
-  out += "job f=" + std::to_string(metrics.failed_attempts) + "\n";
+  out += "job f=" + std::to_string(metrics.failed_attempts) +
+         " iv=" + std::to_string(metrics.integrity_bytes_verified) +
+         " cd=" + std::to_string(metrics.corruption_detected) +
+         " cc=" + std::to_string(metrics.contract_checks) +
+         " logical=" + std::to_string(metrics.codec_logical_bytes) +
+         " encoded=" + std::to_string(metrics.codec_encoded_bytes) + "\n";
   for (const auto& [name, value] : metrics.counters.Snapshot()) {
     out += name + "=" + std::to_string(value) + "\n";
   }
@@ -854,12 +859,7 @@ m3 a=3 f=2 iv=597 cd=2 cc=15507
 r0 a=1 f=0 iv=294 cd=0 cc=44
 r1 a=3 f=2 iv=1104 cd=1 cc=60
 r2 a=3 f=2 iv=922 cd=0 cc=56
-job f=11
-contract.checks=62147
-format.encoded_bytes=1592
-format.logical_bytes=1520
-integrity.bytes_verified=8418
-integrity.corruption_detected=5
+job f=11 iv=8418 cd=5 cc=62147 logical=1520 encoded=1592
 mapper.lines=240
 reducer.groups=40
 )"},
@@ -871,12 +871,7 @@ m3 a=3 f=2 iv=4074 cd=2 cc=15862
 r0 a=1 f=0 iv=1609 cd=0 cc=44
 r1 a=3 f=2 iv=6537 cd=1 cc=60
 r2 a=3 f=2 iv=5326 cd=0 cc=56
-job f=11
-contract.checks=63567
-format.encoded_bytes=10780
-format.logical_bytes=9592
-integrity.bytes_verified=28729
-integrity.corruption_detected=5
+job f=11 iv=28729 cd=5 cc=63567 logical=9592 encoded=10780
 mapper.lines=240
 reducer.groups=40
 )"}),

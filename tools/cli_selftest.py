@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
 """End-to-end test of the shipped `fuzzyjoin` and `fuzzyjoin_serve` binaries.
 
-Seven checks:
+Eight checks:
 
 1. Transparent engine flags. `selfjoin` and `rsjoin` each run twice over
    small generated inputs: once with default flags, and once with every
    transparent engine flag away from its default (threads, sort buffer,
-   merge factor, speculation, a recoverable crash-and-corrupt fault plan
-   with --verify_integrity, the fjlz codec, contract checks, the
-   skipped-record cap). The two `.joined` files must be byte-identical.
+   merge factor, speculation, a recoverable crash, straggler and corrupt
+   fault plan with --verify_integrity, the fjlz codec, contract checks,
+   the skipped-record cap). The two `.joined` files must be
+   byte-identical.
 2. Resume from a state directory. `rsjoin` with the fjlz codec runs into
    --dfs_dir, then again with --resume: all three stages resume from
    their checkpoints, the two `.joined` files are byte-identical, and
    every file in the directory is newline-terminated UTF-8 text (a run
    block would carry bytes UTF-8 never uses).
-3. The paper's algorithm flags, and the codec on its own. `selfjoin` and
-   `rsjoin` run with --stage1=opto, --stage2=bk, --stage3=brj,
-   --routing=grouped --groups=7, and --codec=fjlz. Each run names its
-   stage in --stats and joins the same set of lines as the default run.
+3. The paper's algorithm flags, and the codec and the map-task count on
+   their own. `selfjoin` and `rsjoin` run with --stage1=opto,
+   --stage2=bk, --stage3=brj, --routing=grouped --groups=7, --codec=fjlz
+   and --map_tasks=3. Each run names its stage in --stats and joins the
+   same set of lines as the default run.
 4. Refused flags. A negative or non-numeric count, a misspelled flag, a
    malformed number, an unknown algorithm or codec, an out-of-range
    --tau_floor, a retired flag, and an index setting next to --snapshot_in
@@ -31,6 +33,10 @@ Seven checks:
    a default `selfjoin` and one with the fjlz codec, contract checks and
    a crash plan both print no "simulated", and the second prints its
    format, contracts and fault-tolerance lines.
+8. Flags that change what is joined. --tau=0.9 joins a non-empty proper
+   subset of the default run's lines, for both joins; `generate
+   --kind=citeseerx`, `selfjoin --qgram=3` and `editjoin --distance=2`
+   exit 0 and write lines.
 
 Usage: cli_selftest.py <path/to/fuzzyjoin> <path/to/fuzzyjoin_serve>
 Stdlib only; registered as the cli_selftest ctest target.
@@ -51,6 +57,7 @@ ENGINE_FLAGS = [
     "--max_attempts=4",
     "--fault_seed=7",
     "--fault_crash_p=0.3",
+    "--fault_straggler_p=0.3",
     "--fault_corrupt_p=0.3",
     "--verify_integrity",
     "--codec=fjlz",
@@ -66,6 +73,7 @@ ALGORITHM_FLAGS = [
     (["--stage3=brj"], "3-BRJ"),
     (["--routing=grouped", "--groups=7"], None),
     (["--codec=fjlz"], None),
+    (["--map_tasks=3"], None),
 ]
 
 # (flags, lines its --stats must print)
@@ -101,6 +109,11 @@ BAD_FLAGS = [
     # Every spill run is a run block: there is no record format to pick.
     ("fuzzyjoin", ["--record_format=binary"],
      "unknown flag --record_format"),
+    # A straggler's slowdown and the attempts a drawn corruption hits are
+    # FaultPlan's defaults, with no flag.
+    ("fuzzyjoin", ["--fault_slowdown=8"], "unknown flag --fault_slowdown"),
+    ("fuzzyjoin", ["--fault_corrupt_attempts=1"],
+     "unknown flag --fault_corrupt_attempts"),
     ("fuzzyjoin_serve", ["--threads=-1"], "--threads"),
     ("fuzzyjoin_serve", ["--tau_floor=abc"], "--tau_floor"),
     ("fuzzyjoin_serve", ["--tau_floor=0"], "--tau_floor"),
@@ -209,6 +222,19 @@ def main():
                 with open(out, "rb") as f:
                     check(set(f.read().splitlines()) == default_lines,
                           f"{what} joins the default run's lines", failures)
+            out = path(f"{command}.tau.joined")
+            res = run([fuzzyjoin, command, *inputs, "--out=" + out,
+                       "--tau=0.9"])
+            check(res.returncode == 0, f"{command} --tau=0.9 run", failures)
+            if res.returncode == 0:
+                with open(out, "rb") as f:
+                    lines = set(f.read().splitlines())
+                check(bool(lines) and lines < default_lines,
+                      f"{command} --tau=0.9 joins a proper subset of the "
+                      f"default run's lines ({len(lines)} of "
+                      f"{len(default_lines)})", failures)
+            else:
+                print(res.stderr)
 
         state = path("state")
         resume_flags = ["--r=" + path("r.tsv"), "--s=" + path("s.tsv"),
@@ -260,6 +286,22 @@ def main():
                   f"{what} prints {lines} and no simulated price", failures)
             if res.returncode != 0:
                 print(res.stderr)
+
+        for command, flag, args in [
+                ("generate", "--kind=citeseerx", ["--records=300"]),
+                ("selfjoin", "--qgram=3", ["--input=" + path("r.tsv")]),
+                ("editjoin", "--distance=2", ["--input=" + path("r.tsv")])]:
+            out = path(f"{command}.out")
+            res = run([fuzzyjoin, command, *args, "--out=" + out, flag])
+            lines = 0
+            if res.returncode == 0:
+                with open(out, "rb") as f:
+                    lines = f.read().count(b"\n")
+            else:
+                print(res.stderr)
+            check(res.returncode == 0 and lines > 0,
+                  f"{command} {flag} exits 0 and writes lines (got {lines})",
+                  failures)
 
         for tool, flags, flag in BAD_FLAGS:
             if tool == "fuzzyjoin":

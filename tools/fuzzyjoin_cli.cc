@@ -12,8 +12,8 @@
 //             [--merge_factor=N]
 //             [--max_attempts=4] [--speculate] [--speculation_factor=3]
 //             [--fault_seed=S] [--fault_crash_p=P] [--fault_straggler_p=P]
-//             [--fault_slowdown=F] [--fault_corrupt_p=P]
-//             [--fault_corrupt_attempts=N]
+//             [--fault_corrupt_p=P] (FaultPlan's defaults: a straggler
+//             runs 4x slower, drawn faults hit only the first 2 attempts)
 //             [--verify_integrity] [--max_skipped=N]
 //             [--check_contracts[=0|1]] [--contract_sample_every=N]
 //             [--codec=none|fjlz]
@@ -162,10 +162,7 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
   plan->seed = static_cast<uint64_t>(flags.GetInt("fault_seed", 1));
   plan->crash_probability = crash_p;
   plan->straggler_probability = straggler_p;
-  plan->straggler_slowdown = flags.GetDouble("fault_slowdown", 4.0);
   plan->corrupt_probability = corrupt_p;
-  FJ_RETURN_IF_ERROR(flags.GetCount("fault_corrupt_attempts",
-                                    &plan->corrupt_failing_attempts));
   if (crash_p > 0.0 || straggler_p > 0.0 || corrupt_p > 0.0) {
     if (!plan->RecoverableWith(config.max_task_attempts,
                                config.verify_integrity)) {
@@ -252,7 +249,7 @@ void PrintStats(const fj::join::JoinRunResult& result) {
     }
     uint64_t attempts = 0, tasks = 0;
     uint64_t failed = 0, spec_launched = 0, spec_wins = 0;
-    uint64_t corrupt = 0, skipped = 0, contract_checks = 0;
+    uint64_t verified = 0, corrupt = 0, skipped = 0, contract_checks = 0;
     uint64_t codec_logical = 0, codec_encoded = 0, spilled = 0;
     double wasted = 0;
     for (const auto& job : stage.jobs) {
@@ -262,6 +259,7 @@ void PrintStats(const fj::join::JoinRunResult& result) {
       failed += job.failed_attempts;
       spec_launched += job.speculative_launched;
       spec_wins += job.speculative_wins;
+      verified += job.integrity_bytes_verified;
       corrupt += job.corruption_detected;
       skipped += job.records_skipped;
       contract_checks += job.contract_checks;
@@ -281,11 +279,11 @@ void PrintStats(const fj::join::JoinRunResult& result) {
                    spec_launched == 1 ? "" : "s",
                    static_cast<unsigned long long>(spec_wins), wasted);
     }
-    if (corrupt > 0) {
+    if (verified > 0) {
       std::fprintf(stderr,
-                   "    integrity: %llu corrupted attempt%s detected and "
-                   "re-run\n",
-                   static_cast<unsigned long long>(corrupt),
+                   "    integrity: %.1f KB verified, %llu corrupted attempt%s "
+                   "detected and re-run\n",
+                   verified / 1024.0, static_cast<unsigned long long>(corrupt),
                    corrupt == 1 ? "" : "s");
     }
     if (skipped > 0) {
