@@ -103,8 +103,8 @@ class Executor {
   size_t num_workers() const { return workers_.size(); }
 
   /// Index of the calling worker thread in [0, num_workers()), or
-  /// kNotAWorker when called from outside the pool. Lets tasks address
-  /// per-worker scratch (one slot per worker, no locking) safely.
+  /// kNotAWorker when called from outside the pool. Submit uses it to
+  /// push a worker's own tasks onto its own deque.
   size_t CurrentWorkerIndex() const;
 
   /// Cumulative counters since construction (sums over workers).

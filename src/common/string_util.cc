@@ -1,6 +1,5 @@
 #include "common/string_util.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
@@ -50,26 +49,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
     out.append(parts[i]);
   }
   return out;
-}
-
-void ToLowerInPlace(std::string* s) {
-  for (char& c : *s) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-}
-
-std::string ToLower(std::string_view s) {
-  std::string out(s);
-  ToLowerInPlace(&out);
-  return out;
-}
-
-std::string_view Trim(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
 }
 
 std::string ErrorExcerpt(std::string_view s) {
@@ -167,15 +146,6 @@ Result<double> ParseDouble(std::string_view s) {
     return Status::InvalidArgument("not a double: " + ErrorExcerpt(buf));
   }
   return value;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 }  // namespace fj

@@ -24,13 +24,6 @@ std::vector<std::string> SplitN(std::string_view s, char sep,
 std::string Join(const std::vector<std::string>& parts, char sep);
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// ASCII lower-casing in place / by value.
-void ToLowerInPlace(std::string* s);
-std::string ToLower(std::string_view s);
-
-/// Removes leading and trailing ASCII whitespace.
-std::string_view Trim(std::string_view s);
-
 /// Parses a base-10 unsigned/signed integer occupying the whole string.
 Result<uint64_t> ParseUint64(std::string_view s);
 Result<int64_t> ParseInt64(std::string_view s);
@@ -44,9 +37,5 @@ inline constexpr size_t kErrorExcerptBytes = 64;
 /// length — `"abc" (3 bytes)`. Parsers of untrusted lines use it so a
 /// hostile multi-megabyte line is not copied again into every Status.
 std::string ErrorExcerpt(std::string_view s);
-
-/// True if `s` starts with / ends with the given prefix/suffix.
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 }  // namespace fj

@@ -5,18 +5,14 @@
 
 namespace fj {
 
-/// Measures elapsed wall time since construction or the last Restart().
+/// Measures elapsed wall time since construction.
 class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -34,9 +34,9 @@ namespace fj::join {
 ///     routing sends every record to one group);
 ///   - the job shape: num_map_tasks, num_reduce_tasks;
 ///   - every mr::EngineOptions field, which both jobs inherit from the
-///     config (threads and executor, sort buffer and merge factor, fault
-///     tolerance and speculation, integrity and contract checks,
-///     skipped-record cap, record format and block codec).
+///     config (threads and executor, sort buffer, fault tolerance and
+///     speculation, integrity and contract checks, skipped-record cap,
+///     record format and block codec).
 /// Ignored: stage2 (the kernel is always PPJoin+), stage3, block
 /// processing, bk_length_routing, length_class_width,
 /// oprj_memory_limit_bytes and resume (no manifest is written). The whole

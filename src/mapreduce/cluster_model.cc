@@ -61,9 +61,8 @@ SimulatedJobTime SimulateJob(const JobMetrics& metrics,
       Makespan(phase_costs(metrics.map_tasks), cluster.map_slots());
   out.shuffle_seconds = priced(static_cast<double>(metrics.shuffle_bytes),
                                kShuffleBytesPerSecondPerNode);
-  // Sort-spill-merge disk traffic: each spilled byte is written once and
-  // re-read once per consuming merge pass (spilled_bytes already counts
-  // intermediate merge re-spills as fresh writes), so the disk moves
+  // Sort-spill-merge disk traffic: each byte a map task spilled is written
+  // once and read once by its reduce task's merge, so the disk moves
   // 2 x spilled_bytes in total.
   out.spill_seconds = priced(2.0 * static_cast<double>(metrics.spilled_bytes),
                              kLocalDiskBytesPerSecondPerNode);

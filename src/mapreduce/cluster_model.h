@@ -54,9 +54,9 @@ namespace fj::mr {
 inline constexpr double kShuffleBytesPerSecondPerNode = 50.0 * 1024 * 1024;
 
 /// Aggregate local-disk bandwidth contributed by each node for
-/// sort-spill-merge I/O (map-side spill files, reduce-side merge passes),
-/// bytes/second. Every spilled byte is written once and re-read once per
-/// consuming merge pass, so the priced traffic is 2 x
+/// sort-spill-merge I/O, bytes/second. Only map tasks spill: every
+/// spilled byte is written once and read once by its reduce task's single
+/// merge pass, which never re-spills, so the priced traffic is 2 x
 /// JobMetrics::spilled_bytes. Jobs running with an unbounded sort buffer
 /// never spill and pay nothing here.
 inline constexpr double kLocalDiskBytesPerSecondPerNode = 80.0 * 1024 * 1024;

@@ -9,15 +9,6 @@
 
 namespace fj::mr {
 
-Dfs::FileEntry::FileEntry() : file_hash(kFnvOffsetBasis) {}
-
-void Dfs::FileEntry::Append(const std::string& line) {
-  const uint64_t h = LineChecksum(line);
-  lines.push_back(line);
-  line_hashes.push_back(h);
-  file_hash = HashCombine(file_hash, h);
-}
-
 Result<const Dfs::FileEntry*> Dfs::FindLocked(const std::string& name) const {
   auto it = files_.find(name);
   if (it == files_.end()) return Status::NotFound("dfs file: " + name);
@@ -55,17 +46,6 @@ Status Dfs::WriteFile(const std::string& name, std::vector<std::string> lines,
   auto [it, inserted] = files_.try_emplace(name, std::move(entry));
   (void)it;
   if (!inserted) return Status::AlreadyExists("dfs file exists: " + name);
-  return Status::OK();
-}
-
-Status Dfs::AppendToFile(const std::string& name,
-                         const std::vector<std::string>& lines) {
-  WriterMutexLock lock(&mu_);
-  auto it = files_.find(name);
-  if (it == files_.end()) {
-    it = files_.emplace(name, std::make_unique<FileEntry>()).first;
-  }
-  for (const auto& line : lines) it->second->Append(line);
   return Status::OK();
 }
 

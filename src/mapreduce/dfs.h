@@ -6,7 +6,7 @@
 //
 // Like HDFS, every file carries integrity metadata: a per-line FNV-1a hash
 // (integrity.h LineChecksum) and a whole-file hash (the ordered fold of the
-// line hashes), maintained on WriteFile/AppendToFile. A writer may hand in
+// line hashes), computed once by WriteFile. A writer may hand in
 // the line hashes it already computed, as HDFS clients checksum on write:
 // a job's reduce tasks hash their own output lines on their workers, and
 // the commit only folds the file hash. VerifyFile recomputes both against
@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/sync.h"
@@ -48,13 +49,9 @@ class Dfs {
   Status WriteFile(const std::string& name, std::vector<std::string> lines,
                    std::vector<uint64_t> line_checksums = {});
 
-  /// Creates `name` if needed and appends the lines.
-  Status AppendToFile(const std::string& name,
-                      const std::vector<std::string>& lines);
-
-  /// Returns a stable pointer to the file's lines (files are never moved
-  /// once created; appends mutate the pointed-to vector, so callers must not
-  /// hold the pointer across writes).
+  /// Returns a stable pointer to the file's lines: a file never changes
+  /// once written, so the pointer stays valid, across renames too, until
+  /// the file is deleted or the Dfs cleared.
   Result<const std::vector<std::string>*> ReadFile(const std::string& name) const;
 
   bool Exists(const std::string& name) const;
@@ -75,7 +72,7 @@ class Dfs {
   /// success; DataLoss naming the first diverging line otherwise.
   Result<uint64_t> VerifyFile(const std::string& name) const;
 
-  /// The whole-file content hash maintained by writes/appends.
+  /// The whole-file content hash WriteFile computed.
   Result<uint64_t> FileChecksum(const std::string& name) const;
 
   /// Test/fault-injection hook: flips one deterministic, seed-chosen byte
@@ -104,9 +101,7 @@ class Dfs {
   struct FileEntry {
     std::vector<std::string> lines;
     std::vector<uint64_t> line_hashes;
-    uint64_t file_hash;
-    FileEntry();
-    void Append(const std::string& line);
+    uint64_t file_hash = kFnvOffsetBasis;
   };
 
   Result<const FileEntry*> FindLocked(const std::string& name) const

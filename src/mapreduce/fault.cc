@@ -25,20 +25,6 @@ const char* TaskPhaseName(TaskPhase phase) {
   return "?";
 }
 
-const char* CorruptTargetName(CorruptTarget target) {
-  switch (target) {
-    case CorruptTarget::kNone:
-      return "none";
-    case CorruptTarget::kMapOutput:
-      return "map_output";
-    case CorruptTarget::kSpill:
-      return "spill";
-    case CorruptTarget::kReduceOutput:
-      return "reduce_output";
-  }
-  return "?";
-}
-
 bool FaultSpec::AppliesTo(TaskPhase p, size_t task, uint32_t attempt,
                           const std::string& job_name) const {
   if (p != phase || task != task_id) return false;
@@ -131,13 +117,9 @@ AttemptFault FaultInjector::FaultFor(TaskPhase phase, size_t task_id,
   if (plan_->corrupt_probability > 0.0 && !fault.corrupts() &&
       attempt < plan_->corrupt_failing_attempts &&
       UnitDraw(HashInt64(h ^ 0xd1)) < plan_->corrupt_probability) {
-    if (phase == TaskPhase::kMap) {
-      fault.corrupt_target = (HashInt64(h ^ 0xd2) & 1)
-                                 ? CorruptTarget::kSpill
-                                 : CorruptTarget::kMapOutput;
-    } else {
-      fault.corrupt_target = CorruptTarget::kReduceOutput;
-    }
+    fault.corrupt_target = phase == TaskPhase::kMap
+                               ? CorruptTarget::kMapOutput
+                               : CorruptTarget::kReduceOutput;
     fault.corrupt_salt = HashInt64(h ^ 0xd3);
   }
   return fault;

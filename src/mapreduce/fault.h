@@ -43,12 +43,9 @@ const char* TaskPhaseName(TaskPhase phase);
 /// checksums exist to prevent.
 enum class CorruptTarget {
   kNone = 0,
-  kMapOutput,     ///< a pair in the map attempt's (in-memory) final run
-  kSpill,         ///< a pair in a budget-triggered on-disk spill run
+  kMapOutput,     ///< a byte of one of the map attempt's run blocks
   kReduceOutput,  ///< a line of the reduce attempt's output
 };
-
-const char* CorruptTargetName(CorruptTarget target);
 
 /// The resolved disturbance applied to one task attempt. The default value
 /// is "no fault": never crashes, runs at full speed.
@@ -148,9 +145,9 @@ struct FaultPlan {
   double straggler_slowdown = 4.0;
   double straggler_extra_seconds = 0.0;
 
-  /// Per-attempt CorruptRecord probability. Drawn corruptions pick a
-  /// phase-appropriate target (map output or spill for map attempts,
-  /// reduce output for reduce attempts) and a hash-derived salt.
+  /// Per-attempt CorruptRecord probability. Drawn corruptions pick the
+  /// phase's target (map output for map attempts, reduce output for
+  /// reduce attempts) and a hash-derived salt.
   double corrupt_probability = 0.0;
   /// Random corruption only hits attempts below this bound — transient as
   /// long as the bound is below JobSpec::max_task_attempts AND integrity

@@ -17,9 +17,6 @@ Status EngineOptions::Validate() const {
     return Status::InvalidArgument("local_threads must be <= " +
                                    std::to_string(Executor::kMaxWorkers));
   }
-  if (merge_factor < 2) {
-    return Status::InvalidArgument("merge_factor must be >= 2");
-  }
   if (max_task_attempts < 1) {
     return Status::InvalidArgument("max_task_attempts must be >= 1");
   }
@@ -161,16 +158,12 @@ double AttemptSeconds(const WallTimer& timer, const TaskContext& ctx,
 }
 
 void CorruptMapOutput(MapTaskOutput* out, const AttemptFault& fault) {
-  std::vector<SortedRun*> any, preferred;
-  const bool want_disk = fault.corrupt_target == CorruptTarget::kSpill;
+  std::vector<SortedRun*> pool;
   for (auto& spill : out->spills) {
     for (SortedRun& run : spill) {
-      if (!run.HasRecords()) continue;
-      any.push_back(&run);
-      if (run.on_disk == want_disk) preferred.push_back(&run);
+      if (run.HasRecords()) pool.push_back(&run);
     }
   }
-  auto& pool = preferred.empty() ? any : preferred;
   if (pool.empty()) return;  // nothing to corrupt: the attempt stays clean
   FlipByte(pool[fault.corrupt_salt % pool.size()]->encoded,
            fault.corrupt_salt);

@@ -18,9 +18,10 @@
 // Execution is layered like Hadoop's shuffle (DESIGN.md, "Shuffle
 // architecture"): a map task's SortBuffer (sort_buffer.h) buffers its
 // output against JobSpec::sort_buffer_bytes and spills it as sorted,
-// combined runs; a reduce task's RunMerger (run_merger.h) k-way merges the
-// partition's runs, ties broken by map-task-then-spill rank, and feeds
-// Reduce one contiguous key group at a time.
+// combined run blocks; a reduce task's RunMerger (run_merger.h) merges the
+// partition's published blocks in one streaming pass, decoding each
+// block's pairs behind its cursor, ties broken by map-task-then-spill
+// rank, and feeds Reduce one contiguous key group at a time.
 //
 // The engine has two halves (DESIGN.md, "Engine layering"). This header
 // holds the typed work: the map and reduce attempt bodies, the task-graph
@@ -33,8 +34,8 @@
 //
 // Fault tolerance (fault.h; DESIGN.md, "Fault tolerance and speculative
 // execution"): every task runs as a sequence of attempts, each with its
-// own TaskContext, counters, sort buffer or decoded runs, and output, so a
-// crashed attempt is dropped wholesale. Crashed attempts are retried up
+// own TaskContext, counters, sort buffer or merge cursors, and output, so
+// a crashed attempt is dropped wholesale. Crashed attempts are retried up
 // to max_task_attempts; stragglers get one speculative backup whose first
 // finisher wins the COST commit only — attempts are deterministic, so the
 // published bytes are never re-pointed and reduce tasks may consume the
@@ -69,10 +70,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -136,12 +137,10 @@ struct ReduceAttemptResult : AttemptResult {
 };
 
 /// Injected CorruptRecord fault: really flips one byte of one of the
-/// attempt's run blocks, AFTER the write-side checksums were computed —
-/// exactly the window HDFS block checksums guard. Prefers a run matching
-/// the fault's target (on-disk spill vs. in-memory map output), falling
-/// back to any run with records so a kSpill fault still bites when the job
-/// never spilled. Bit rot hits the stored representation, compressed or
-/// not, and must still be caught at the read boundaries.
+/// attempt's run blocks with records, AFTER the write-side checksums were
+/// computed — exactly the window HDFS block checksums guard. Bit rot hits
+/// the stored representation, compressed or not, and must still be caught
+/// at the read boundaries.
 void CorruptMapOutput(MapTaskOutput* out, const AttemptFault& fault);
 
 /// The integrity read boundary, at map-attempt commit and at the reduce
@@ -299,15 +298,10 @@ class Job {
                                  size_t task_id, uint32_t attempt,
                                  const AttemptFault& fault);
 
-  /// `decode_scratch` is the executing worker's reusable buffer for the
-  /// attempt's decoded runs; every attempt overwrites it in full, so reuse
-  /// across attempts (and across tasks on the same worker) cannot leak
-  /// state between them.
   internal::ReduceAttemptResult RunReduceAttempt(
       const std::vector<const SortedRun*>& partition_runs,
-      const SpecOrdering<K, V>& ordering, size_t merge_factor, size_t task_id,
-      uint32_t attempt, const AttemptFault& fault,
-      std::vector<MergeRun<K, V>>* decode_scratch);
+      const SpecOrdering<K, V>& ordering, size_t task_id, uint32_t attempt,
+      const AttemptFault& fault);
 
   Dfs* dfs_;
   JobSpec<K, V> spec_;
@@ -365,8 +359,7 @@ typename Job<K, V>::MapAttemptResult Job<K, V>::RunMapAttempt(
     res.contract = checker->status();
   }
   if (!res.crashed && res.contract.ok()) {
-    if (fault.corrupt_target == CorruptTarget::kMapOutput ||
-        fault.corrupt_target == CorruptTarget::kSpill) {
+    if (fault.corrupt_target == CorruptTarget::kMapOutput) {
       internal::CorruptMapOutput(&res.output, fault);
     }
     if (spec_.verify_integrity) {
@@ -384,9 +377,8 @@ typename Job<K, V>::MapAttemptResult Job<K, V>::RunMapAttempt(
 template <typename K, typename V>
 internal::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
     const std::vector<const SortedRun*>& partition_runs,
-    const SpecOrdering<K, V>& ordering, size_t merge_factor, size_t task_id,
-    uint32_t attempt, const AttemptFault& fault,
-    std::vector<MergeRun<K, V>>* decode_scratch) {
+    const SpecOrdering<K, V>& ordering, size_t task_id, uint32_t attempt,
+    const AttemptFault& fault) {
   internal::ReduceAttemptResult res;
   WallTimer timer;
   TaskContext ctx(task_id, attempt, &res.counters);
@@ -400,35 +392,17 @@ internal::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
       if (res.crashed) return;
     }
 
-    // The attempt decodes its own pairs from the published blocks, which
-    // are only ever read, so a retry or a backup finds them pristine. The
-    // decoded runs land in the worker's reusable scratch (every field is
-    // overwritten, so nothing of a previous attempt survives, but pair
-    // vector capacity is recycled). A block that fails to decode
-    // (truncated varint, bad codec frame) crashes the attempt with a
-    // counted detection — a transient failure under the retry budget,
-    // never UB and never silently-wrong pairs.
-    std::vector<MergeRun<K, V>>& decoded = *decode_scratch;
-    decoded.resize(partition_runs.size());
-    std::vector<MergeRun<K, V>*> runs;
-    runs.reserve(partition_runs.size());
-    CodecScratch codec_scratch;
-    for (size_t i = 0; i < partition_runs.size(); ++i) {
-      const SortedRun& published = *partition_runs[i];
-      MergeRun<K, V>& run = decoded[i];
-      if (!DecodeRunBlock(published.encoded, &codec_scratch, &run.pairs)
-               .ok()) {
-        res.metrics.corruption_detected++;
-        res.crashed = true;
-        return;
-      }
-      run.bytes = published.encoded.size();
-      res.metrics.codec_encoded_bytes += run.bytes;
-      res.metrics.codec_logical_bytes += published.logical_bytes;
-      res.metrics.input_records += run.pairs.size();
-      res.metrics.input_bytes += run.bytes;
-      runs.push_back(&run);
+    std::vector<std::string_view> blocks;
+    blocks.reserve(partition_runs.size());
+    for (const SortedRun* run : partition_runs) {
+      blocks.push_back(run->encoded);
+      res.metrics.codec_encoded_bytes += run->encoded.size();
+      res.metrics.codec_logical_bytes += run->logical_bytes;
+      res.metrics.input_records += run->record_count;
+      res.metrics.input_bytes += run->encoded.size();
     }
+    // One streaming pass merges any number of runs.
+    if (blocks.size() > 1) res.metrics.merge_passes = 1;
 
     // Reduce-side contract checker: verifies group contiguity, merge
     // order, and that user code leaves group keys untouched mid-call.
@@ -438,9 +412,10 @@ internal::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
     internal::LineCollector out(&res, spec_.verify_integrity);
     auto reducer = spec_.reducer_factory();
     reducer->Setup(&ctx);
-    RunMerger<K, V> merger(&ordering, std::move(runs), merge_factor,
-                           &res.metrics);
-    merger.ForEachGroup(
+    // The merge decodes the attempt's own pairs from the published blocks,
+    // which it only reads, so a retry or a backup finds them pristine.
+    RunMerger<K, V> merger(&ordering, std::move(blocks));
+    const Status merged = merger.ForEachGroup(
         [&reducer, &out, &ctx, &res, &checker](std::span<const Pair> group)
             -> bool {
           if (ctx.CrashDue()) {
@@ -460,6 +435,15 @@ internal::ReduceAttemptResult Job<K, V>::RunReduceAttempt(
           ctx.NoteRecordProcessed();
           return true;
         });
+    if (!merged.ok()) {
+      // A block that fails to decode (truncated varint, bad codec frame)
+      // crashes the attempt with a counted detection — a transient
+      // failure under the retry budget, never UB and never
+      // silently-wrong pairs.
+      res.metrics.corruption_detected++;
+      res.crashed = true;
+      return;
+    }
     if (checker) {
       res.metrics.contract_checks = checker->stats().checks;
       res.contract = checker->status();
@@ -490,13 +474,6 @@ Result<JobMetrics> Job<K, V>::Run() {
   const FaultInjector injector(spec_.fault_plan.get(), spec_.name);
   std::vector<MapTaskOutput> map_outputs(num_map_tasks);
 
-  // Unbounded runs are plain in-memory vectors; a single merge pass over
-  // any number of them is free, so the multi-pass collapse (and its disk
-  // charges) only applies when the job actually spills.
-  const size_t merge_factor = spec_.sort_buffer_bytes > 0
-                                  ? spec_.merge_factor
-                                  : std::numeric_limits<size_t>::max();
-
   // ---- Task-graph state ----
   // The shuffle hand-off is partition-granular: map_outputs[m] is task m's
   // slot row (its committed runs, per partition), and reduce task r is
@@ -514,20 +491,7 @@ Result<JobMetrics> Job<K, V>::Run() {
   std::atomic<size_t> maps_remaining{num_map_tasks};
   std::atomic<size_t> reduces_remaining{num_reduce_tasks};
 
-  // Per-worker reduce-side decode scratch (see RunReduceAttempt). The
-  // extra slot serves a non-worker caller — impossible today, but it
-  // keeps the indexing total.
-  Executor& executor = run.executor();
-  std::vector<std::vector<MergeRun<K, V>>> reduce_scratch(
-      executor.num_workers() + 1);
-  auto worker_scratch = [&reduce_scratch, &executor] {
-    const size_t w = executor.CurrentWorkerIndex();
-    return &reduce_scratch[w == Executor::kNotAWorker
-                               ? reduce_scratch.size() - 1
-                               : w];
-  };
-
-  TaskGroup group(&executor);
+  TaskGroup group(&run.executor());
 
   // ---- Task bodies ----
   // One attempt of each phase's task t, as numbered by the attempt ladder
@@ -544,18 +508,16 @@ Result<JobMetrics> Job<K, V>::Run() {
         run.quarantined(m) = std::move(res.quarantined);
       };
   const internal::AttemptFn reduce_attempt =
-      [this, merge_factor, &partition_runs, &ordering, &injector,
-       &worker_scratch,
-       &run](size_t r, uint32_t attempt, const internal::AttemptSink& sink) {
+      [this, &partition_runs, &ordering, &injector, &run](
+          size_t r, uint32_t attempt, const internal::AttemptSink& sink) {
         internal::ReduceAttemptResult res = RunReduceAttempt(
-            partition_runs[r], ordering, merge_factor, r, attempt,
-            injector.FaultFor(TaskPhase::kReduce, r, attempt),
-            worker_scratch());
+            partition_runs[r], ordering, r, attempt,
+            injector.FaultFor(TaskPhase::kReduce, r, attempt));
         if (sink(res)) run.output(r) = std::move(res.output);
       };
 
-  // One reduce task: a streaming k-way merge over the partition's
-  // committed runs, under the retry chain.
+  // One reduce task: one streaming merge over the partition's committed
+  // run blocks, under the retry chain.
   auto run_reduce_task = [&reduce_attempt, &map_outputs, &partition_runs,
                           &run, &group, &reduces_remaining,
                           num_map_tasks](size_t r) {

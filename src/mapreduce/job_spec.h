@@ -148,13 +148,6 @@ struct EngineOptions {
   /// either way.
   uint64_t sort_buffer_bytes = 0;
 
-  /// Maximum number of sorted runs merged in one reduce-side pass — the
-  /// analogue of Hadoop's io.sort.factor. When a partition accumulates
-  /// more runs, contiguous groups are first collapsed into intermediate
-  /// on-disk runs (extra merge passes that re-read and re-write the data)
-  /// until one streaming pass suffices. Must be >= 2.
-  size_t merge_factor = 16;
-
   /// Maximum attempts per task before the job fails — the analogue of
   /// Hadoop's mapred.map.max.attempts / mapred.reduce.max.attempts (both
   /// default 4 there too). A task whose every attempt crashes fails the

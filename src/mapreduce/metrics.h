@@ -35,10 +35,10 @@ struct TaskMetrics {
   /// configured), and the encoded bytes of the run blocks holding them.
   uint64_t shuffle_records = 0;
   uint64_t shuffle_bytes = 0;
-  /// Sort-spill-merge accounting. Map tasks: budget-triggered buffer
-  /// spills. Reduce tasks: intermediate merge passes that re-spilled
-  /// collapsed runs. spilled_bytes counts each spilled byte once at write
-  /// time (it is re-read once per consuming merge pass).
+  /// Map tasks only: budget-triggered sort-buffer spills and the encoded
+  /// bytes they wrote. The reduce side merges the spilled runs in one
+  /// pass and never re-spills, so each spilled byte is written once and
+  /// read once.
   uint64_t spill_count = 0;
   uint64_t spilled_bytes = 0;
   /// Map tasks only: high-water mark of the sort buffer's charged bytes —
@@ -48,9 +48,9 @@ struct TaskMetrics {
   /// combiner. Bounded by JobSpec::sort_buffer_bytes (when > 0) unless a
   /// single pair exceeds the whole budget.
   uint64_t peak_buffer_bytes = 0;
-  /// Reduce tasks only: merge passes over this partition's runs (the
-  /// final streaming merge plus any intermediate collapses; 0 when the
-  /// partition arrived as a single run).
+  /// Reduce tasks only: 1 when the task merged more than one run (its one
+  /// streaming pass), else 0. Kept as a count because the benchmark
+  /// reports it (`mapreduce.merge_passes`).
   uint64_t merge_passes = 0;
 
   /// --- Attempt bookkeeping (fault tolerance & speculation) ---
@@ -180,17 +180,6 @@ struct JobMetrics {
   /// The counters the committed tasks' code added (the stages' own and
   /// LocalScratch's `scratch.bytes_*`). None repeats a typed field above.
   CounterSet counters;
-
-  double TotalMapSeconds() const {
-    double s = 0;
-    for (const auto& t : map_tasks) s += t.seconds;
-    return s;
-  }
-  double TotalReduceSeconds() const {
-    double s = 0;
-    for (const auto& t : reduce_tasks) s += t.seconds;
-    return s;
-  }
 };
 
 }  // namespace fj::mr

@@ -274,7 +274,7 @@ void EncodeBlock(BlockCodec codec, uint64_t record_count,
   out->append(payload);
 }
 
-Status DecodeBlock(std::string_view block, CodecScratch* scratch,
+Status DecodeBlock(std::string_view block, std::string* decompressed,
                    uint64_t* record_count, std::string_view* raw_payload) {
   if (block.empty()) return Status::DataLoss("empty run block");
   auto codec_byte = static_cast<uint8_t>(block[0]);
@@ -301,8 +301,8 @@ Status DecodeBlock(std::string_view block, CodecScratch* scratch,
       return Status::DataLoss("run block declares implausible raw size");
     }
     FJ_RETURN_IF_ERROR(FjlzDecompress(payload, static_cast<size_t>(raw_size),
-                                      &scratch->decoded));
-    *raw_payload = scratch->decoded;
+                                      decompressed));
+    *raw_payload = *decompressed;
   }
   *record_count = count;
   return Status::OK();

@@ -14,8 +14,10 @@
 //     content hash (integrity.h) hashes these bytes too.
 //  2. Run blocks: EncodeRunBlock frames one sorted run's encoded pairs
 //     as [codec byte | varint record count | varint raw size | payload],
-//     optionally compressed by the block codec. Decoding returns Status:
-//     a truncated or corrupted block is an error, never UB.
+//     optionally compressed by the block codec. One parser reads them
+//     back, a pair at a time (RunBlockReader): the reduce side's merge
+//     cursors and DecodeRunBlock both use it. Decoding returns Status: a
+//     truncated or corrupted block is an error, never UB.
 //
 // Run checksums are defined over the *encoded* block bytes (see job.h):
 // the bytes that sit in the shuffle are the bytes verified, exactly like
@@ -304,7 +306,7 @@ struct CodecScratch {
 
   std::string payload;     ///< a run's encoded pairs (EncodeRunBlock)
   std::string compressed;  ///< fjlz output before framing (EncodeBlock)
-  std::string decoded;     ///< a decompressed payload (DecodeBlock)
+  std::string decoded;     ///< a decompressed payload (DecodeRunBlock)
   /// Made by the first compression.
   std::unique_ptr<FjlzMatchTable> match_table;
 };
@@ -337,9 +339,8 @@ void EncodeBlock(BlockCodec codec, uint64_t record_count,
 
 /// Inverse of EncodeBlock: recovers the record count and the raw payload.
 /// A stored (kNone) payload is viewed in place inside `block`; a
-/// compressed one is decompressed into `scratch->decoded` and viewed
-/// there.
-Status DecodeBlock(std::string_view block, CodecScratch* scratch,
+/// compressed one is decompressed into `*decompressed` and viewed there.
+Status DecodeBlock(std::string_view block, std::string* decompressed,
                    uint64_t* record_count, std::string_view* raw_payload);
 
 /// Encodes one sorted run's pairs into a framed (possibly compressed)
@@ -360,32 +361,67 @@ void EncodeRunBlock(BlockCodec codec,
   EncodeBlock(codec, pairs.size(), payload, scratch, encoded);
 }
 
-/// Decodes a framed run block back into pairs. Truncated or trailing
-/// bytes in the payload are DataLoss.
+/// Reads one run block's pairs in order, one at a time: the one parser
+/// of run blocks. Every check is DataLoss, never UB: the frame
+/// (DecodeBlock), a record count beyond half the payload (every record
+/// costs at least two bytes, one per side — rejected before anything is
+/// reserved), a truncated record, and bytes after the last record.
+template <typename K, typename V>
+class RunBlockReader {
+ public:
+  /// Opens `encoded`. A stored (kNone) payload is read in place, so
+  /// `encoded` must outlive the reader; an fjlz payload is decompressed
+  /// once into `*buffer`, which must outlive it too.
+  Status Open(std::string_view encoded, std::string* buffer) {
+    pos_ = 0;
+    FJ_RETURN_IF_ERROR(DecodeBlock(encoded, buffer, &remaining_, &payload_));
+    if (remaining_ > payload_.size() / 2) {
+      return Status::DataLoss("run block record count exceeds payload");
+    }
+    return CheckEnd();
+  }
+
+  /// Records not read yet.
+  uint64_t remaining() const { return remaining_; }
+
+  /// Decodes the next record over `*pair`; call only while remaining() is
+  /// positive. The last record fails too when bytes follow it.
+  Status Next(std::pair<K, V>* pair) {
+    if (!DecodeContent(payload_, &pos_, &pair->first) ||
+        !DecodeContent(payload_, &pos_, &pair->second)) {
+      return Status::DataLoss("truncated record in run block payload");
+    }
+    --remaining_;
+    return CheckEnd();
+  }
+
+ private:
+  Status CheckEnd() const {
+    if (remaining_ == 0 && pos_ != payload_.size()) {
+      return Status::DataLoss("trailing bytes after last record in run block");
+    }
+    return Status::OK();
+  }
+
+  std::string_view payload_;
+  size_t pos_ = 0;
+  uint64_t remaining_ = 0;
+};
+
+/// Decodes a framed run block back into pairs, through RunBlockReader.
+/// A record that fails to decode ends it with DataLoss, leaving the
+/// records before it in `*pairs`.
 template <typename K, typename V>
 Status DecodeRunBlock(std::string_view encoded, CodecScratch* scratch,
                       std::vector<std::pair<K, V>>* pairs) {
-  uint64_t record_count = 0;
-  std::string_view payload;
-  FJ_RETURN_IF_ERROR(DecodeBlock(encoded, scratch, &record_count, &payload));
-  // Every record costs at least two bytes (one per side), so a count
-  // beyond half the payload size is corruption — reject before reserving.
-  if (record_count > payload.size() / 2) {
-    return Status::DataLoss("run block record count exceeds payload");
-  }
+  RunBlockReader<K, V> reader;
+  FJ_RETURN_IF_ERROR(reader.Open(encoded, &scratch->decoded));
   pairs->clear();
-  pairs->reserve(static_cast<size_t>(record_count));
-  size_t pos = 0;
-  for (uint64_t i = 0; i < record_count; ++i) {
+  pairs->reserve(static_cast<size_t>(reader.remaining()));
+  while (reader.remaining() > 0) {
     std::pair<K, V> pair;
-    if (!DecodeContent(payload, &pos, &pair.first) ||
-        !DecodeContent(payload, &pos, &pair.second)) {
-      return Status::DataLoss("truncated record in run block payload");
-    }
+    FJ_RETURN_IF_ERROR(reader.Next(&pair));
     pairs->push_back(std::move(pair));
-  }
-  if (pos != payload.size()) {
-    return Status::DataLoss("trailing bytes after last record in run block");
   }
   return Status::OK();
 }

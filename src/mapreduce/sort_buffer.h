@@ -55,7 +55,7 @@ namespace fj::mr {
 /// map side publishes it: the pairs serialized as one framed, possibly
 /// compressed run block (record_format.h), and the run's meters. Runs are
 /// the unit the reduce side merges. A published block is only ever read:
-/// every reduce attempt decodes its own pairs from it.
+/// every reduce attempt's merge decodes its own pairs from it.
 struct SortedRun {
   /// The run block (EncodeRunBlock); empty when the run holds no records.
   /// Its size is the run's shuffle size.
@@ -63,9 +63,6 @@ struct SortedRun {
   uint64_t record_count = 0;
   /// Pre-codec payload size, for compression-ratio metering.
   uint64_t logical_bytes = 0;
-  /// True when the run was spilled (counted in the producing task's
-  /// spilled_bytes) rather than kept as the unbounded in-memory run.
-  bool on_disk = false;
   /// Write-side HashString of the block — the bytes that actually sit in
   /// the shuffle, compressed or not — computed when
   /// JobSpec::verify_integrity is on; re-verified at map-attempt commit
@@ -188,7 +185,6 @@ class SortBuffer : public Emitter<K, V> {
     for (size_t p = 0; p < partitions_.size(); ++p) {
       std::vector<Pair>& pairs = partitions_[p];
       SortedRun& run = runs[p];
-      run.on_disk = to_disk;
       if (pairs.empty()) continue;
       // Stable sort: equal keys keep emit order (the combiner's emit order
       // in a combining job), which the merge layer relies on for

@@ -20,9 +20,7 @@ constexpr size_t kMinCompactTokens = 1024;
 }  // namespace
 
 PPJoinStream::PPJoinStream(sim::SimilaritySpec spec, PPJoinOptions options)
-    : spec_(spec),
-      options_(options),
-      suffix_filter_(options.suffix_filter_depth) {}
+    : spec_(spec), options_(options) {}
 
 void PPJoinStream::Reset() {
   for (TokenId id : touched_lists_) {

@@ -61,8 +61,6 @@ struct PPJoinOptions {
   bool use_positional_filter = true;
   /// Apply the suffix filter (true = PPJoin+, false = plain PPJoin).
   bool use_suffix_filter = true;
-  /// Suffix-filter recursion depth (the PPJoin+ paper uses 2).
-  size_t suffix_filter_depth = 2;
   /// Apply the 128-bit hashed-signature pre-verification filter at a
   /// candidate's first match: discard the candidate when popcount
   /// arithmetic proves the overlap cannot reach the threshold, before the
@@ -214,7 +212,8 @@ class PPJoinStream {
 
   sim::SimilaritySpec spec_;
   PPJoinOptions options_;
-  sim::SuffixFilter suffix_filter_;
+  /// Suffix-filter recursion depth: the PPJoin+ paper's 2.
+  sim::SuffixFilter suffix_filter_{2};
 
   std::vector<IndexedRecord> store_;    ///< insertion order = length order
   std::vector<TokenId> arena_;          ///< all indexed tokens, contiguous

@@ -95,13 +95,6 @@ TEST(StringUtilTest, JoinRoundTripsSplit) {
   EXPECT_EQ(Join({}, ','), "");
 }
 
-TEST(StringUtilTest, CaseAndTrim) {
-  EXPECT_EQ(ToLower("MiXeD 123"), "mixed 123");
-  EXPECT_EQ(Trim("  x y\t\n"), "x y");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim(""), "");
-}
-
 TEST(StringUtilTest, ParseUint64) {
   EXPECT_EQ(ParseUint64("0").value(), 0u);
   EXPECT_EQ(ParseUint64("18446744073709551615").value(), UINT64_MAX);
@@ -162,13 +155,6 @@ TEST(StringUtilTest, ParseDoubleIsBitIdenticalToStrtod) {
                            "5.", ".5", "+0.5", "-0.0", "1e-3", "0x1p-1"}) {
     expect_strtod(text);
   }
-}
-
-TEST(StringUtilTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("stage2-pk", "stage2"));
-  EXPECT_FALSE(StartsWith("st", "stage"));
-  EXPECT_TRUE(EndsWith("out.joined", ".joined"));
-  EXPECT_FALSE(EndsWith("x", "long-suffix"));
 }
 
 TEST(HashTest, StableAndSpreading) {

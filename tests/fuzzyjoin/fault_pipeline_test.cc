@@ -339,23 +339,19 @@ TEST(FaultPipelineTest, SelfCorruptMapOutputSpilling) {
   RunSelfCorruptionCase(mr::CorruptTarget::kMapOutput, 256);
 }
 
-TEST(FaultPipelineTest, SelfCorruptSpillSpilling) {
-  RunSelfCorruptionCase(mr::CorruptTarget::kSpill, 256);
-}
-
 TEST(FaultPipelineTest, SelfCorruptReduceOutputUnbounded) {
   RunSelfCorruptionCase(mr::CorruptTarget::kReduceOutput, 0);
 }
 
 TEST(FaultPipelineTest, RSCorruptSpillSpilling) {
-  RunRSCorruptionCase(mr::CorruptTarget::kSpill, 256);
+  RunRSCorruptionCase(mr::CorruptTarget::kMapOutput, 256);
 }
 
 // Codec axis: the injector flips a byte inside the fjlz-compressed run
 // block — the checksum is defined over exactly those bytes, so detection
 // must still fire and the join still match.
 TEST(FaultPipelineTest, SelfBinaryCorruptEncodedSpillSpilling) {
-  RunSelfCorruptionCase(mr::CorruptTarget::kSpill, 256,
+  RunSelfCorruptionCase(mr::CorruptTarget::kMapOutput, 256,
                         mr::BlockCodec::kFjlz);
 }
 

@@ -112,10 +112,11 @@ TEST(Stage1Test, CombinerShrinksCountJobShuffle) {
 
 TEST(Stage1Test, BtoCountJobGoldenCountersUnderSmallSortBuffer) {
   // The BTO count job is the pipeline's combining job. With a 2 KiB sort
-  // buffer every map task spills many times and every reducer merges in
-  // several passes. These goldens were captured from the sort buffer that
-  // stable-sorted every emitted pair before combining; grouping on insert
-  // must not move one spill point, meter, or output line.
+  // buffer every map task spills many times and every reducer merges its
+  // runs in one streaming pass. The output, shuffle and peak-buffer
+  // goldens were captured from the sort buffer that stable-sorted every
+  // emitted pair before combining; grouping on insert must not move one
+  // spill point, meter, or output line.
   auto records = data::GenerateRecords(data::DblpLikeConfig(300, 17));
   mr::Dfs dfs;
   ASSERT_TRUE(dfs.WriteFile("in", data::RecordsToLines(records)).ok());
@@ -124,7 +125,6 @@ TEST(Stage1Test, BtoCountJobGoldenCountersUnderSmallSortBuffer) {
   config.num_map_tasks = 4;
   config.num_reduce_tasks = 3;
   config.sort_buffer_bytes = 2048;
-  config.merge_factor = 4;
   auto result = RunStage1(&dfs, "in", "ordering", config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const mr::JobMetrics& count = result->jobs[0];
@@ -146,8 +146,8 @@ TEST(Stage1Test, BtoCountJobGoldenCountersUnderSmallSortBuffer) {
   // The encoded size of the run blocks; 44046 when runs held typed pairs
   // metered by ByteSizeOf estimates.
   EXPECT_EQ(count.shuffle_bytes, 19920u);
-  EXPECT_EQ(count.spill_count, 56u);
-  EXPECT_EQ(count.merge_passes, 30u);
+  EXPECT_EQ(count.spill_count, 29u);
+  EXPECT_EQ(count.merge_passes, 3u);
   std::vector<uint64_t> peak_buffer_bytes;
   for (const mr::TaskMetrics& task : count.map_tasks) {
     peak_buffer_bytes.push_back(task.peak_buffer_bytes);

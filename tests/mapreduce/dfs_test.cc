@@ -34,14 +34,6 @@ TEST(DfsTest, WriteRefusesOverwrite) {
   EXPECT_EQ(dfs.WriteFile("f", {"b"}).code(), StatusCode::kAlreadyExists);
 }
 
-TEST(DfsTest, AppendCreatesAndExtends) {
-  Dfs dfs;
-  ASSERT_TRUE(dfs.AppendToFile("f", {"1"}).ok());
-  ASSERT_TRUE(dfs.AppendToFile("f", {"2", "3"}).ok());
-  EXPECT_EQ(*dfs.ReadFile("f").value(),
-            (std::vector<std::string>{"1", "2", "3"}));
-}
-
 TEST(DfsTest, LinePointersStableAcrossOtherWrites) {
   Dfs dfs;
   ASSERT_TRUE(dfs.WriteFile("f", {"x"}).ok());
@@ -53,67 +45,36 @@ TEST(DfsTest, LinePointersStableAcrossOtherWrites) {
   EXPECT_EQ((*before)[0], "x");
 }
 
-// Regression: a job may hold a ReadFile pointer while later jobs append to
-// other files (the pipeline appends stage outputs while stage inputs are
+// Regression: a job may hold a ReadFile pointer while later jobs write
+// other files (the pipeline writes stage outputs while stage inputs are
 // still being mapped). The pointed-to vector must stay valid and splits
-// computed before a growth must stay in range afterwards.
+// computed before the writes must stay in range afterwards.
 TEST(DfsTest, ReadPointerStableWhileFilesGrow) {
   Dfs dfs;
   ASSERT_TRUE(dfs.WriteFile("stable", {"s0", "s1", "s2"}).ok());
-  ASSERT_TRUE(dfs.WriteFile("growing", {"g0"}).ok());
 
   const std::vector<std::string>* stable = dfs.ReadFile("stable").value();
-  const std::vector<std::string>* growing = dfs.ReadFile("growing").value();
   auto splits = dfs.MakeSplits({"stable"}, 2);
   ASSERT_TRUE(splits.ok());
 
-  // Grow an unrelated file well past any small-vector capacity and create
-  // enough new files to force map rebalancing if storage were not
-  // pointer-stable.
+  // Create enough new files, some of them large, to force map rebalancing
+  // if storage were not pointer-stable.
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(dfs.AppendToFile("growing", {"g" + std::to_string(i)}).ok());
-    ASSERT_TRUE(dfs.WriteFile("extra" + std::to_string(i), {"e"}).ok());
+    ASSERT_TRUE(dfs.WriteFile("extra" + std::to_string(i),
+                              std::vector<std::string>(i, "e"))
+                    .ok());
   }
 
   EXPECT_EQ(stable, dfs.ReadFile("stable").value());
   EXPECT_EQ((*stable)[0], "s0");
   EXPECT_EQ((*stable)[2], "s2");
-  // The documented append semantics: the pre-append pointer addresses the
-  // same vector, so it observes every appended line.
-  EXPECT_EQ(growing, dfs.ReadFile("growing").value());
-  EXPECT_EQ(growing->size(), 201u);
-  EXPECT_EQ(growing->front(), "g0");
-  EXPECT_EQ(growing->back(), "g199");
-  // The pre-growth splits still address exactly the original lines.
+  // The earlier splits still address exactly the original lines.
   size_t covered = 0;
   for (const auto& s : *splits) {
     EXPECT_LE(s.end_line, stable->size());
     covered += s.end_line - s.begin_line;
   }
   EXPECT_EQ(covered, 3u);
-}
-
-// Splits recomputed after growth must cover the appended lines too.
-TEST(DfsTest, SplitsTrackFileGrowth) {
-  Dfs dfs;
-  ASSERT_TRUE(dfs.AppendToFile("f", {"a", "b"}).ok());
-  auto before = dfs.MakeSplits({"f"}, 3);
-  ASSERT_TRUE(before.ok());
-  size_t covered_before = 0;
-  for (const auto& s : *before) covered_before += s.end_line - s.begin_line;
-  EXPECT_EQ(covered_before, 2u);
-
-  ASSERT_TRUE(dfs.AppendToFile("f", std::vector<std::string>(50, "x")).ok());
-  auto after = dfs.MakeSplits({"f"}, 3);
-  ASSERT_TRUE(after.ok());
-  size_t covered_after = 0;
-  size_t expect_begin = 0;
-  for (const auto& s : *after) {
-    EXPECT_EQ(s.begin_line, expect_begin);
-    expect_begin = s.end_line;
-    covered_after += s.end_line - s.begin_line;
-  }
-  EXPECT_EQ(covered_after, 52u);
 }
 
 TEST(DfsTest, ListFilesSorted) {
@@ -209,10 +170,11 @@ TEST(DfsTest, RenameMissingSourceFails) {
 
 TEST(DfsTest, DeleteThenAppendStartsFresh) {
   Dfs dfs;
-  ASSERT_TRUE(dfs.AppendToFile("f", {"old1", "old2"}).ok());
+  ASSERT_TRUE(dfs.WriteFile("f", {"old1", "old2"}).ok());
   const std::vector<std::string>* old_ptr = dfs.ReadFile("f").value();
   ASSERT_TRUE(dfs.DeleteFile("f").ok());
-  ASSERT_TRUE(dfs.AppendToFile("f", {"new"}).ok());
+  // Files are write-once: a deleted name is written afresh.
+  ASSERT_TRUE(dfs.WriteFile("f", {"new"}).ok());
   const std::vector<std::string>* new_ptr = dfs.ReadFile("f").value();
   // The recreated file is a fresh entry: old content is gone, the new
   // lines verify, and callers must re-fetch the pointer.
@@ -271,18 +233,6 @@ TEST(DfsTest, CorruptByteRefusesEmptyFiles) {
   EXPECT_EQ(dfs.CorruptByteForTest("f", 1).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(dfs.CorruptByteForTest("nope", 1).code(), StatusCode::kNotFound);
-}
-
-TEST(DfsTest, AppendExtendsChecksumIncrementally) {
-  Dfs dfs;
-  ASSERT_TRUE(dfs.AppendToFile("f", {"a"}).ok());
-  ASSERT_TRUE(dfs.AppendToFile("f", {"b", "c"}).ok());
-  // The incrementally maintained hash must equal a from-scratch write of
-  // the same content.
-  Dfs fresh;
-  ASSERT_TRUE(fresh.WriteFile("f", {"a", "b", "c"}).ok());
-  EXPECT_EQ(dfs.FileChecksum("f").value(), fresh.FileChecksum("f").value());
-  EXPECT_TRUE(dfs.VerifyFile("f").ok());
 }
 
 TEST(DfsTest, WriterLineChecksumsGiveTheSameFile) {

@@ -461,13 +461,13 @@ TEST(FaultTest, CorruptionSaltsAreDeterministicAndPerAttempt) {
                                   .task_id = 1,
                                   .first_attempt = 0,
                                   .failing_attempts = 2,
-                                  .corrupt_target = CorruptTarget::kSpill,
+                                  .corrupt_target = CorruptTarget::kMapOutput,
                                   .corrupt_salt = 9});
   FaultInjector a(&plan, "job");
   FaultInjector b(&plan, "job");
   AttemptFault first = a.FaultFor(TaskPhase::kMap, 1, 0);
   ASSERT_TRUE(first.corrupts());
-  EXPECT_EQ(first.corrupt_target, CorruptTarget::kSpill);
+  EXPECT_EQ(first.corrupt_target, CorruptTarget::kMapOutput);
   // Same coordinates resolve to the same salt across injectors...
   EXPECT_EQ(first.corrupt_salt, b.FaultFor(TaskPhase::kMap, 1, 0).corrupt_salt);
   // ...different attempts corrupt a different deterministic location, and
@@ -504,11 +504,6 @@ TEST(FaultTest, JobRunSharesTheEngineChecks) {
   Job<K, V> threads_job(&dfs, threads);
   EXPECT_EQ(threads_job.Run().status().ToString(),
             "InvalidArgument: job 'wordcount': local_threads must be <= 1024");
-  auto merge = WordCountSpec("in", "out");
-  merge.merge_factor = 1;
-  Job<K, V> merge_job(&dfs, merge);
-  EXPECT_EQ(merge_job.Run().status().ToString(),
-            "InvalidArgument: job 'wordcount': merge_factor must be >= 2");
   EXPECT_FALSE(dfs.Exists("out"));
 }
 
@@ -830,7 +825,6 @@ TEST_P(AttemptLedgerGoldenTest, CrashAndCorruptPlanMatchesPinnedLedger) {
     spec.contract_sample_every = 4;
     spec.block_codec = c.codec;
     spec.sort_buffer_bytes = c.sort_buffer_bytes;
-    spec.merge_factor = 2;
     Job<K, V> job(&dfs, spec);
     auto metrics = job.Run();
     EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();

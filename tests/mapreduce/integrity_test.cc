@@ -140,7 +140,8 @@ TEST(IntegrityTest, SpillCorruptionDetectedAndRetriedToIdenticalResult) {
   auto spec = WordCountSpec("in", "out");
   spec.verify_integrity = true;
   spec.sort_buffer_bytes = 64;  // force map-side spills
-  spec.fault_plan = CorruptPlan(TaskPhase::kMap, 0, CorruptTarget::kSpill);
+  spec.fault_plan =
+      CorruptPlan(TaskPhase::kMap, 0, CorruptTarget::kMapOutput);
   Job<K, V> job(&dfs, spec);
   auto metrics = job.Run();
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();

@@ -1,21 +1,29 @@
 // Sort-spill-merge shuffle: a bounded sort buffer must change HOW the
 // shuffle runs (spills, runs, merge passes, charged disk traffic) without
-// changing WHAT it produces. Every test here runs the same job twice —
-// unbounded (legacy single in-memory run) and budgeted — and demands
+// changing WHAT it produces. The job tests run the same job twice —
+// unbounded (legacy single in-memory run) and budgeted — and demand
 // byte-identical output files, across the comparator shapes the pipeline
 // actually uses (default ordering, PK-style secondary sort, BTO-style
 // custom sort into a single reducer) and with a combiner in the loop.
+// The last tests hold the reduce side's streaming merge to its memory
+// bound and drive RunMerger directly over hand-made run blocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/string_util.h"
 #include "mapreduce/dfs.h"
 #include "mapreduce/job.h"
+#include "mapreduce/record_format.h"
+#include "mapreduce/run_merger.h"
 
 namespace fj::mr {
 namespace {
@@ -135,30 +143,6 @@ TEST(SpillShuffleTest, SpillTrafficIsChargedToTaskScratch) {
   }
   EXPECT_GT(metrics.map_tasks[0].spilled_bytes, 0u);
   EXPECT_EQ(metrics.spilled_bytes, task_bytes);
-}
-
-TEST(SpillShuffleTest, TwoWayMergeFactorForcesMultiPassMergeSameOutput) {
-  Dfs dfs;
-  ASSERT_TRUE(dfs.WriteFile("in", SkewedLines()).ok());
-
-  auto legacy = RunOrDie(&dfs, WordCountSpec("in", "legacy"));
-
-  auto wide = WordCountSpec("in", "wide");
-  wide.sort_buffer_bytes = 64;
-  wide.merge_factor = 64;  // everything merges in one pass
-  auto m_wide = RunOrDie(&dfs, std::move(wide));
-
-  auto narrow = WordCountSpec("in", "narrow");
-  narrow.sort_buffer_bytes = 64;
-  narrow.merge_factor = 2;  // binary merge: many intermediate passes
-  auto m_narrow = RunOrDie(&dfs, std::move(narrow));
-
-  EXPECT_EQ(Output(dfs, "legacy"), Output(dfs, "wide"));
-  EXPECT_EQ(Output(dfs, "legacy"), Output(dfs, "narrow"));
-  EXPECT_GT(m_narrow.merge_passes, m_wide.merge_passes);
-  // Intermediate collapses re-spill merged runs, so binary merging also
-  // moves more bytes through local disk.
-  EXPECT_GT(m_narrow.spilled_bytes, m_wide.spilled_bytes);
 }
 
 TEST(SpillShuffleTest, CombinerRunsPerSpillAndNeverInflatesShuffle) {
@@ -313,7 +297,6 @@ TEST(SpillShuffleTest, CustomSortLessIntoSingleReducerSurvivesSpilling) {
 
   auto spec = make_spec("spilled");
   spec.sort_buffer_bytes = 80;
-  spec.merge_factor = 2;
   Job<KB, uint64_t> job(&dfs, std::move(spec));
   auto metrics = job.Run();
   ASSERT_TRUE(metrics.ok());
@@ -335,13 +318,201 @@ TEST(SpillShuffleTest, SinglePairLargerThanBudgetStillWorks) {
   ASSERT_EQ(out.size(), 2u);
 }
 
-TEST(SpillShuffleTest, MergeFactorBelowTwoRejected) {
+// A shuffle value that counts the values of its type alive at once. A
+// moved-from object holds no value, so it does not count: the count is
+// what the values' payloads would cost, not the shells a vector's
+// reallocation leaves behind for an instant.
+class Counted {
+ public:
+  Counted() { Acquire(); }
+  explicit Counted(uint64_t n) : n_(n) { Acquire(); }
+  Counted(const Counted& other) : n_(other.n_) { Acquire(); }
+  Counted(Counted&& other) noexcept : n_(other.n_), live_(other.live_) {
+    other.live_ = false;
+  }
+  Counted& operator=(const Counted& other) {
+    n_ = other.n_;
+    if (!live_) Acquire();
+    live_ = true;
+    return *this;
+  }
+  Counted& operator=(Counted&& other) noexcept {
+    if (live_) Release();
+    n_ = other.n_;
+    live_ = other.live_;
+    other.live_ = false;
+    return *this;
+  }
+  ~Counted() {
+    if (live_) Release();
+  }
+
+  uint64_t n() const { return n_; }
+
+  /// Starts a new peak window at the current live count.
+  static void ResetPeak() { peak_.store(live_count_.load()); }
+  static int64_t Peak() { return peak_.load(); }
+
+ private:
+  static void Acquire() {
+    const int64_t now = ++live_count_;
+    int64_t peak = peak_.load();
+    while (now > peak && !peak_.compare_exchange_weak(peak, now)) {
+    }
+  }
+  static void Release() { --live_count_; }
+
+  inline static std::atomic<int64_t> live_count_{0};
+  inline static std::atomic<int64_t> peak_{0};
+
+  uint64_t n_ = 0;
+  bool live_ = true;
+};
+
+size_t FjByteSize(const Counted&) { return 8; }
+void FjEncodeContent(const Counted& c, std::string* out) {
+  EncodeContent(c.n(), out);
+}
+bool FjDecodeContent(std::string_view buf, size_t* pos, Counted* c) {
+  uint64_t n = 0;
+  if (!DecodeContent(buf, pos, &n)) return false;
+  *c = Counted(n);
+  return true;
+}
+
+// The reduce side streams: while it merges one partition of many small
+// runs, it holds one decoded value per open run plus the current group,
+// never the whole partition. The peak window opens at the reducer's
+// Setup, after every map task has finished.
+TEST(SpillShuffleTest, StreamingMergeHoldsOpenRunsPlusOneGroup) {
+  constexpr size_t kLines = 2000;
+  constexpr size_t kKeys = 50;
+  std::vector<std::string> lines;
+  for (size_t i = 0; i < kLines; ++i) lines.push_back(std::to_string(i));
   Dfs dfs;
-  ASSERT_TRUE(dfs.WriteFile("in", {"x"}).ok());
-  auto spec = WordCountSpec("in", "out");
-  spec.merge_factor = 1;
-  Job<K, V> job(&dfs, std::move(spec));
-  EXPECT_EQ(job.Run().status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(dfs.WriteFile("in", lines).ok());
+
+  static std::atomic<size_t> largest_group{0};
+  static std::atomic<size_t> values_reduced{0};
+  largest_group = 0;
+  values_reduced = 0;
+  JobSpec<uint64_t, Counted> spec;
+  spec.name = "streaming-merge";
+  spec.input_files = {"in"};
+  spec.output_file = "out";
+  spec.num_map_tasks = 8;
+  spec.num_reduce_tasks = 1;
+  spec.sort_buffer_bytes = 256;  // 16 pairs of 16 charged bytes per run
+  spec.check_contracts = false;
+  spec.mapper_factory = [] {
+    return std::make_unique<LambdaMapper<uint64_t, Counted>>(
+        [](const InputRecord& record, Emitter<uint64_t, Counted>* out,
+           TaskContext*) {
+          const uint64_t n = *ParseUint64(*record.line);
+          out->Emit(n % kKeys, Counted(n));
+        });
+  };
+  class CountingReducer : public Reducer<uint64_t, Counted> {
+   public:
+    void Setup(TaskContext*) override { Counted::ResetPeak(); }
+    void Reduce(const uint64_t& key,
+                std::span<const std::pair<uint64_t, Counted>> group,
+                OutputEmitter* out, TaskContext*) override {
+      size_t seen = largest_group.load();
+      while (group.size() > seen &&
+             !largest_group.compare_exchange_weak(seen, group.size())) {
+      }
+      values_reduced += group.size();
+      out->Emit(std::to_string(key) + "\t" + std::to_string(group.size()));
+    }
+  };
+  spec.reducer_factory = [] { return std::make_unique<CountingReducer>(); };
+
+  Job<uint64_t, Counted> job(&dfs, std::move(spec));
+  auto metrics = job.Run();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  ASSERT_EQ(values_reduced.load(), kLines);
+  ASSERT_EQ(largest_group.load(), kLines / kKeys);
+  // One partition: every map-side spill is one run of it.
+  const uint64_t runs = metrics->spill_count;
+  ASSERT_GE(runs, 100u);
+  EXPECT_EQ(metrics->merge_passes, 1u);
+  EXPECT_LE(Counted::Peak(),
+            static_cast<int64_t>(runs + largest_group.load() + 2))
+      << "runs=" << runs << " largest group=" << largest_group.load();
+}
+
+// A block whose frame is sound but whose payload ends mid-record fails
+// only when its cursor reaches the damage: the merge returns DataLoss,
+// and every group it handed out ended before the damage.
+TEST(SpillShuffleTest, MergerStopsAtTruncatedBlockWithDataLoss) {
+  using Pair = std::pair<std::string, uint64_t>;
+  std::vector<Pair> pairs;
+  for (int k = 1; k <= 6; ++k) pairs.emplace_back("key" + std::to_string(k), k);
+  CodecScratch scratch;
+  std::string intact;
+  uint64_t logical = 0;
+  EncodeRunBlock(BlockCodec::kNone, pairs, &scratch, &intact, &logical);
+  // Six 6-byte records framed with their count but only 21 payload bytes:
+  // three whole records and half of the fourth.
+  std::string payload;
+  for (const Pair& pair : pairs) {
+    EncodeContent(pair.first, &payload);
+    EncodeContent(pair.second, &payload);
+  }
+  ASSERT_EQ(payload.size(), 36u);
+  payload.resize(21);
+  for (BlockCodec codec : {BlockCodec::kNone, BlockCodec::kFjlz}) {
+    std::string damaged;
+    EncodeBlock(codec, pairs.size(), payload, &scratch, &damaged);
+
+    JobSpec<std::string, uint64_t> spec;
+    const SpecOrdering<std::string, uint64_t> ordering(&spec);
+    RunMerger<std::string, uint64_t> merger(&ordering, {intact, damaged});
+    std::vector<std::pair<std::string, size_t>> groups;
+    const Status merged =
+        merger.ForEachGroup([&groups](std::span<const Pair> group) {
+          groups.emplace_back(group.front().first, group.size());
+        });
+    EXPECT_EQ(merged.code(), StatusCode::kDataLoss)
+        << "codec " << static_cast<int>(codec);
+    EXPECT_EQ(merged.message(), "truncated record in run block payload");
+    // key3's group is still open when the damaged cursor fails to read its
+    // fourth record, so only key1 and key2 are handed out.
+    EXPECT_EQ(groups, (std::vector<std::pair<std::string, size_t>>{
+                          {"key1", 2}, {"key2", 2}}))
+        << "codec " << static_cast<int>(codec);
+  }
+}
+
+// The merge reads both codecs' blocks and breaks key ties toward the
+// lower-ranked block.
+TEST(SpillShuffleTest, MergerInterleavesBlocksInRankOrder) {
+  using Pair = std::pair<uint64_t, uint64_t>;
+  CodecScratch scratch;
+  std::vector<std::string> blocks(3);
+  uint64_t logical = 0;
+  EncodeRunBlock(BlockCodec::kFjlz,
+                 std::vector<Pair>{{1, 10}, {3, 10}, {3, 11}, {5, 10}},
+                 &scratch, &blocks[0], &logical);
+  EncodeRunBlock(BlockCodec::kNone, std::vector<Pair>{}, &scratch,
+                 &blocks[1], &logical);
+  EncodeRunBlock(BlockCodec::kNone, std::vector<Pair>{{1, 20}, {3, 20}},
+                 &scratch, &blocks[2], &logical);
+  JobSpec<uint64_t, uint64_t> spec;
+  const SpecOrdering<uint64_t, uint64_t> ordering(&spec);
+  RunMerger<uint64_t, uint64_t> merger(&ordering,
+                                       {blocks[0], blocks[1], blocks[2]});
+  std::vector<std::vector<Pair>> groups;
+  ASSERT_TRUE(merger
+                  .ForEachGroup([&groups](std::span<const Pair> group) {
+                    groups.emplace_back(group.begin(), group.end());
+                  })
+                  .ok());
+  EXPECT_EQ(groups, (std::vector<std::vector<Pair>>{
+                        {{1, 10}, {1, 20}},
+                        {{3, 10}, {3, 11}, {3, 20}},
+                        {{5, 10}}}));
 }
 
 }  // namespace

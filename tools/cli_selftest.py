@@ -6,9 +6,9 @@ Eight checks:
 1. Transparent engine flags. `selfjoin` and `rsjoin` each run twice over
    small generated inputs: once with default flags, and once with every
    transparent engine flag away from its default (threads, sort buffer,
-   merge factor, speculation, a recoverable crash, straggler and corrupt
-   fault plan with --verify_integrity, the fjlz codec, contract checks,
-   the skipped-record cap). The two `.joined` files must be
+   speculation, a recoverable crash, straggler and corrupt fault plan
+   with --verify_integrity, the fjlz codec, contract checks, the
+   skipped-record cap). The two `.joined` files must be
    byte-identical.
 2. Resume from a state directory. `rsjoin` with the fjlz codec runs into
    --dfs_dir, then again with --resume: all three stages resume from
@@ -51,7 +51,6 @@ import tempfile
 ENGINE_FLAGS = [
     "--threads=3",
     "--sort_buffer=2048",
-    "--merge_factor=2",
     "--speculate",
     "--speculation_factor=2",
     "--max_attempts=4",
@@ -109,6 +108,9 @@ BAD_FLAGS = [
     # Every spill run is a run block: there is no record format to pick.
     ("fuzzyjoin", ["--record_format=binary"],
      "unknown flag --record_format"),
+    # The reduce side merges every run in one streaming pass: there is no
+    # merge factor to pick.
+    ("fuzzyjoin", ["--merge_factor=2"], "unknown flag --merge_factor"),
     # A straggler's slowdown and the attempts a drawn corruption hits are
     # FaultPlan's defaults, with no flag.
     ("fuzzyjoin", ["--fault_slowdown=8"], "unknown flag --fault_slowdown"),

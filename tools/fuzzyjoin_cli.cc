@@ -9,7 +9,6 @@
 //             (the algorithms default to JoinConfig's BTO-PK-OPRJ with
 //             individual-token routing)
 //             [--threads=N (0 = auto-detect)] [--sort_buffer=BYTES]
-//             [--merge_factor=N]
 //             [--max_attempts=4] [--speculate] [--speculation_factor=3]
 //             [--fault_seed=S] [--fault_crash_p=P] [--fault_straggler_p=P]
 //             [--fault_corrupt_p=P] (FaultPlan's defaults: a straggler
@@ -130,7 +129,6 @@ Result<fj::join::JoinConfig> ConfigFromFlags(const Flags& flags) {
   FJ_RETURN_IF_ERROR(flags.GetCount("reduce_tasks", &config.num_reduce_tasks));
   FJ_RETURN_IF_ERROR(flags.GetCount("threads", &config.local_threads));
   FJ_RETURN_IF_ERROR(flags.GetCount("sort_buffer", &config.sort_buffer_bytes));
-  FJ_RETURN_IF_ERROR(flags.GetCount("merge_factor", &config.merge_factor));
   FJ_RETURN_IF_ERROR(
       flags.GetCount("max_attempts", &config.max_task_attempts));
   config.speculative_execution = flags.Has("speculate");
